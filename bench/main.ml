@@ -136,7 +136,7 @@ let timed name f =
       samples_s = [];
       ols_s = None;
       quantiles;
-      spans = Obs.Bench_log.aggregate_spans events;
+      spans = Obs.Bench_log.span_totals events;
     };
   Printf.printf "[%s regenerated in %.1fs]\n\n%!" name wall
 

@@ -35,12 +35,7 @@ let read_program file expr einsum =
   match (file, expr, einsum) with
   | None, Some src, None -> src
   | None, None, Some spec -> Octopi.Einsum_notation.to_dsl spec
-  | Some path, None, None ->
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
+  | Some path, None, None -> Util.Fs.read_file path
   | None, None, None -> failwith "no input: give a file, -e EXPR or --einsum SPEC"
   | _ -> failwith "give exactly one of: a file, -e, --einsum"
 
@@ -161,6 +156,12 @@ let load_journal path =
       discarded
       (if discarded = 1 then "" else "s");
   entries
+
+(* Read a JSON artifact and decode it; any failure names the file. *)
+let read_json path decode =
+  match Result.bind (Obs.Json.parse (Util.Fs.read_file path)) decode with
+  | Ok v -> v
+  | Error msg -> failwith (Printf.sprintf "%s: %s" path msg)
 
 let find_run entries run =
   match Obs.Journal.find entries ~run with
@@ -333,10 +334,7 @@ let cmd_cuda =
     let cuda =
       match from with
       | Some path ->
-        let ic = open_in_bin path in
-        let text = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        let saved = Autotune.Store.parse text in
+        let saved = Autotune.Store.parse (Util.Fs.read_file path) in
         let b = Barracuda.parse ~label:saved.label src in
         let ir, points = Autotune.Store.restore b saved in
         Codegen.Cuda.emit_program ir points
@@ -347,9 +345,7 @@ let cmd_cuda =
     match out with
     | None -> print_string cuda
     | Some path ->
-      let oc = open_out path in
-      output_string oc cuda;
-      close_out oc;
+      Util.Fs.write_file path cuda;
       Printf.printf "wrote %s\n" path
   in
   Cmd.v (Cmd.info "cuda" ~doc:"Tune and emit the optimized CUDA code.")
@@ -441,6 +437,9 @@ let cmd_inspect =
 
 (* ---------------- batch (tuning service) ---------------- *)
 
+let service_config arch seed evals domains cache_dir =
+  { Service.Engine.default_config with arch; domains; max_evals = evals; seed; cache_dir }
+
 let cmd_batch =
   let files_arg =
     Arg.(
@@ -478,18 +477,15 @@ let cmd_batch =
     let requests =
       List.map
         (fun path ->
-          let ic = open_in_bin path in
-          let src = really_input_string ic (in_channel_length ic) in
-          close_in ic;
-          { Service.Engine.label = Filename.remove_extension (Filename.basename path); src })
+          {
+            Service.Engine.label = Filename.remove_extension (Filename.basename path);
+            src = Util.Fs.read_file path;
+          })
         files
       @ List.mapi (fun i src -> { Service.Engine.label = Printf.sprintf "expr%d" (i + 1); src }) exprs
     in
     if requests = [] then failwith "no requests: give program files and/or -e EXPR";
-    let config =
-      { Service.Engine.default_config with arch; domains; max_evals = evals; seed; cache_dir }
-    in
-    let svc = Service.Engine.create ~config () in
+    let svc = Service.Engine.create ~config:(service_config arch seed evals domains cache_dir) () in
     let responses =
       with_journal journal_out @@ fun () ->
       with_profile profile_out @@ fun () ->
@@ -509,7 +505,7 @@ let cmd_batch =
       (fun (r : Service.Engine.response) ->
         Printf.printf "%-16s %-14s %-12s %10.2f %9.3fs\n" r.label
           (Service.Engine.served_name r.served)
-          (String.sub r.key 0 12) r.result.gflops r.wall_s)
+          (Obs.Journal.short r.key) r.result.gflops r.wall_s)
       responses;
     if want_stats then begin
       print_newline ();
@@ -527,9 +523,6 @@ let cmd_batch =
       $ journal_out_arg)
 
 (* ---------------- trace ---------------- *)
-
-let service_config arch seed evals domains cache_dir =
-  { Service.Engine.default_config with arch; domains; max_evals = evals; seed; cache_dir }
 
 let cmd_trace =
   let out_arg =
@@ -571,13 +564,13 @@ let cmd_trace =
     match report_out with
     | None -> ()
     | Some path ->
-      let oc = open_out path in
-      output_string oc (Service.Engine.convergence_report response);
-      output_string oc "\n";
-      output_string oc (Service.Engine.stats_report svc);
-      output_string oc "\n";
-      output_string oc (Service.Engine.prometheus_report svc);
-      close_out oc;
+      Util.Fs.write_file path
+        (String.concat "\n"
+           [
+             Service.Engine.convergence_report response;
+             Service.Engine.stats_report svc;
+             Service.Engine.prometheus_report svc;
+           ]);
       Printf.printf "wrote %s\n" path
   in
   Cmd.v
@@ -614,9 +607,7 @@ let cmd_report =
       print_newline ();
       print_string prom
     | Some path ->
-      let oc = open_out path in
-      output_string oc prom;
-      close_out oc;
+      Util.Fs.write_file path prom;
       Printf.printf "\nwrote %s\n" path
   in
   Cmd.v
@@ -642,7 +633,7 @@ let cmd_stats =
     Printf.printf "%-14s %-14s %-12s %10s\n" "key" "label" "arch" "gflops";
     List.iter
       (fun (e : Service.Tuning_cache.entry) ->
-        Printf.printf "%-14s %-14s %-12s %10.2f\n" (String.sub e.key 0 12)
+        Printf.printf "%-14s %-14s %-12s %10.2f\n" (Obs.Journal.short e.key)
           e.saved.label e.saved.arch_name e.saved.gflops)
       inv.entries;
     List.iter
@@ -894,7 +885,7 @@ let cmd_check =
                   Obs.Json.Obj
                     ([
                        ("equivalent", Obs.Json.Bool v.Check.Semantic.equivalent);
-                       ("rounds_run", Obs.Json.int v.rounds_run);
+                       ("rounds_run", Obs.Json.of_int v.rounds_run);
                      ]
                     @ (match v.failed_stage with
                       | None -> []
@@ -1075,8 +1066,8 @@ let cmd_net =
         (Obs.Json.to_string
            (Obs.Json.Obj
               [
-                ("tensors", Obs.Json.int (List.length net.tensors));
-                ("indices", Obs.Json.int (List.length (Netopt.Network.all_indices net)));
+                ("tensors", Obs.Json.of_int (List.length net.tensors));
+                ("indices", Obs.Json.of_int (List.length (Netopt.Network.all_indices net)));
                 ("output", Obs.Json.Arr (List.map (fun i -> Obs.Json.Str i) net.output));
                 ("sc_target", Obs.Json.Num sc_target);
                 tree_json "greedy" cg sg og;
@@ -1231,11 +1222,7 @@ let cmd_replay =
       | None -> (
         (* no exact fingerprint: resolve by name so the replay reports the
            device-identity drift instead of failing to find the arch *)
-        let name =
-          match String.index_opt entry.Obs.Journal.arch '|' with
-          | Some i -> String.sub entry.Obs.Journal.arch 0 i
-          | None -> entry.Obs.Journal.arch
-        in
+        let name = Obs.Journal.arch_name entry.Obs.Journal.arch in
         match Gpusim.Arch.by_name name with
         | Some a -> a
         | None -> failwith (Printf.sprintf "unknown architecture %S" name))
@@ -1332,10 +1319,9 @@ let loadgen_config_term =
   in
   let mk arch seed evals reps requests batch error_rate degrade degrade_at
       monitor p99 err_obj width buckets =
-    let base = Service.Loadgen.default_config in
+    let engine = Service.Loadgen.default_config.engine in
     {
-      base with
-      requests;
+      Service.Loadgen.requests;
       seed;
       batch;
       error_rate;
@@ -1350,7 +1336,7 @@ let loadgen_config_term =
           latency_budget_s = p99;
           error_objective = err_obj;
         };
-      engine = { base.engine with arch; seed; max_evals = evals; reps };
+      engine = { engine with arch; seed; max_evals = evals; reps };
     }
   in
   Term.(
@@ -1358,15 +1344,17 @@ let loadgen_config_term =
     $ error_rate $ degrade $ degrade_at $ monitor $ p99_budget
     $ error_objective $ window_width $ window_buckets)
 
+(* The journal's entries and the request mix they define. *)
 let load_mix journal =
-  let mix = Service.Loadgen.mix_of_journal (load_journal journal) in
+  let entries = load_journal journal in
+  let mix = Service.Loadgen.mix_of_journal entries in
   if mix = [] then
     failwith
       (Printf.sprintf
          "journal %s holds no runs; record one first, e.g. 'barracuda tune \
           --journal=%s -e EXPR'"
          journal journal);
-  mix
+  (entries, mix)
 
 let cmd_loadgen =
   let out_arg =
@@ -1390,8 +1378,7 @@ let cmd_loadgen =
              fixed seed.")
   in
   let run () journal cfg out ledger_out =
-    let entries = load_journal journal in
-    let mix = load_mix journal in
+    let entries, mix = load_mix journal in
     let record = ledger_out <> None in
     let r =
       Service.Loadgen.run ~record
@@ -1434,18 +1421,12 @@ let cmd_slo =
              from its 'slo' member) or a bare SLO report.")
   in
   let run () path =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    let json = Obs.Json.parse_exn s in
-    let json =
-      match Obs.Json.member "slo" json with Some j -> j | None -> json
+    let report =
+      read_json path (fun j ->
+          Obs.Slo.of_json (Option.value ~default:j (Obs.Json.member "slo" j)))
     in
-    match Obs.Slo.of_json json with
-    | Error msg -> failwith (Printf.sprintf "%s: %s" path msg)
-    | Ok report ->
-      print_string (Obs.Slo.render report);
-      if not (Obs.Slo.ok report) then exit 1
+    print_string (Obs.Slo.render report);
+    if not (Obs.Slo.ok report) then exit 1
   in
   Cmd.v
     (Cmd.info "slo"
@@ -1462,7 +1443,7 @@ let cmd_dash =
           ~doc:"Dashboard frames to print during the replay (default 4).")
   in
   let run () journal cfg frames =
-    let mix = load_mix journal in
+    let _, mix = load_mix journal in
     let every = max 1 (cfg.Service.Loadgen.requests / max 1 frames) in
     let frame w ~now =
       Printf.printf "--- tick %d ---\n%s\n" now (Obs.Window.render w ~now)
@@ -1540,30 +1521,15 @@ let cmd_doctor =
         | Ok a -> Some a
         | Error msg -> failwith (Printf.sprintf "%s: %s" path msg))
     in
-    let load =
-      match slo with
-      | None -> None
-      | Some path -> (
-        match Obs.Json.parse (Util.Fs.read_file path) with
-        | Error msg -> failwith (Printf.sprintf "%s: %s" path msg)
-        | Ok j -> (
-          match Obs.Doctor.load_of_json j with
-          | Ok l -> Some l
-          | Error msg -> failwith (Printf.sprintf "%s: %s" path msg)))
-    in
+    let load = Option.map (fun path -> read_json path Obs.Doctor.load_of_json) slo in
     let ledger =
-      match ledger with
-      | None -> None
-      | Some path -> (
-        match Obs.Json.parse (Util.Fs.read_file path) with
-        | Error msg -> failwith (Printf.sprintf "%s: %s" path msg)
-        | Ok j -> (
+      Option.map
+        (fun path ->
           (* a full --ledger-out replay file embeds the report under
              "ledger"; a bare report document is the report itself *)
-          let doc = Option.value ~default:j (Obs.Json.member "ledger" j) in
-          match Obs.Ledger.report_of_json doc with
-          | Ok r -> Some r
-          | Error msg -> failwith (Printf.sprintf "%s: %s" path msg)))
+          read_json path (fun j ->
+              Obs.Ledger.report_of_json (Option.value ~default:j (Obs.Json.member "ledger" j))))
+        ledger
     in
     let report =
       Obs.Doctor.diagnose ~mispredict_threshold ~time_tolerance
@@ -1595,14 +1561,6 @@ let cmd_doctor =
 
 (* ---------------- ledger / whatif (causal cost ledger) ---------------- *)
 
-let read_ledger_file path =
-  match Obs.Json.parse (Util.Fs.read_file path) with
-  | Error msg -> failwith (Printf.sprintf "%s: %s" path msg)
-  | Ok j -> (
-    match Obs.Whatif.file_of_json j with
-    | Ok f -> f
-    | Error msg -> failwith (Printf.sprintf "%s: %s" path msg))
-
 let ledger_file_arg =
   Arg.(
     value & pos 0 string "ledger.json"
@@ -1625,7 +1583,7 @@ let cmd_ledger =
              histograms rebuilt from the recorded requests.")
   in
   let run () path json prom_out =
-    let f = read_ledger_file path in
+    let f = read_json path Obs.Whatif.file_of_json in
     if json then
       print_endline
         (Obs.Json.to_string ~indent:true (Obs.Ledger.report_json f.f_ledger))
@@ -1695,7 +1653,7 @@ let cmd_whatif =
              across runs of the same replay file).")
   in
   let run () path factors expect_top json out =
-    let f = read_ledger_file path in
+    let f = read_json path Obs.Whatif.file_of_json in
     if f.Obs.Whatif.f_records = [] then
       failwith
         "the replay file has no per-request records; re-run loadgen with \

@@ -37,19 +37,10 @@ type artifact = {
 
 (* ---------------- span aggregation ---------------- *)
 
-let aggregate_spans events =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Trace.event) ->
-      let key = (e.cat, e.name) in
-      let count, total =
-        match Hashtbl.find_opt tbl key with Some ct -> ct | None -> (0, 0.0)
-      in
-      Hashtbl.replace tbl key (count + 1, total +. (e.t1 -. e.t0)))
-    events;
-  Hashtbl.fold
-    (fun (cat, span) (count, total_s) acc -> { cat; span; count; total_s } :: acc)
-    tbl []
+let span_totals events =
+  Trace.accounts events
+  |> List.map (fun (a : Trace.account) ->
+         { cat = a.acct_cat; span = a.acct_name; count = a.acct_count; total_s = a.acct_total_s })
   |> List.sort (fun a b -> compare (a.cat, a.span) (b.cat, b.span))
 
 (* ---------------- JSON ---------------- *)
@@ -81,7 +72,7 @@ let experiment_to_json e =
                    [
                      ("cat", Json.Str s.cat);
                      ("name", Json.Str s.span);
-                     ("count", Json.int s.count);
+                     ("count", Json.of_int s.count);
                      ("total_s", Json.Num s.total_s);
                    ])
                spans) );
@@ -90,7 +81,7 @@ let experiment_to_json e =
 let to_json a =
   Json.Obj
     [
-      ("schema_version", Json.int a.version);
+      ("schema_version", Json.of_int a.version);
       ("suite", Json.Str a.suite);
       ("experiments", Json.Arr (List.map experiment_to_json a.experiments));
     ]
@@ -101,61 +92,43 @@ let render a = Json.to_string ~indent:true (to_json a) ^ "\n"
    a truncated or hand-edited baseline fails loudly, not as a silent
    all-pass compare. *)
 
-exception Corrupt of string
-
-let need what = function Some v -> v | None -> raise (Corrupt ("missing or ill-typed " ^ what))
-
-let quantiles_of_json j =
-  let num k = need ("quantile " ^ k) (Option.bind (Json.member k j) Json.get_num) in
-  { q50 = num "p50"; q90 = num "p90"; q99 = num "p99" }
+let quantiles_of_json j = Json.{ q50 = num "p50" j; q90 = num "p90" j; q99 = num "p99" j }
 
 let experiment_of_json j =
-  let str k = need k (Option.bind (Json.member k j) Json.get_str) in
-  let num k = need k (Option.bind (Json.member k j) Json.get_num) in
-  let samples =
-    need "samples_s" (Option.bind (Json.member "samples_s" j) Json.get_arr)
-    |> List.map (fun v -> need "sample" (Json.get_num v))
+  let span s =
+    Json.{ cat = str "cat" s; span = str "name" s; count = int "count" s; total_s = num "total_s" s }
   in
-  let ols_s = Option.bind (Json.member "ols_s" j) Json.get_num in
-  let quantiles =
-    match Json.member "quantiles" j with
-    | Some (Json.Obj fields) -> List.map (fun (k, v) -> (k, quantiles_of_json v)) fields
-    | Some _ -> raise (Corrupt "quantiles must be an object")
-    | None -> []
+  let sample v =
+    match Json.get_num v with Some x -> x | None -> Json.fail "samples_s: not a number"
   in
-  let spans =
-    match Option.bind (Json.member "spans" j) Json.get_arr with
-    | None -> []
-    | Some items ->
-      List.map
-        (fun s ->
-          {
-            cat = need "span cat" (Option.bind (Json.member "cat" s) Json.get_str);
-            span = need "span name" (Option.bind (Json.member "name" s) Json.get_str);
-            count = int_of_float (need "span count" (Option.bind (Json.member "count" s) Json.get_num));
-            total_s = need "span total_s" (Option.bind (Json.member "total_s" s) Json.get_num);
-          })
-        items
-  in
-  { name = str "name"; wall_s = num "wall_s"; samples_s = samples; ols_s; quantiles; spans }
+  Json.
+    {
+      name = str "name" j;
+      wall_s = num "wall_s" j;
+      samples_s = List.map sample (arr "samples_s" j);
+      ols_s = opt num "ols_s" j;
+      quantiles =
+        (match member "quantiles" j with
+        | Some (Obj fields) -> List.map (fun (k, v) -> (k, quantiles_of_json v)) fields
+        | Some _ -> fail "quantiles must be an object"
+        | None -> []);
+      spans = List.map span (Option.value ~default:[] (opt arr "spans" j));
+    }
 
 let of_json j =
-  let version =
-    int_of_float (need "schema_version" (Option.bind (Json.member "schema_version" j) Json.get_num))
-  in
+  let version = Json.int "schema_version" j in
   if version <> schema_version then
-    raise (Corrupt (Printf.sprintf "unsupported schema_version %d (want %d)" version schema_version));
-  let suite = need "suite" (Option.bind (Json.member "suite" j) Json.get_str) in
-  let experiments =
-    need "experiments" (Option.bind (Json.member "experiments" j) Json.get_arr)
-    |> List.map experiment_of_json
-  in
-  { version; suite; experiments }
+    Json.fail "unsupported schema_version %d (want %d)" version schema_version;
+  {
+    version;
+    suite = Json.str "suite" j;
+    experiments = List.map experiment_of_json (Json.arr "experiments" j);
+  }
 
 let parse text =
   match Json.parse text with
   | Error msg -> Error ("invalid JSON: " ^ msg)
-  | Ok j -> ( try Ok (of_json j) with Corrupt msg -> Error msg)
+  | Ok j -> Json.decode of_json j
 
 let write path a = Util.Fs.write_file path (render a)
 

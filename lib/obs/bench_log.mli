@@ -35,8 +35,9 @@ type artifact = {
   experiments : experiment list;
 }
 
-(** Group completed spans by (category, name): count and summed duration. *)
-val aggregate_spans : Trace.event list -> span_agg list
+(** Count and summed duration per (category, name), sorted by category
+    then name: a projection of {!Trace.accounts}. *)
+val span_totals : Trace.event list -> span_agg list
 
 val make : ?suite:string -> experiment list -> artifact
 val to_json : artifact -> Json.t

@@ -30,41 +30,31 @@ type load = {
   load_classes : int;
 }
 
-let load_of_json j =
-  match Json.member "slo" j with
-  | Some slo_j -> (
-    (* full loadgen report *)
-    match Slo.of_json slo_j with
-    | Error e -> Error (spf "bad slo member: %s" e)
-    | Ok slo ->
-      let alarms =
-        match
-          Option.bind (Json.member "drift" j) (Json.member "alarms")
-          |> Fun.flip Option.bind Json.get_arr
-        with
-        | None -> []
-        | Some l -> List.filter_map Drift.alarm_of_json l
-      in
-      let served =
-        match Json.member "served" j with
-        | Some (Json.Obj kvs) ->
-          List.filter_map
-            (fun (k, v) ->
-              Option.map (fun n -> (k, int_of_float n)) (Json.get_num v))
-            kvs
-        | _ -> []
-      in
-      let load_classes =
-        match Option.bind (Json.member "classes" j) Json.get_arr with
-        | Some l -> List.length l
-        | None -> 0
-      in
-      Ok { slo = Some slo; alarms; served; load_classes })
-  | None -> (
-    (* bare SLO report *)
-    match Slo.of_json j with
-    | Ok slo -> Ok { slo = Some slo; alarms = []; served = []; load_classes = 0 }
-    | Error e -> Error e)
+let load_of_json =
+  Json.decode (fun j ->
+      match Json.member "slo" j with
+      | None -> (* bare SLO report *)
+        { slo = Some (Json.ok (Slo.of_json j)); alarms = []; served = []; load_classes = 0 }
+      | Some slo_j ->
+        (* full loadgen report *)
+        let slo =
+          match Slo.of_json slo_j with Ok s -> s | Error e -> Json.fail "bad slo member: %s" e
+        in
+        let alarms =
+          match Json.member "drift" j with
+          | Some d -> List.filter_map Drift.alarm_of_json (Json.arr "alarms" d)
+          | None -> []
+        in
+        let served =
+          match Json.member "served" j with
+          | Some (Json.Obj kvs) ->
+            List.filter_map
+              (fun (k, v) -> Option.map (fun n -> (k, int_of_float n)) (Json.get_num v))
+              kvs
+          | _ -> []
+        in
+        let load_classes = List.length (Option.value ~default:[] (Json.opt Json.arr "classes" j)) in
+        { slo = Some slo; alarms; served; load_classes })
 
 type inputs = {
   journal : Journal.entry list;
@@ -93,30 +83,9 @@ type report = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* journal groupings *)
-
-(* The canonical service key embeds the arch fingerprint, so grouping by
-   it would hide arch changes; the canonical DSL source is the identity
-   that survives a device swap. *)
-let group_id (e : Journal.entry) = e.dsl
+(* journal groupings ({!Journal.by_dsl}) *)
 
 let uniq xs = List.sort_uniq compare xs
-
-(* (group id, entries in file order) with first-appearance group order *)
-let groups entries =
-  let order = ref [] in
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      let id = group_id e in
-      match Hashtbl.find_opt tbl id with
-      | Some l -> l := e :: !l
-      | None ->
-        let l = ref [ e ] in
-        Hashtbl.add tbl id l;
-        order := id :: !order)
-    entries;
-  List.rev_map (fun id -> (id, List.rev !(Hashtbl.find tbl id))) !order
 
 let subject_of = function
   | (e : Journal.entry) :: _ -> e.label
@@ -534,7 +503,7 @@ let check_alarms alarms ~suspects ~stage =
 (* ------------------------------------------------------------------ *)
 
 let diagnose ?(mispredict_threshold = 0.5) ?(time_tolerance = 0.25) inputs =
-  let gs = groups inputs.journal in
+  let gs = Journal.by_dsl inputs.journal in
   let causes =
     check_semantic inputs.journal
     @ check_arch_changes gs
@@ -605,13 +574,13 @@ let count sev r =
 let to_json r =
   Json.Obj
     [
-      ("schema_version", Json.int 1);
-      ("runs", Json.int r.runs);
-      ("keys", Json.int r.keys);
-      ("archs", Json.int r.archs);
-      ("critical", Json.int (count Critical r));
-      ("warning", Json.int (count Warning r));
-      ("info", Json.int (count Info r));
+      ("schema_version", Json.of_int 1);
+      ("runs", Json.of_int r.runs);
+      ("keys", Json.of_int r.keys);
+      ("archs", Json.of_int r.archs);
+      ("critical", Json.of_int (count Critical r));
+      ("warning", Json.of_int (count Warning r));
+      ("info", Json.of_int (count Info r));
       ("findings", Json.Arr (List.map finding_to_json r.findings));
     ]
 

@@ -52,7 +52,6 @@ type state =
       mutable reference : Sketch.t option;
       mutable merged : int;
       mutable cur : Sketch.t;
-      mutable cur_n : int;
     }
 
 type t = {
@@ -117,7 +116,6 @@ let quantile_shift ?(p = 99.) ?(ratio = 2.0) ?(window = 250)
          reference = None;
          merged = 0;
          cur = Sketch.create ~alpha ();
-         cur_n = 0;
        })
 
 let name t = t.name
@@ -240,8 +238,7 @@ let observe t ~tick x =
       end
   | Qs q ->
       Sketch.add q.cur x;
-      q.cur_n <- q.cur_n + 1;
-      if q.cur_n < q.window then None
+      if Sketch.count q.cur < q.window then None
       else if q.merged < q.ref_windows then begin
         (* still building the frozen reference *)
         q.reference <-
@@ -250,7 +247,6 @@ let observe t ~tick x =
           | Some r -> Some (Sketch.merge r q.cur));
         q.merged <- q.merged + 1;
         q.cur <- Sketch.create ~alpha:q.alpha ();
-        q.cur_n <- 0;
         None
       end
       else begin
@@ -263,7 +259,6 @@ let observe t ~tick x =
           q.reference <- None;
           q.merged <- 0;
           q.cur <- Sketch.create ~alpha:q.alpha ();
-          q.cur_n <- 0;
           alarm t ~tick dir
             ~statistic:(if dir = Up then q_cur /. q_ref else q_ref /. q_cur)
             ~threshold:thr ~observed:q_cur ~reference:q_ref
@@ -272,7 +267,6 @@ let observe t ~tick x =
         else if q_cur *. thr < q_ref then fire Down
         else begin
           q.cur <- Sketch.create ~alpha:q.alpha ();
-          q.cur_n <- 0;
           None
         end
       end
@@ -284,7 +278,7 @@ let alarm_to_json a =
   Json.Obj
     [
       ("monitor", Json.Str a.monitor);
-      ("at_tick", Json.int a.at_tick);
+      ("at_tick", Json.of_int a.at_tick);
       ("direction", Json.Str (direction_name a.direction));
       ("statistic", Json.Num a.statistic);
       ("threshold", Json.Num a.threshold);
@@ -293,30 +287,24 @@ let alarm_to_json a =
       ("detail", Json.Str a.detail);
     ]
 
+(* Lenient: only the monitor name and tick are required; other fields
+   default (numbers to nan, direction to up, detail to ""). *)
 let alarm_of_json j =
-  let str k = Option.bind (Json.member k j) Json.get_str in
-  let num k =
-    match Option.bind (Json.member k j) Json.get_num with
-    | Some v -> v
-    | None -> nan
-  in
-  match (str "monitor", Option.bind (Json.member "at_tick" j) Json.get_num) with
-  | Some monitor, Some tick ->
-      let direction =
-        match str "direction" with Some "down" -> Down | _ -> Up
-      in
-      Some
-        {
-          monitor;
-          at_tick = int_of_float tick;
-          direction;
-          statistic = num "statistic";
-          threshold = num "threshold";
-          observed = num "observed";
-          reference = num "reference";
-          detail = (match str "detail" with Some d -> d | None -> "");
-        }
-  | _ -> None
+  let num k = Option.value ~default:nan (Json.opt Json.num k j) in
+  match
+    {
+      monitor = Json.str "monitor" j;
+      at_tick = Json.int "at_tick" j;
+      direction = (if Json.opt Json.str "direction" j = Some "down" then Down else Up);
+      statistic = num "statistic";
+      threshold = num "threshold";
+      observed = num "observed";
+      reference = num "reference";
+      detail = Option.value ~default:"" (Json.opt Json.str "detail" j);
+    }
+  with
+  | a -> Some a
+  | exception Json.Decode_error _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Registry *)
@@ -357,10 +345,10 @@ let registry_json r =
                  [
                    ("name", Json.Str m.name);
                    ("kind", Json.Str (kind m));
-                   ("observations", Json.int m.count);
+                   ("observations", Json.of_int m.count);
                    ("warming_up", Json.Bool (warming_up m));
-                   ("alarm_count", Json.int m.n_alarms);
-                   ("suppressed", Json.int m.suppressed);
+                   ("alarm_count", Json.of_int m.n_alarms);
+                   ("suppressed", Json.of_int m.suppressed);
                  ])
              r.mons) );
       ("alarms", Json.Arr (List.map alarm_to_json (all_alarms r)));

@@ -4,27 +4,10 @@
      load): one "B"/"E" duration-event pair per span. Events are emitted
      depth-first per domain, so begin/end pairs are balanced and correctly
      nested in file order even for zero-duration spans.
-   - Prometheus-style text exposition of counters and timers (summaries
-     with count/sum and median/p90/p99 quantiles). *)
+   - Prometheus-style text exposition of counters and of sketches as
+     native histograms. *)
 
-(* ---------------- JSON helpers ---------------- *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_str s = "\"" ^ json_escape s ^ "\""
+let quote s = "\"" ^ Json.escape s ^ "\""
 
 (* ---------------- Chrome trace events ---------------- *)
 
@@ -60,19 +43,19 @@ let chrome_trace ?(dropped = 0) (events : Trace.event list) =
         [
           "\"name\":\"process_name\""; "\"ph\":\"M\"";
           Printf.sprintf "\"pid\":%d" pid; "\"tid\":0";
-          Printf.sprintf "\"args\":{\"name\":%s}" (json_str cat);
+          Printf.sprintf "\"args\":{\"name\":%s}" (quote cat);
         ])
     pids;
   let emit_span (e : Trace.event) =
     let args =
       Printf.sprintf "\"id\":%d" e.id
       :: (match e.parent with None -> [] | Some p -> [ Printf.sprintf "\"parent\":%d" p ])
-      @ List.map (fun (k, v) -> Printf.sprintf "%s:%s" (json_str k) (json_str v)) e.attrs
+      @ List.map (fun (k, v) -> Printf.sprintf "%s:%s" (quote k) (quote v)) e.attrs
     in
     emit_obj
       [
-        Printf.sprintf "\"name\":%s" (json_str e.name);
-        Printf.sprintf "\"cat\":%s" (json_str (if e.cat = "" then "default" else e.cat));
+        Printf.sprintf "\"name\":%s" (quote e.name);
+        Printf.sprintf "\"cat\":%s" (quote (if e.cat = "" then "default" else e.cat));
         "\"ph\":\"B\"";
         Printf.sprintf "\"ts\":%.3f" (ts e.t0);
         Printf.sprintf "\"pid\":%d" (pid_of e.cat);
@@ -82,8 +65,8 @@ let chrome_trace ?(dropped = 0) (events : Trace.event list) =
     fun () ->
       emit_obj
         [
-          Printf.sprintf "\"name\":%s" (json_str e.name);
-          Printf.sprintf "\"cat\":%s" (json_str (if e.cat = "" then "default" else e.cat));
+          Printf.sprintf "\"name\":%s" (quote e.name);
+          Printf.sprintf "\"cat\":%s" (quote (if e.cat = "" then "default" else e.cat));
           "\"ph\":\"E\"";
           Printf.sprintf "\"ts\":%.3f" (ts e.t1);
           Printf.sprintf "\"pid\":%d" (pid_of e.cat);
@@ -175,30 +158,6 @@ let counter_lines b prefix counters =
       header b ~metric:m ~help:(Printf.sprintf "Occurrences of %s." name) ~kind:"counter";
       Buffer.add_string b (Printf.sprintf "%s %d\n" m v))
     counters
-
-let prometheus ?(prefix = "barracuda") ~counters ~timers () =
-  let b = Buffer.create 1024 in
-  counter_lines b prefix counters;
-  List.iter
-    (fun (name, samples) ->
-      let m = metric_name prefix (name ^ "_seconds") in
-      header b ~metric:m ~help:(Printf.sprintf "Latency of %s in seconds." name)
-        ~kind:"summary";
-      let quantile q p =
-        Buffer.add_string b
-          (Printf.sprintf "%s{quantile=\"%s\"} %.9g\n" m q
-             (Util.Stats.percentile p samples))
-      in
-      if samples <> [] then begin
-        quantile "0.5" 50.0;
-        quantile "0.9" 90.0;
-        quantile "0.99" 99.0
-      end;
-      Buffer.add_string b
-        (Printf.sprintf "%s_sum %.9g\n" m (List.fold_left ( +. ) 0.0 samples));
-      Buffer.add_string b (Printf.sprintf "%s_count %d\n" m (List.length samples)))
-    timers;
-  Buffer.contents b
 
 (* Native histograms from sketches: the log-bucket upper bounds become the
    cumulative le="..." series. O(buckets) regardless of traffic. *)

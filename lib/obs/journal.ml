@@ -135,10 +135,10 @@ let network_to_json (n : network) =
 let iteration_to_json (it : Search_log.iteration) =
   Json.Obj
     ([
-       ("iter", Json.int it.iter);
-       ("batch", Json.int it.batch);
-       ("evaluations", Json.int it.evaluations);
-       ("pool_size", Json.int it.pool_size);
+       ("iter", Json.of_int it.iter);
+       ("batch", Json.of_int it.batch);
+       ("evaluations", Json.of_int it.evaluations);
+       ("pool_size", Json.of_int it.pool_size);
        ("best_so_far", Json.Num it.best_so_far);
        ("batch_best", Json.Num it.batch_best);
        ("batch_mean", Json.Num it.batch_mean);
@@ -152,25 +152,25 @@ let iteration_to_json (it : Search_log.iteration) =
 let to_json e =
   Json.Obj
     ([
-       ("schema", Json.int schema_version);
+       ("schema", Json.of_int schema_version);
        ("run_id", Json.Str e.run_id);
        ("timestamp", Json.Num e.timestamp);
        ("key", Json.Str e.key);
        ("label", Json.Str e.label);
        ("arch", Json.Str e.arch);
-       ("seed", Json.int e.seed);
+       ("seed", Json.of_int e.seed);
        ("dsl", Json.Str e.dsl);
-       ("max_evals", Json.int e.max_evals);
-       ("batch_size", Json.int e.batch_size);
-       ("pool_per_variant", Json.int e.pool_per_variant);
-       ("reps", Json.int e.reps);
-       ("pool_size", Json.int e.pool_size);
-       ("evaluations", Json.int e.evaluations);
-       ("gate_checked", Json.int e.gate_checked);
-       ("gate_rejected", Json.int e.gate_rejected);
+       ("max_evals", Json.of_int e.max_evals);
+       ("batch_size", Json.of_int e.batch_size);
+       ("pool_per_variant", Json.of_int e.pool_per_variant);
+       ("reps", Json.of_int e.reps);
+       ("pool_size", Json.of_int e.pool_size);
+       ("evaluations", Json.of_int e.evaluations);
+       ("gate_checked", Json.of_int e.gate_checked);
+       ("gate_rejected", Json.of_int e.gate_rejected);
        ( "gate_diags",
          Json.Arr
-           (List.map (fun (c, n) -> Json.Arr [ Json.Str c; Json.int n ]) e.gate_diags)
+           (List.map (fun (c, n) -> Json.Arr [ Json.Str c; Json.of_int n ]) e.gate_diags)
        );
      ]
     @ (match e.network with
@@ -194,142 +194,106 @@ let to_json e =
       | Some r -> [ ("residual_r2", Json.Num r) ])
     @ [ ("rivals", Json.Arr (List.map rival_to_json e.rivals)) ])
 
-exception Bad of string
-
-let fail fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
-
-let str name j =
-  match Option.bind (Json.member name j) Json.get_str with
-  | Some s -> s
-  | None -> fail "missing string field %S" name
-
-let num name j =
-  match Option.bind (Json.member name j) Json.get_num with
-  | Some n -> n
-  | None -> fail "missing number field %S" name
-
-let int_field name j = int_of_float (num name j)
-
-let opt_num name j = Option.bind (Json.member name j) Json.get_num
-
-let arr name j =
-  match Option.bind (Json.member name j) Json.get_arr with
-  | Some l -> l
-  | None -> fail "missing array field %S" name
-
 let lineage_of_json j =
-  {
-    dsl_hash = str "dsl" j;
-    variant_hash = str "variant" j;
-    tcr_hash = str "tcr" j;
-    recipe_hash = str "recipe" j;
-    kernel_hash = str "kernel" j;
-  }
+  Json.
+    {
+      dsl_hash = str "dsl" j;
+      variant_hash = str "variant" j;
+      tcr_hash = str "tcr" j;
+      recipe_hash = str "recipe" j;
+      kernel_hash = str "kernel" j;
+    }
 
 let variant_of_json j : variant =
-  {
-    label = str "label" j;
-    lineage =
-      (match Json.member "lineage" j with
-      | Some l -> lineage_of_json l
-      | None -> fail "missing field \"lineage\"");
-    predicted = opt_num "predicted" j;
-    measured = num "measured" j;
-  }
+  Json.
+    {
+      label = str "label" j;
+      lineage = lineage_of_json (field "lineage" j);
+      predicted = opt num "predicted" j;
+      measured = num "measured" j;
+    }
 
 let rival_of_json j : rival =
-  {
-    rival_label = str "label" j;
-    rival_lineage =
-      (match Json.member "lineage" j with
-      | Some l -> lineage_of_json l
-      | None -> fail "missing field \"lineage\"");
-    rival_predicted = num "predicted" j;
-    rival_std = num "pred_std" j;
-  }
+  Json.
+    {
+      rival_label = str "label" j;
+      rival_lineage = lineage_of_json (field "lineage" j);
+      rival_predicted = num "predicted" j;
+      rival_std = num "pred_std" j;
+    }
 
 let iteration_of_json j : Search_log.iteration =
-  {
-    iter = int_field "iter" j;
-    batch = int_field "batch" j;
-    evaluations = int_field "evaluations" j;
-    pool_size = int_field "pool_size" j;
-    best_so_far = num "best_so_far" j;
-    batch_best = num "batch_best" j;
-    batch_mean = num "batch_mean" j;
-    r2 = opt_num "r2" j;
-    pred_std = opt_num "pred_std" j;
-  }
+  Json.
+    {
+      iter = int "iter" j;
+      batch = int "batch" j;
+      evaluations = int "evaluations" j;
+      pool_size = int "pool_size" j;
+      best_so_far = num "best_so_far" j;
+      batch_best = num "batch_best" j;
+      batch_mean = num "batch_mean" j;
+      r2 = opt num "r2" j;
+      pred_std = opt num "pred_std" j;
+    }
 
-let importance_of_json = function
+let pair_of_json = function
   | Json.Arr [ Json.Str n; v ] -> (
     match Json.get_num v with
     | Some w -> (n, w)
-    | None -> fail "importance weight is not a number")
-  | _ -> fail "importance is not a [name, weight] pair"
-
-(* Pre-gate entries omit the gate fields; decode them to zero/empty. *)
-let gate_count name j =
-  match opt_num name j with Some n -> int_of_float n | None -> 0
-
-let gate_diags_of_json j =
-  match Option.bind (Json.member "gate_diags" j) Json.get_arr with
-  | None -> []
-  | Some l ->
-    List.map
-      (fun pair ->
-        let code, n = importance_of_json pair in
-        (code, int_of_float n))
-      l
+    | None -> Json.fail "%S: weight is not a number" n)
+  | _ -> Json.fail "expected a [name, number] pair"
 
 let network_of_json j : network =
-  {
-    net_method = str "method" j;
-    net_order = str "order" j;
-    net_tc = num "tc" j;
-    net_sc = num "sc" j;
-    net_rw = num "rw" j;
-    net_score = num "score" j;
-  }
+  Json.
+    {
+      net_method = str "method" j;
+      net_order = str "order" j;
+      net_tc = num "tc" j;
+      net_sc = num "sc" j;
+      net_rw = num "rw" j;
+      net_score = num "score" j;
+    }
 
-let of_json j =
-  try
-    let v = int_field "schema" j in
-    if v <> schema_version then fail "unsupported journal schema %d" v;
-    Ok
-      {
-        run_id = str "run_id" j;
-        timestamp = num "timestamp" j;
-        key = str "key" j;
-        label = str "label" j;
-        arch = str "arch" j;
-        seed = int_field "seed" j;
-        dsl = str "dsl" j;
-        max_evals = int_field "max_evals" j;
-        batch_size = int_field "batch_size" j;
-        pool_per_variant = int_field "pool_per_variant" j;
-        reps = int_field "reps" j;
-        pool_size = int_field "pool_size" j;
-        evaluations = int_field "evaluations" j;
-        gate_checked = gate_count "gate_checked" j;
-        gate_rejected = gate_count "gate_rejected" j;
-        gate_diags = gate_diags_of_json j;
-        network = Option.map network_of_json (Json.member "network" j);
-        semantic_ok =
-          (match Json.member "semantic_ok" j with
-          | Some (Json.Bool b) -> Some b
-          | _ -> None);
-        iterations = List.map iteration_of_json (arr "iterations" j);
-        variants = List.map variant_of_json (arr "variants" j);
-        winner =
-          (match Json.member "winner" j with
-          | Some w -> variant_of_json w
-          | None -> fail "missing field \"winner\"");
-        importances = List.map importance_of_json (arr "importances" j);
-        residual_r2 = opt_num "residual_r2" j;
-        rivals = List.map rival_of_json (arr "rivals" j);
-      }
-  with Bad msg -> Error msg
+(* Legacy entries predate the gate, netopt and semantic fields; they
+   decode to zero / empty / None. *)
+let entry_of_json j =
+  let v = Json.int "schema" j in
+  if v <> schema_version then Json.fail "unsupported journal schema %d" v;
+  let count name = Option.value ~default:0 (Json.opt Json.int name j) in
+  Json.
+    {
+      run_id = str "run_id" j;
+      timestamp = num "timestamp" j;
+      key = str "key" j;
+      label = str "label" j;
+      arch = str "arch" j;
+      seed = int "seed" j;
+      dsl = str "dsl" j;
+      max_evals = int "max_evals" j;
+      batch_size = int "batch_size" j;
+      pool_per_variant = int "pool_per_variant" j;
+      reps = int "reps" j;
+      pool_size = int "pool_size" j;
+      evaluations = int "evaluations" j;
+      gate_checked = count "gate_checked";
+      gate_rejected = count "gate_rejected";
+      gate_diags =
+        Option.value ~default:[] (opt arr "gate_diags" j)
+        |> List.map (fun p ->
+               let code, n = pair_of_json p in
+               (code, int_of_float n));
+      network = Option.map network_of_json (member "network" j);
+      semantic_ok =
+        (match member "semantic_ok" j with Some (Bool b) -> Some b | _ -> None);
+      iterations = List.map iteration_of_json (arr "iterations" j);
+      variants = List.map variant_of_json (arr "variants" j);
+      winner = variant_of_json (field "winner" j);
+      importances = List.map pair_of_json (arr "importances" j);
+      residual_r2 = opt num "residual_r2" j;
+      rivals = List.map rival_of_json (arr "rivals" j);
+    }
+
+let of_json = Json.decode entry_of_json
 
 (* Content-addressed run id: digest of the entry with the id and timestamp
    blanked, so identity depends only on what was tuned and what came out. *)
@@ -380,6 +344,22 @@ let load path =
                | Error _ -> incr discarded));
     (List.rev !entries, !discarded)
   end
+
+(* The canonical service key embeds the arch fingerprint, so grouping by
+   it would hide arch changes; the canonical DSL source is the identity
+   that survives a device swap. *)
+let by_dsl entries =
+  let order = ref [] in
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun e ->
+      match Hashtbl.find_opt tbl e.dsl with
+      | Some l -> l := e :: !l
+      | None ->
+        Hashtbl.add tbl e.dsl (ref [ e ]);
+        order := e.dsl :: !order)
+    entries;
+  List.rev_map (fun dsl -> (dsl, List.rev !(Hashtbl.find tbl dsl))) !order
 
 (* Look an entry up by run id: exact match, unique prefix, or "latest"
    (also the empty string) for the most recent entry. *)
@@ -498,11 +478,11 @@ let history_json entries =
               ("key", Json.Str e.key);
               ("label", Json.Str e.label);
               ("arch", Json.Str e.arch);
-              ("seed", Json.int e.seed);
-              ("evaluations", Json.int e.evaluations);
-              ("pool_size", Json.int e.pool_size);
-              ("gate_checked", Json.int e.gate_checked);
-              ("gate_rejected", Json.int e.gate_rejected);
+              ("seed", Json.of_int e.seed);
+              ("evaluations", Json.of_int e.evaluations);
+              ("pool_size", Json.of_int e.pool_size);
+              ("gate_checked", Json.of_int e.gate_checked);
+              ("gate_rejected", Json.of_int e.gate_rejected);
               ("best_s", Json.Num e.winner.measured);
               ("winner_label", Json.Str e.winner.label);
               ("winner_kernel", Json.Str e.winner.lineage.kernel_hash);

@@ -111,6 +111,11 @@ val load : string -> entry list * int
     for the most recent entry. *)
 val find : entry list -> run:string -> (entry, string) result
 
+(** Entries grouped by canonical DSL source - the problem identity that
+    survives a device swap, unlike the arch-salted service key - as
+    [(dsl, entries in file order)] in first-appearance order. *)
+val by_dsl : entry list -> (string * entry list) list
+
 (** [first_divergence a b] names the earliest lineage stage whose hash
     differs ("dsl", "variant", "tcr", "recipe" or "kernel"), or [None]
     when the chains are identical. *)

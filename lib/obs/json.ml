@@ -1,4 +1,4 @@
-(* Minimal JSON: just enough for the benchmark artifacts to round-trip
+(* Minimal JSON: just enough for the telemetry artifacts to round-trip
    without an external dependency. Numbers are floats (ints render without
    a fractional part); non-finite floats serialize as null and parse back
    as nan where a number is expected. *)
@@ -11,7 +11,7 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-let int i = Num (float_of_int i)
+let of_int i = Num (float_of_int i)
 
 (* ---------------- rendering ---------------- *)
 
@@ -257,3 +257,29 @@ let get_num = function
 
 let get_str = function Str s -> Some s | _ -> None
 let get_arr = function Arr items -> Some items | _ -> None
+
+(* ---------------- decoding ---------------- *)
+
+exception Decode_error of string
+
+let fail fmt = Printf.ksprintf (fun s -> raise (Decode_error s)) fmt
+
+let field name j =
+  match member name j with Some v -> v | None -> fail "missing field %S" name
+
+let typed get name j =
+  match Option.bind (member name j) get with
+  | Some v -> v
+  | None -> fail "missing or invalid field %S" name
+
+let num name j = typed get_num name j
+let int name j = int_of_float (num name j)
+let str name j = typed get_str name j
+let arr name j = typed get_arr name j
+let opt get name j = Option.map (fun _ -> get name j) (member name j)
+
+let enum what of_name s =
+  match of_name s with Some v -> v | None -> fail "unknown %s %S" what s
+
+let decode f j = try Ok (f j) with Decode_error msg -> Error msg
+let ok = function Ok v -> v | Error msg -> raise (Decode_error msg)

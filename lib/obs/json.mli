@@ -1,5 +1,6 @@
-(** Minimal JSON value type, renderer and parser - just enough for the
-    benchmark artifacts ({!Bench_log}) to round-trip without an external
+(** Minimal JSON value type, renderer, parser and decoder set - just
+    enough for the telemetry artifacts (journal, bench log, SLO, ledger,
+    what-if and doctor inputs) to round-trip without an external
     dependency. *)
 
 type t =
@@ -11,7 +12,10 @@ type t =
   | Obj of (string * t) list
 
 (** [Num] of an integer. *)
-val int : int -> t
+val of_int : int -> t
+
+(** Escape a string for inclusion inside a JSON string literal. *)
+val escape : string -> string
 
 (** Render. Non-finite numbers serialize as [null]; integral floats render
     without a fractional part. [indent] pretty-prints with two spaces. *)
@@ -33,4 +37,42 @@ val member : string -> t -> t option
 val get_num : t -> float option
 
 val get_str : t -> string option
-val get_arr : t -> t list option
+
+(** {2 Decoders}
+
+    A decoder is a plain function [t -> 'a] built from the accessors
+    below. Each accessor raises {!Decode_error} naming the field it could
+    not read; {!decode} turns that into an [Error]. *)
+
+exception Decode_error of string
+
+(** Raise {!Decode_error} with a formatted message. *)
+val fail : ('a, unit, string, 'b) format4 -> 'a
+
+(** Required field of an object, of any type. *)
+val field : string -> t -> t
+
+(** Required number field; [null] reads as [nan] (see {!get_num}). *)
+val num : string -> t -> float
+
+(** Required number field, truncated to an integer. *)
+val int : string -> t -> int
+
+val str : string -> t -> string
+val arr : string -> t -> t list
+
+(** [opt get name j] is [None] when [j] has no field [name], and
+    [Some (get name j)] otherwise: a present but ill-typed field still
+    fails. *)
+val opt : (string -> t -> 'a) -> string -> t -> 'a option
+
+(** [enum what of_name s] decodes the name [s] of a variant with
+    [of_name], failing with ["unknown <what> <s>"]. *)
+val enum : string -> (string -> 'a option) -> string -> 'a
+
+(** Run a decoder, catching {!Decode_error}. *)
+val decode : (t -> 'a) -> t -> ('a, string) result
+
+(** Inverse of {!decode}: the [Ok] value, or {!Decode_error} carrying the
+    [Error] message, so result-returning decoders nest inside others. *)
+val ok : ('a, string) result -> 'a

@@ -1,26 +1,20 @@
 (** Causal cost ledger: constant-memory per-request phase attribution for
     the serving hot path.
 
-    The ledger answers the question ROADMAP item 5 needs answered before
-    any of its optimizations ships: {e which phase of a serve actually
-    dominates tail latency?} Two complementary views feed it:
-
-    - {b Modeled phase costs} ({!observe}): the loadgen replay decomposes
-      every request's deterministic latency model into per-phase costs
-      (canonicalize, lookup, queue wait, enumerate, prune, static gate,
-      surrogate, measure, codegen, store), split by serve class
-      (cold/warm/in-batch-dedup). Each (class, phase) cell keeps a
-      {!Sketch} plus streaming moments (Welford), so memory is
-      O(classes x phases x sketch buckets) regardless of traffic.
-    - {b Recorded span trees} ({!accounts}, {!critical_path}): real
-      {!Trace} events are folded into self-vs-child time accounts and a
-      cross-domain critical path with scheduler queue-wait attribution.
+    The ledger answers the question: {e which phase of a serve actually
+    dominates tail latency?} The loadgen replay decomposes every request's
+    deterministic latency model into per-phase costs (canonicalize,
+    lookup, queue wait, enumerate, prune, static gate, surrogate, measure,
+    codegen, store), split by serve class (cold/warm/in-batch-dedup), and
+    feeds them to {!observe}. Each (class, phase) cell is one {!Sketch} -
+    quantiles plus exact streaming moments - so memory is
+    O(classes x phases x sketch buckets) regardless of traffic. (Recorded
+    span trees are folded by {!Trace.accounts}.)
 
     Reconciliation invariant: per serve class, the per-phase costs fed to
     {!observe} sum to the recorded end-to-end latency (the loadgen model
-    scales every phase by the same jitter/degrade multiplier), and span
-    self-times telescope to the root duration. Both are QCheck-pinned;
-    {!reconcile} exposes the sums.
+    scales every phase by the same jitter/degrade multiplier). It is
+    QCheck-pinned; {!reconcile} exposes the sums.
 
     High-latency exemplars: a ring of window slots (lazy eviction, like
     {!Window}) remembers the worst request per slot - tick, latency,
@@ -59,53 +53,6 @@ val class_name : serve_class -> string
 val class_of_name : string -> serve_class option
 
 (* ------------------------------------------------------------------ *)
-(* Span accounting over recorded traces *)
-
-(** Aggregated self/child time of one (category, name) span kind.
-    [self_s] is duration minus same-domain children; summed over a span
-    tree it telescopes to the root duration. *)
-type account = {
-  acct_cat : string;
-  acct_name : string;
-  acct_count : int;
-  acct_total_s : float;
-  acct_self_s : float;
-  acct_child_s : float;
-}
-
-(** Fold events into per-(cat, name) accounts, sorted by self time
-    descending (ties by cat then name). *)
-val accounts : Trace.event list -> account list
-
-(** One step on the critical path. [step_queue_s] is the gap between the
-    step's parallel group opening and the step actually starting - the
-    scheduler queue wait of the slowest branch. *)
-type path_step = {
-  step_name : string;
-  step_cat : string;
-  step_domain : int;
-  step_self_s : float;
-  step_queue_s : float;
-}
-
-type critical_path = {
-  path : path_step list;  (** root first, depth-first through the groups *)
-  path_total_s : float;  (** root span duration *)
-  path_work_s : float;  (** sum of step self times *)
-  path_queue_s : float;  (** sum of step queue waits *)
-}
-
-(** Critical path of the largest span tree in [events]. Worker-domain
-    spans (roots on their own domain, the {!Trace} convention) are
-    attached to the smallest enclosing span on another domain; within a
-    group of overlapping children the member finishing last is the
-    critical one. [None] on an empty event list. *)
-val critical_path : Trace.event list -> critical_path option
-
-val render_accounts : account list -> string
-val render_path : critical_path -> string
-
-(* ------------------------------------------------------------------ *)
 (* Streaming per-request ledger *)
 
 type t
@@ -138,13 +85,13 @@ val observe :
     within floating-point tolerance. Classes never observed are omitted. *)
 val reconcile : t -> (serve_class * int * float * float) list
 
-(** Streaming summary of one cell (a (class, phase) pair, or a class's
+(** Summary of one cell's sketch (a (class, phase) pair, or a class's
     end-to-end latency). *)
 type stat = {
   st_n : int;
   st_total_s : float;
   st_mean_s : float;
-  st_std_s : float;  (** population std from Welford moments *)
+  st_std_s : float;  (** population std ({!Sketch.std}) *)
   st_p50_s : float;
   st_p90_s : float;
   st_p99_s : float;

@@ -7,7 +7,13 @@
    bucket index; the occupied-bucket count is hard-capped by collapsing the
    two lowest buckets together (the DDSketch policy: tail quantiles - the
    ones monitoring cares about - keep their bound, quantiles near zero may
-   degrade once [collapsed] reports true). *)
+   degrade once [collapsed] reports true).
+
+   Beside the buckets each sketch keeps exact streaming moments: count,
+   running total, min/max and Welford's mean/m2 (the numerically stable
+   update; the naive sum-of-squares formula cancels catastrophically when
+   the spread is tiny next to the mean). Merges combine the moments with
+   Chan et al.'s pairwise formula. *)
 
 type t = {
   alpha : float;
@@ -19,6 +25,8 @@ type t = {
   mutable zero : int;  (* count of values <= floor *)
   mutable count : int;
   mutable total : float;
+  mutable mean : float;  (* Welford running mean *)
+  mutable m2 : float;  (* Welford sum of squared deviations from the mean *)
   mutable vmin : float;
   mutable vmax : float;
   mutable collapsed : bool;
@@ -39,6 +47,8 @@ let create ?(alpha = 0.01) ?(max_buckets = 2048) () =
     zero = 0;
     count = 0;
     total = 0.0;
+    mean = 0.0;
+    m2 = 0.0;
     vmin = infinity;
     vmax = neg_infinity;
     collapsed = false;
@@ -54,7 +64,8 @@ let copy t =
 
 let count t = t.count
 let total t = t.total
-let mean t = if t.count = 0 then nan else t.total /. float_of_int t.count
+let mean t = if t.count = 0 then nan else t.mean
+let std t = if t.count = 0 then nan else sqrt (t.m2 /. float_of_int t.count)
 let min_value t = if t.count = 0 then nan else t.vmin
 let max_value t = if t.count = 0 then nan else t.vmax
 let collapsed t = t.collapsed
@@ -87,6 +98,9 @@ let collapse_if_needed t =
 
 let add t v =
   t.count <- t.count + 1;
+  let delta = v -. t.mean in
+  t.mean <- t.mean +. (delta /. float_of_int t.count);
+  t.m2 <- t.m2 +. (delta *. (v -. t.mean));
   t.total <- t.total +. v;
   if v < t.vmin then t.vmin <- v;
   if v > t.vmax then t.vmax <- v;
@@ -110,6 +124,17 @@ let merge a b =
       | None -> Hashtbl.add m.counts i (ref !r))
     b.counts;
   m.zero <- m.zero + b.zero;
+  if b.count > 0 then
+    if m.count = 0 then begin
+      m.mean <- b.mean;
+      m.m2 <- b.m2
+    end
+    else begin
+      let na = float_of_int m.count and nb = float_of_int b.count in
+      let n = na +. nb and delta = b.mean -. m.mean in
+      m.mean <- m.mean +. (delta *. nb /. n);
+      m.m2 <- m.m2 +. b.m2 +. (delta *. delta *. na *. nb /. n)
+    end;
   m.count <- m.count + b.count;
   m.total <- m.total +. b.total;
   if b.vmin < m.vmin then m.vmin <- b.vmin;

@@ -13,11 +13,16 @@
     [r = p/100*(n-1)] returns [q] with
     [(1-alpha) * x_(floor r) <= q <= (1+alpha) * x_(ceil r)].
 
+    Each sketch also keeps exact streaming moments - count, total, min,
+    max and a Welford mean/variance - so it is the one streaming cell the
+    metrics, the ledger and the drift monitors build on.
+
     Sketches merge exactly: bucket counts are integers, so merging is
-    associative and commutative up to the floating-point [total], and
-    quantiles of a merged sketch are bit-identical regardless of merge
-    order. No wall-clock reads, no RNG draws. Not domain-safe; callers
-    serialize access (see {!Service.Metrics}). *)
+    associative and commutative up to the floating-point [total] and
+    moments (combined with Chan et al.'s pairwise formula), and quantiles
+    of a merged sketch are bit-identical regardless of merge order. No
+    wall-clock reads, no RNG draws. Not domain-safe; callers serialize
+    access (see {!Service.Metrics}). *)
 
 type t
 
@@ -43,8 +48,13 @@ val count : t -> int
 (** Sum of all added values. *)
 val total : t -> float
 
-(** [nan] on an empty sketch, like {!Util.Stats.mean}. *)
+(** Welford running mean; [nan] on an empty sketch, like
+    {!Util.Stats.mean}. *)
 val mean : t -> float
+
+(** Population standard deviation from the Welford moments, like
+    {!Util.Stats.stddev}; [nan] on an empty sketch. *)
+val std : t -> float
 
 val min_value : t -> float
 val max_value : t -> float
@@ -57,7 +67,8 @@ val bucket_count : t -> int
 val collapsed : t -> bool
 
 (** [merge a b] is a fresh sketch equivalent to adding both inputs'
-    values. Raises [Invalid_argument] when the accuracies differ. *)
+    values (moments up to floating-point rounding). Raises
+    [Invalid_argument] when the accuracies differ. *)
 val merge : t -> t -> t
 
 (** [quantile t p] for [p] in [0, 100] (the {!Util.Stats.percentile}

@@ -119,8 +119,8 @@ let spec_json s =
       ("latency_p", Json.Num s.latency_p);
       ("latency_budget_s", Json.Num s.latency_budget_s);
       ("error_objective", Json.Num s.error_objective);
-      ("short_epochs", Json.int s.short_epochs);
-      ("long_epochs", Json.int s.long_epochs);
+      ("short_epochs", Json.of_int s.short_epochs);
+      ("long_epochs", Json.of_int s.long_epochs);
       ("page_burn", Json.Num s.page_burn);
       ("ticket_burn", Json.Num s.ticket_burn);
     ]
@@ -142,76 +142,51 @@ let to_json r =
   Json.Obj
     [
       ("spec", spec_json r.spec);
-      ("at_tick", Json.int r.at_tick);
-      ("requests", Json.int r.requests);
+      ("at_tick", Json.of_int r.at_tick);
+      ("requests", Json.of_int r.requests);
       ("ok", Json.Bool (ok r));
       ("alerts", Json.Arr (List.map alert_json r.alerts));
     ]
 
-let ( let* ) r f = Result.bind r f
+let spec j =
+  Json.
+    {
+      name = str "name" j;
+      latency_p = num "latency_p" j;
+      latency_budget_s = num "latency_budget_s" j;
+      error_objective = num "error_objective" j;
+      short_epochs = int "short_epochs" j;
+      long_epochs = int "long_epochs" j;
+      page_burn = num "page_burn" j;
+      ticket_burn = num "ticket_burn" j;
+    }
 
-let field name conv j =
-  match Option.bind (Json.member name j) conv with
-  | Some v -> Result.Ok v
-  | None -> Result.Error (Printf.sprintf "missing or invalid field %S" name)
+let alert j =
+  Json.
+    {
+      objective = str "objective" j;
+      severity =
+        enum "severity"
+          (fun s -> List.find_opt (fun v -> severity_name v = s) [ Page; Ticket; Ok ])
+          (str "severity" j);
+      observed_short = num "observed_short" j;
+      observed_long = num "observed_long" j;
+      budget = num "budget" j;
+      burn_short = num "burn_short" j;
+      burn_long = num "burn_long" j;
+      detail = str "detail" j;
+    }
 
-let num name j = field name Json.get_num j
-let str name j = field name Json.get_str j
-let int_field name j = Result.map int_of_float (num name j)
+let spec_of_json = Json.decode spec
 
-let spec_of_json j =
-  let* name = str "name" j in
-  let* latency_p = num "latency_p" j in
-  let* latency_budget_s = num "latency_budget_s" j in
-  let* error_objective = num "error_objective" j in
-  let* short_epochs = int_field "short_epochs" j in
-  let* long_epochs = int_field "long_epochs" j in
-  let* page_burn = num "page_burn" j in
-  let* ticket_burn = num "ticket_burn" j in
-  Result.Ok
-    { name; latency_p; latency_budget_s; error_objective; short_epochs;
-      long_epochs; page_burn; ticket_burn }
-
-let severity_of_name = function
-  | "page" -> Result.Ok Page
-  | "ticket" -> Result.Ok Ticket
-  | "ok" -> Result.Ok Ok
-  | s -> Result.Error (Printf.sprintf "unknown severity %S" s)
-
-let alert_of_json j =
-  let* objective = str "objective" j in
-  let* severity = Result.bind (str "severity" j) severity_of_name in
-  let* observed_short = num "observed_short" j in
-  let* observed_long = num "observed_long" j in
-  let* budget = num "budget" j in
-  let* burn_short = num "burn_short" j in
-  let* burn_long = num "burn_long" j in
-  let* detail = str "detail" j in
-  Result.Ok
-    { objective; severity; observed_short; observed_long; budget; burn_short;
-      burn_long; detail }
-
-let of_json j =
-  let* spec =
-    match Json.member "spec" j with
-    | Some s -> spec_of_json s
-    | None -> Result.Error "missing field \"spec\""
-  in
-  let* at_tick = int_field "at_tick" j in
-  let* requests = int_field "requests" j in
-  let* alerts =
-    match Option.bind (Json.member "alerts" j) Json.get_arr with
-    | None -> Result.Error "missing or invalid field \"alerts\""
-    | Some items ->
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          let* a = alert_of_json item in
-          Result.Ok (a :: acc))
-        (Result.Ok []) items
-      |> Result.map List.rev
-  in
-  Result.Ok { spec; at_tick; requests; alerts }
+let of_json =
+  Json.decode (fun j ->
+      {
+        spec = spec (Json.field "spec" j);
+        at_tick = Json.int "at_tick" j;
+        requests = Json.int "requests" j;
+        alerts = List.map alert (Json.arr "alerts" j);
+      })
 
 let render r =
   let b = Buffer.create 256 in

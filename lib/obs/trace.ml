@@ -148,3 +148,63 @@ let collect f =
   let r = Fun.protect ~finally:finish f in
   let evs = events () in
   (r, evs)
+
+(* ---------------- span accounting ---------------- *)
+
+type account = {
+  acct_cat : string;
+  acct_name : string;
+  acct_count : int;
+  acct_total_s : float;
+  acct_self_s : float;
+  acct_child_s : float;
+}
+
+let accounts events =
+  let dur e = e.t1 -. e.t0 in
+  (* child-duration sum per parent id; parent links are same-domain by
+     construction, so self = dur - direct children telescopes per tree *)
+  let child_sum = Hashtbl.create 64 in
+  List.iter
+    (fun e ->
+      match e.parent with
+      | None -> ()
+      | Some p ->
+        Hashtbl.replace child_sum p
+          (dur e +. Option.value ~default:0.0 (Hashtbl.find_opt child_sum p)))
+    events;
+  let tbl = Hashtbl.create 32 in
+  let order = ref [] in
+  List.iter
+    (fun e ->
+      let key = (e.cat, e.name) in
+      let d = dur e in
+      let c = Option.value ~default:0.0 (Hashtbl.find_opt child_sum e.id) in
+      let c = Float.min c d in
+      match Hashtbl.find_opt tbl key with
+      | Some a ->
+        Hashtbl.replace tbl key
+          {
+            a with
+            acct_count = a.acct_count + 1;
+            acct_total_s = a.acct_total_s +. d;
+            acct_self_s = a.acct_self_s +. (d -. c);
+            acct_child_s = a.acct_child_s +. c;
+          }
+      | None ->
+        order := key :: !order;
+        Hashtbl.replace tbl key
+          {
+            acct_cat = e.cat;
+            acct_name = e.name;
+            acct_count = 1;
+            acct_total_s = d;
+            acct_self_s = d -. c;
+            acct_child_s = c;
+          })
+    events;
+  List.rev_map (fun key -> Hashtbl.find tbl key) !order
+  |> List.sort (fun a b ->
+         match compare (b.acct_self_s : float) a.acct_self_s with
+         | 0 -> compare (a.acct_cat, a.acct_name) (b.acct_cat, b.acct_name)
+         | c -> c)

@@ -87,3 +87,22 @@ val instant : ?cat:string -> ?attrs:(string * string) list -> string -> unit
     value together with the merged events. Restores the previous
     enabled/disabled state (but not previously recorded events). *)
 val collect : (unit -> 'a) -> 'a * event list
+
+(** {2 Span accounting} *)
+
+(** Aggregated time of one (category, name) span kind. [self_s] is
+    duration minus same-domain children; summed over a span tree it
+    telescopes to the root duration. Totals sum in event order. *)
+type account = {
+  acct_cat : string;
+  acct_name : string;
+  acct_count : int;
+  acct_total_s : float;
+  acct_self_s : float;
+  acct_child_s : float;
+}
+
+(** The one fold over recorded spans: per-(cat, name) accounts, sorted by
+    self time descending (ties by cat then name). {!Bench_log} projects
+    it to (count, total) per span kind. *)
+val accounts : event list -> account list

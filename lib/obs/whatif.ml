@@ -74,13 +74,6 @@ let replay ?phase ?factor ?slo ~width ~buckets records =
   in
   (Sketch.quantile sk 50.0, Sketch.quantile sk 99.0, verdict)
 
-let phase_rank p =
-  let rec go i = function
-    | [] -> i
-    | q :: rest -> if q = p then i else go (i + 1) rest
-  in
-  go 0 Ledger.all_phases
-
 let run ?(factors = [ 0.5; 0.25; 0.1 ]) ?slo ~width ~buckets records =
   if records = [] then invalid_arg "Whatif.run: no records";
   if factors = [] then invalid_arg "Whatif.run: no factors";
@@ -139,8 +132,9 @@ let run ?(factors = [ 0.5; 0.25; 0.1 ]) ?slo ~width ~buckets records =
           })
       observed
     |> List.stable_sort (fun a b ->
+           (* phases compare in declaration = pipeline order *)
            match compare (b.en_impact_p99_s : float) a.en_impact_p99_s with
-           | 0 -> compare (phase_rank a.en_phase) (phase_rank b.en_phase)
+           | 0 -> compare a.en_phase b.en_phase
            | c -> c)
   in
   {
@@ -170,8 +164,8 @@ let scenario_json s =
 let report_json r =
   Json.Obj
     [
-      ("schema_version", Json.int 1);
-      ("requests", Json.int r.wr_requests);
+      ("schema_version", Json.of_int 1);
+      ("requests", Json.of_int r.wr_requests);
       ("factors", Json.Arr (List.map (fun f -> Json.Num f) r.wr_factors));
       ("baseline_p50_s", Json.Num r.wr_baseline_p50_s);
       ("baseline_p99_s", Json.Num r.wr_baseline_p99_s);
@@ -190,79 +184,6 @@ let report_json r =
                  ])
              r.wr_ranking) );
     ]
-
-let ( let* ) r f = Result.bind r f
-
-let field name conv j =
-  match Option.bind (Json.member name j) conv with
-  | Some v -> Result.Ok v
-  | None -> Result.Error (spf "missing or invalid field %S" name)
-
-let num name j = field name Json.get_num j
-let str name j = field name Json.get_str j
-let int_field name j = Result.map int_of_float (num name j)
-
-let fold_list of_item items =
-  List.fold_left
-    (fun acc item ->
-      let* acc = acc in
-      let* v = of_item item in
-      Result.Ok (v :: acc))
-    (Result.Ok []) items
-  |> Result.map List.rev
-
-let phase_of_json name =
-  match Ledger.phase_of_name name with
-  | Some p -> Result.Ok p
-  | None -> Result.Error (spf "unknown phase %S" name)
-
-let scenario_of_json phase j =
-  let* sc_factor = num "factor" j in
-  let* sc_p50_s = num "p50_s" j in
-  let* sc_p99_s = num "p99_s" j in
-  let* sc_delta_p50_s = num "delta_p50_s" j in
-  let* sc_delta_p99_s = num "delta_p99_s" j in
-  let* sc_verdict = str "verdict" j in
-  Result.Ok
-    { sc_phase = phase; sc_factor; sc_p50_s; sc_p99_s; sc_delta_p50_s;
-      sc_delta_p99_s; sc_verdict }
-
-let report_of_json j =
-  let* wr_requests = int_field "requests" j in
-  let* wr_factors =
-    match Option.bind (Json.member "factors" j) Json.get_arr with
-    | None -> Result.Error "missing or invalid field \"factors\""
-    | Some items ->
-      fold_list
-        (fun item ->
-          match Json.get_num item with
-          | Some f -> Result.Ok f
-          | None -> Result.Error "invalid factor")
-        items
-  in
-  let* wr_baseline_p50_s = num "baseline_p50_s" j in
-  let* wr_baseline_p99_s = num "baseline_p99_s" j in
-  let* wr_baseline_verdict = str "baseline_verdict" j in
-  let* wr_ranking =
-    match Option.bind (Json.member "ranking" j) Json.get_arr with
-    | None -> Result.Error "missing or invalid field \"ranking\""
-    | Some items ->
-      fold_list
-        (fun item ->
-          let* en_phase = Result.bind (str "phase" item) phase_of_json in
-          let* en_impact_p50_s = num "impact_p50_s" item in
-          let* en_impact_p99_s = num "impact_p99_s" item in
-          let* en_scenarios =
-            match Option.bind (Json.member "scenarios" item) Json.get_arr with
-            | None -> Result.Error "entry missing \"scenarios\""
-            | Some ss -> fold_list (scenario_of_json en_phase) ss
-          in
-          Result.Ok { en_phase; en_impact_p50_s; en_impact_p99_s; en_scenarios })
-        items
-  in
-  Result.Ok
-    { wr_requests; wr_factors; wr_baseline_p50_s; wr_baseline_p99_s;
-      wr_baseline_verdict; wr_ranking }
 
 (* ---------------- render ---------------- *)
 
@@ -314,15 +235,10 @@ type file = {
   f_records : record list;
 }
 
-let class_of_json name =
-  match Ledger.class_of_name name with
-  | Some c -> Result.Ok c
-  | None -> Result.Error (spf "unknown serve class %S" name)
-
 let record_json r =
   Json.Obj
     [
-      ("tick", Json.int r.rq_tick);
+      ("tick", Json.of_int r.rq_tick);
       ("class", Json.Str (Ledger.class_name r.rq_class));
       ("ok", Json.Bool r.rq_ok);
       ("mult", Json.Num r.rq_mult);
@@ -335,61 +251,47 @@ let record_json r =
     ]
 
 let record_of_json j =
-  let* rq_tick = int_field "tick" j in
-  let* rq_class = Result.bind (str "class" j) class_of_json in
-  let* rq_ok =
-    match Json.member "ok" j with
-    | Some (Json.Bool v) -> Result.Ok v
-    | _ -> Result.Error "missing or invalid field \"ok\""
+  let cost = function
+    | Json.Arr [ Json.Str name; Json.Num v ] ->
+      (Json.enum "phase" Ledger.phase_of_name name, v)
+    | _ -> Json.fail "invalid cost entry"
   in
-  let* rq_mult = num "mult" j in
-  let* rq_costs =
-    match Option.bind (Json.member "costs" j) Json.get_arr with
-    | None -> Result.Error "missing or invalid field \"costs\""
-    | Some items ->
-      fold_list
-        (function
-          | Json.Arr [ Json.Str name; Json.Num v ] ->
-            let* p = phase_of_json name in
-            Result.Ok (p, v)
-          | _ -> Result.Error "invalid cost entry")
-        items
-  in
-  Result.Ok { rq_tick; rq_class; rq_ok; rq_mult; rq_costs }
+  {
+    rq_tick = Json.int "tick" j;
+    rq_class = Json.enum "serve class" Ledger.class_of_name (Json.str "class" j);
+    rq_ok =
+      (match Json.field "ok" j with
+      | Json.Bool v -> v
+      | _ -> Json.fail "missing or invalid field \"ok\"");
+    rq_mult = Json.num "mult" j;
+    rq_costs = List.map cost (Json.arr "costs" j);
+  }
 
 let file_json f =
   Json.Obj
     [
-      ("schema_version", Json.int 1);
-      ("requests", Json.int f.f_requests);
-      ("seed", Json.int f.f_seed);
-      ("width", Json.int f.f_width);
-      ("buckets", Json.int f.f_buckets);
+      ("schema_version", Json.of_int 1);
+      ("requests", Json.of_int f.f_requests);
+      ("seed", Json.of_int f.f_seed);
+      ("width", Json.of_int f.f_width);
+      ("buckets", Json.of_int f.f_buckets);
       ( "slo",
         match f.f_slo with None -> Json.Null | Some s -> Slo.spec_to_json s );
       ("ledger", Ledger.report_json f.f_ledger);
       ("records", Json.Arr (List.map record_json f.f_records));
     ]
 
-let file_of_json j =
-  let* f_requests = int_field "requests" j in
-  let* f_seed = int_field "seed" j in
-  let* f_width = int_field "width" j in
-  let* f_buckets = int_field "buckets" j in
-  let* f_slo =
-    match Json.member "slo" j with
-    | None | Some Json.Null -> Result.Ok None
-    | Some s -> Result.map Option.some (Slo.spec_of_json s)
-  in
-  let* f_ledger =
-    match Json.member "ledger" j with
-    | Some l -> Ledger.report_of_json l
-    | None -> Result.Error "missing field \"ledger\""
-  in
-  let* f_records =
-    match Option.bind (Json.member "records" j) Json.get_arr with
-    | None -> Result.Error "missing or invalid field \"records\""
-    | Some items -> fold_list record_of_json items
-  in
-  Result.Ok { f_requests; f_seed; f_width; f_buckets; f_slo; f_ledger;
-              f_records }
+let file_of_json =
+  Json.decode (fun j ->
+      {
+        f_requests = Json.int "requests" j;
+        f_seed = Json.int "seed" j;
+        f_width = Json.int "width" j;
+        f_buckets = Json.int "buckets" j;
+        f_slo =
+          (match Json.member "slo" j with
+          | None | Some Json.Null -> None
+          | Some s -> Some (Json.ok (Slo.spec_of_json s)));
+        f_ledger = Json.ok (Ledger.report_of_json (Json.field "ledger" j));
+        f_records = List.map record_of_json (Json.arr "records" j);
+      })

@@ -76,7 +76,6 @@ val run :
 val top : report -> Ledger.phase option
 
 val report_json : report -> Json.t
-val report_of_json : Json.t -> (report, string) result
 val render : report -> string
 
 (* ------------------------------------------------------------------ *)

@@ -27,9 +27,6 @@ let create ?(alpha = 0.01) ~width ~buckets () =
           { s_epoch = -1; s_ok = 0; s_err = 0; s_sketch = Sketch.create ~alpha () });
   }
 
-let width t = t.w_width
-let bucket_slots t = Array.length t.ring
-
 let slot_for t epoch =
   let s = t.ring.(epoch mod Array.length t.ring) in
   if s.s_epoch <> epoch then begin

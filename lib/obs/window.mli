@@ -20,9 +20,6 @@ type t
     [Invalid_argument] unless both are >= 1. *)
 val create : ?alpha:float -> width:int -> buckets:int -> unit -> t
 
-val width : t -> int
-val bucket_slots : t -> int
-
 (** Record one request at logical tick [now]: whether it succeeded and its
     latency in seconds (failed requests feed the latency sketch too). *)
 val observe : t -> now:int -> ok:bool -> float -> unit

@@ -310,17 +310,17 @@ let tune_dsl ?(label = "tc") t src = tune t { label; src }
 let prometheus_report t =
   let s = cache_stats t in
   Metrics.prometheus t.metrics
-  ^ Obs.Export.prometheus ~prefix:"barracuda_cache"
+  ^ Obs.Export.prometheus_sketches ~prefix:"barracuda_cache"
       ~counters:
         [
           ("hits", s.hits); ("disk_loads", s.disk_loads); ("misses", s.misses);
           ("corrupt", s.corrupt); ("stores", s.stores); ("evictions", s.evictions);
           ("front", Tuning_cache.size t.cache);
         ]
-      ~timers:[] ()
-  ^ Obs.Export.prometheus ~prefix:"barracuda_trace"
+      ~sketches:[] ()
+  ^ Obs.Export.prometheus_sketches ~prefix:"barracuda_trace"
       ~counters:[ ("dropped_spans", Obs.Trace.dropped ()) ]
-      ~timers:[] ()
+      ~sketches:[] ()
 
 (* Human-readable SURF convergence report for one response (empty history
    for cache hits: no search ran). *)

@@ -9,32 +9,26 @@
 type mix = { mix_label : string; mix_dsl : string; weight : int }
 
 let mix_of_journal entries =
-  let order = ref [] in
-  let by_dsl = Hashtbl.create 16 in
-  List.iter
-    (fun (e : Obs.Journal.entry) ->
-      match Hashtbl.find_opt by_dsl e.dsl with
-      | Some m -> m := { !m with weight = !m.weight + 1 }
-      | None ->
-        let m = ref { mix_label = e.label; mix_dsl = e.dsl; weight = 1 } in
-        Hashtbl.add by_dsl e.dsl m;
-        order := m :: !order)
-    entries;
-  List.rev_map (fun m -> !m) !order
+  Obs.Journal.by_dsl entries
+  |> List.map (fun (dsl, (es : Obs.Journal.entry list)) ->
+         { mix_label = (List.hd es).label; mix_dsl = dsl; weight = List.length es })
+
+(* Modeled service costs: constants of the latency model, not
+   measurements (see the interface). *)
+let hit_cost_s = 2e-4
+let tune_base_s = 1e-3
+let eval_cost_s = 2e-3
+let queue_cost_s = 5e-6
+let jitter = 0.25
 
 type config = {
   requests : int;
   seed : int;
   batch : int;
   error_rate : float;
-  jitter : float;
   degrade : float;
   degrade_at : int;
   monitor : bool;
-  hit_cost_s : float;
-  tune_base_s : float;
-  eval_cost_s : float;
-  queue_cost_s : float;
   window_width : int;
   window_buckets : int;
   slo : Obs.Slo.spec;
@@ -47,14 +41,9 @@ let default_config =
     seed = 7;
     batch = 16;
     error_rate = 0.001;
-    jitter = 0.25;
     degrade = 1.0;
     degrade_at = 0;
     monitor = false;
-    hit_cost_s = 2e-4;
-    tune_base_s = 1e-3;
-    eval_cost_s = 2e-3;
-    queue_cost_s = 5e-6;
     window_width = 250;
     window_buckets = 8;
     slo = Obs.Slo.default_spec;
@@ -93,13 +82,13 @@ let serve_class (r : Engine.response) =
    Per class the shares sum to the former scalar model (hit = 1.0 hit,
    dedup = 0.5 hit, cold = tune_base + evals * eval_cost) up to the new
    additive queue term, so existing SLO budgets stay calibrated. *)
-let phase_costs cfg (r : Engine.response) ~position =
-  let h = cfg.hit_cost_s and t = cfg.tune_base_s in
+let phase_costs (r : Engine.response) ~position =
+  let h = hit_cost_s and t = tune_base_s in
   let common =
     [
       (Obs.Ledger.Canonicalize, 0.10 *. h);
       (Obs.Ledger.Lookup, 0.15 *. h);
-      (Obs.Ledger.Queue, cfg.queue_cost_s *. float_of_int position);
+      (Obs.Ledger.Queue, queue_cost_s *. float_of_int position);
     ]
   in
   match r.served with
@@ -111,7 +100,7 @@ let phase_costs cfg (r : Engine.response) ~position =
         (Obs.Ledger.Gate, 0.15 *. t);
         (Obs.Ledger.Surrogate, 0.25 *. t);
         (Obs.Ledger.Measure,
-         cfg.eval_cost_s *. float_of_int r.result.Autotune.Tuner.evaluations);
+         eval_cost_s *. float_of_int r.result.Autotune.Tuner.evaluations);
         (Obs.Ledger.Codegen, 0.15 *. t);
         (Obs.Ledger.Store, 0.05 *. t);
       ]
@@ -122,18 +111,14 @@ let phase_costs cfg (r : Engine.response) ~position =
 (* Latest journal run id per canonical DSL, so ledger exemplars can name
    the tuning run behind a slow request. *)
 let run_ids_of_journal entries =
-  let tbl = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun (e : Obs.Journal.entry) ->
-      if not (Hashtbl.mem tbl e.dsl) then order := e.dsl :: !order;
-      Hashtbl.replace tbl e.dsl e.run_id)
-    entries;
-  List.rev_map (fun dsl -> (dsl, Hashtbl.find tbl dsl)) !order
+  Obs.Journal.by_dsl entries
+  |> List.map (fun (dsl, es) ->
+         (dsl, (List.nth es (List.length es - 1) : Obs.Journal.entry).run_id))
 
 let run ?on_frame ?frame_every ?(record = false) ?(run_ids = []) cfg classes =
   if classes = [] then invalid_arg "Loadgen.run: empty request mix";
   if cfg.requests < 1 then invalid_arg "Loadgen.run: requests must be >= 1";
+  if cfg.batch < 1 then invalid_arg "Loadgen.run: batch must be >= 1";
   let t0 = Unix.gettimeofday () in
   let rng = Util.Rng.create cfg.seed in
   let svc = Engine.create ~config:cfg.engine () in
@@ -193,8 +178,8 @@ let run ?on_frame ?frame_every ?(record = false) ?(run_ids = []) cfg classes =
         (* one multiplier for the whole request, so the scaled per-phase
            costs sum exactly to the latency (the ledger reconciliation
            invariant, and what lets Whatif scale one phase exactly) *)
-        let mult = degrade *. exp (cfg.jitter *. Util.Rng.gaussian rng) in
-        let costs = phase_costs cfg r ~position:!position in
+        let mult = degrade *. exp (jitter *. Util.Rng.gaussian rng) in
+        let costs = phase_costs r ~position:!position in
         let base = List.fold_left (fun acc (_, v) -> acc +. v) 0.0 costs in
         let latency = base *. mult in
         let ok = not (Util.Rng.float rng 1.0 < cfg.error_rate) in
@@ -296,11 +281,11 @@ let report_json r =
   let snap = Obs.Window.snapshot r.window ~now:r.ticks in
   Obs.Json.Obj
     ([
-      ("schema_version", Obs.Json.int 1);
-      ("requests", Obs.Json.int r.total);
-      ("seed", Obs.Json.int r.cfg.seed);
-      ("batch", Obs.Json.int r.cfg.batch);
-      ("errors", Obs.Json.int r.errors);
+      ("schema_version", Obs.Json.of_int 1);
+      ("requests", Obs.Json.of_int r.total);
+      ("seed", Obs.Json.of_int r.cfg.seed);
+      ("batch", Obs.Json.of_int r.cfg.batch);
+      ("errors", Obs.Json.of_int r.errors);
       ( "classes",
         Obs.Json.Arr
           (List.map
@@ -308,22 +293,22 @@ let report_json r =
                Obs.Json.Obj
                  [
                    ("label", Obs.Json.Str m.mix_label);
-                   ("weight", Obs.Json.int m.weight);
+                   ("weight", Obs.Json.of_int m.weight);
                  ])
              r.classes) );
       ( "served",
-        Obs.Json.Obj (List.map (fun (name, n) -> (name, Obs.Json.int n)) r.served) );
+        Obs.Json.Obj (List.map (fun (name, n) -> (name, Obs.Json.of_int n)) r.served) );
       ( "window",
         Obs.Json.Obj
           [
-            ("ticks", Obs.Json.int snap.ticks);
-            ("requests", Obs.Json.int snap.requests);
+            ("ticks", Obs.Json.of_int snap.ticks);
+            ("requests", Obs.Json.of_int snap.requests);
             ("error_ratio", Obs.Json.Num snap.error_ratio);
             ("rate_per_tick", Obs.Json.Num snap.rate);
             ("p50_s", Obs.Json.Num (Obs.Window.quantile snap 50.0));
             ("p90_s", Obs.Json.Num (Obs.Window.quantile snap 90.0));
             ("p99_s", Obs.Json.Num (Obs.Window.quantile snap 99.0));
-            ("sketch_buckets", Obs.Json.int (Obs.Sketch.bucket_count snap.sketch));
+            ("sketch_buckets", Obs.Json.of_int (Obs.Sketch.bucket_count snap.sketch));
           ] );
       ("slo", Obs.Slo.to_json r.verdict);
       ("ledger", Obs.Ledger.report_json (Obs.Ledger.report r.ledger));

@@ -20,23 +20,43 @@
     [error_rate] from the same RNG so the error-budget side of the SLO is
     exercised.
 
-    Latency model: each request's base cost is a sum of per-phase costs
-    ({!Obs.Ledger.phase}). Every class pays canonicalize (0.10 hit) +
-    lookup (0.15 hit) + queue ([queue_cost_s] x batch position); warm
-    hits add a 0.75-hit restore measure, dedups a 0.25-hit share, and
-    cold tunes split [tune_base_s] across
-    enumerate/prune/gate/surrogate/codegen/store (0.30/0.10/0.15/0.25/
-    0.15/0.05) plus [eval_cost_s * evaluations] of measure. The whole
-    vector is scaled by one jitter x degrade multiplier, so the scaled
-    phase costs sum {e exactly} to the end-to-end latency - the
-    {!Obs.Ledger} reconciliation invariant, and the property that lets
-    {!Obs.Whatif} compute causal phase impacts exactly.
+    Latency model: each request's base cost is a sum of {e modeled}
+    per-phase costs ({!Obs.Ledger.phase}), built from the constants
+    below. Every class pays canonicalize (0.10 hit) + lookup (0.15 hit) +
+    queue ({!queue_cost_s} x batch position); warm hits add a 0.75-hit
+    restore measure, dedups a 0.25-hit share, and cold tunes split
+    {!tune_base_s} across enumerate/prune/gate/surrogate/codegen/store
+    (0.30/0.10/0.15/0.25/0.15/0.05) plus {!eval_cost_s} x evaluations of
+    measure. The whole vector is scaled by one multiplier - lognormal
+    {!jitter} x [degrade] - so the scaled phase costs sum {e exactly} to
+    the end-to-end latency - the {!Obs.Ledger} reconciliation invariant,
+    and the property that lets {!Obs.Whatif} compute causal phase impacts
+    exactly.
 
     Memory is bounded: window state is O(buckets) sketches, the ledger is
     O(classes x phases) sketch cells plus a fixed exemplar ring, and the
     engine metrics retain at most {!Metrics.raw_sample_cap} raw samples
     per timer, so replaying 10^4-10^6 requests does not grow storage with
     the request count ([record] opts into O(requests) what-if records). *)
+
+(** {2 Modeled costs}
+
+    Constants of the latency model, in seconds: modeled, not measured. *)
+
+(** A cache hit (2e-4). *)
+val hit_cost_s : float
+
+(** Fixed cost of a cold tune (1e-3). *)
+val tune_base_s : float
+
+(** One SURF evaluation (2e-3). *)
+val eval_cost_s : float
+
+(** Queue wait per batch position (5e-6). *)
+val queue_cost_s : float
+
+(** Lognormal sigma of the per-request latency multiplier (0.25). *)
+val jitter : float
 
 type mix = { mix_label : string; mix_dsl : string; weight : int }
 
@@ -49,7 +69,6 @@ type config = {
   seed : int;  (** arrival sampling, jitter and error injection *)
   batch : int;  (** requests per {!Engine.batch} call *)
   error_rate : float;  (** injected failure probability per request *)
-  jitter : float;  (** lognormal sigma of the latency model *)
   degrade : float;  (** latency multiplier; >1 simulates a regression *)
   degrade_at : int;
       (** first tick the degrade multiplier applies to; 0 degrades the
@@ -60,19 +79,15 @@ type config = {
           [latency.mean] CUSUM, both calibrated from the replay's own
           early windows. Monitors skip the first [window_width] ticks so
           cold-tune warmup cannot pollute the reference. *)
-  hit_cost_s : float;  (** modeled service cost of a cache hit *)
-  tune_base_s : float;  (** modeled fixed cost of a cold tune *)
-  eval_cost_s : float;  (** modeled cost per SURF evaluation *)
-  queue_cost_s : float;  (** modeled queue wait per batch position *)
   window_width : int;  (** logical ticks per window epoch *)
   window_buckets : int;  (** epochs in the window ring *)
   slo : Obs.Slo.spec;
   engine : Engine.config;
 }
 
-(** 10^4 requests, seed 7, batches of 16, 0.1% injected errors, jitter
-    0.25, 250-tick epochs in an 8-slot ring, {!Obs.Slo.default_spec}, and
-    a default engine with [reps = 3] (restores are re-measured cheaply). *)
+(** 10^4 requests, seed 7, batches of 16, 0.1% injected errors, 250-tick
+    epochs in an 8-slot ring, {!Obs.Slo.default_spec}, and a default
+    engine with [reps = 3] (restores are re-measured cheaply). *)
 val default_config : config
 
 type result = {
@@ -108,7 +123,7 @@ val run_ids_of_journal : Obs.Journal.entry list -> (string * string) list
     profiling - the one opt-in that grows with the request count.
     [run_ids] maps canonical DSL to journal run id for exemplars (see
     {!run_ids_of_journal}). Raises [Invalid_argument] on an empty mix or
-    a non-positive request count. *)
+    a non-positive request count or batch size. *)
 val run :
   ?on_frame:(Obs.Window.t -> now:int -> unit) ->
   ?frame_every:int ->

@@ -2,13 +2,13 @@
    latency-histogram rendering. Domain-safe behind one mutex (updates are
    tiny; contention is irrelevant next to a tuning evaluation).
 
-   Timers are streaming: each observation updates O(1) state (count, total,
-   sum of squares, min/max, a decade-bucket histogram) plus an Obs.Sketch
-   log-bucket quantile sketch, and is retained raw only up to
+   Timers are streaming: each observation updates an Obs.Sketch (quantile
+   buckets plus count, total, min/max and Welford moments) and a
+   decade-bucket histogram, and is retained raw only up to
    [raw_sample_cap] samples (a ring of the most recent). Summaries are
    therefore exact - computed from the raw samples through Util.Stats -
    while a timer has seen at most [raw_sample_cap] observations, and
-   switch to the streaming state plus sketch quantiles (relative error
+   switch to the sketch's moments and quantiles (relative error
    [sketch_alpha]) beyond it. Memory per timer is O(raw_sample_cap +
    sketch buckets), never O(observations). *)
 
@@ -21,30 +21,18 @@ let bucket_bounds = [ 1e-4; 1e-3; 1e-2; 0.1; 1.0; 10.0 ]
 
 type timer = {
   ring : float array;  (* the raw_sample_cap most recent samples *)
-  mutable n : int;  (* total observations ever *)
-  mutable total : float;
-  mutable total_sq : float;
-  mutable vmin : float;
-  mutable vmax : float;
-  sketch : Obs.Sketch.t;
+  sketch : Obs.Sketch.t;  (* every observation ever *)
   decades : int array;  (* one streaming counter per decade bucket *)
 }
 
 type t = {
   counters : (string, int ref) Hashtbl.t;
   timers : (string, timer) Hashtbl.t;
-  watchers : (string, Obs.Drift.t list ref) Hashtbl.t;
-      (* drift monitors per timer name, fed under the same lock *)
   lock : Mutex.t;
 }
 
 let create () =
-  {
-    counters = Hashtbl.create 16;
-    timers = Hashtbl.create 16;
-    watchers = Hashtbl.create 4;
-    lock = Mutex.create ();
-  }
+  { counters = Hashtbl.create 16; timers = Hashtbl.create 16; lock = Mutex.create () }
 
 let locked t f =
   Mutex.lock t.lock;
@@ -59,14 +47,12 @@ let incr ?(by = 1) t name =
 let new_timer () =
   {
     ring = Array.make raw_sample_cap 0.0;
-    n = 0;
-    total = 0.0;
-    total_sq = 0.0;
-    vmin = infinity;
-    vmax = neg_infinity;
     sketch = Obs.Sketch.create ~alpha:sketch_alpha ();
     decades = Array.make (List.length bucket_bounds + 1) 0;
   }
+
+(* total observations ever *)
+let count tm = Obs.Sketch.count tm.sketch
 
 (* Decade bucket of one sample: [lo, hi) semantics with an unbounded last
    bucket, matching the rendered histogram labels. *)
@@ -87,44 +73,10 @@ let observe t name seconds =
           Hashtbl.add t.timers name tm;
           tm
       in
-      tm.ring.(tm.n mod raw_sample_cap) <- seconds;
-      tm.n <- tm.n + 1;
-      tm.total <- tm.total +. seconds;
-      tm.total_sq <- tm.total_sq +. (seconds *. seconds);
-      if seconds < tm.vmin then tm.vmin <- seconds;
-      if seconds > tm.vmax then tm.vmax <- seconds;
+      tm.ring.(count tm mod raw_sample_cap) <- seconds;
       Obs.Sketch.add tm.sketch seconds;
       let d = tm.decades in
-      d.(decade_index seconds) <- d.(decade_index seconds) + 1;
-      (* the timer's own observation count is the watch tick, so alarms
-         land at a deterministic per-timer logical time *)
-      match Hashtbl.find_opt t.watchers name with
-      | None -> ()
-      | Some ms ->
-        List.iter (fun m -> ignore (Obs.Drift.observe m ~tick:tm.n seconds)) !ms)
-
-let watch t name monitor =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.watchers name with
-      | Some ms -> ms := !ms @ [ monitor ]
-      | None -> Hashtbl.add t.watchers name (ref [ monitor ]))
-
-let watched t =
-  locked t (fun () ->
-      Hashtbl.fold (fun name ms acc -> (name, !ms) :: acc) t.watchers []
-      |> List.sort compare)
-
-let watch_alarms t =
-  watched t
-  |> List.concat_map (fun (_, ms) -> List.concat_map Obs.Drift.alarms ms)
-  |> List.stable_sort (fun (a : Obs.Drift.alarm) (b : Obs.Drift.alarm) ->
-         match compare a.at_tick b.at_tick with
-         | 0 -> compare a.monitor b.monitor
-         | c -> c)
-
-let time t name f =
-  let t0 = Unix.gettimeofday () in
-  Fun.protect ~finally:(fun () -> observe t name (Unix.gettimeofday () -. t0)) f
+      d.(decade_index seconds) <- d.(decade_index seconds) + 1)
 
 let counter t name =
   locked t (fun () ->
@@ -138,9 +90,10 @@ let counters t =
 (* Retained raw samples, oldest first: everything while n <= cap, the most
    recent cap afterwards. *)
 let retained tm =
-  if tm.n <= raw_sample_cap then Array.to_list (Array.sub tm.ring 0 tm.n)
+  let n = count tm in
+  if n <= raw_sample_cap then Array.to_list (Array.sub tm.ring 0 n)
   else begin
-    let head = tm.n mod raw_sample_cap in
+    let head = n mod raw_sample_cap in
     Array.to_list (Array.sub tm.ring head (raw_sample_cap - head))
     @ Array.to_list (Array.sub tm.ring 0 head)
   end
@@ -162,37 +115,27 @@ type timer_summary = {
 }
 
 let summarize_timer tm =
-  if tm.n = 0 then
+  let sk = tm.sketch in
+  let n = count tm in
+  if n = 0 then
     { count = 0; total_s = 0.0; mean_s = nan; median_s = nan; p90_s = nan;
       p99_s = nan; min_s = nan; max_s = nan; stddev_s = 0.0 }
-  else if tm.n <= raw_sample_cap then
-    (* exact small-n path: identical to summarizing the full history *)
-    let samples = retained tm in
-    {
-      count = tm.n;
-      total_s = tm.total;
-      mean_s = Util.Stats.mean samples;
-      median_s = Util.Stats.median samples;
-      p90_s = Util.Stats.percentile 90.0 samples;
-      p99_s = Util.Stats.percentile 99.0 samples;
-      min_s = tm.vmin;
-      max_s = tm.vmax;
-      stddev_s = Util.Stats.stddev samples;
-    }
   else
-    (* streaming path: O(1) moments plus sketch quantiles *)
-    let n = float_of_int tm.n in
-    let mean = tm.total /. n in
+    let exact = n <= raw_sample_cap in
+    (* exact small-n path: identical to summarizing the full history;
+       beyond the cap, the sketch's moments and quantiles *)
+    let samples = if exact then retained tm else [] in
+    let pick stats sketch = if exact then stats samples else sketch in
     {
-      count = tm.n;
-      total_s = tm.total;
-      mean_s = mean;
-      median_s = Obs.Sketch.quantile tm.sketch 50.0;
-      p90_s = Obs.Sketch.quantile tm.sketch 90.0;
-      p99_s = Obs.Sketch.quantile tm.sketch 99.0;
-      min_s = tm.vmin;
-      max_s = tm.vmax;
-      stddev_s = sqrt (Float.max 0.0 ((tm.total_sq /. n) -. (mean *. mean)));
+      count = n;
+      total_s = Obs.Sketch.total sk;
+      mean_s = pick Util.Stats.mean (Obs.Sketch.mean sk);
+      median_s = pick Util.Stats.median (Obs.Sketch.quantile sk 50.0);
+      p90_s = pick (Util.Stats.percentile 90.0) (Obs.Sketch.quantile sk 90.0);
+      p99_s = pick (Util.Stats.percentile 99.0) (Obs.Sketch.quantile sk 99.0);
+      min_s = Obs.Sketch.min_value sk;
+      max_s = Obs.Sketch.max_value sk;
+      stddev_s = pick Util.Stats.stddev (Obs.Sketch.std sk);
     }
 
 let summaries t =

@@ -1,19 +1,19 @@
 (** Service metrics: named counters and wall-clock timers with decade
     latency histograms. All operations are domain-safe.
 
-    Timers are streaming: every observation updates O(1) state (count,
-    total, sum of squares, min/max, decade histogram) plus an {!Obs.Sketch}
-    quantile sketch; only the most recent {!raw_sample_cap} raw samples are
-    retained, so a timer's memory is bounded no matter how long the
+    Timers are streaming: every observation updates an {!Obs.Sketch}
+    (quantiles plus count, total, min/max and Welford moments) and a
+    decade histogram; only the most recent {!raw_sample_cap} raw samples
+    are retained, so a timer's memory is bounded no matter how long the
     service runs. Summaries are exact (via {!Util.Stats}) up to the cap
-    and switch to streaming moments + sketch quantiles beyond it. *)
+    and switch to the sketch's moments and quantiles beyond it. *)
 
 type t
 
 (** Raw samples retained per timer (1024). At or below this count,
     {!summaries} is exact over the full history; beyond it, quantiles come
     from the sketch (relative error {!sketch_alpha}) and the other fields
-    from exact streaming state. *)
+    from its exact streaming moments. *)
 val raw_sample_cap : int
 
 (** Relative accuracy of the per-timer quantile sketches (0.01). *)
@@ -25,21 +25,6 @@ val incr : ?by:int -> t -> string -> unit
 
 (** Record one duration, in seconds, under a timer name. *)
 val observe : t -> string -> float -> unit
-
-(** Time a thunk and record its wall duration (also on exception). *)
-val time : t -> string -> (unit -> 'a) -> 'a
-
-(** [watch t name monitor] attaches a {!Obs.Drift} monitor to a timer:
-    every subsequent {!observe} on [name] feeds the monitor under the
-    metrics lock, with the timer's own observation count as the logical
-    tick. Several monitors may watch one timer. *)
-val watch : t -> string -> Obs.Drift.t -> unit
-
-(** Watched timers with their monitors, sorted by timer name. *)
-val watched : t -> (string * Obs.Drift.t list) list
-
-(** All alarms across watched timers, sorted by tick then monitor name. *)
-val watch_alarms : t -> Obs.Drift.alarm list
 
 (** Current value of a counter (0 if never incremented). *)
 val counter : t -> string -> int

@@ -1,7 +1,7 @@
 (* Online change-point detection and the drift doctor: pinned alarm ticks
    for all three detectors, provable no-false-alarm and bounded-delay
    properties for Page-Hinkley, registry semantics, live wiring through
-   Metrics / Engine / Loadgen, and the cross-artifact correlator's DRxxx
+   Engine / Loadgen, and the cross-artifact correlator's DRxxx
    findings over synthesized journal entries. *)
 
 let check_int = Alcotest.(check int)
@@ -263,27 +263,7 @@ let qcheck_ph_bounded_delay =
         && a.at_tick < n + 20
       | [] -> false)
 
-(* ---------------- live wiring: metrics, engine, loadgen ---------------- *)
-
-let test_metrics_watch () =
-  let m = Service.Metrics.create () in
-  Service.Metrics.watch m "serve"
-    (Obs.Drift.page_hinkley ~delta:0.0 ~lambda:0.4 ~min_count:1 "serve.flap");
-  (match Service.Metrics.watched m with
-  | [ ("serve", [ mon ]) ] ->
-    Alcotest.(check string) "monitor name" "serve.flap" (Obs.Drift.name mon)
-  | _ -> Alcotest.fail "expected one watched timer with one monitor");
-  for i = 1 to 10 do
-    Service.Metrics.observe m "serve" (float_of_int (i mod 2))
-  done;
-  (* an unwatched timer feeds nothing *)
-  Service.Metrics.observe m "other" 99.0;
-  let alarms = Service.Metrics.watch_alarms m in
-  check_bool "watched timer alarmed" true (alarms <> []);
-  check_bool "ticks are the timer's own counts" true
-    (List.for_all
-       (fun a -> a.Obs.Drift.at_tick >= 1 && a.at_tick <= 10)
-       alarms)
+(* ---------------- live wiring: engine, loadgen ---------------- *)
 
 let small_engine =
   {
@@ -661,8 +641,6 @@ let suite =
       test_quantile_shift_absorbs_sketch_error;
     Alcotest.test_case "alarm json round-trip" `Quick test_alarm_json_roundtrip;
     Alcotest.test_case "registry semantics" `Quick test_registry;
-    Alcotest.test_case "metrics: watched timers feed monitors" `Quick
-      test_metrics_watch;
     Alcotest.test_case "engine: self-watching monitors" `Quick
       test_engine_drift_monitors;
     Alcotest.test_case "loadgen: monitors page after mid-replay degrade"

@@ -1,7 +1,7 @@
 (* Causal cost ledger and exact what-if profiling: the QCheck-pinned
    reconciliation invariant (per-class phase costs sum to end-to-end
-   latency), the span self-time telescoping property, a pinned two-domain
-   critical-path fixture with queue-wait attribution, exemplar ring
+   latency), the span self-time telescoping property and a pinned
+   two-domain accounts fixture (Obs.Trace.accounts), exemplar ring
    semantics, bit-identical what-if rankings over a recorded replay, JSON
    round-trips, the per-domain trace buffer cap, and the ledger-aware
    doctor findings (DR040-DR043). *)
@@ -37,13 +37,7 @@ let ev ?parent ?(domain = 0) ?(cat = "t") ~id ~t0 ~t1 name =
      domain 0: batch [0,10]
                  canonicalize [0,1]  lookup [1,2]  tune [2,9]
                                                      measure_a [2,8]
-     domain 1: measure_b [3,9]   (worker root, no parent link)
-
-   measure_b must be adopted under [tune] (the smallest enclosing span on
-   another domain), grouped with measure_a into one overlap group whose
-   critical member it is (latest finish), and charged 1s of queue wait
-   (its start minus the group opening at t=2). The path telescopes:
-   10 total = 9 work + 1 queue. *)
+     domain 1: measure_b [3,9]   (worker root, no parent link) *)
 let two_domain_events =
   [
     ev ~id:1 ~t0:0.0 ~t1:10.0 "batch";
@@ -54,45 +48,22 @@ let two_domain_events =
     ev ~id:6 ~domain:1 ~t0:3.0 ~t1:9.0 "measure_b";
   ]
 
-let test_critical_path_pinned () =
-  match L.critical_path two_domain_events with
-  | None -> Alcotest.fail "expected a critical path"
-  | Some cp ->
-    feq "total" 10.0 cp.path_total_s;
-    feq "work" 9.0 cp.path_work_s;
-    feq "queue" 1.0 cp.path_queue_s;
-    feq "work + queue = total" cp.path_total_s
-      (cp.path_work_s +. cp.path_queue_s);
-    check_str "path order" "batch,canonicalize,lookup,tune,measure_b"
-      (String.concat "," (List.map (fun s -> s.L.step_name) cp.path));
-    let last = List.nth cp.path 4 in
-    check_int "critical member is on the worker domain" 1 last.L.step_domain;
-    feq "queue wait lands on the slowest branch" 1.0 last.L.step_queue_s;
-    feq "worker self time" 6.0 last.L.step_self_s;
-    let tune = List.nth cp.path 3 in
-    feq "fan-out host has no self time" 0.0 tune.L.step_self_s;
-    check_contains "render" (L.render_path cp) "critical path"
-
-let test_critical_path_empty () =
-  check_bool "empty events" true (L.critical_path [] = None)
-
 let test_accounts_pinned () =
-  let accts = L.accounts two_domain_events in
+  let accts = Obs.Trace.accounts two_domain_events in
   let find name =
-    match List.find_opt (fun a -> a.L.acct_name = name) accts with
+    match List.find_opt (fun a -> a.Obs.Trace.acct_name = name) accts with
     | Some a -> a
     | None -> Alcotest.fail ("missing account " ^ name)
   in
   (* parent links are same-domain only, so measure_b is its own root *)
-  feq "batch self" 1.0 (find "batch").L.acct_self_s;
-  feq "tune self (same-domain child only)" 1.0 (find "tune").L.acct_self_s;
-  feq "tune child" 6.0 (find "tune").L.acct_child_s;
-  feq "worker root self" 6.0 (find "measure_b").L.acct_self_s;
+  feq "batch self" 1.0 (find "batch").Obs.Trace.acct_self_s;
+  feq "tune self (same-domain child only)" 1.0 (find "tune").Obs.Trace.acct_self_s;
+  feq "tune child" 6.0 (find "tune").Obs.Trace.acct_child_s;
+  feq "worker root self" 6.0 (find "measure_b").Obs.Trace.acct_self_s;
   check_bool "sorted by self descending" true
     (match accts with
-    | a :: b :: _ -> a.L.acct_self_s >= b.L.acct_self_s
-    | _ -> false);
-  check_contains "render" (L.render_accounts accts) "measure_b"
+    | a :: b :: _ -> a.Obs.Trace.acct_self_s >= b.Obs.Trace.acct_self_s
+    | _ -> false)
 
 (* ---------------- QCheck properties ---------------- *)
 
@@ -139,8 +110,8 @@ let qcheck_accounts_telescope =
     (fun picks ->
       let events = forest_of_picks picks in
       let self =
-        List.fold_left (fun acc a -> acc +. a.L.acct_self_s) 0.0
-          (L.accounts events)
+        List.fold_left (fun acc a -> acc +. a.Obs.Trace.acct_self_s) 0.0
+          (Obs.Trace.accounts events)
       in
       abs_float (self -. 1.0) <= 1e-9)
 
@@ -308,16 +279,6 @@ let test_whatif_synthetic () =
   Alcotest.check_raises "bad factor"
     (Invalid_argument "Whatif.run: factors must be > 0") (fun () ->
       ignore (W.run ~factors:[ 0.0 ] ~width:10 ~buckets:4 (synthetic_records 5)))
-
-let test_whatif_report_json_roundtrip () =
-  let r = W.run ~width:10 ~buckets:4 (synthetic_records 50) in
-  let j = W.report_json r in
-  match W.report_of_json j with
-  | Error e -> Alcotest.fail ("report_of_json: " ^ e)
-  | Ok r' ->
-    check_str "json round-trip is the identity on the document"
-      (Obs.Json.to_string j)
-      (Obs.Json.to_string (W.report_json r'))
 
 (* ---------------- recorded replay end-to-end ---------------- *)
 
@@ -500,10 +461,6 @@ let test_doctor_ledger_bench_regression () =
 
 let suite =
   [
-    Alcotest.test_case "critical path: pinned two-domain fixture" `Quick
-      test_critical_path_pinned;
-    Alcotest.test_case "critical path: empty events" `Quick
-      test_critical_path_empty;
     Alcotest.test_case "accounts: pinned fixture" `Quick test_accounts_pinned;
     Alcotest.test_case "ledger: validation" `Quick test_ledger_validation;
     Alcotest.test_case "ledger: exemplar ring eviction" `Quick
@@ -513,8 +470,6 @@ let suite =
     Alcotest.test_case "ledger: report json round-trip" `Quick
       test_report_json_roundtrip;
     Alcotest.test_case "whatif: synthetic ranking" `Quick test_whatif_synthetic;
-    Alcotest.test_case "whatif: report json round-trip" `Quick
-      test_whatif_report_json_roundtrip;
     Alcotest.test_case "replay: ledger reconciles" `Quick test_replay_reconciles;
     Alcotest.test_case "replay: what-if bit-identical, top pinned" `Quick
       test_whatif_bit_identical;

@@ -20,7 +20,7 @@ let test_json_roundtrip () =
       [
         ("s", Str "he said \"hi\"\n\ttab");
         ("n", Num 1.25);
-        ("i", int 42);
+        ("i", of_int 42);
         ("neg", Num (-0.001));
         ("b", Bool true);
         ("z", Null);
@@ -108,7 +108,7 @@ let test_aggregate_spans () =
     { id; parent = None; name; cat; domain = 0; t0 = 10.0; t1 = 10.0 +. dur; attrs = [] }
   in
   let spans =
-    Obs.Bench_log.aggregate_spans
+    Obs.Bench_log.span_totals
       [ ev 1 "a" "c1" 1.0; ev 2 "a" "c1" 2.0; ev 3 "b" "c2" 0.5 ]
   in
   check_int "two groups" 2 (List.length spans);

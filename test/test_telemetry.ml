@@ -119,6 +119,41 @@ let qcheck_sketch_merge_algebra =
       && qs (Obs.Sketch.merge a b) = qs comm
       && Obs.Sketch.count l = List.length xs + List.length ys + List.length zs)
 
+(* Lognormal (sigma 1) samples drawn from a seeded Util.Rng. *)
+let lognormal ~min_n =
+  QCheck.(
+    map
+      (fun (n, seed) ->
+        let rng = Util.Rng.create seed in
+        List.init n (fun _ -> exp (Util.Rng.gaussian rng)))
+      (pair (int_range min_n 300) small_nat))
+
+let close a b = abs_float (a -. b) <= 1e-9 *. Float.max (abs_float a) (abs_float b)
+
+let sketch_of vs =
+  let s = Obs.Sketch.create () in
+  List.iter (Obs.Sketch.add s) vs;
+  s
+
+let qcheck_sketch_moments =
+  QCheck.Test.make ~name:"sketch Welford mean/std match Util.Stats" ~count:100
+    (lognormal ~min_n:1) (fun xs ->
+      let s = sketch_of xs in
+      close (Obs.Sketch.mean s) (Util.Stats.mean xs)
+      && close (Obs.Sketch.std s) (Util.Stats.stddev xs))
+
+let qcheck_sketch_merge_moments =
+  QCheck.Test.make ~name:"sketch merge moments match the concatenated stream"
+    ~count:100
+    QCheck.(pair (lognormal ~min_n:0) (lognormal ~min_n:0))
+    (fun (xs, ys) ->
+      let m = Obs.Sketch.merge (sketch_of xs) (sketch_of ys) in
+      let whole = sketch_of (xs @ ys) in
+      Obs.Sketch.count m = Obs.Sketch.count whole
+      && (xs @ ys = []
+         || close (Obs.Sketch.mean m) (Obs.Sketch.mean whole)
+            && close (Obs.Sketch.std m) (Obs.Sketch.std whole)))
+
 let test_sketch_copy_independent () =
   let s = Obs.Sketch.create () in
   Obs.Sketch.add s 1.0;
@@ -338,6 +373,20 @@ let test_metrics_bounded_beyond_cap () =
   check_bool "stddev from streaming moments" true
     (abs_float (s.stddev_s -. exact_sd) /. exact_sd < 1e-6)
 
+let test_metrics_stddev_cancellation () =
+  (* past the raw-sample cap the stddev comes from streaming moments;
+     with mean 1 and true stddev 5e-10, a sum-of-squares formula cancels
+     catastrophically (~3e-8) where Welford's update stays exact *)
+  let m = Service.Metrics.create () in
+  for i = 1 to 2000 do
+    Service.Metrics.observe m "t" (if i mod 2 = 0 then 1.0 +. 1e-9 else 1.0)
+  done;
+  let s = List.assoc "t" (Service.Metrics.summaries m) in
+  check_bool
+    (Printf.sprintf "stddev %.3g within 1e-6 of 5e-10" s.stddev_s)
+    true
+    (abs_float (s.stddev_s -. 5e-10) /. 5e-10 <= 1e-6)
+
 let test_metrics_histogram_streams () =
   let m = Service.Metrics.create () in
   for _ = 1 to 2000 do
@@ -399,13 +448,9 @@ let test_metric_name_escaping () =
 
 let test_legacy_prometheus_help () =
   let out =
-    Obs.Export.prometheus ~counters:[ ("hits", 2) ]
-      ~timers:[ ("req", [ 1e-3 ]) ]
-      ()
+    Obs.Export.prometheus_sketches ~counters:[ ("hits", 2) ] ~sketches:[] ()
   in
-  check_contains "counter help" out "# HELP barracuda_hits_total";
-  check_contains "summary help" out "# HELP barracuda_req_seconds";
-  check_contains "summary type" out "# TYPE barracuda_req_seconds summary"
+  check_contains "counter help" out "# HELP barracuda_hits_total"
 
 let test_prometheus_sketch_health_gauges () =
   (* every exposed timer carries its sketch-health gauges: the live bucket
@@ -509,7 +554,15 @@ let test_loadgen_validation () =
       ignore (Service.Loadgen.run small_cfg []));
   Alcotest.check_raises "bad request count"
     (Invalid_argument "Loadgen.run: requests must be >= 1") (fun () ->
-      ignore (Service.Loadgen.run { small_cfg with requests = 0 } small_mix))
+      ignore (Service.Loadgen.run { small_cfg with requests = 0 } small_mix));
+  (* a batch below 1 cannot drain the request count *)
+  List.iter
+    (fun batch ->
+      Alcotest.check_raises
+        (Printf.sprintf "batch %d" batch)
+        (Invalid_argument "Loadgen.run: batch must be >= 1")
+        (fun () -> ignore (Service.Loadgen.run { small_cfg with batch } small_mix)))
+    [ 0; -3 ]
 
 let test_loadgen_frames () =
   let frames = ref [] in
@@ -586,6 +639,8 @@ let suite =
       test_metrics_bounded_beyond_cap;
     Alcotest.test_case "metrics: decade histogram streams" `Quick
       test_metrics_histogram_streams;
+    Alcotest.test_case "metrics: streaming stddev survives cancellation" `Quick
+      test_metrics_stddev_cancellation;
     Alcotest.test_case "metrics: quantile and sketch snapshots" `Quick
       test_metrics_quantile_and_sketches;
     Alcotest.test_case "export: native histograms" `Quick
@@ -612,5 +667,7 @@ let suite =
       [
         qcheck_sketch_error_bound;
         qcheck_sketch_merge_algebra;
+        qcheck_sketch_moments;
+        qcheck_sketch_merge_moments;
         qcheck_window_replay_deterministic;
       ]
