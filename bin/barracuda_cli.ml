@@ -787,10 +787,10 @@ let cmd_check =
       & opt (some string) None
       & info [ "mutate" ] ~docv:"NAME"
           ~doc:
-            "Self-test: inject a known-bad kernel mutation before validation \
-             (swap-index, corrupt-stride, drop-accumulation, \
-             barrier-divergence) and verify it is caught (implies \
-             --semantic).")
+            (Printf.sprintf
+               "Self-test: inject a known-bad kernel mutation before validation \
+                (%s) and verify it is caught (implies --semantic)."
+               (String.concat ", " (List.map Check.Mutate.name Check.Mutate.all))))
   in
   let run () file expr einsum tcr net_file sc_target arch json max_points no_lints
       semantic diff rounds sz_seed mutate =
@@ -937,7 +937,7 @@ let cmd_check =
          "Statically verify a tensor program end to end: TCR well-formedness, \
           recipe legality of every search point, kernel resource analysis \
           (bounds proof, registers, launch limits) and symbolic access facts \
-          (exact coalescing, bank conflicts, barriers) for every variant, \
+          (exact coalescing, occupancy) for every variant, \
           plus (--semantic) translation validation over the prime field. \
           Exits nonzero when any error-severity diagnostic is found.")
     Term.(

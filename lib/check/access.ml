@@ -2,31 +2,18 @@
    behaviour, replacing the heuristic BAR04x lints with proven quantities.
 
    Every address in the kernel IR is affine in the thread/block/serial
-   indices, so the interesting hardware quantities have closed forms:
-
-   - global coalescing: the 128-byte transactions of a warp-wide load
-     depend only on the warp's base address modulo the segment size, so
-     the exact average over the whole grid and serial iteration space is a
-     finite sum over the base-residue distribution (Gpusim.Coalesce).
-   - shared-memory bank conflicts: the conflict degree of a warp access is
-     invariant under base shifts (they rotate the bank assignment), so the
-     per-warp lane offsets determine it exactly.
-   - barrier-under-divergence: a __syncthreads() inside a guard that not
-     every thread of the block passes is a deadlock on real hardware; the
-     staging records expose guard and barrier placement directly.
+   indices, so global coalescing has a closed form: the 128-byte
+   transactions of a warp-wide load depend only on the warp's base address
+   modulo the segment size, so the exact average over the whole grid and
+   serial iteration space is a finite sum over the base-residue
+   distribution (Gpusim.Coalesce).
 
    Codes: BAR070 uncoalesced global loads (warning, exact grid average),
-   BAR071 bank conflicts on a staged tile (warning), BAR072 barrier under
-   divergence (ERROR), BAR073 low occupancy (warning), BAR074 partial warp
-   (warning), BAR075 idle SMs (warning), BAR076 representative-warp
-   coalescing model diverges from the exact count (info), BAR077 static
-   shared memory over the device budget (ERROR). *)
-
-(* Static shared-memory budget per block: 48 KB, the portable limit every
-   simulated generation (Fermi through Maxwell) guarantees. Deliberately a
-   constant rather than an Arch field: the 21-field Arch fingerprint is
-   pinned by caches and journals. *)
-let max_smem_bytes = 48 * 1024
+   BAR073 low occupancy (warning), BAR074 partial warp (warning), BAR075
+   idle SMs (warning), BAR076 representative-warp coalescing model diverges
+   from the exact count (info). BAR071, BAR072 and BAR077 are retired and
+   stay reserved: they covered shared-memory tiles, which no lowering
+   produces. *)
 
 (* A warp at or beyond half the fully-diverged cost (32) is uncoalesced. *)
 let uncoalesced_threshold = 16.0
@@ -38,106 +25,27 @@ let model_divergence_threshold = 0.5
 
 type ref_summary = {
   name : string;
-  dims : string list;
-  strides : (string * int) list;  (* element stride per index *)
   exact_transactions : float;     (* grid-average transactions per warp *)
   model_transactions : float;     (* representative-warp model *)
 }
 
-type tile_summary = {
-  array : string;
-  tile_dims : string list;
-  tile_strides : (string * int) list;
-  conflict_degree : int;          (* worst warp, any base *)
-  tile_bytes : int;
-}
-
-type summary = {
-  kernel : string;
-  refs : ref_summary list;        (* output first, then unstaged factors *)
-  tiles : tile_summary list;      (* one per staged factor *)
-  smem_bytes : int;
-}
-
-let strides_of (k : Codegen.Kernel.t) dims =
-  List.map (fun i -> (i, Gpusim.Coalesce.stride_of k dims i)) dims
-
-let summarize_ref (k : Codegen.Kernel.t) (name, dims) =
-  {
-    name;
-    dims;
-    strides = strides_of k dims;
-    exact_transactions = Gpusim.Coalesce.exact_transactions_per_warp k dims;
-    model_transactions = Gpusim.Coalesce.transactions_per_warp k dims;
-  }
-
-let summarize_tile (k : Codegen.Kernel.t) (s : Codegen.Kernel.staging) =
-  {
-    array = s.array;
-    tile_dims = s.tile_dims;
-    tile_strides = strides_of k s.tile_dims;
-    conflict_degree = Gpusim.Coalesce.warp_bank_conflict_degree k s.tile_dims;
-    tile_bytes = Gpusim.Coalesce.element_bytes * Codegen.Kernel.tile_elements k s;
-  }
-
-(* Global references the compute loops actually issue: the output, plus
-   every factor not staged through shared memory (a staged factor's global
-   traffic is the cooperative load; its compute reads hit the tile and are
-   measured by the bank-conflict analysis instead). *)
-let global_refs (k : Codegen.Kernel.t) =
-  (k.op.out, k.op.out_indices)
-  :: List.filter (fun (name, _) -> Codegen.Kernel.staging_of k name = None) k.op.factors
-
-let summarize (k : Codegen.Kernel.t) =
-  {
-    kernel = k.name;
-    refs = List.map (summarize_ref k) (global_refs k);
-    tiles = List.map (summarize_tile k) k.staging;
-    smem_bytes = Codegen.Kernel.smem_bytes k;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Errors: always checked, even when lints are off. *)
-
-(* BAR072: a __syncthreads() inside a guard some threads of the block do
-   not pass. The guard admits threads with tx < g (every ty row), so it is
-   divergent exactly when 0 <= g < blockDim.x. *)
-let barrier_divergent (k : Codegen.Kernel.t) (s : Codegen.Kernel.staging) =
-  s.barrier_inside_guard
-  && (match s.guard with Some g -> g < fst k.block | None -> false)
-
-let errors (k : Codegen.Kernel.t) =
-  let barrier =
-    List.filter_map
-      (fun (s : Codegen.Kernel.staging) ->
-        if barrier_divergent k s then
-          Some
-            (Diag.error Diag.Kernel ~code:"BAR072" ~site:k.name
-               "__syncthreads() for the %s tile sits inside the divergent guard tx < %d \
-                (block x = %d): threads that skip the guard never reach the barrier"
-               s.array
-               (Option.value s.guard ~default:0)
-               (fst k.block))
-        else None)
-      k.staging
-  in
-  let smem = Codegen.Kernel.smem_bytes k in
-  let budget =
-    if smem > max_smem_bytes then
-      [
-        Diag.error Diag.Kernel ~code:"BAR077" ~site:k.name
-          "static shared memory %d bytes exceeds the %d-byte per-block budget" smem
-          max_smem_bytes;
-      ]
-    else []
-  in
-  barrier @ budget
+(* Global references of the compute loops: the output, then every
+   factor. *)
+let summarize_refs (k : Codegen.Kernel.t) =
+  List.map
+    (fun (name, dims) ->
+      {
+        name;
+        exact_transactions = Gpusim.Coalesce.exact_transactions_per_warp k dims;
+        model_transactions = Gpusim.Coalesce.transactions_per_warp k dims;
+      })
+    ((k.op.out, k.op.out_indices) :: k.op.factors)
 
 (* ------------------------------------------------------------------ *)
 (* Lints: exact-quantity warnings and infos. *)
 
 let lints (arch : Gpusim.Arch.t) (k : Codegen.Kernel.t) =
-  let refs = List.map (summarize_ref k) (global_refs k) in
+  let refs = summarize_refs k in
   let coalescing =
     List.filter_map
       (fun r ->
@@ -149,18 +57,6 @@ let lints (arch : Gpusim.Arch.t) (k : Codegen.Kernel.t) =
                r.name r.exact_transactions)
         else None)
       refs
-  in
-  let conflicts =
-    List.filter_map
-      (fun (s : Codegen.Kernel.staging) ->
-        let t = summarize_tile k s in
-        if t.conflict_degree >= 2 then
-          Some
-            (Diag.warning Diag.Kernel ~code:"BAR071" ~site:k.name
-               "%s tile reads form a %d-way shared-memory bank conflict" t.array
-               t.conflict_degree)
-        else None)
-      k.staging
   in
   let occ = Gpusim.Occupancy.analyze arch k in
   let occupancy =
@@ -206,4 +102,4 @@ let lints (arch : Gpusim.Arch.t) (k : Codegen.Kernel.t) =
         else None)
       refs
   in
-  coalescing @ conflicts @ occupancy @ partial_warp @ grid_cover @ model_divergence
+  coalescing @ occupancy @ partial_warp @ grid_cover @ model_divergence

@@ -1,20 +1,14 @@
 (** Symbolic access analysis: exact affine facts about a kernel's memory
     behaviour. Every address in the kernel IR is affine in the
     thread/block/serial indices, so the hardware quantities have closed
-    forms instead of heuristics - exact grid-average coalescing
-    transactions, exact shared-memory bank-conflict degree, and a direct
-    proof of barrier convergence.
+    forms instead of heuristics - notably the exact grid-average coalescing
+    transactions of every global reference.
 
-    Codes: BAR070 uncoalesced global loads (warning), BAR071 staged-tile
-    bank conflicts (warning), BAR072 barrier under divergence (error),
-    BAR073 low occupancy (warning), BAR074 partial warp (warning), BAR075
-    idle SMs (warning), BAR076 coalescing model divergence (info), BAR077
-    shared memory over budget (error). *)
-
-(** Per-block static shared-memory budget (48 KB - the portable limit of
-    every simulated generation; a constant, not an {!Gpusim.Arch} field,
-    because the Arch fingerprint is pinned by caches and journals). *)
-val max_smem_bytes : int
+    Codes: BAR070 uncoalesced global loads (warning), BAR073 low occupancy
+    (warning), BAR074 partial warp (warning), BAR075 idle SMs (warning),
+    BAR076 coalescing model divergence (info). BAR071, BAR072 and BAR077
+    are retired and reserved: they covered shared-memory tiles, which no
+    lowering produces. *)
 
 (** Warps at or beyond half the fully-diverged cost are uncoalesced. *)
 val uncoalesced_threshold : float
@@ -24,38 +18,5 @@ val low_occupancy_threshold : float
 (** Model-vs-exact gap (transactions/warp) worth a BAR076 info. *)
 val model_divergence_threshold : float
 
-type ref_summary = {
-  name : string;
-  dims : string list;
-  strides : (string * int) list;  (** element stride per index *)
-  exact_transactions : float;  (** grid-average transactions per warp *)
-  model_transactions : float;  (** representative-warp model *)
-}
-
-type tile_summary = {
-  array : string;
-  tile_dims : string list;
-  tile_strides : (string * int) list;
-  conflict_degree : int;  (** worst warp, any base address *)
-  tile_bytes : int;
-}
-
-type summary = {
-  kernel : string;
-  refs : ref_summary list;  (** output first, then unstaged factors *)
-  tiles : tile_summary list;  (** one per staged factor *)
-  smem_bytes : int;
-}
-
-(** The affine access summary of a kernel: exact per-reference coalescing,
-    per-tile bank conflicts, and the static shared-memory footprint. *)
-val summarize : Codegen.Kernel.t -> summary
-
-(** Is this staging's barrier inside a guard some threads never pass? *)
-val barrier_divergent : Codegen.Kernel.t -> Codegen.Kernel.staging -> bool
-
-(** BAR072 and BAR077 - checked even when lints are off. *)
-val errors : Codegen.Kernel.t -> Diag.t list
-
-(** BAR070/071/073/074/075/076 - exact-quantity warnings and infos. *)
+(** BAR070/073/074/075/076 - exact-quantity warnings and infos. *)
 val lints : Gpusim.Arch.t -> Codegen.Kernel.t -> Diag.t list

@@ -19,8 +19,9 @@
              -> recipe -> kernel; the code names the earliest stage that
              stopped agreeing with its parent)
      BAR07x  symbolic access analysis (lib/check/access.ml: exact affine
-             facts - grid-wide coalescing transactions, shared-memory bank
-             conflicts, barrier-under-divergence, static smem budget) *)
+             facts - grid-wide coalescing transactions, occupancy, launch
+             shape; BAR071/072/077 covered shared-memory tiles, which no
+             lowering produces - the codes stay reserved) *)
 
 type severity = Error | Warning | Info
 

@@ -8,8 +8,8 @@
     and contraction-tree checks ([lib/netopt], ahead of the DSL front
     end), BAR06x translation validation ({!Semantic} stage: prime-field
     equivalence of the five lineage stages), BAR07x symbolic access
-    analysis (exact coalescing, bank conflicts, barrier-under-divergence,
-    smem budget). *)
+    analysis (exact coalescing, occupancy, launch shape; BAR071/072/077
+    are retired and reserved). *)
 
 type severity = Error | Warning | Info
 

@@ -43,19 +43,13 @@ let check_bounds (k : Codegen.Kernel.t) =
             else None)
           extents
       else begin
-        let exts = List.map (fun (_, e) -> Option.get e) extents in
-        let size = List.fold_left ( * ) 1 exts in
+        let exts = Array.of_list (List.map (fun (_, e) -> Option.get e) extents) in
+        let size = Tensor.Shape.num_elements exts in
         (* row-major strides of the declared dims *)
-        let strides =
-          List.mapi
-            (fun i _ ->
-              List.fold_left ( * ) 1 (List.filteri (fun j _ -> j > i) exts))
-            exts
-        in
+        let strides = Tensor.Shape.strides exts in
         let max_offset =
-          List.fold_left2
-            (fun acc idx stride -> acc + (stride * (index_range k idx - 1)))
-            0 dims strides
+          List.fold_left ( + ) 0
+            (List.mapi (fun pos idx -> strides.(pos) * (index_range k idx - 1)) dims)
         in
         if max_offset >= size then
           [
@@ -128,11 +122,9 @@ let check_dims (arch : Gpusim.Arch.t) (k : Codegen.Kernel.t) =
   in
   nonpos @ block @ grid
 
-(* Errors always - including the access analysis's BAR072 (barrier under
-   divergence) and BAR077 (shared memory over budget); [~lints:false]
-   skips the warning-level analyses (the tuner's gate only needs the
-   errors). The old heuristic BAR040-043 lints are superseded by the
-   exact BAR07x facts of [Access]. *)
+(* Errors always; [~lints:false] skips the warning-level analyses (the
+   tuner's gate only needs the errors). The old heuristic BAR040-043 lints
+   are superseded by the exact BAR07x facts of [Access]. *)
 let check ?(lints = true) (arch : Gpusim.Arch.t) (k : Codegen.Kernel.t) =
-  check_bounds k @ check_registers arch k @ check_dims arch k @ Access.errors k
+  check_bounds k @ check_registers arch k @ check_dims arch k
   @ (if lints then Access.lints arch k else [])

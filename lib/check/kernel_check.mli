@@ -5,10 +5,9 @@
     elements - the symbolic out-of-bounds proof (BAR030), register demand
     overflowing one SM's register file (BAR031), a block over the device's
     thread limit (BAR032), grid dimensions over the device's launch limits
-    (BAR033), non-positive launch dimensions (BAR034), plus the access
-    analysis's barrier-under-divergence (BAR072) and shared-memory budget
-    (BAR077) errors. The lint pass delegates to {!Access}: the exact
-    BAR07x facts supersede the old heuristic BAR040-043 lints. *)
+    (BAR033) and non-positive launch dimensions (BAR034). The lint pass
+    delegates to {!Access}: the exact BAR07x facts supersede the old
+    heuristic BAR040-043 lints. *)
 
 (** Largest value the kernel's own grid/block/loop structure drives index
     [i] through (1 when the kernel never drives it). *)

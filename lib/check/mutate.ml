@@ -1,53 +1,31 @@
-(* Mutation self-test harness for the semantic validator: four named kernel
-   mutations, each a realistic lowering bug, each caught by a specific
-   stable diagnostic code. Permuting loop orders is deliberately NOT here:
+(* Mutation self-test harness for the semantic validator: three named
+   kernel mutations, each a realistic lowering bug, each caught by the
+   kernel stage as BAR063. Permuting loop orders is deliberately NOT here:
    sums commute, so reordering is semantically harmless - the validator
    must accept it, and the mutations must be genuine bugs.
 
    - swap-index: swap two dims of a factor reference (a transposed access
-     pattern); caught as BAR063, kernel vs recipe.
+     pattern).
    - corrupt-stride: bump one entry of the kernel's own extents table, so
-     every stride computed from it is wrong; caught as BAR063 - either as
-     wrong values or as a bounds violation, both kernel-stage divergence.
+     every stride computed from it is wrong - caught either as wrong
+     values or as a bounds violation, both kernel-stage divergence.
    - drop-accumulation: truncate the innermost reduction loop to a single
      iteration (the classic lost "+=" bug - visible even though outputs
-     start at zero, because the partial sum differs from the full one);
-     caught as BAR063.
-   - barrier-divergence: stage the first factor through a shared tile
-     whose __syncthreads() sits inside a divergent guard; semantically
-     neutral under sequential interpretation, so it is caught not by the
-     validator but by the access analysis as BAR072. *)
+     start at zero, because the partial sum differs from the full one). *)
 
 type t =
   | Swap_factor_indices
   | Corrupt_stride
   | Drop_accumulation
-  | Barrier_under_divergence
 
-let all =
-  [ Swap_factor_indices; Corrupt_stride; Drop_accumulation; Barrier_under_divergence ]
+let all = [ Swap_factor_indices; Corrupt_stride; Drop_accumulation ]
 
 let name = function
   | Swap_factor_indices -> "swap-index"
   | Corrupt_stride -> "corrupt-stride"
   | Drop_accumulation -> "drop-accumulation"
-  | Barrier_under_divergence -> "barrier-divergence"
 
-let of_name s =
-  match List.find_opt (fun m -> name m = s) all with
-  | Some m -> Some m
-  | None -> None
-
-(* The stable code each mutation must be caught under. *)
-let expected_code = function
-  | Swap_factor_indices | Corrupt_stride | Drop_accumulation -> "BAR063"
-  | Barrier_under_divergence -> "BAR072"
-
-let describe = function
-  | Swap_factor_indices -> "swap two index positions of a factor reference"
-  | Corrupt_stride -> "bump one extent of the kernel's stride table"
-  | Drop_accumulation -> "truncate the innermost reduction loop to one iteration"
-  | Barrier_under_divergence -> "place the staging barrier inside a divergent guard"
+let of_name s = List.find_opt (fun m -> name m = s) all
 
 (* Apply a mutation to one kernel. Kernels without the required structure
    (e.g. no multi-dim factor to swap, no reduction loop to truncate) are
@@ -105,12 +83,3 @@ let apply m (k : Codegen.Kernel.t) =
           k.thread_loops
       in
       ({ k with thread_loops }, true))
-  | Barrier_under_divergence -> (
-    match k.op.factors with
-    | [] -> (k, false)
-    | (fname, _) :: _ ->
-      let guard = max 1 (fst k.block - 1) in
-      if guard >= fst k.block then (k, false)
-      else
-        ( Codegen.Kernel.stage_factor ~guard ~barrier_inside_guard:true k fname,
-          true ))

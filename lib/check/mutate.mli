@@ -1,27 +1,20 @@
-(** Mutation self-test harness for the semantic validator: four named
-    kernel mutations, each a realistic lowering bug, each caught under a
-    specific stable code. Loop-order permutations are deliberately absent:
-    sums commute, so the validator must accept them. *)
+(** Mutation self-test harness for the semantic validator: three named
+    kernel mutations, each a realistic lowering bug, each caught by the
+    kernel stage as [BAR063]. Loop-order permutations are deliberately
+    absent: sums commute, so the validator must accept them. *)
 
 type t =
-  | Swap_factor_indices  (** transposed access pattern -> BAR063 *)
-  | Corrupt_stride  (** wrong stride table -> BAR063 (value or OOB) *)
-  | Drop_accumulation  (** lost "+=": reduction truncated -> BAR063 *)
-  | Barrier_under_divergence  (** staging barrier inside guard -> BAR072 *)
+  | Swap_factor_indices  (** transposed access pattern *)
+  | Corrupt_stride  (** wrong stride table (value or out-of-bounds) *)
+  | Drop_accumulation  (** lost "+=": reduction truncated *)
 
 val all : t list
 
 (** Stable CLI names: ["swap-index"], ["corrupt-stride"],
-    ["drop-accumulation"], ["barrier-divergence"]. *)
+    ["drop-accumulation"]. *)
 val name : t -> string
 
 val of_name : string -> t option
-
-(** The code the mutation must be caught under ([BAR063] for the semantic
-    mutations, [BAR072] for the barrier hazard). *)
-val expected_code : t -> string
-
-val describe : t -> string
 
 (** Apply to one kernel; the flag reports whether anything changed
     (kernels lacking the required structure pass through unchanged). *)

@@ -18,13 +18,15 @@
    one: the DSL as the direct einsum, the variant as its binary-contraction
    plan over temporaries, the TCR program following each op's loop_order,
    the recipe through Space.serial_schedule (mapped indices x serial
-   schedule), and the kernel by faithful interpretation of the kernel IR -
-   grid/block loops, unrolled main loop plus epilogue, scalar replacement,
-   shared-memory staging, and addresses formed from the KERNEL'S OWN
-   extents table so that corrupted strides surface as wrong values or
-   out-of-bounds accesses rather than being silently normalized away.
-   Every access is bounds-checked against the true allocation; an
-   out-of-bounds read is reported as the stage's divergence.
+   schedule), and the kernel through Codegen.Exec.walk - the interpreter
+   float execution runs too - with F_p arithmetic: grid/block loops,
+   unrolled main loop plus epilogue, scalar replacement, and addresses
+   formed from the KERNEL'S OWN extents table so that corrupted strides
+   surface as wrong values or out-of-bounds accesses rather than being
+   silently normalized away. Every kernel access is bounds-checked against
+   the true allocation; an out-of-bounds read is reported as the stage's
+   divergence. The first four stages never touch the walker, so a bug in
+   it still shows up as a kernel-stage disagreement.
 
    Codes (stage = the earliest one that stopped agreeing with its parent):
      BAR060  variant disagrees with the DSL einsum
@@ -33,7 +35,6 @@
      BAR063  lowered kernel disagrees with the recipe (including OOB)
      BAR064  evaluation aborted (structural failure before comparison) *)
 
-exception Oob of string
 exception Abort of string
 
 let abort fmt = Printf.ksprintf (fun s -> raise (Abort s)) fmt
@@ -67,11 +68,6 @@ let ext_of extents i =
 
 let shape_of extents dims = List.map (ext_of extents) dims
 let size_of shape = List.fold_left ( * ) 1 shape
-
-let strides_of shape =
-  let n = List.length shape in
-  List.init n (fun i ->
-      List.fold_left ( * ) 1 (List.filteri (fun j _ -> j > i) shape))
 
 let alloc extents dims = { dims; data = Array.make (size_of (shape_of extents dims)) 0 }
 
@@ -116,9 +112,9 @@ let eval_sop ~extents (env : env) ~out:(oname, odims) ~factors ~order =
   in
   let compile (name, dims) =
     let t = find env name in
-    let strides = strides_of (shape_of extents dims) in
+    let strides = Tensor.Shape.strides (Array.of_list (shape_of extents dims)) in
     let s = Array.make nslots 0 in
-    List.iteri (fun pos dim -> s.(slot dim) <- s.(slot dim) + List.nth strides pos) dims;
+    List.iteri (fun pos dim -> s.(slot dim) <- s.(slot dim) + strides.(pos)) dims;
     (t.data, s)
   in
   let odata, ostrides = compile (oname, odims) in
@@ -241,203 +237,43 @@ let eval_recipe ~extents inputs (ir : Tcr.Ir.t) (points : Tcr.Space.point list) 
   List.map (fun name -> (name, (find env name).data)) (ir_outputs ir)
 
 (* ------------------------------------------------------------------ *)
-(* Stage 5 - kernel: faithful interpretation of the kernel IR. Mirrors
-   Exec.run_kernel (grid/block loops, unrolled main loop + epilogue,
-   scalar replacement, shared-memory staging) but over F_p and with one
-   deliberate difference: addresses are formed from the kernel's OWN
-   extents table, bounds-checked against the true allocation, so stride
-   corruption is observed rather than normalized away. *)
+(* Stage 5 - kernel: the F_p instance of Codegen.Exec.walk, the kernel
+   interpreter float execution also runs. The walker forms addresses from
+   the kernel's OWN extents table and bounds-checks them, so stride
+   corruption is observed rather than normalized away; its layout errors
+   (a missing extent or slot) abort the stage. *)
 
 let eval_kernel (env : env) (k : Codegen.Kernel.t) =
-  let kext i =
-    match List.assoc_opt i k.extents with
-    | Some e -> e
-    | None -> abort "kernel %s has no extent for index %s" k.name i
-  in
-  let d = k.decomp in
-  let index_names =
-    (d.tx :: d.bx :: (Option.to_list d.ty @ Option.to_list d.by))
-    @ List.map (fun (l : Codegen.Kernel.loop) -> l.index) k.thread_loops
-  in
-  let slot_names = Array.of_list index_names in
-  let nslots = Array.length slot_names in
-  let slot name =
-    let rec go i =
-      if i >= nslots then abort "kernel %s: index %s has no slot" k.name name
-      else if slot_names.(i) = name then i
-      else go (i + 1)
-    in
-    go 0
-  in
-  let vals = Array.make nslots 0 in
-  let compile (name, dims) =
-    let t = find env name in
-    let strides = strides_of (List.map kext dims) in
-    let s = Array.make nslots 0 in
-    List.iteri (fun pos dim -> s.(slot dim) <- s.(slot dim) + List.nth strides pos) dims;
-    (name, t.data, s)
-  in
-  let offset (name, data, strides) =
-    let off = ref 0 in
-    for i = 0 to nslots - 1 do
-      off := !off + (strides.(i) * vals.(i))
-    done;
-    if !off < 0 || !off >= Array.length data then
-      raise
-        (Oob
-           (Printf.sprintf "kernel %s accesses %s at linear offset %d outside its %d elements"
-              k.name name !off (Array.length data)));
-    !off
-  in
-  let out_ref = compile (k.op.out, k.op.out_indices) in
-  (* staged tiles: refreshed per block via the same decode the CUDA
-     cooperative load performs; a non-positive guard admits no loaders and
-     leaves the tile zero, exactly as the emitted code would *)
-  let tiles =
-    List.map
-      (fun (s : Codegen.Kernel.staging) ->
-        let dims =
-          match List.assoc_opt s.array k.arrays with
-          | Some dims -> dims
-          | None -> abort "kernel %s stages unknown array %s" k.name s.array
-        in
-        let src = find env s.array in
-        let gstrides = Array.of_list (strides_of (List.map kext dims)) in
-        let tile_exts = Array.of_list (List.map kext s.tile_dims) in
-        let tile = Array.make (Array.fold_left ( * ) 1 tile_exts) 0 in
-        (s, dims, gstrides, tile_exts, tile, src.data))
-      k.staging
-  in
-  let refresh_tiles () =
-    List.iter
-      (fun ((s : Codegen.Kernel.staging), dims, gstrides, tile_exts, tile, src) ->
-        let no_loaders = match s.guard with Some g -> g <= 0 | None -> false in
-        if not no_loaders then begin
-          let m = Array.length tile_exts in
-          let coords = Array.make m 0 in
-          let tile_pos dim =
-            let rec go j = function
-              | [] -> None
-              | d :: rest -> if d = dim then Some j else go (j + 1) rest
-            in
-            go 0 s.tile_dims
-          in
-          for t = 0 to Array.length tile - 1 do
-            let rem = ref t in
-            for j = m - 1 downto 0 do
-              coords.(j) <- !rem mod tile_exts.(j);
-              rem := !rem / tile_exts.(j)
-            done;
-            let off = ref 0 in
-            List.iteri
-              (fun pos dim ->
-                let v =
-                  match tile_pos dim with
-                  | Some j -> coords.(j)
-                  | None -> vals.(slot dim)
-                in
-                off := !off + (gstrides.(pos) * v))
-              dims;
-            if !off < 0 || !off >= Array.length src then
-              raise
-                (Oob
-                   (Printf.sprintf
-                      "kernel %s stages %s from linear offset %d outside its %d elements"
-                      k.name s.array !off (Array.length src)));
-            tile.(t) <- src.(!off)
-          done
-        end)
-      tiles
-  in
-  let factor_refs =
-    Array.of_list
-      (List.map
-         (fun (name, dims) ->
-           match
-             List.find_opt
-               (fun ((s : Codegen.Kernel.staging), _, _, _, _, _) -> s.array = name)
-               tiles
-           with
-           | Some (s, _, _, tile_exts, tile, _) ->
-             let tstrides = strides_of (Array.to_list tile_exts) in
-             let str = Array.make nslots 0 in
-             List.iteri
-               (fun j dim -> str.(slot dim) <- str.(slot dim) + List.nth tstrides j)
-               s.tile_dims;
-             (name ^ "_tile", tile, str)
-           | None -> compile (name, dims))
-         k.op.factors)
-  in
-  let product () =
-    let p = ref 1 in
-    Array.iter (fun r -> p := mulp !p (let _, data, _ = r in data.(offset r))) factor_refs;
-    !p
-  in
-  let parallel_loops, reduction_loops =
-    List.partition (fun (l : Codegen.Kernel.loop) -> l.parallel) k.thread_loops
-  in
+  let data name = (find env name).data in
+  let out = data k.op.out in
+  let factors = Array.of_list (List.map (fun (name, _) -> data name) k.op.factors) in
+  let nf = Array.length factors in
   let acc = ref 0 in
-  let rec run_reductions = function
-    | [] -> acc := addp !acc (product ())
-    | (l : Codegen.Kernel.loop) :: rest ->
-      let s = slot l.index in
-      let u = max 1 l.unroll and e = l.extent in
-      let i = ref 0 in
-      while !i + u <= e do
-        for j = 0 to u - 1 do
-          vals.(s) <- !i + j;
-          run_reductions rest
-        done;
-        i := !i + u
-      done;
-      while !i < e do
-        vals.(s) <- !i;
-        run_reductions rest;
-        incr i
-      done
-  in
-  let run_output_element () =
-    let _, odata, _ = out_ref in
+  let output off reduce =
     if k.scalar_replaced then begin
-      let off = offset out_ref in
-      acc := odata.(off);
-      run_reductions reduction_loops;
-      odata.(off) <- !acc
+      acc := out.(off);
+      reduce ();
+      out.(off) <- !acc
     end
     else begin
       acc := 0;
-      let off = offset out_ref in
-      let saved = odata.(off) in
-      run_reductions reduction_loops;
-      odata.(off) <- addp saved !acc
+      let saved = out.(off) in
+      reduce ();
+      out.(off) <- addp saved !acc
     end
   in
-  let rec run_parallel = function
-    | [] -> run_output_element ()
-    | (l : Codegen.Kernel.loop) :: rest ->
-      let s = slot l.index in
-      for i = 0 to l.extent - 1 do
-        vals.(s) <- i;
-        run_parallel rest
-      done
+  let point offs =
+    let p = ref 1 in
+    for f = 0 to nf - 1 do
+      p := mulp !p factors.(f).(offs.(f))
+    done;
+    acc := addp !acc !p
   in
-  let bx_e, by_e = k.grid and tx_e, ty_e = k.block in
-  let tx_s = slot d.tx and bx_s = slot d.bx in
-  let ty_s = Option.map slot d.ty and by_s = Option.map slot d.by in
-  for by = 0 to by_e - 1 do
-    Option.iter (fun s -> vals.(s) <- by) by_s;
-    for bx = 0 to bx_e - 1 do
-      vals.(bx_s) <- bx;
-      refresh_tiles ();
-      for ty = 0 to ty_e - 1 do
-        Option.iter (fun s -> vals.(s) <- ty) ty_s;
-        for tx = 0 to tx_e - 1 do
-          vals.(tx_s) <- tx;
-          run_parallel parallel_loops
-        done
-      done
-    done
-  done
+  try
+    Codegen.Exec.walk k
+      ~elements:(fun name -> Array.length (data name))
+      ~output ~point
+  with Invalid_argument msg -> raise (Abort msg)
 
 let eval_kernels ~extents inputs (ir : Tcr.Ir.t) kernels =
   let env = with_produced inputs extents (ir_produced ir) in
@@ -523,17 +359,17 @@ let gate_budget = 4_000_000
 let validate ?(rounds = default_rounds) ?(seed = default_seed) ?mutate_kernel ~label
     (statements : Octopi.Contraction.t list) ~variant_ids ~(ir : Tcr.Ir.t) ~points =
   let site = label in
+  let abort_diag stage msg =
+    Diag.error Diag.Semantic ~code:"BAR064" ~site
+      "semantic evaluation aborted at the %s stage: %s" stage msg
+  in
   let aborted stage msg =
     {
       equivalent = false;
       failed_stage = Some stage;
       rounds_run = 0;
       stages = [];
-      diags =
-        [
-          Diag.error Diag.Semantic ~code:"BAR064" ~site
-            "semantic evaluation aborted at the %s stage: %s" stage msg;
-        ];
+      diags = [ abort_diag stage msg ];
     }
   in
   match
@@ -558,6 +394,15 @@ let validate ?(rounds = default_rounds) ?(seed = default_seed) ?mutate_kernel ~l
     let inputs_spec =
       List.map (fun (v : Tcr.Ir.var) -> (v.name, v.dims)) (Tcr.Ir.inputs ir)
     in
+    let chain =
+      [
+        ("dsl", fun inputs -> eval_dsl ~extents inputs statements);
+        ("variant", fun inputs -> eval_variant ~extents inputs choices);
+        ("tcr", fun inputs -> eval_tcr ~extents inputs ir);
+        ("recipe", fun inputs -> eval_recipe ~extents inputs ir points);
+        ("kernel", fun inputs -> eval_kernels ~extents inputs ir kernels);
+      ]
+    in
     let rng = Util.Rng.create seed in
     let stages = ref [] in
     let record round name outs =
@@ -575,59 +420,32 @@ let validate ?(rounds = default_rounds) ?(seed = default_seed) ?mutate_kernel ~l
         }
       else begin
         let inputs = random_inputs rng extents inputs_spec in
-        let outcome =
-          (* evaluate stage by stage; the first disagreement (or abort)
-             names the earliest broken translation *)
-          let check stage parent child =
-            match first_mismatch parent child with
-            | None -> Ok child
+        (* each stage is compared with the one before it, so the first
+           disagreement (or abort) names the earliest broken translation *)
+        let step parent (stage, eval) =
+          match eval inputs with
+          | exception Abort msg -> Error (abort_diag stage msg, stage)
+          | exception Codegen.Exec.Out_of_bounds msg ->
+            Error
+              ( Diag.error Diag.Semantic ~code:(stage_code stage) ~site
+                  "%s stage: %s (round %d of %d)" stage msg (round + 1) rounds,
+                stage )
+          | outs -> (
+            let outs = record round stage outs in
+            match Option.bind parent (fun parent -> first_mismatch parent outs) with
+            | None -> Ok (Some outs)
             | Some (name, i, pv, cv) ->
               Error
-                (Diag.error Diag.Semantic ~code:(stage_code stage) ~site
-                   "%s stage disagrees with its parent on %s[%d]: %d vs %d (mod %d, \
-                    round %d of %d)"
-                   stage name i pv cv prime (round + 1) rounds,
-                  stage )
-          in
-          let stage_eval stage f parent =
-            match f () with
-            | outs -> check stage parent (record round stage outs)
-            | exception Oob msg ->
-              Error
                 ( Diag.error Diag.Semantic ~code:(stage_code stage) ~site
-                    "%s stage: %s (round %d of %d)" stage msg (round + 1) rounds,
-                  stage )
-            | exception Abort msg ->
-              Error
-                ( Diag.error Diag.Semantic ~code:"BAR064" ~site
-                    "semantic evaluation aborted at the %s stage: %s" stage msg,
-                  stage )
-          in
-          match
-            match eval_dsl ~extents inputs statements with
-            | outs -> Ok (record round "dsl" outs)
-            | exception Abort msg ->
-              Error
-                ( Diag.error Diag.Semantic ~code:"BAR064" ~site
-                    "semantic evaluation aborted at the dsl stage: %s" msg,
-                  "dsl" )
-          with
-          | Error e -> Error e
-          | Ok dsl -> (
-            match stage_eval "variant" (fun () -> eval_variant ~extents inputs choices) dsl with
-            | Error e -> Error e
-            | Ok variant -> (
-              match stage_eval "tcr" (fun () -> eval_tcr ~extents inputs ir) variant with
-              | Error e -> Error e
-              | Ok tcr -> (
-                match
-                  stage_eval "recipe" (fun () -> eval_recipe ~extents inputs ir points) tcr
-                with
-                | Error e -> Error e
-                | Ok recipe ->
-                  stage_eval "kernel"
-                    (fun () -> eval_kernels ~extents inputs ir kernels)
-                    recipe)))
+                    "%s stage disagrees with its parent on %s[%d]: %d vs %d (mod %d, \
+                     round %d of %d)"
+                    stage name i pv cv prime (round + 1) rounds,
+                  stage ))
+        in
+        let outcome =
+          List.fold_left
+            (fun acc link -> Result.bind acc (fun parent -> step parent link))
+            (Ok None) chain
         in
         match outcome with
         | Ok _ -> run (round + 1)

@@ -14,15 +14,11 @@ type mode =
   | Acc_optimized of Tcr.Space.decomposition list  (* one per op *)
 
 let offset_expr (ir : Tcr.Ir.t) (dims : string list) =
-  let extents = List.map (Tcr.Ir.extent ir) dims in
-  let n = List.length extents in
-  let strides =
-    List.init n (fun i ->
-        List.fold_left ( * ) 1 (List.filteri (fun j _ -> j > i) extents))
-  in
-  List.map2
-    (fun idx stride -> if stride = 1 then idx else Printf.sprintf "%s * %d" idx stride)
-    dims strides
+  let strides = Tensor.Shape.strides (Array.of_list (List.map (Tcr.Ir.extent ir) dims)) in
+  List.mapi
+    (fun pos idx ->
+      if strides.(pos) = 1 then idx else Printf.sprintf "%s * %d" idx strides.(pos))
+    dims
   |> String.concat " + "
 
 let rhs_expr (ir : Tcr.Ir.t) (op : Tcr.Ir.op) =

@@ -9,12 +9,7 @@ let buf_add = Buffer.add_string
    Index variables are tx/ty/bx/by or serial loop variables; [subst]
    rewrites a loop variable, used to print unrolled bodies as "(n + 2)". *)
 let offset_expr (k : Kernel.t) ?(subst = fun v -> v) (dims : string list) =
-  let extents = List.map (Kernel.extent k) dims in
-  let n = List.length extents in
-  let strides =
-    List.init n (fun i ->
-        List.fold_left ( * ) 1 (List.filteri (fun j _ -> j > i) extents))
-  in
+  let strides = Tensor.Shape.strides (Array.of_list (List.map (Kernel.extent k) dims)) in
   let var_of idx =
     let d = k.decomp in
     if idx = d.tx then "tx"
@@ -24,112 +19,25 @@ let offset_expr (k : Kernel.t) ?(subst = fun v -> v) (dims : string list) =
     else subst idx
   in
   let terms =
-    List.map2
-      (fun idx stride ->
+    List.mapi
+      (fun pos idx ->
         let v = var_of idx in
-        if stride = 1 then v else Printf.sprintf "%s * %d" v stride)
-      dims strides
+        if strides.(pos) = 1 then v else Printf.sprintf "%s * %d" v strides.(pos))
+      dims
   in
   String.concat " + " terms
 
 let param_list (k : Kernel.t) =
   String.concat ", " (List.map (fun (name, _) -> "double *" ^ name) k.arrays)
 
-(* The multiply-accumulate statement with loop-variable substitution.
-   Staged factors read their shared tile (offsets over the tile dims only;
-   the block-fixed dims were absorbed by the cooperative load). *)
+(* The multiply-accumulate statement with loop-variable substitution. *)
 let body_stmt (k : Kernel.t) acc_var subst =
   let factors =
     List.map
-      (fun (name, dims) ->
-        match Kernel.staging_of k name with
-        | Some s -> Printf.sprintf "%s_tile[%s]" name (offset_expr k ~subst s.tile_dims)
-        | None -> Printf.sprintf "%s[%s]" name (offset_expr k ~subst dims))
+      (fun (name, dims) -> Printf.sprintf "%s[%s]" name (offset_expr k ~subst dims))
       k.op.factors
   in
   Printf.sprintf "%s = %s + %s;" acc_var acc_var (String.concat " * " factors)
-
-(* Global offset of tile element [lt] of a staged factor: tile dims decoded
-   from lt (row-major), block-fixed dims taken from the block indices. *)
-let tile_load_offset (k : Kernel.t) (s : Kernel.staging) =
-  let dims = List.assoc s.array k.arrays in
-  let extents = List.map (Kernel.extent k) dims in
-  let n = List.length extents in
-  let strides =
-    List.init n (fun i ->
-        List.fold_left ( * ) 1 (List.filteri (fun j _ -> j > i) extents))
-  in
-  let tile_exts = List.map (Kernel.extent k) s.tile_dims in
-  let m = List.length tile_exts in
-  let divs =
-    List.init m (fun i ->
-        List.fold_left ( * ) 1 (List.filteri (fun j _ -> j > i) tile_exts))
-  in
-  let coord idx =
-    let rec pos j = function
-      | [] -> invalid_arg "Cuda.tile_load_offset"
-      | d :: rest -> if d = idx then j else pos (j + 1) rest
-    in
-    let j = pos 0 s.tile_dims in
-    let div = List.nth divs j and ext = List.nth tile_exts j in
-    if div = 1 then Printf.sprintf "(lt %% %d)" ext
-    else Printf.sprintf "((lt / %d) %% %d)" div ext
-  in
-  let d = k.decomp in
-  let terms =
-    List.map2
-      (fun idx stride ->
-        let v =
-          if List.mem idx s.tile_dims then coord idx
-          else if idx = d.bx then "bx"
-          else if Some idx = d.by then "by"
-          else idx
-        in
-        if stride = 1 then v else Printf.sprintf "%s * %d" v stride)
-      dims strides
-  in
-  String.concat " + " terms
-
-(* Cooperative load of every staged tile, then the barrier. A guard
-   restricts the load to threads with tx < n; with [barrier_inside_guard]
-   the __syncthreads() is printed inside that conditional - the classic
-   barrier-under-divergence bug the access analysis flags as BAR072. *)
-let emit_staging line (k : Kernel.t) =
-  let tpb = Kernel.threads_per_block k in
-  let bx_threads = fst k.block in
-  List.iter
-    (fun (s : Kernel.staging) ->
-      line 2
-        (Printf.sprintf "__shared__ double %s_tile[%d];" s.array (Kernel.tile_elements k s)))
-    k.staging;
-  if k.staging <> [] then line 2 "int lt;";
-  List.iter
-    (fun (s : Kernel.staging) ->
-      let elems = Kernel.tile_elements k s in
-      (* participating threads: tx < g when guarded (all ty rows), so the
-         cooperative load strides by its own population and still covers
-         every tile element - a guard narrows the loaders, never the tile *)
-      let g = match s.guard with None -> bx_threads | Some g -> min g bx_threads in
-      let loaders = max 1 (g * (tpb / bx_threads)) in
-      let lt0 = if k.decomp.ty = None then "tx" else Printf.sprintf "tx + %d * ty" g in
-      let load indent =
-        line indent
-          (Printf.sprintf "for (lt = %s; lt < %d; lt += %d) {" lt0 elems loaders);
-        line (indent + 2)
-          (Printf.sprintf "%s_tile[lt] = %s[%s];" s.array s.array (tile_load_offset k s));
-        line indent "}"
-      in
-      match s.guard with
-      | None ->
-        load 2;
-        line 2 "__syncthreads();"
-      | Some g ->
-        line 2 (Printf.sprintf "if (tx < %d) {" g);
-        load 4;
-        if s.barrier_inside_guard then line 4 "__syncthreads();";
-        line 2 "}";
-        if not s.barrier_inside_guard then line 2 "__syncthreads();")
-    k.staging
 
 let emit_kernel (k : Kernel.t) =
   let b = Buffer.create 1024 in
@@ -148,7 +56,6 @@ let emit_kernel (k : Kernel.t) =
     (fun (l : Kernel.loop) -> line 2 (Printf.sprintf "int %s;" l.index))
     k.thread_loops;
   if k.scalar_replaced then line 2 "double nv;";
-  emit_staging line k;
   let out_expr = Printf.sprintf "%s[%s]" k.op.out (offset_expr k k.op.out_indices) in
   let identity v = v in
   (* reduction loops: each may be unrolled (main loop + epilogue), with the

@@ -1,222 +1,114 @@
 (* Interpreter for the kernel IR.
 
-   Executes the same structure the CUDA emitter prints - including the
-   unrolled main loop plus epilogue and the scalar-replaced output - so the
-   test-suite can check that every transformation (decomposition,
-   permutation, unroll, scalar replacement) preserves semantics against the
-   einsum oracle. *)
+   [walk] is the one walk over a kernel's iteration space. It executes the
+   same structure the CUDA emitter prints - grid x block x parallel loops
+   around each output element, reduction loops as the unrolled main loop
+   plus epilogue - and leaves the arithmetic to its caller, which passes
+   closures over its own arrays. Two instances exist: [run_kernel] over
+   floats (checked against the einsum oracle by the test-suite) and the
+   prime-field kernel stage of Check.Semantic (checked against its own
+   stage evaluators), so the validator proves the interpreter that
+   Barracuda.run executes.
+
+   Addresses are formed from the kernel's OWN extents table and
+   bounds-checked against the caller's allocation, so corrupted strides
+   surface as wrong values or [Out_of_bounds] instead of being normalized
+   away. *)
 
 type env = (string * Tensor.Dense.t) list
+
+exception Out_of_bounds of string
 
 let find env name =
   match List.assoc_opt name env with
   | Some t -> t
   | None -> invalid_arg (Printf.sprintf "Exec: unbound tensor %s" name)
 
-(* Compiled array reference: data plus the stride of each index slot. *)
-type ref_code = { data : float array; strides : int array (* per slot *) }
-
-let compile_ref (k : Kernel.t) ~slot_of env (name, dims) =
-  let tensor = find env name in
-  let shape = Tensor.Dense.shape tensor in
-  if Tensor.Shape.rank shape <> List.length dims then
-    invalid_arg (Printf.sprintf "Exec: rank mismatch for %s" name);
-  List.iteri
-    (fun pos i ->
-      if shape.(pos) <> Kernel.extent k i then
-        invalid_arg (Printf.sprintf "Exec: extent mismatch for %s on %s" name i))
-    dims;
-  let tensor_strides = Tensor.Shape.strides shape in
-  let nslots = Array.length (slot_of : (string * int) array) in
-  let strides = Array.make nslots 0 in
-  List.iteri
-    (fun pos i ->
-      let slot =
-        match Array.find_opt (fun (n, _) -> n = i) slot_of with
-        | Some (_, s) -> s
-        | None -> invalid_arg (Printf.sprintf "Exec: index %s has no slot" i)
-      in
-      strides.(slot) <- strides.(slot) + tensor_strides.(pos))
-    dims;
-  { data = Tensor.Dense.data tensor; strides }
-
-let offset r (env_vals : int array) =
-  let off = ref 0 in
-  for s = 0 to Array.length env_vals - 1 do
-    off := !off + (r.strides.(s) * env_vals.(s))
-  done;
-  !off
-
-(* A shared tile for a staged factor, refreshed once per block: the tile
-   dims are decoded row-major from the linear tile element, the block-fixed
-   dims read from the current block indices. The barrier and its guard have
-   no semantic effect under sequential interpretation (the whole tile is
-   materialized before the compute loops) - barrier-under-divergence is a
-   hazard the access analysis proves absent, not a value change here. *)
-type tile_code = {
-  t_data : float array;
-  t_src : float array;
-  t_dims : (int * int) array;   (* per tile dim: extent, global stride *)
-  t_fixed : (int * int) array;  (* per block-fixed dim: slot, global stride *)
-}
-
-let refresh_tile (vals : int array) tc =
-  let base =
-    Array.fold_left (fun acc (slot, gs) -> acc + (gs * vals.(slot))) 0 tc.t_fixed
+(* Walk [k]. Slots hold the decomposition indices first, then the thread
+   loops; each reference compiles to per-slot row-major strides over the
+   kernel's extents. [output off reduce] runs once per output element and
+   must call [reduce]; [point offs] runs at each innermost point with the
+   factors' offsets (a reused buffer). *)
+let walk (k : Kernel.t) ~elements ~output ~point =
+  let kext i =
+    match List.assoc_opt i k.extents with
+    | Some e -> e
+    | None -> invalid_arg (Printf.sprintf "kernel %s has no extent for index %s" k.name i)
   in
-  let m = Array.length tc.t_dims in
-  for t = 0 to Array.length tc.t_data - 1 do
-    let off = ref base and rem = ref t in
-    for j = m - 1 downto 0 do
-      let ext, gs = tc.t_dims.(j) in
-      off := !off + (gs * (!rem mod ext));
-      rem := !rem / ext
-    done;
-    tc.t_data.(t) <- tc.t_src.(!off)
-  done
-
-(* Run one kernel over its grid. Accumulates into the (pre-zeroed or
-   previously accumulated) output tensor, as the generated CUDA does by
-   loading the output into the scalar first. *)
-let run_kernel (k : Kernel.t) (env : env) =
-  let d = k.decomp in
-  (* slot layout: tx, bx, [ty], [by], serial loops *)
-  let index_names =
-    (d.tx :: d.bx :: (Option.to_list d.ty @ Option.to_list d.by))
-    @ List.map (fun (l : Kernel.loop) -> l.index) k.thread_loops
-  in
-  let slot_of = Array.of_list (List.mapi (fun i n -> (n, i)) index_names) in
+  let slots = Array.of_list (Kernel.mapped_indices k @ Kernel.serial_indices k) in
+  let nslots = Array.length slots in
   let slot name =
-    match Array.find_opt (fun (n, _) -> n = name) slot_of with
-    | Some (_, s) -> s
-    | None ->
-      invalid_arg
-        (Printf.sprintf
-           "Exec: index %s has no slot in the kernel's layout (decomposition \
-            indices followed by serial loops); every referenced index must be \
-            driven by one of them"
-           name)
-  in
-  let vals = Array.make (Array.length slot_of) 0 in
-  let out_ref = compile_ref k ~slot_of env (k.op.out, k.op.out_indices) in
-  (* staged factors: compile a shared tile per staging record *)
-  let tiles =
-    List.map
-      (fun (s : Kernel.staging) ->
-        let dims = List.assoc s.array k.arrays in
-        let tensor = find env s.array in
-        let gstrides = Tensor.Shape.strides (Tensor.Dense.shape tensor) in
-        let t_dims =
-          Array.of_list
-            (List.map
-               (fun td ->
-                 let pos =
-                   match List.mapi (fun i d -> (d, i)) dims |> List.assoc_opt td with
-                   | Some p -> p
-                   | None ->
-                     invalid_arg
-                       (Printf.sprintf "Exec: tile dim %s is not a dim of %s" td s.array)
-                 in
-                 (Kernel.extent k td, gstrides.(pos)))
-               s.tile_dims)
-        in
-        let t_fixed =
-          List.mapi (fun i dim -> (dim, i)) dims
-          |> List.filter (fun (dim, _) -> not (List.mem dim s.tile_dims))
-          |> List.map (fun (dim, pos) -> (slot dim, gstrides.(pos)))
-          |> Array.of_list
-        in
-        let t_data = Array.make (Kernel.tile_elements k s) 0.0 in
-        (s.array, { t_data; t_src = Tensor.Dense.data tensor; t_dims; t_fixed }))
-      k.staging
-  in
-  (* a staged factor reads its tile with row-major tile strides; the
-     block-fixed dims were absorbed by the per-block refresh *)
-  let compile_tile_ref (s : Kernel.staging) tc =
-    let tile_exts = List.map (Kernel.extent k) s.tile_dims in
-    let m = List.length tile_exts in
-    let tstrides =
-      List.init m (fun i ->
-          List.fold_left ( * ) 1 (List.filteri (fun j _ -> j > i) tile_exts))
+    let rec go i =
+      if i >= nslots then invalid_arg (Printf.sprintf "kernel %s: index %s has no slot" k.name name)
+      else if slots.(i) = name then i
+      else go (i + 1)
     in
-    let strides = Array.make (Array.length slot_of) 0 in
-    List.iteri
-      (fun j idx -> strides.(slot idx) <- strides.(slot idx) + List.nth tstrides j)
-      s.tile_dims;
-    { data = tc.t_data; strides }
+    go 0
   in
-  let factor_refs =
-    Array.of_list
-      (List.map
-         (fun (name, dims) ->
-           match Kernel.staging_of k name with
-           | Some s -> compile_tile_ref s (List.assoc name tiles)
-           | None -> compile_ref k ~slot_of env (name, dims))
-         k.op.factors)
+  let compile (name, dims) =
+    let size = elements name in
+    let strides = Tensor.Shape.strides (Array.of_list (List.map kext dims)) in
+    let s = Array.make nslots 0 in
+    List.iteri (fun pos dim -> s.(slot dim) <- s.(slot dim) + strides.(pos)) dims;
+    (name, size, s)
   in
+  let out_ref = compile (k.op.out, k.op.out_indices) in
+  let factor_refs = Array.of_list (List.map compile k.op.factors) in
   let nf = Array.length factor_refs in
-  (* innermost body: one multiply-accumulate *)
-  let product () =
-    let p = ref 1.0 in
-    for f = 0 to nf - 1 do
-      let r = factor_refs.(f) in
-      p := !p *. r.data.(offset r vals)
+  let vals = Array.make nslots 0 in
+  let offset (name, size, strides) =
+    let off = ref 0 in
+    for s = 0 to nslots - 1 do
+      off := !off + (strides.(s) * vals.(s))
     done;
-    !p
+    if !off < 0 || !off >= size then
+      raise
+        (Out_of_bounds
+           (Printf.sprintf "kernel %s accesses %s at linear offset %d outside its %d elements"
+              k.name name !off size));
+    !off
   in
-  (* split serial loops: parallel (distinct output elements) outside,
-     reductions inside accumulated into the scalar *)
+  let offs = Array.make nf 0 in
+  let loops ls =
+    List.map (fun (l : Kernel.loop) -> (slot l.index, l.extent, max 1 l.unroll)) ls
+  in
   let parallel_loops, reduction_loops =
     List.partition (fun (l : Kernel.loop) -> l.parallel) k.thread_loops
   in
-  let acc = ref 0.0 in
-  let rec run_reductions = function
-    | [] -> acc := !acc +. product ()
-    | (l : Kernel.loop) :: rest ->
-      let s = slot l.index in
-      let u = l.unroll and e = l.extent in
+  let parallel_loops = loops parallel_loops and reduction_loops = loops reduction_loops in
+  let rec reduce = function
+    | [] ->
+      for f = 0 to nf - 1 do
+        offs.(f) <- offset factor_refs.(f)
+      done;
+      point offs
+    | (s, e, u) :: rest ->
       let i = ref 0 in
       (* unrolled main loop *)
       while !i + u <= e do
         for j = 0 to u - 1 do
           vals.(s) <- !i + j;
-          run_reductions rest
+          reduce rest
         done;
         i := !i + u
       done;
       (* epilogue *)
       while !i < e do
         vals.(s) <- !i;
-        run_reductions rest;
+        reduce rest;
         incr i
       done
   in
-  let run_output_element () =
-    if k.scalar_replaced then begin
-      (* load once, accumulate in the register, store once *)
-      let off = offset out_ref vals in
-      acc := out_ref.data.(off);
-      run_reductions reduction_loops;
-      out_ref.data.(off) <- !acc
-    end
-    else begin
-      (* ablation form: read-modify-write the output every iteration *)
-      acc := 0.0;
-      let off = offset out_ref vals in
-      let saved = out_ref.data.(off) in
-      run_reductions reduction_loops;
-      out_ref.data.(off) <- saved +. !acc
-    end
-  in
-  let rec run_parallel = function
-    | [] -> run_output_element ()
-    | (l : Kernel.loop) :: rest ->
-      let s = slot l.index in
-      for i = 0 to l.extent - 1 do
+  let reductions () = reduce reduction_loops in
+  let rec parallel = function
+    | [] -> output (offset out_ref) reductions
+    | (s, e, _) :: rest ->
+      for i = 0 to e - 1 do
         vals.(s) <- i;
-        run_parallel rest
+        parallel rest
       done
   in
+  let d = k.decomp in
   let bx_e, by_e = k.grid and tx_e, ty_e = k.block in
   let tx_s = slot d.tx and bx_s = slot d.bx in
   let ty_s = Option.map slot d.ty and by_s = Option.map slot d.by in
@@ -224,16 +116,63 @@ let run_kernel (k : Kernel.t) (env : env) =
     Option.iter (fun s -> vals.(s) <- by) by_s;
     for bx = 0 to bx_e - 1 do
       vals.(bx_s) <- bx;
-      List.iter (fun (_, tc) -> refresh_tile vals tc) tiles;
       for ty = 0 to ty_e - 1 do
         Option.iter (fun s -> vals.(s) <- ty) ty_s;
         for tx = 0 to tx_e - 1 do
           vals.(tx_s) <- tx;
-          run_parallel parallel_loops
+          parallel parallel_loops
         done
       done
     done
   done
+
+(* Run one kernel over its grid. Accumulates into the (pre-zeroed or
+   previously accumulated) output tensor, as the generated CUDA does by
+   loading the output into the scalar first. *)
+let run_kernel (k : Kernel.t) (env : env) =
+  let data (name, dims) =
+    let tensor = find env name in
+    let shape = Tensor.Dense.shape tensor in
+    if Tensor.Shape.rank shape <> List.length dims then
+      invalid_arg (Printf.sprintf "Exec: rank mismatch for %s" name);
+    List.iteri
+      (fun pos i ->
+        if shape.(pos) <> Kernel.extent k i then
+          invalid_arg (Printf.sprintf "Exec: extent mismatch for %s on %s" name i))
+      dims;
+    Tensor.Dense.data tensor
+  in
+  let out = data (k.op.out, k.op.out_indices) in
+  let factors = Array.of_list (List.map data k.op.factors) in
+  let nf = Array.length factors in
+  (* the scalar accumulator; a one-cell float array keeps it unboxed *)
+  let acc = [| 0.0 |] in
+  let output off reduce =
+    if k.scalar_replaced then begin
+      (* load once, accumulate in the register, store once *)
+      acc.(0) <- out.(off);
+      reduce ();
+      out.(off) <- acc.(0)
+    end
+    else begin
+      (* ablation form: read-modify-write the output every iteration *)
+      acc.(0) <- 0.0;
+      let saved = out.(off) in
+      reduce ();
+      out.(off) <- saved +. acc.(0)
+    end
+  in
+  (* innermost body: one multiply-accumulate *)
+  let point offs =
+    let p = ref 1.0 in
+    for f = 0 to nf - 1 do
+      p := !p *. factors.(f).(offs.(f))
+    done;
+    acc.(0) <- acc.(0) +. !p
+  in
+  walk k
+    ~elements:(fun name -> Tensor.Dense.num_elements (find env name))
+    ~output ~point
 
 (* Allocate zeroed temporaries and outputs for a program. *)
 let allocate_produced (ir : Tcr.Ir.t) (inputs : env) : env =

@@ -2,33 +2,16 @@
    point (thread/block decomposition + unroll factors), the common output of
    the CUDA-CHiLL-style transformations.
 
-   Both the CUDA printer and the simulator's interpreter consume this exact
-   structure, so the code we "time" is the code we emit. *)
+   [lower] builds every kernel the pipeline runs. The CUDA printer, the
+   simulator's timing model and Exec's interpreter (behind both float
+   execution and translation validation) consume this exact structure, so
+   the code we "time" and prove is the code we emit. *)
 
 type loop = {
   index : string;
   extent : int;
   unroll : int;       (* 1 = no unrolling *)
   parallel : bool;    (* output (parallel) index, vs. reduction *)
-}
-
-(* One factor staged through a shared-memory tile: the block cooperatively
-   loads the factor's per-block footprint into __shared__ storage behind a
-   __syncthreads() barrier, and the compute loops read the tile instead of
-   global memory. [tile_dims] are the dims of the reference that vary
-   within the block (thread-mapped or serial), in reference order; the
-   remaining dims are fixed by the block indices. A [guard] restricts the
-   cooperative load to threads with tx < n - the usual partial-tile shape -
-   and [barrier_inside_guard] places the barrier inside that conditional,
-   which is exactly the barrier-under-divergence bug the access analysis
-   proves absent (BAR072). The direct-lowering pipeline never stages; the
-   field exists for the TTGT/transpose kernel generators and for the
-   verifier's mutation harness. *)
-type staging = {
-  array : string;
-  tile_dims : string list;
-  guard : int option;
-  barrier_inside_guard : bool;
 }
 
 type t = {
@@ -41,7 +24,6 @@ type t = {
   thread_loops : loop list;  (* serial loops inside a thread, outermost first *)
   scalar_replaced : bool;    (* output accumulated in a register *)
   arrays : (string * string list) list;  (* every array referenced, with dims *)
-  staging : staging list;    (* factors staged in shared memory; [] = none *)
 }
 
 let extent k i =
@@ -72,44 +54,7 @@ let flops k =
   total_threads k * serial_iterations k * List.length k.op.factors
 
 (* ------------------------------------------------------------------ *)
-(* Shared-memory staging *)
-
-let tile_elements k (s : staging) =
-  List.fold_left (fun acc d -> acc * extent k d) 1 s.tile_dims
-
-(* Static shared-memory footprint in bytes (8-byte doubles). *)
-let smem_bytes k =
-  List.fold_left (fun acc s -> acc + (8 * tile_elements k s)) 0 k.staging
-
-(* Stage factor [array] through a shared tile: its tile dims are the dims
-   not fixed by the block decomposition (those vary within a block). An
-   optional [guard] restricts the cooperative load to threads with tx < n;
-   [barrier_inside_guard] moves the __syncthreads() inside that guard -
-   the deliberate bug shape used by the mutation harness. *)
-let stage_factor ?guard ?(barrier_inside_guard = false) k array =
-  let dims =
-    match List.assoc_opt array k.op.factors with
-    | Some dims -> dims
-    | None ->
-      invalid_arg
-        (Printf.sprintf "Kernel.stage_factor: %s is not a factor of %s" array k.name)
-  in
-  let block_fixed = k.decomp.bx :: Option.to_list k.decomp.by in
-  let tile_dims = List.filter (fun d -> not (List.mem d block_fixed)) dims in
-  let s = { array; tile_dims; guard; barrier_inside_guard } in
-  { k with staging = k.staging @ [ s ] }
-
-let staging_of k array = List.find_opt (fun s -> s.array = array) k.staging
-
-(* ------------------------------------------------------------------ *)
 (* Lowering *)
-
-let position order i =
-  let rec go pos = function
-    | [] -> max_int
-    | x :: rest -> if x = i then pos else go (pos + 1) rest
-  in
-  go 0 order
 
 (* Lower [op] of [ir] under [point]. Serial loops are ordered with the
    unmapped parallel loops outermost (each computes a distinct output
@@ -150,7 +95,6 @@ let lower ?(scalar_replace = true) ~name (ir : Tcr.Ir.t) (op : Tcr.Ir.op)
       (fun acc (name, dims) -> if List.mem_assoc name acc then acc else acc @ [ (name, dims) ])
       [] refs
   in
-  ignore position;
   {
     name;
     op;
@@ -161,7 +105,6 @@ let lower ?(scalar_replace = true) ~name (ir : Tcr.Ir.t) (op : Tcr.Ir.op)
     thread_loops;
     scalar_replaced = scalar_replace;
     arrays;
-    staging = [];
   }
 
 (* Lower every op of a program under per-op points. Kernels are named

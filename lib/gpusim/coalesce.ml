@@ -20,19 +20,14 @@ type ref_analysis = {
 }
 
 let stride_of (k : Codegen.Kernel.t) dims index =
-  let extents = List.map (Codegen.Kernel.extent k) dims in
-  let n = List.length dims in
   let strides =
-    List.init n (fun i ->
-        List.fold_left ( * ) 1 (List.filteri (fun j _ -> j > i) extents))
+    Tensor.Shape.strides (Array.of_list (List.map (Codegen.Kernel.extent k) dims))
   in
-  let rec go ds ss =
-    match (ds, ss) with
-    | [], [] -> 0
-    | d :: drest, s :: srest -> if d = index then s else go drest srest
-    | _ -> 0
+  let rec go pos = function
+    | [] -> 0
+    | d :: rest -> if d = index then strides.(pos) else go (pos + 1) rest
   in
-  go dims strides
+  go 0 dims
 
 let seg_elems = segment_bytes / element_bytes (* 16 elements per segment *)
 
@@ -132,37 +127,6 @@ let exact_transactions_per_warp (k : Codegen.Kernel.t) dims =
     done
   done;
   !total /. float_of_int nwarps
-
-(* ------------------------------------------------------------------ *)
-(* Shared-memory bank conflicts: 32 banks of 8-byte words (Kepler's 8-byte
-   bank mode; element = word). Lanes hitting the same word broadcast, so
-   the conflict degree is the maximum number of DISTINCT words any bank
-   serves in one warp access. A base shift rotates the bank assignment
-   uniformly, so the degree is independent of the warp's base address -
-   no residue convolution needed. *)
-
-let num_banks = 32
-
-let bank_conflict_degree deltas =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      let bank = ((e mod num_banks) + num_banks) mod num_banks in
-      let words = Option.value ~default:[] (Hashtbl.find_opt tbl bank) in
-      if not (List.mem e words) then Hashtbl.replace tbl bank (e :: words))
-    deltas;
-  Hashtbl.fold (fun _ words acc -> max acc (List.length words)) tbl 1
-
-(* Worst conflict degree across the block's warps for an access whose lane
-   offsets follow [dims] (e.g. a shared tile's layout). *)
-let warp_bank_conflict_degree (k : Codegen.Kernel.t) dims =
-  let tpb = Codegen.Kernel.threads_per_block k in
-  let nwarps = (tpb + 31) / 32 in
-  let deg = ref 1 in
-  for w = 0 to nwarps - 1 do
-    deg := max !deg (bank_conflict_degree (lane_deltas k dims ~lane_base:(w * 32)))
-  done;
-  !deg
 
 (* Loads per thread: a load executes once per iteration of every serial loop
    outside or at the innermost loop its address depends on (the compiler

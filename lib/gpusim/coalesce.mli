@@ -41,18 +41,6 @@ val base_residue_dist : Codegen.Kernel.t -> string list -> m:int -> float array
     average is a finite sum over {!base_residue_dist}. *)
 val exact_transactions_per_warp : Codegen.Kernel.t -> string list -> float
 
-val num_banks : int
-
-(** Shared-memory bank-conflict degree of one warp access with the given
-    lane element offsets: 32 banks of 8-byte words, same-word lanes
-    broadcast; the degree is the max distinct words per bank and is
-    independent of the warp's base address. *)
-val bank_conflict_degree : int list -> int
-
-(** Worst {!bank_conflict_degree} across the block's warps for an access
-    laid out by [dims] (e.g. a shared tile). *)
-val warp_bank_conflict_degree : Codegen.Kernel.t -> string list -> int
-
 (** A load executes once per iteration of every serial loop outside or at
     the innermost loop its address depends on (deeper independent loops
     hoist it). *)

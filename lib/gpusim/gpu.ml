@@ -1,6 +1,6 @@
-(* Device-level simulation of a tuned TCR program: functional execution of
-   the kernel IR on host arrays (bit-exact what the emitted CUDA computes)
-   plus the analytic time estimate.
+(* Device-level simulation of a tuned TCR program: the analytic time
+   estimate of its kernels. Functional execution of the kernel IR (what the
+   emitted CUDA computes) is Codegen.Exec.
 
    [measure] is what the autotuner calls: it skips functional execution
    (variants are validated separately by the test-suite) and returns the
@@ -43,11 +43,6 @@ let measure ?scalar_replace (arch : Arch.t) (ir : Tcr.Ir.t) (points : Tcr.Space.
     kernel_time_s = List.fold_left (fun acc r -> acc +. r.Perf.time_s) 0.0 reports;
     flops = List.fold_left (fun acc r -> acc + r.Perf.flops) 0 reports;
   }
-
-(* Functional execution on the simulated device, for validation: returns the
-   environment extended with temporaries and outputs. *)
-let execute (ir : Tcr.Ir.t) (points : Tcr.Space.point list) inputs =
-  Codegen.Exec.run_program ir points inputs
 
 (* Time of [reps] evaluations with device-resident data: transfers happen
    once, kernels run every repetition (the paper's measurement loop). *)

@@ -1,8 +1,8 @@
-(** Device-level simulation of a tuned TCR program: functional execution of
-    the kernel IR on host arrays (bit-exact what the emitted CUDA computes)
-    plus the analytic time estimate. A deterministic structural-hash noise
-    of up to +/-3% models codegen and run-to-run variation, so equal-flop
-    variants differ slightly, as the paper observes (Section II-B). *)
+(** Device-level simulation of a tuned TCR program: the analytic time
+    estimate of its kernels (functional execution is {!Codegen.Exec}). A
+    deterministic structural-hash noise of up to +/-3% models codegen and
+    run-to-run variation, so equal-flop variants differ slightly, as the
+    paper observes (Section II-B). *)
 
 type report = {
   arch : Arch.t;
@@ -19,10 +19,6 @@ val measure_kernel : Arch.t -> Codegen.Kernel.t -> Perf.kernel_report
 
 (** Whole program under per-statement points. Deterministic. *)
 val measure : ?scalar_replace:bool -> Arch.t -> Tcr.Ir.t -> Tcr.Space.point list -> report
-
-(** Functional execution (see {!Codegen.Exec.run_program}). *)
-val execute :
-  Tcr.Ir.t -> Tcr.Space.point list -> Codegen.Exec.env -> Codegen.Exec.env
 
 (** Time of [reps] evaluations with device-resident data: transfers once,
     kernels every repetition (the paper's measurement loop). *)

@@ -165,97 +165,66 @@ let test_mutation_drop_accumulation () =
   check_bool "caught" false v.Check.Semantic.equivalent;
   check_bool "BAR063" true (has_code "BAR063" v.diags)
 
-(* The barrier mutation is semantically neutral (sequential interpretation
-   materializes the whole tile); it must pass validation and instead be
-   caught by the access analysis as a BAR072 ERROR. *)
-let test_mutation_barrier_divergence () =
-  let _, c, points = first_candidate matmul_src "mm" in
-  let kernels = Codegen.Kernel.lower_program c.Autotune.Tuner.v_ir points in
-  let k, applied = Check.Mutate.apply Check.Mutate.Barrier_under_divergence (List.hd kernels) in
-  check_bool "applied" true applied;
-  let ds = Check.Access.errors k in
-  check_bool "BAR072" true (has_code "BAR072" ds);
-  check_bool "is error" true (Check.Diag.has_errors ds);
-  let b = Autotune.Tuner.benchmark_of_dsl ~label:"mm" matmul_src in
-  let v =
-    Check.Semantic.validate
-      ~mutate_kernel:(fun k -> fst (Check.Mutate.apply Check.Mutate.Barrier_under_divergence k))
-      ~label:"mm" b.statements ~variant_ids:c.Autotune.Tuner.ids
-      ~ir:c.Autotune.Tuner.v_ir ~points
+(* The walker's bounds check is shared: one block past the grid makes
+   float execution raise Exec.Out_of_bounds, and translation validation
+   report the same message as a kernel-stage BAR063. *)
+let test_kernel_oob_shared () =
+  let b, c, points = first_candidate matmul_src "mm" in
+  let ir = c.Autotune.Tuner.v_ir in
+  let grow (k : Codegen.Kernel.t) = { k with grid = (fst k.grid + 1, snd k.grid) } in
+  let k = grow (List.hd (Codegen.Kernel.lower_program ir points)) in
+  let rng = Util.Rng.create 3 in
+  let inputs =
+    List.map
+      (fun (v : Tcr.Ir.var) ->
+        (v.name, Tensor.Dense.random rng (Tcr.Ir.var_shape ir v.name)))
+      (Tcr.Ir.inputs ir)
   in
-  check_bool "semantically neutral" true v.Check.Semantic.equivalent
+  let msg =
+    match Codegen.Exec.run_kernel k (Codegen.Exec.allocate_produced ir inputs) with
+    | () -> Alcotest.fail "grown grid executed without an out-of-bounds access"
+    | exception Codegen.Exec.Out_of_bounds msg -> msg
+  in
+  let contains = Astring_contains.contains in
+  check_bool "names the kernel" true (contains msg "kernel mm_GPU_1 ");
+  check_bool "names the output" true (contains msg " accesses C ");
+  let v =
+    Check.Semantic.validate ~mutate_kernel:grow ~label:"mm" b.statements
+      ~variant_ids:c.Autotune.Tuner.ids ~ir ~points
+  in
+  Alcotest.(check (option string)) "failed at kernel" (Some "kernel") v.failed_stage;
+  match v.diags with
+  | [ d ] ->
+    Alcotest.(check string) "BAR063" "BAR063" d.code;
+    check_bool "same message" true (contains d.message msg)
+  | ds -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds)
 
 (* ---------------- symbolic access analysis ---------------- *)
 
-let mm_point_kernel ?(src = matmul_src) () =
-  let _, c, points = first_candidate src "mm" in
+let mm_point_kernel () =
+  let _, c, points = first_candidate matmul_src "mm" in
   List.hd (Codegen.Kernel.lower_program c.Autotune.Tuner.v_ir points)
 
-(* The clean matmul kernel: output ref first, exact and model coalescing
-   agree (aligned 32-extent tiles keep every warp representative), and
+(* The clean matmul kernel: exact and model coalescing agree on every
+   reference (aligned 32-extent tiles keep every warp representative), and
    the error pass is empty. *)
 let test_access_summary_clean () =
   let k = mm_point_kernel () in
-  let s = Check.Access.summarize k in
-  Alcotest.(check string) "kernel name" k.Codegen.Kernel.name s.Check.Access.kernel;
-  (match s.refs with
-  | out :: _ -> Alcotest.(check string) "output ref first" "C" out.Check.Access.name
-  | [] -> Alcotest.fail "no refs");
   List.iter
-    (fun (r : Check.Access.ref_summary) ->
+    (fun (name, dims) ->
+      let exact = Gpusim.Coalesce.exact_transactions_per_warp k dims in
+      let model = Gpusim.Coalesce.transactions_per_warp k dims in
       check_bool
-        (Printf.sprintf "%s: exact %.2f within [1, 32]" r.name r.exact_transactions)
+        (Printf.sprintf "%s: exact %.2f within [1, 32]" name exact)
         true
-        (r.exact_transactions >= 1.0 && r.exact_transactions <= 32.0);
+        (exact >= 1.0 && exact <= 32.0);
       check_bool
-        (Printf.sprintf "%s: model agrees with exact grid average" r.name)
+        (Printf.sprintf "%s: model agrees with exact grid average" name)
         true
-        (Float.abs (r.model_transactions -. r.exact_transactions)
-        <= Check.Access.model_divergence_threshold))
-    s.refs;
-  check_int "smem matches kernel" (Codegen.Kernel.smem_bytes k) s.smem_bytes;
-  check_int "no errors" 0 (List.length (Check.Access.errors k))
-
-(* Under tx = i, bx = j the A[i k] tile keeps both dims (only j is
-   block-fixed), so lane l reads element l * extent(k): every lane lands
-   in the same 8-byte-word bank - a full 32-way conflict, reported
-   exactly by BAR071. The B[k j] tile collapses to [k], invariant across
-   lanes - a broadcast, degree 1. *)
-let test_access_bank_conflict_pin () =
-  let _, c, points = first_candidate matmul_src "mm" in
-  let ir = c.Autotune.Tuner.v_ir in
-  let p =
-    { (List.hd points) with
-      Tcr.Space.decomp = { Tcr.Space.tx = "i"; ty = None; bx = "j"; by = None } }
-  in
-  let k = Codegen.Kernel.lower ~name:"mm_GPU_1" ir (List.hd ir.Tcr.Ir.ops) p in
-  let conflicted = Codegen.Kernel.stage_factor k "A" in
-  let s = Check.Access.summarize conflicted in
-  (match s.tiles with
-  | [ t ] ->
-    Alcotest.(check string) "staged array" "A" t.Check.Access.array;
-    Alcotest.(check (list string)) "tile keeps both dims" [ "i"; "k" ] t.tile_dims;
-    check_int "32-way conflict" 32 t.conflict_degree
-  | _ -> Alcotest.fail "expected one tile");
-  check_bool "BAR071 fires" true
-    (has_code "BAR071" (Check.Access.lints Gpusim.Arch.gtx980 conflicted));
-  let broadcast = Codegen.Kernel.stage_factor k "B" in
-  (match (Check.Access.summarize broadcast).tiles with
-  | [ t ] -> check_int "broadcast degree" 1 t.conflict_degree
-  | _ -> Alcotest.fail "expected one tile")
-
-(* A staged tile past the 48 KB budget is a BAR077 error even with lints
-   off; the same shape under budget is clean. *)
-let test_access_smem_budget () =
-  let big = "dims: i=32 j=32 k=8192\nC[i j] = Sum([k], A[i k] * B[k j])" in
-  let k = Codegen.Kernel.stage_factor (mm_point_kernel ~src:big ()) "A" in
-  check_bool "over budget" true (Codegen.Kernel.smem_bytes k > Check.Access.max_smem_bytes);
-  let ds = Check.Access.errors k in
-  check_bool "BAR077" true (has_code "BAR077" ds);
-  check_bool "is error" true (Check.Diag.has_errors ds);
-  let small = Codegen.Kernel.stage_factor (mm_point_kernel ()) "A" in
-  check_bool "under budget is clean" false
-    (has_code "BAR077" (Check.Access.errors small))
+        (Float.abs (model -. exact) <= Check.Access.model_divergence_threshold))
+    ((k.op.out, k.op.out_indices) :: k.op.factors);
+  check_int "no errors" 0
+    (List.length (Check.Kernel_check.check ~lints:false Gpusim.Arch.gtx980 k))
 
 (* ---------------- the tuner's semantic gate ---------------- *)
 
@@ -396,11 +365,10 @@ let suite =
     Alcotest.test_case "mutation: swap-index" `Quick test_mutation_swap_index;
     Alcotest.test_case "mutation: corrupt-stride" `Quick test_mutation_corrupt_stride;
     Alcotest.test_case "mutation: drop-accumulation" `Quick test_mutation_drop_accumulation;
-    Alcotest.test_case "mutation: barrier-divergence" `Quick test_mutation_barrier_divergence;
+    Alcotest.test_case "kernel stage: out-of-bounds shared with Exec" `Quick
+      test_kernel_oob_shared;
     Alcotest.test_case "mutation names roundtrip" `Quick test_mutation_names_roundtrip;
     Alcotest.test_case "access: clean summary" `Quick test_access_summary_clean;
-    Alcotest.test_case "access: bank-conflict pin" `Quick test_access_bank_conflict_pin;
-    Alcotest.test_case "access: smem budget" `Quick test_access_smem_budget;
     Alcotest.test_case "gate: fixed-seed tune bit-identical on/off" `Quick
       test_semantic_gate_bit_identical;
     Alcotest.test_case "gate: oracle budget" `Quick test_semantic_gate_budget_skip;
