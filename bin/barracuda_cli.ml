@@ -770,10 +770,17 @@ let cmd_check =
              validation round (implies --semantic).")
   in
   let rounds_arg =
+    let parse s =
+      match Arg.conv_parser Arg.int s with
+      | Ok k when k < 1 -> Error (`Msg (Printf.sprintf "%d rounds: validation needs at least one" k))
+      | r -> r
+    in
+    let rounds_conv = Arg.conv ~docv:"K" (parse, Format.pp_print_int) in
     Arg.(
-      value & opt int Check.Semantic.default_rounds
+      value
+      & opt rounds_conv Check.Semantic.default_rounds
       & info [ "rounds" ] ~docv:"K"
-          ~doc:"Schwartz-Zippel rounds for --semantic.")
+          ~doc:"Schwartz-Zippel rounds for --semantic (at least 1).")
   in
   let sz_seed_arg =
     Arg.(

@@ -40,7 +40,9 @@ exception Abort of string
 let abort fmt = Printf.ksprintf (fun s -> raise (Abort s)) fmt
 
 (* F_p arithmetic, p = 2^31 - 1 (Mersenne). Products fit 63-bit native
-   ints: (p-1)^2 = (2^31-2)^2 < 2^62 <= max_int. *)
+   ints: (p-1)^2 = (2^31-2)^2 < 2^62 <= max_int. Every tensor entry is
+   already reduced (inputs are drawn from [0, p), outputs start at 0), so a
+   product starts from its first factor rather than from 1. *)
 let prime = 2147483647
 
 let addp a b =
@@ -97,7 +99,10 @@ let with_produced (inputs : env) extents (produced : (string * string list) list
 (* Generic sum-of-products evaluation: out[out_dims] += prod factors,
    iterating [order] (which must drive every referenced index; a wrong
    order - missing, duplicated or extra indices - either aborts or shows
-   up as a wrong value, exactly what the validation is for). *)
+   up as a wrong value, exactly what the validation is for). Offsets are
+   running sums: loop level [s] alone binds slot [s] (a duplicated index
+   carries its strides on its first slot only), so each iteration adds the
+   slot's strides and the loop's end takes back [extent x stride]. *)
 
 let eval_sop ~extents (env : env) ~out:(oname, odims) ~factors ~order =
   let slots = Array.of_list order in
@@ -120,26 +125,36 @@ let eval_sop ~extents (env : env) ~out:(oname, odims) ~factors ~order =
   let odata, ostrides = compile (oname, odims) in
   let factor_refs = Array.of_list (List.map compile factors) in
   let exts = Array.of_list (List.map (ext_of extents) order) in
-  let vals = Array.make nslots 0 in
-  let offset strides =
-    let off = ref 0 in
-    for i = 0 to nslots - 1 do
-      off := !off + (strides.(i) * vals.(i))
-    done;
-    !off
+  let nf = Array.length factor_refs in
+  let fdata = Array.map fst factor_refs in
+  (* column [s]: each factor's stride at slot [s] *)
+  let fcols = Array.init nslots (fun s -> Array.map (fun (_, str) -> str.(s)) factor_refs) in
+  let ooff = ref 0 in
+  let offs = Array.make nf 0 in
+  let advance s by =
+    ooff := !ooff + (ostrides.(s) * by);
+    let col = fcols.(s) in
+    for f = 0 to nf - 1 do
+      offs.(f) <- offs.(f) + (col.(f) * by)
+    done
   in
   let rec go s =
     if s = nslots then begin
-      let p = ref 1 in
-      Array.iter (fun (data, str) -> p := mulp !p data.(offset str)) factor_refs;
-      let o = offset ostrides in
+      let p = ref (if nf = 0 then 1 else fdata.(0).(offs.(0))) in
+      for f = 1 to nf - 1 do
+        p := mulp !p fdata.(f).(offs.(f))
+      done;
+      let o = !ooff in
       odata.(o) <- addp odata.(o) !p
     end
-    else
-      for v = 0 to exts.(s) - 1 do
-        vals.(s) <- v;
-        go (s + 1)
-      done
+    else begin
+      let e = exts.(s) in
+      for _ = 1 to e do
+        go (s + 1);
+        advance s 1
+      done;
+      advance s (-e)
+    end
   in
   go 0
 
@@ -263,8 +278,8 @@ let eval_kernel (env : env) (k : Codegen.Kernel.t) =
     end
   in
   let point offs =
-    let p = ref 1 in
-    for f = 0 to nf - 1 do
+    let p = ref (if nf = 0 then 1 else factors.(0).(offs.(0))) in
+    for f = 1 to nf - 1 do
       p := mulp !p factors.(f).(offs.(f))
     done;
     acc := addp !acc !p
@@ -291,15 +306,30 @@ type verdict = {
   diags : Diag.t list;
 }
 
+(* Appends a field element (in [0, p)) in decimal, as [string_of_int]
+   prints it. *)
+let rec add_decimal buf n =
+  if n >= 10 then add_decimal buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+
+(* MD5 hex of a stage's outputs: each output is [name:] and its elements in
+   decimal joined by [,], and the outputs are joined by [;]. *)
 let digest outs =
-  Digest.to_hex
-    (Digest.string
-       (String.concat ";"
-          (List.map
-             (fun (name, data) ->
-               name ^ ":"
-               ^ String.concat "," (List.map string_of_int (Array.to_list data)))
-             outs)))
+  let buf =
+    Buffer.create (List.fold_left (fun n (_, data) -> n + 16 + (11 * Array.length data)) 0 outs)
+  in
+  List.iteri
+    (fun i (name, data) ->
+      if i > 0 then Buffer.add_char buf ';';
+      Buffer.add_string buf name;
+      Buffer.add_char buf ':';
+      Array.iteri
+        (fun j x ->
+          if j > 0 then Buffer.add_char buf ',';
+          add_decimal buf x)
+        data)
+    outs;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* First element on which two stages' outputs disagree. *)
 let first_mismatch parent child =
@@ -354,10 +384,11 @@ let gate_budget = 4_000_000
 
 (* Validate one tuned candidate's full lineage. [mutate_kernel] rewrites
    each lowered kernel before interpretation (the mutation self-test
-   harness); [rounds] Schwartz-Zippel rounds with fresh random inputs each,
-   all derived from [seed]. *)
+   harness); [rounds] (at least one) Schwartz-Zippel rounds with fresh
+   random inputs each, all derived from [seed]. *)
 let validate ?(rounds = default_rounds) ?(seed = default_seed) ?mutate_kernel ~label
     (statements : Octopi.Contraction.t list) ~variant_ids ~(ir : Tcr.Ir.t) ~points =
+  if rounds < 1 then invalid_arg "Semantic.validate: rounds must be >= 1";
   let site = label in
   let abort_diag stage msg =
     Diag.error Diag.Semantic ~code:"BAR064" ~site
@@ -405,9 +436,20 @@ let validate ?(rounds = default_rounds) ?(seed = default_seed) ?mutate_kernel ~l
     in
     let rng = Util.Rng.create seed in
     let stages = ref [] in
-    let record round name outs =
-      if round = 0 then stages := (name, digest outs) :: !stages;
-      outs
+    (* Round 1's digests, newest first, so the head is the parent's. A
+       stage that agrees with its parent over the same output names has the
+       parent's digest text (a name repeated within one stage is one
+       array), so it takes the parent's digest; the first stage and a stage
+       that differs are digested. *)
+    let record stage parent outs mismatch =
+      let d =
+        match (parent, mismatch, !stages) with
+        | Some parent, None, (_, parent_digest) :: _
+          when List.equal (fun (a, _) (b, _) -> String.equal a b) parent outs ->
+          parent_digest
+        | _ -> digest outs
+      in
+      stages := (stage, d) :: !stages
     in
     let rec run round =
       if round >= rounds then
@@ -431,8 +473,9 @@ let validate ?(rounds = default_rounds) ?(seed = default_seed) ?mutate_kernel ~l
                   "%s stage: %s (round %d of %d)" stage msg (round + 1) rounds,
                 stage )
           | outs -> (
-            let outs = record round stage outs in
-            match Option.bind parent (fun parent -> first_mismatch parent outs) with
+            let mismatch = Option.bind parent (fun parent -> first_mismatch parent outs) in
+            if round = 0 then record stage parent outs mismatch;
+            match mismatch with
             | None -> Ok (Some outs)
             | Some (name, i, pv, cv) ->
               Error

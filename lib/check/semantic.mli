@@ -48,7 +48,8 @@ type verdict = {
     [variant_ids] the chosen OCTOPI variant per statement, [ir] the merged
     TCR program, [points] one search point per op. [mutate_kernel] rewrites
     each lowered kernel before interpretation (the mutation self-test
-    harness). Deterministic in [seed]. *)
+    harness). Deterministic in [seed]. Raises [Invalid_argument] when
+    [rounds] is below 1: no round, no proof. *)
 val validate :
   ?rounds:int ->
   ?seed:int ->

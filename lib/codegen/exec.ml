@@ -26,9 +26,14 @@ let find env name =
 
 (* Walk [k]. Slots hold the decomposition indices first, then the thread
    loops; each reference compiles to per-slot row-major strides over the
-   kernel's extents. [output off reduce] runs once per output element and
-   must call [reduce]; [point offs] runs at each innermost point with the
-   factors' offsets (a reused buffer). *)
+   kernel's extents. Offsets are running sums: a slot write moves every
+   reference's offset by its stride at that slot times the change in the
+   slot's value, so an offset always equals the dot product of strides and
+   slot values - also when two loop levels bind one slot (an ill-formed
+   decomposition such as tx = bx), where the last write wins. [output off
+   reduce] runs once per output element and must call [reduce]; [point
+   offs] runs at each innermost point with the factors' offsets (the
+   walker's own buffer: read it, never write it). *)
 let walk (k : Kernel.t) ~elements ~output ~point =
   let kext i =
     match List.assoc_opt i k.extents with
@@ -52,23 +57,32 @@ let walk (k : Kernel.t) ~elements ~output ~point =
     List.iteri (fun pos dim -> s.(slot dim) <- s.(slot dim) + strides.(pos)) dims;
     (name, size, s)
   in
-  let out_ref = compile (k.op.out, k.op.out_indices) in
+  let out_name, out_size, out_strides = compile (k.op.out, k.op.out_indices) in
   let factor_refs = Array.of_list (List.map compile k.op.factors) in
   let nf = Array.length factor_refs in
+  (* column [s]: each factor's stride at slot [s] *)
+  let factor_cols =
+    Array.init nslots (fun s -> Array.map (fun (_, _, strides) -> strides.(s)) factor_refs)
+  in
   let vals = Array.make nslots 0 in
-  let offset (name, size, strides) =
-    let off = ref 0 in
-    for s = 0 to nslots - 1 do
-      off := !off + (strides.(s) * vals.(s))
-    done;
-    if !off < 0 || !off >= size then
+  let out_off = ref 0 in
+  let offs = Array.make nf 0 in
+  let set s v =
+    let d = v - vals.(s) in
+    vals.(s) <- v;
+    out_off := !out_off + (out_strides.(s) * d);
+    let col = factor_cols.(s) in
+    for f = 0 to nf - 1 do
+      offs.(f) <- offs.(f) + (col.(f) * d)
+    done
+  in
+  let check name size off =
+    if off < 0 || off >= size then
       raise
         (Out_of_bounds
            (Printf.sprintf "kernel %s accesses %s at linear offset %d outside its %d elements"
-              k.name name !off size));
-    !off
+              k.name name off size))
   in
-  let offs = Array.make nf 0 in
   let loops ls =
     List.map (fun (l : Kernel.loop) -> (slot l.index, l.extent, max 1 l.unroll)) ls
   in
@@ -79,7 +93,8 @@ let walk (k : Kernel.t) ~elements ~output ~point =
   let rec reduce = function
     | [] ->
       for f = 0 to nf - 1 do
-        offs.(f) <- offset factor_refs.(f)
+        let name, size, _ = factor_refs.(f) in
+        check name size offs.(f)
       done;
       point offs
     | (s, e, u) :: rest ->
@@ -87,24 +102,26 @@ let walk (k : Kernel.t) ~elements ~output ~point =
       (* unrolled main loop *)
       while !i + u <= e do
         for j = 0 to u - 1 do
-          vals.(s) <- !i + j;
+          set s (!i + j);
           reduce rest
         done;
         i := !i + u
       done;
       (* epilogue *)
       while !i < e do
-        vals.(s) <- !i;
+        set s !i;
         reduce rest;
         incr i
       done
   in
   let reductions () = reduce reduction_loops in
   let rec parallel = function
-    | [] -> output (offset out_ref) reductions
+    | [] ->
+      check out_name out_size !out_off;
+      output !out_off reductions
     | (s, e, _) :: rest ->
       for i = 0 to e - 1 do
-        vals.(s) <- i;
+        set s i;
         parallel rest
       done
   in
@@ -113,13 +130,13 @@ let walk (k : Kernel.t) ~elements ~output ~point =
   let tx_s = slot d.tx and bx_s = slot d.bx in
   let ty_s = Option.map slot d.ty and by_s = Option.map slot d.by in
   for by = 0 to by_e - 1 do
-    Option.iter (fun s -> vals.(s) <- by) by_s;
+    Option.iter (fun s -> set s by) by_s;
     for bx = 0 to bx_e - 1 do
-      vals.(bx_s) <- bx;
+      set bx_s bx;
       for ty = 0 to ty_e - 1 do
-        Option.iter (fun s -> vals.(s) <- ty) ty_s;
+        Option.iter (fun s -> set s ty) ty_s;
         for tx = 0 to tx_e - 1 do
-          vals.(tx_s) <- tx;
+          set tx_s tx;
           parallel parallel_loops
         done
       done

@@ -23,7 +23,8 @@ exception Out_of_bounds of string
     [output off reduce] runs once per output element with the output's
     offset and must call [reduce] to run that element's reductions.
     [point offs] runs at each innermost point with the factors' offsets in
-    [k.op.factors] order; the buffer is reused between calls. *)
+    [k.op.factors] order. The buffer is the walker's running offsets, kept
+    from one point to the next: read it, never write it. *)
 val walk :
   Kernel.t ->
   elements:(string -> int) ->

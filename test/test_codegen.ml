@@ -150,6 +150,23 @@ let test_exec_accumulating_ops () =
   Alcotest.(check bool) "accumulation correct" true
     (outputs_match ir (first_points ir) inputs)
 
+(* A slot bound by two loop levels keeps its last write, as the generated
+   CUDA's index variable would. With bx bound to tx's index j, every block
+   sweeps j again, so each output element gets its dot product once per
+   block: 5 times the reference. *)
+let test_exec_last_write_wins () =
+  let src = "dims: i=6 j=5 k=4\nC[i j] = Sum([k], A[i k] * B[k j])" in
+  let set = match Octopi.Variants.of_string src with [ s ] -> s | _ -> assert false in
+  let ir = ir_of (List.hd set.variants) set in
+  let point = List.hd (first_points ir) in
+  Alcotest.(check string) "tx binds j" "j" point.decomp.tx;
+  let point = { point with decomp = { point.decomp with bx = point.decomp.tx } } in
+  let inputs = random_inputs ir in
+  let got = List.assoc "C" (Codegen.Exec.run_program ir [ point ] inputs) in
+  let want = List.assoc "C" (Codegen.Exec.run_reference ir inputs) in
+  Alcotest.(check bool) "5 x reference" true
+    (Tensor.Dense.approx_equal (Tensor.Dense.scale 5.0 want) got)
+
 let test_exec_rejects_unbound () =
   let set = variant_set () in
   let ir = ir_of (List.hd set.variants) set in
@@ -268,6 +285,7 @@ let suite =
     ("exec random points", `Quick, test_exec_random_points);
     ("exec unroll epilogue", `Quick, test_exec_unroll_epilogue);
     ("exec accumulating ops", `Quick, test_exec_accumulating_ops);
+    ("exec last write wins on a shared slot", `Quick, test_exec_last_write_wins);
     ("exec rejects unbound tensor", `Quick, test_exec_rejects_unbound);
     QCheck_alcotest.to_alcotest qcheck_exec;
     ("cuda structure", `Quick, test_cuda_structure);

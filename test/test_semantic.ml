@@ -32,15 +32,35 @@ let validate ?rounds ?mutate_kernel src label =
 
 (* ---------------- translation validation ---------------- *)
 
+(* Stage digests at the default rounds and seed. A stage that agrees with
+   its parent over the same output names takes the parent's digest; the
+   pinned bytes show it is the digest a fresh one would give. *)
+let mm_digest = "46ef140b6e1582da2e88d9fcc7fbfee6"
+
+let stage_digests = Alcotest.(check (list (pair string string)))
+
 let test_matmul_equivalent () =
   let v = validate matmul_src "mm" in
   check_bool "equivalent" true v.Check.Semantic.equivalent;
   check_int "no diags" 0 (List.length v.diags);
-  check_int "five stage digests" 5 (List.length v.stages);
-  Alcotest.(check (list string))
-    "stage order"
-    [ "dsl"; "variant"; "tcr"; "recipe"; "kernel" ]
-    (List.map fst v.stages)
+  stage_digests "five stages in order, pinned"
+    (List.map (fun s -> (s, mm_digest)) [ "dsl"; "variant"; "tcr"; "recipe"; "kernel" ])
+    v.stages
+
+(* Two statements accumulating into C list C twice at dsl and variant but
+   once from tcr on: the stages agree, yet tcr is digested fresh. *)
+let test_digest_when_names_differ () =
+  let src =
+    "dims: i=4 j=3 k=5\n\
+     C[i j] = Sum([k], A[i k] * B[k j])\n\
+     C[i j] = Sum([k], D[i k] * E[k j])"
+  in
+  let v = validate src "acc" in
+  check_bool "equivalent" true v.Check.Semantic.equivalent;
+  let twice = "db0c0a2427d7fdce0771b07ac3b67c55" and once = "397849c0ffade20dfeaa6c700c5b45df" in
+  stage_digests "C;C then C"
+    [ ("dsl", twice); ("variant", twice); ("tcr", once); ("recipe", once); ("kernel", once) ]
+    v.stages
 
 let test_validate_deterministic () =
   let a = validate matmul_src "mm" and b = validate matmul_src "mm" in
@@ -97,6 +117,15 @@ let test_permuted_schedule_equivalent () =
   in
   check_bool "permuted+unrolled point equivalent" true v.equivalent
 
+let test_rounds_must_be_positive () =
+  List.iter
+    (fun rounds ->
+      Alcotest.check_raises
+        (Printf.sprintf "rounds %d" rounds)
+        (Invalid_argument "Semantic.validate: rounds must be >= 1")
+        (fun () -> ignore (validate ~rounds matmul_src "mm")))
+    [ 0; -3 ]
+
 (* ---------------- stage-injection pins ---------------- *)
 
 (* Corrupting the TCR stage (an op's factors) must be blamed on tcr
@@ -147,11 +176,21 @@ let mutation_caught m =
   in
   (!applied, v)
 
+(* The stage that disagrees with its parent is digested fresh. *)
 let test_mutation_swap_index () =
   let applied, v = mutation_caught Check.Mutate.Swap_factor_indices in
   check_bool "applied" true applied;
   check_bool "caught" false v.Check.Semantic.equivalent;
-  check_bool "BAR063" true (has_code "BAR063" v.diags)
+  stage_digests "failing kernel stage digested"
+    (List.map (fun s -> (s, mm_digest)) [ "dsl"; "variant"; "tcr"; "recipe" ]
+    @ [ ("kernel", "0d02ad7e00af666071c48330e6792127") ])
+    v.stages;
+  match v.diags with
+  | [ d ] ->
+    Alcotest.(check string) "BAR063" "BAR063" d.code;
+    check_bool "first mismatch" true
+      (Astring_contains.contains d.message "on C[0]: 861637739 vs 1608435588")
+  | ds -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds)
 
 let test_mutation_corrupt_stride () =
   let applied, v = mutation_caught Check.Mutate.Corrupt_stride in
@@ -357,7 +396,10 @@ let test_mutation_names_roundtrip () =
 let suite =
   [
     Alcotest.test_case "matmul equivalent" `Quick test_matmul_equivalent;
+    Alcotest.test_case "digests: differing output names digested fresh" `Quick
+      test_digest_when_names_differ;
     Alcotest.test_case "deterministic" `Quick test_validate_deterministic;
+    Alcotest.test_case "rounds must be positive" `Quick test_rounds_must_be_positive;
     Alcotest.test_case "eqn1 all variants" `Slow test_eqn1_all_variants;
     Alcotest.test_case "permuted schedule equivalent" `Quick test_permuted_schedule_equivalent;
     Alcotest.test_case "tcr corruption is BAR061" `Quick test_tcr_corruption_is_bar061;
