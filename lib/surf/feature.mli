@@ -16,8 +16,11 @@ val make_schema : features list -> schema
 
 val dimension : schema -> int
 
-(** Encode a sample; unknown categories light no column, missing numerics
-    encode as 0. *)
+(** [encode schema] builds the name-to-column lookup once; the function it
+    returns encodes one sample in a single pass over its entries. Apply it
+    once and reuse it for every sample. Only a name's first occurrence
+    counts; unknown categories light no column; missing numerics, a [Num]
+    on a one-hot name and a [Cat] on a numeric name encode as 0. *)
 val encode : schema -> features -> float array
 
 (** ["tx=i"] for one-hot columns, the plain name for numeric ones. *)

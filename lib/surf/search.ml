@@ -5,7 +5,7 @@
    finite configuration pool:
    1. sample and evaluate an initial batch,
    2. fit the forest surrogate on (features, objective) pairs,
-   3. repeatedly evaluate the [batch_size] unevaluated configurations the
+   3. repeatedly evaluate the [batch_size] unevaluated pool positions the
       model predicts best, refit, until [max_evals]. *)
 
 type 'a evaluation = { config : 'a; objective : float }
@@ -74,8 +74,60 @@ let random_search rng ~pool ~eval ~max_evals =
   in
   make_result ~pool_size:(Array.length pool) history
 
-(* SURF, Algorithm 2. [encode] maps a configuration to its binarized
-   feature vector (built once per pool by the caller via [Feature]).
+(* A pool position's encoded row, kept as its entries whose bits are not
+   +0.0: scattering them over a zeroed row rebuilds the row bit for bit. *)
+type row = { cols : int array; vals : float array }
+
+(* Encode every pool position once, in position order. *)
+let sparse_rows ~encode pool =
+  let width = ref (-1) in
+  let rows =
+    Array.map
+      (fun c ->
+        let dense = encode c in
+        if !width < 0 then width := Array.length dense
+        else if Array.length dense <> !width then
+          invalid_arg "Search.surf: encoded rows differ in width";
+        let nz = ref [] in
+        for j = Array.length dense - 1 downto 0 do
+          if Int64.bits_of_float dense.(j) <> 0L then nz := j :: !nz
+        done;
+        let cols = Array.of_list !nz in
+        { cols; vals = Array.map (fun j -> dense.(j)) cols })
+      pool
+  in
+  (!width, rows)
+
+(* The [k] unevaluated positions with the lowest scores, ordered by (score,
+   position) under float [compare]: exactly the first [k] of a stable sort
+   of the unevaluated positions in pool order, ties and NaN included. One
+   pass, keeping the best so far in a small sorted buffer. *)
+let k_best k scores evaluated =
+  if k <= 0 then []
+  else begin
+    let kept = Array.make k 0 and m = ref 0 in
+    Array.iteri
+      (fun p s ->
+        if
+          (not evaluated.(p))
+          && (!m < k || Float.compare s scores.(kept.(k - 1)) < 0)
+        then begin
+          (* a later position goes after every kept entry it ties *)
+          let i = ref (min !m (k - 1)) in
+          while !i > 0 && Float.compare scores.(kept.(!i - 1)) s > 0 do
+            kept.(!i) <- kept.(!i - 1);
+            decr i
+          done;
+          kept.(!i) <- p;
+          if !m < k then incr m
+        end)
+      scores;
+    List.init !m (fun i -> kept.(i))
+  end
+
+(* SURF, Algorithm 2, over pool positions. [encode] maps a configuration to
+   its binarized feature vector; the search calls it once per position, at
+   the first refit, and keeps the rows sparse.
 
    [eval_batch] evaluates one iteration's batch as a unit - the paper runs
    "up to ten evaluations concurrently" - and defaults to the sequential
@@ -97,21 +149,25 @@ let surf ?(config = default_config) ?eval_batch rng ~pool ~encode ~eval =
       ])
     "surf.search"
   @@ fun search_span ->
-  let remaining = ref (Array.to_list pool) in
+  let evaluated = Array.make pool_size false in
+  let positions = ref [] in  (* evaluated positions, newest first *)
   let history = ref [] in
+  let evaluations = ref 0 in
   let iterations = ref [] in
   let iter_no = ref 0 in
   (* Hard budget clamp: however a batch was proposed, never evaluate past
      [nmax], so [batch_size] exceeding the remaining budget cannot
      overshoot [max_evals]. Returns the objectives actually evaluated. *)
-  let evaluate configs =
-    let left = nmax - List.length !history in
-    let configs = List.filteri (fun i _ -> i < left) configs in
-    let objectives = eval_batch configs in
+  let evaluate batch =
+    let batch = List.filteri (fun i _ -> i < nmax - !evaluations) batch in
+    let objectives = eval_batch (List.map (fun p -> pool.(p)) batch) in
     List.iter2
-      (fun c objective -> history := { config = c; objective } :: !history)
-      configs objectives;
-    remaining := List.filter (fun c -> not (List.memq c configs)) !remaining;
+      (fun p objective ->
+        evaluated.(p) <- true;
+        incr evaluations;
+        positions := p :: !positions;
+        history := { config = pool.(p); objective } :: !history)
+      batch objectives;
     objectives
   in
   (* Convergence telemetry: one record per batch. [predicted], when given,
@@ -136,7 +192,7 @@ let surf ?(config = default_config) ?eval_batch rng ~pool ~encode ~eval =
         {
           Obs.Search_log.iter = !iter_no;
           batch = List.length objectives;
-          evaluations = List.length !history;
+          evaluations = !evaluations;
           pool_size;
           best_so_far;
           batch_best = Util.Stats.min_list objectives;
@@ -152,77 +208,96 @@ let surf ?(config = default_config) ?eval_batch rng ~pool ~encode ~eval =
   (* line 1-2: initial random batch *)
   Obs.Trace.with_span ~cat:"surf" "surf.iteration" (fun span ->
       let initial =
-        Array.to_list
-          (Util.Rng.sample_without_replacement rng bs (Array.of_list !remaining))
+        Util.Rng.sample_without_replacement rng bs (Array.init pool_size Fun.id)
       in
-      log_iteration span (evaluate initial));
+      log_iteration span (evaluate (Array.to_list initial)));
   (* lines 5-12: iterative model-guided batches, one span per refit. The
      last fitted model and the (predicted, measured) pair of every
      model-guided evaluation feed the explainability report. *)
-  let final_model = ref None in
-  let residuals = ref [] in
-  let continue () = List.length !history < nmax && !remaining <> [] in
-  while continue () do
-    Obs.Trace.with_span ~cat:"surf" "surf.iteration" (fun span ->
-        let x =
-          Array.of_list (List.rev_map (fun e -> encode e.config) !history)
-        in
-        let y = Array.of_list (List.rev_map (fun e -> e.objective) !history) in
-        let model =
-          Obs.Trace.with_span ~cat:"surf"
-            ~attrs:(fun () ->
-              [ ("points", string_of_int (Array.length x)) ])
-            "surf.fit"
-            (fun _ -> Forest.fit ~params:config.forest (Util.Rng.split rng) x y)
-        in
-        final_model := Some model;
-        let scored =
-          Obs.Trace.with_span ~cat:"surf"
-            ~attrs:(fun () ->
-              [ ("points", string_of_int (List.length !remaining)) ])
-            "surf.predict"
-            (fun _ ->
-              List.map (fun c -> (Forest.predict model (encode c), c)) !remaining)
-        in
-        let sorted = List.sort (fun (a, _) (b, _) -> compare a b) scored in
-        let chosen = List.filteri (fun i _ -> i < bs) sorted in
-        let batch = List.map snd chosen in
-        let predicted = List.map fst chosen in
-        let objectives = evaluate batch in
-        let k = List.length objectives in
-        let evaluated = List.filteri (fun i _ -> i < k) batch in
-        List.iter2
-          (fun c (p, o) -> residuals := (c, p, o) :: !residuals)
-          evaluated
-          (List.combine (List.filteri (fun i _ -> i < k) predicted) objectives);
-        let pred_std =
-          match evaluated with
-          | [] -> None
-          | _ ->
-            Some
-              (Util.Stats.mean
-                 (List.map (fun c -> Forest.predict_std model (encode c)) evaluated))
-        in
-        log_iteration ~predicted ?pred_std span objectives)
-  done;
   let explain =
-    match !final_model with
-    | None -> None
-    | Some model ->
-      let dims = Array.length (encode pool.(0)) in
-      let rivals =
-        List.map
-          (fun c ->
-            let f = encode c in
-            (c, Forest.predict model f, Forest.predict_std model f))
-          !remaining
-        |> List.sort (fun (_, a, _) (_, b, _) -> compare a b)
-        |> List.filteri (fun i _ -> i < max 0 config.rivals)
+    if !evaluations >= nmax then None
+    else begin
+      let width, rows =
+        Obs.Trace.with_span ~cat:"surf"
+          ~attrs:(fun () -> [ ("points", string_of_int pool_size) ])
+          "surf.encode"
+          (fun _ -> sparse_rows ~encode pool)
       in
-      Some
-        { importance = Forest.importance model ~dims;
-          residuals = List.rev !residuals;
-          rivals }
+      let scatter x p =
+        let { cols; vals } = rows.(p) in
+        for j = 0 to Array.length cols - 1 do
+          x.(cols.(j)) <- vals.(j)
+        done
+      in
+      let dense p =
+        let x = Array.make width 0.0 in
+        scatter x p;
+        x
+      in
+      (* Prediction scatters a row into one scratch dense row, reads it,
+         and clears it again. *)
+      let scratch = Array.make width 0.0 in
+      let with_row p f =
+        scatter scratch p;
+        let v = f scratch in
+        Array.iter (fun c -> scratch.(c) <- 0.0) rows.(p).cols;
+        v
+      in
+      (* the latest model's prediction at every unevaluated position *)
+      let preds = Array.make pool_size 0.0 in
+      let final_model = ref None in
+      let residuals = ref [] in
+      while !evaluations < nmax do
+        Obs.Trace.with_span ~cat:"surf" "surf.iteration" (fun span ->
+            let x = Array.of_list (List.rev_map dense !positions) in
+            let y = Array.of_list (List.rev_map (fun e -> e.objective) !history) in
+            let model =
+              Obs.Trace.with_span ~cat:"surf"
+                ~attrs:(fun () ->
+                  [ ("points", string_of_int (Array.length x)) ])
+                "surf.fit"
+                (fun _ -> Forest.fit ~params:config.forest (Util.Rng.split rng) x y)
+            in
+            final_model := Some model;
+            Obs.Trace.with_span ~cat:"surf"
+              ~attrs:(fun () ->
+                [ ("points", string_of_int (pool_size - !evaluations)) ])
+              "surf.predict"
+              (fun _ ->
+                let predict = Forest.predict model in
+                for p = 0 to pool_size - 1 do
+                  if not evaluated.(p) then preds.(p) <- with_row p predict
+                done);
+            let batch = k_best bs preds evaluated in
+            let predicted = List.map (fun p -> preds.(p)) batch in
+            let objectives = evaluate batch in
+            let k = List.length objectives in
+            let batch = List.filteri (fun i _ -> i < k) batch in
+            List.iter2
+              (fun p o -> residuals := (pool.(p), preds.(p), o) :: !residuals)
+              batch objectives;
+            let pred_std =
+              match batch with
+              | [] -> None
+              | _ ->
+                Some
+                  (Util.Stats.mean
+                     (List.map (fun p -> with_row p (Forest.predict_std model)) batch))
+            in
+            log_iteration ~predicted ?pred_std span objectives)
+      done;
+      Option.map
+        (fun model ->
+          let rivals =
+            List.map
+              (fun p -> (pool.(p), preds.(p), with_row p (Forest.predict_std model)))
+              (k_best config.rivals preds evaluated)
+          in
+          { importance = Forest.importance model ~dims:width;
+            residuals = List.rev !residuals;
+            rivals })
+        !final_model
+    end
   in
   let result = make_result ~iterations:(List.rev !iterations) ?explain ~pool_size !history in
   Obs.Trace.add_attrs search_span

@@ -2,7 +2,7 @@
     baseline strategies it is compared against. The search minimizes an
     objective (simulated execution time) over a finite configuration pool:
     evaluate an initial random batch, fit the forest surrogate, then
-    repeatedly evaluate the unevaluated configurations the model predicts
+    repeatedly evaluate the unevaluated pool positions the model predicts
     best and refit, until the evaluation budget is exhausted. *)
 
 type 'a evaluation = { config : 'a; objective : float }
@@ -51,10 +51,19 @@ val exhaustive : pool:'a array -> eval:('a -> float) -> 'a result
 val random_search :
   Util.Rng.t -> pool:'a array -> eval:('a -> float) -> max_evals:int -> 'a result
 
-(** Algorithm 2. [encode] maps a configuration to its binarized feature
-    vector. Raises on an empty pool; never evaluates more than [max_evals]
-    configurations or the same configuration twice, even when [batch_size]
-    exceeds the remaining budget.
+(** Algorithm 2, over pool positions. [encode] maps a configuration to its
+    binarized feature vector. It is called at most once per pool position:
+    every position is encoded at the first refit, and none is when the
+    initial random batch already spends the budget. Rows of unequal width
+    raise [Invalid_argument].
+
+    Raises on an empty pool; never evaluates more than [max_evals]
+    configurations or the same pool position twice, even when [batch_size]
+    exceeds the remaining budget. Positions, not values, are the unit: a
+    pool that holds one configuration twice may see it evaluated twice.
+    Each model-guided batch is the [batch_size] unevaluated positions with
+    the lowest predictions, ties (and NaN, which sorts first) going to the
+    lower position; the rivals are chosen the same way.
 
     [eval_batch], when given, evaluates each iteration's batch as a unit
     (the paper's "up to ten evaluations concurrently") and must return one

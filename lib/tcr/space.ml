@@ -23,6 +23,7 @@ type t = {
   op : Ir.op;
   candidates : Decision.candidates;
   max_threads_per_block : int;
+  decomps : decomposition array;  (* every valid decomposition, built once by [make] *)
 }
 
 let default_max_threads = 1024
@@ -34,11 +35,6 @@ let sat_mul a b =
   if a = 0 || b = 0 then 0
   else if a > max_int / b then max_int
   else a * b
-
-let make ?(max_threads_per_block = default_max_threads) (ir : Ir.t) op_index =
-  let op = List.nth ir.ops op_index in
-  let candidates = Decision.derive ir op in
-  { ir; op_index; op; candidates; max_threads_per_block }
 
 let mapped_indices d =
   d.tx :: d.bx :: (Option.to_list d.ty @ Option.to_list d.by)
@@ -57,22 +53,29 @@ let decomposition_valid t d =
 
 let lift = function "1" -> None | i -> Some i
 
-let decompositions t =
-  let c = t.candidates in
-  List.concat_map
-    (fun tx ->
-      List.concat_map
-        (fun ty ->
-          List.concat_map
-            (fun bx ->
-              List.filter_map
-                (fun by ->
-                  let d = { tx; ty = lift ty; bx; by = lift by } in
-                  if decomposition_valid t d then Some d else None)
-                c.by)
-            c.bx)
-        c.ty)
-    c.tx
+let make ?(max_threads_per_block = default_max_threads) (ir : Ir.t) op_index =
+  let op = List.nth ir.ops op_index in
+  let c = Decision.derive ir op in
+  let t = { ir; op_index; op; candidates = c; max_threads_per_block; decomps = [||] } in
+  let decomps =
+    List.concat_map
+      (fun tx ->
+        List.concat_map
+          (fun ty ->
+            List.concat_map
+              (fun bx ->
+                List.filter_map
+                  (fun by ->
+                    let d = { tx; ty = lift ty; bx; by = lift by } in
+                    if decomposition_valid t d then Some d else None)
+                  c.by)
+              c.bx)
+          c.ty)
+      c.tx
+  in
+  { t with decomps = Array.of_list decomps }
+
+let decompositions t = Array.to_list t.decomps
 
 let unroll_combos t =
   Util.Combinat.cartesian (List.map snd t.candidates.unroll_loops)
@@ -82,8 +85,7 @@ let red_orders t =
   match t.candidates.red_orders with [] -> [ [] ] | orders -> orders
 
 let count t =
-  List.length (decompositions t) * List.length (unroll_combos t)
-  * List.length (red_orders t)
+  Array.length t.decomps * List.length (unroll_combos t) * List.length (red_orders t)
 
 let enumerate t =
   let ds = decompositions t in
@@ -97,8 +99,7 @@ let enumerate t =
     ds
 
 let sample rng t =
-  let ds = Array.of_list (decompositions t) in
-  let decomp = Util.Rng.pick rng ds in
+  let decomp = Util.Rng.pick rng t.decomps in
   let unrolls =
     List.map (fun (l, fs) -> (l, Util.Rng.pick_list rng fs)) t.candidates.unroll_loops
   in

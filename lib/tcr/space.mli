@@ -23,6 +23,10 @@ type t = {
   op : Ir.op;
   candidates : Decision.candidates;
   max_threads_per_block : int;
+  decomps : decomposition array;
+      (** every valid decomposition, in enumeration order, built once by
+          {!make}; {!decompositions}, {!count}, {!enumerate} and {!sample}
+          read it *)
 }
 
 val default_max_threads : int

@@ -121,6 +121,60 @@ let test_tune_convergence_matches_evals () =
   let r = tune_small () in
   check_int "curve length" r.evaluations (List.length r.convergence)
 
+(* ---------------- Pinned sampler, pools and search order ----------------
+
+   Literal digests of fixed-seed draws, pools and tunes: a change to how
+   spaces are sampled, pools built or candidates ranked must leave every
+   one of them byte-identical. *)
+
+let digest keys = Digest.to_hex (Digest.string (String.concat "\n" keys))
+
+let candidate_key (c : Autotune.Tuner.candidate) =
+  String.concat "." (List.map string_of_int c.variant_ids)
+  ^ "/" ^ String.concat "|" (List.map Tcr.Space.point_key c.points)
+
+let test_sampler_pinned () =
+  let c = List.hd (Autotune.Tuner.variant_choices (Benchsuite.Suite.eqn1 ~n:10 ())) in
+  let rng = Util.Rng.create 42 in
+  let keys =
+    List.concat_map
+      (fun space ->
+        let a = Tcr.Space.sample rng space in
+        let b = Tcr.Space.sample rng space in
+        [ Tcr.Space.point_key a; Tcr.Space.point_key b ])
+      c.spaces.op_spaces
+  in
+  Alcotest.(check string) "two draws per op space" "157789c0035d21d58c19a53eade95ba3" (digest keys)
+
+let test_pool_pinned name b expect () =
+  let pool =
+    Autotune.Tuner.build_pool ~pool_per_variant:600 (Util.Rng.create 42)
+      (Autotune.Tuner.variant_choices b)
+  in
+  check_int (name ^ " pool size") 9000 (Array.length pool);
+  Alcotest.(check string) (name ^ " pool digest") expect
+    (digest (Array.to_list (Array.map candidate_key pool)))
+
+let test_tune_search_order_pinned () =
+  let b =
+    Autotune.Tuner.benchmark_of_dsl ~label:"pin"
+      "dims: i=24 j=16 k=16 l=24 m=16 n=24\n\
+       V[i j k] = Sum([l m n], A[l k] * B[m j] * C[n i] * U[l m n])"
+  in
+  let strategy = Autotune.Tuner.Surf_search { Surf.Search.default_config with max_evals = 24 } in
+  let r = Autotune.Tuner.tune ~strategy ~rng:(Util.Rng.create 11) ~arch b in
+  Alcotest.(check string) "winner"
+    "7/tx=n ty=k bx=m by=1 ul=10|tx=j ty=n bx=k by=1 um=2|tx=k ty=1 bx=j by=i un=2"
+    (candidate_key r.best);
+  match r.explain with
+  | None -> Alcotest.fail "no surrogate was fit"
+  | Some ex ->
+    let keys l = List.map (fun (c, _, _) -> candidate_key c) l in
+    check_int "model-guided evaluations" 14 (List.length ex.residuals);
+    Alcotest.(check string) "model-guided order" "42bbc56725632bd14bfbdcc039fb0e6d"
+      (digest (keys ex.residuals));
+    Alcotest.(check string) "rivals" "6169616b9e2000829a1b9060595279fe" (digest (keys ex.rivals))
+
 let test_cpu_baseline_uses_best_variant () =
   let b = small_eqn1 () in
   let t_best = Autotune.Tuner.best_sequential_time b in
@@ -151,4 +205,12 @@ let suite =
     ("convergence curve length", `Quick, test_tune_convergence_matches_evals);
     ("cpu baseline minimal", `Quick, test_cpu_baseline_uses_best_variant);
     ("min variant flops", `Quick, test_min_variant_flops);
+    ("sampler pinned", `Quick, test_sampler_pinned);
+    ( "pool pinned: eqn1",
+      `Quick,
+      test_pool_pinned "eqn1" (Benchsuite.Suite.eqn1 ~n:10 ()) "2b7dfd71f0455cc13f9f9027d363fd08" );
+    ( "pool pinned: tce_ex",
+      `Quick,
+      test_pool_pinned "tce_ex" (Benchsuite.Suite.tce_ex ~n:16 ()) "d67a3728d9576f6e069b4e08194d6e92" );
+    ("tune search order pinned", `Quick, test_tune_search_order_pinned);
   ]

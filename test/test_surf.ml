@@ -30,6 +30,22 @@ let test_encode_unknown_category () =
   Alcotest.(check (float 1e-9)) "no column lights up" 0.0
     (Array.fold_left ( +. ) 0.0 (Array.sub v 0 3))
 
+let test_encode_first_occurrence_and_kinds () =
+  let schema = Surf.Feature.make_schema samples in
+  let v = Surf.Feature.encode schema in
+  (* only a name's first occurrence counts *)
+  Alcotest.(check (array (float 0.0))) "first tx and u win" [| 0.0; 1.0; 0.0; 2.0 |]
+    (v [ ("tx", Surf.Feature.Cat "j"); ("u", Surf.Feature.Num 2.0);
+         ("tx", Surf.Feature.Cat "i"); ("u", Surf.Feature.Num 8.0) ]);
+  (* a Num on a one-hot name and a Cat on a numeric name light nothing, and
+     still use up the name's first occurrence *)
+  Alcotest.(check (array (float 0.0))) "mismatched kinds encode as 0" [| 0.0; 0.0; 0.0; 0.0 |]
+    (v [ ("tx", Surf.Feature.Num 1.0); ("u", Surf.Feature.Cat "i");
+         ("tx", Surf.Feature.Cat "i"); ("u", Surf.Feature.Num 8.0) ]);
+  Alcotest.(check (array string)) "columns by first appearance, categories sorted"
+    [| "tx=i"; "tx=j"; "tx=m"; "u" |]
+    (Array.map Surf.Feature.column_name schema.columns)
+
 let test_column_names () =
   let schema = Surf.Feature.make_schema samples in
   let names =
@@ -246,6 +262,72 @@ let test_surf_convergence_telemetry () =
   let rnd = Surf.Search.random_search (Util.Rng.create 9) ~pool:pool_100 ~eval:objective ~max_evals:10 in
   check_int "random search logs nothing" 0 (List.length rnd.iterations)
 
+let history_of (r : int Surf.Search.result) =
+  List.map (fun (e : int Surf.Search.evaluation) -> e.config) r.history
+
+let rivals_of (r : int Surf.Search.result) =
+  match r.explain with
+  | None -> []
+  | Some ex -> List.map (fun (c, _, _) -> c) ex.rivals
+
+let test_surf_trajectory_pinned () =
+  (* the whole fixed-seed trajectory, batch by batch, and the final model's
+     ranking of what it left unevaluated *)
+  let cfg = { Surf.Search.default_config with max_evals = 40; batch_size = 8 } in
+  let r = Surf.Search.surf ~config:cfg (Util.Rng.create 12) ~pool:pool_100 ~encode ~eval:objective in
+  Alcotest.(check (list int)) "history"
+    [ 17; 30; 82; 84; 85; 2; 33; 55; 65; 45; 92; 54; 64; 75; 62; 94; 72; 44; 61; 74;
+      71; 63; 73; 34; 51; 81; 83; 41; 53; 66; 43; 91; 52; 76; 56; 86; 46; 70; 60; 42 ]
+    (history_of r);
+  Alcotest.(check (list int)) "rivals" [ 80; 50; 96; 36; 93; 95; 35; 40; 67; 68 ] (rivals_of r)
+
+let test_surf_ties_pick_lowest_positions () =
+  (* after the random batch every prediction ties, so each model-guided
+     batch (and the rival list) is the lowest unevaluated positions *)
+  let cfg = { Surf.Search.default_config with max_evals = 30; batch_size = 10 } in
+  let r =
+    Surf.Search.surf ~config:cfg (Util.Rng.create 3) ~pool:pool_100 ~encode ~eval:(fun _ -> 1.0)
+  in
+  Alcotest.(check (list int)) "history"
+    [ 48; 27; 93; 60; 69; 42; 16; 33; 3; 80; 0; 1; 2; 4; 5; 6; 7; 8; 9; 10; 11; 12; 13; 14;
+      15; 17; 18; 19; 20; 21 ]
+    (history_of r);
+  Alcotest.(check (list int)) "rivals" [ 22; 23; 24; 25; 26; 28; 29; 30; 31; 32 ] (rivals_of r)
+
+let test_surf_encodes_each_position_once () =
+  List.iter
+    (fun (max_evals, batch_size, expect) ->
+      let calls = ref 0 in
+      let encode i = incr calls; encode i in
+      let cfg = { Surf.Search.default_config with max_evals; batch_size } in
+      ignore (Surf.Search.surf ~config:cfg (Util.Rng.create 12) ~pool:pool_100 ~encode ~eval:objective);
+      check_int (Printf.sprintf "encode calls (nmax=%d bs=%d)" max_evals batch_size) expect !calls)
+    (* at 10/10 the random batch spends the budget: no model, no encoding *)
+    [ (40, 8, 100); (100, 10, 100); (10, 10, 0) ]
+
+let test_surf_rejects_unequal_widths () =
+  let encode i = if i mod 2 = 0 then [| 0.0; 1.0 |] else [| 0.0; 1.0; 2.0 |] in
+  Alcotest.check_raises "rows of unequal width"
+    (Invalid_argument "Search.surf: encoded rows differ in width") (fun () ->
+      ignore (Surf.Search.surf (Util.Rng.create 1) ~pool:pool_100 ~encode ~eval:objective))
+
+let test_surf_encode_span () =
+  let encode_spans max_evals =
+    let cfg = { Surf.Search.default_config with max_evals; batch_size = 10 } in
+    let _, events =
+      Obs.Trace.collect (fun () ->
+          Surf.Search.surf ~config:cfg (Util.Rng.create 12) ~pool:pool_100 ~encode ~eval:objective)
+    in
+    List.filter (fun (e : Obs.Trace.event) -> e.name = "surf.encode") events
+  in
+  (match encode_spans 30 with
+  | [ e ] ->
+    Alcotest.(check string) "category" "surf" e.cat;
+    Alcotest.(check (option string)) "points = pool size" (Some "100")
+      (List.assoc_opt "points" e.attrs)
+  | es -> Alcotest.failf "expected one surf.encode span, got %d" (List.length es));
+  check_int "no model, no encode span" 0 (List.length (encode_spans 10))
+
 let test_surf_categorical_problem () =
   (* binarized categorical search: find the best (tx, unroll) combo *)
   let pool =
@@ -270,6 +352,7 @@ let suite =
     ("schema dimensions", `Quick, test_schema_dimensions);
     ("encode one-hot", `Quick, test_encode_onehot);
     ("encode unknown category", `Quick, test_encode_unknown_category);
+    ("encode first occurrence and kinds", `Quick, test_encode_first_occurrence_and_kinds);
     ("column names", `Quick, test_column_names);
     ("tree constant", `Quick, test_tree_constant);
     ("tree separable", `Quick, test_tree_separable);
@@ -288,4 +371,9 @@ let suite =
     ("convergence curve monotone", `Quick, test_convergence_curve_monotone);
     ("surf convergence telemetry", `Quick, test_surf_convergence_telemetry);
     ("surf categorical problem", `Quick, test_surf_categorical_problem);
+    ("surf trajectory pinned", `Quick, test_surf_trajectory_pinned);
+    ("surf ties pick lowest positions", `Quick, test_surf_ties_pick_lowest_positions);
+    ("surf encodes each position once", `Quick, test_surf_encodes_each_position_once);
+    ("surf rejects unequal widths", `Quick, test_surf_rejects_unequal_widths);
+    ("surf encode span", `Quick, test_surf_encode_span);
   ]
