@@ -238,13 +238,19 @@ let cmd_space =
 
 (* ---------------- tune ---------------- *)
 
+(* A program without a search point is a user error: say which ops and
+   exit 1. *)
 let tune_common src arch seed evals prune =
   let b = Barracuda.parse src in
   let cfg = { Surf.Search.default_config with max_evals = evals } in
   let prune = if prune then Some Tcr.Prune.default else None in
-  Autotune.Tuner.tune
-    ~strategy:(Autotune.Tuner.Surf_search cfg)
-    ?prune ~journal_seed:seed ~rng:(Util.Rng.create seed) ~arch b
+  try
+    Autotune.Tuner.tune
+      ~strategy:(Autotune.Tuner.Surf_search cfg)
+      ?prune ~journal_seed:seed ~rng:(Util.Rng.create seed) ~arch b
+  with Autotune.Tuner.Empty_space msg ->
+    prerr_endline ("barracuda: " ^ msg);
+    exit 1
 
 let cmd_tune =
   let save_arg =
@@ -862,17 +868,34 @@ let cmd_check =
        enumerated point - a fixed, reproducible candidate *)
     let verdict =
       match bench with
-      | Some (b : Autotune.Tuner.benchmark) when semantic ->
+      | Some (b : Autotune.Tuner.benchmark) when semantic -> (
         let c = List.hd (Autotune.Tuner.variant_choices b) in
-        let points =
-          List.map
-            (fun s -> List.hd (Tcr.Space.enumerate s))
-            c.Autotune.Tuner.spaces.op_spaces
-        in
-        Some
-          (Check.Semantic.validate ~rounds ~seed:sz_seed ?mutate_kernel
-             ~label:b.label b.statements ~variant_ids:c.Autotune.Tuner.ids
-             ~ir:c.Autotune.Tuner.v_ir ~points)
+        match Autotune.Tuner.empty_ops [ c ] with
+        | [] ->
+          let points =
+            List.map
+              (fun s -> List.hd (Tcr.Space.enumerate s))
+              c.Autotune.Tuner.spaces.op_spaces
+          in
+          Some
+            (Check.Semantic.validate ~rounds ~seed:sz_seed ?mutate_kernel
+               ~label:b.label b.statements ~variant_ids:c.Autotune.Tuner.ids
+               ~ir:c.Autotune.Tuner.v_ir ~points)
+        | ops ->
+          (* no candidate to validate: an error, since nothing is proven *)
+          Some
+            {
+              Check.Semantic.equivalent = false;
+              failed_stage = None;
+              rounds_run = 0;
+              stages = [];
+              diags =
+                [
+                  Check.Diag.error Check.Diag.Semantic ~code:"BAR064" ~site:b.label
+                    "no search point for %s, so no candidate can be validated"
+                    (String.concat ", " ops);
+                ];
+            })
       | _ -> None
     in
     let report =
@@ -920,10 +943,10 @@ let cmd_check =
       | None -> ()
       | Some v ->
         Printf.printf "translation validation: %s (%d round%s, seed %d)\n"
-          (if v.Check.Semantic.equivalent then "equivalent across all five stages"
-           else
-             Printf.sprintf "FAILED at the %s stage"
-               (Option.value ~default:"?" v.failed_stage))
+          (match (v.Check.Semantic.equivalent, v.failed_stage) with
+          | true, _ -> "equivalent across all five stages"
+          | false, Some stage -> Printf.sprintf "FAILED at the %s stage" stage
+          | false, None -> "nothing proven")
           v.rounds_run
           (if v.rounds_run = 1 then "" else "s")
           sz_seed;

@@ -152,6 +152,19 @@ let build_pool ?(pool_per_variant = 600) ?prune ?gate rng choices =
 
 type strategy = Surf_search of Surf.Search.config | Random_search | Exhaustive
 
+exception Empty_space of string
+
+(* Ops without a search point, as "op1(C)", in first-seen order. *)
+let empty_ops choices =
+  List.fold_left
+    (fun acc c ->
+      List.fold_left
+        (fun acc (s : Tcr.Space.t) ->
+          let site = Printf.sprintf "op%d(%s)" (s.op_index + 1) s.op.out in
+          if Tcr.Space.count s = 0 && not (List.mem site acc) then acc @ [ site ] else acc)
+        acc c.spaces.op_spaces)
+    [] choices
+
 (* [journal_key], [journal_seed] and [journal_net] only annotate the
    flight-recorder entry (canonical problem key, RNG seed, contraction-order
    provenance); they never influence the tune. *)
@@ -166,6 +179,13 @@ let tune ?(strategy = Surf_search Surf.Search.default_config) ?(reps = 100)
   let choices =
     Obs.Trace.with_span ~cat:"autotune" "tune.variants" (fun _ -> variant_choices b)
   in
+  (* no variant choice has a point: the pool would be empty whatever the
+     gate and the policy do *)
+  if total_space choices = 0 then
+    raise
+      (Empty_space
+         (Printf.sprintf "%s: no search point for %s, so there is nothing to tune" b.label
+            (match empty_ops choices with [] -> "any variant" | ops -> String.concat ", " ops)));
   (* The static pre-evaluation gate: every candidate point is verified
      (errors only - no lint computation) before it can enter the pool, so
      an illegal recipe is never lowered into a measurement. The closure
@@ -208,7 +228,7 @@ let tune ?(strategy = Surf_search Surf.Search.default_config) ?(reps = 100)
            gated pool means every candidate is broken - surface whatever the
            full space yields rather than dying with nothing to search *)
         let pool =
-          if Array.length pool = 0 && gate <> None then begin
+          if Array.length pool = 0 && !gate_rejected > 0 then begin
             Log.warn (fun m ->
                 m "%s: static gate rejected all %d candidate points; tuning ungated"
                   b.label !gate_checked);

@@ -76,6 +76,16 @@ val build_pool :
 
 type strategy = Surf_search of Surf.Search.config | Random_search | Exhaustive
 
+(** Ops of the given choices whose schedule space is empty, as
+    ["op1(C)"], each named once in first-seen order. *)
+val empty_ops : variant_choice list -> string list
+
+(** Raised by {!tune} before any pool is built when no variant choice has
+    a search point: each has an op whose schedule space is empty, as a
+    rank-1 output's is (tx and bx need two distinct output indices). The
+    message names each such op, as ["op1(C)"]. *)
+exception Empty_space of string
+
 (** [batch_map], when given, executes the pure measurement thunks of each
     SURF iteration batch (see {!Evaluator.measure_batch}) - the hook a
     multi-domain scheduler plugs into. Results are bit-identical to the
@@ -88,7 +98,8 @@ type strategy = Surf_search of Surf.Search.config | Random_search | Exhaustive
     and tuning is bit-identical with the gate on or off; points from
     artifacts or hand-written recipes are where it bites. If the gate
     rejects every candidate, tuning falls back to the ungated pool (with a
-    warning) rather than failing.
+    warning) rather than failing. A program without any search point
+    raises {!Empty_space} instead.
 
     [semantic_gate] (default [true]) runs translation validation
     ({!Check.Semantic.validate}) on the winner after the search settles,

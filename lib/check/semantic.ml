@@ -14,19 +14,34 @@
    unlikely - while a false "different" verdict is impossible, since every
    stage is evaluated exactly (no rounding).
 
-   Each stage is evaluated with its own iteration structure, not a shared
-   one: the DSL as the direct einsum, the variant as its binary-contraction
-   plan over temporaries, the TCR program following each op's loop_order,
-   the recipe through Space.serial_schedule (mapped indices x serial
-   schedule), and the kernel through Codegen.Exec.walk - the interpreter
-   float execution runs too - with F_p arithmetic: grid/block loops,
-   unrolled main loop plus epilogue, scalar replacement, and addresses
-   formed from the KERNEL'S OWN extents table so that corrupted strides
-   surface as wrong values or out-of-bounds accesses rather than being
-   silently normalized away. Every kernel access is bounds-checked against
-   the true allocation; an out-of-bounds read is reported as the stage's
-   divergence. The first four stages never touch the walker, so a bug in
-   it still shows up as a kernel-stage disagreement.
+   The reference stages (dsl, variant, tcr, recipe) are described as data:
+   the tensors they zero-initialize, whether they allocate temporaries on
+   first write, and their ops (out[...] += product of factors, iterating a
+   loop order) - the DSL as the direct einsum, the variant as its
+   binary-contraction plan over temporaries, the TCR program following each
+   op's loop_order, the recipe through Space.serial_schedule (mapped
+   indices x serial schedule). One evaluator runs a description. Each round
+   evaluates each distinct description once: F_p addition is exact and
+   commutative, so an op's outputs depend only on its references and on
+   the multiset of loop indices it iterates, and two stages whose
+   descriptions agree on those (the key: produced tensors, temporaries
+   rule, and per op its output, its factors and its sorted loop indices,
+   duplicates kept) compute equal arrays bit for bit. A missing, duplicated
+   or extra index changes the key, so that stage is evaluated on its own
+   and fails as it would alone. An op that reads its own output keeps its
+   loop order in the key, and a stage that writes an input tensor is
+   always evaluated. The sharing table lives inside one round, after that
+   round's inputs are drawn.
+
+   The kernel stage is always evaluated, through Codegen.Exec.walk - the
+   interpreter float execution runs too - with F_p arithmetic: grid/block
+   loops, unrolled main loop plus epilogue, scalar replacement, and
+   addresses formed from the KERNEL'S OWN extents table so that corrupted
+   strides surface as wrong values or out-of-bounds accesses rather than
+   being silently normalized away. Every kernel access is bounds-checked
+   against the true allocation; an out-of-bounds read is reported as the
+   stage's divergence. The reference stages never touch the walker, so a
+   bug in it still shows up as a kernel-stage disagreement.
 
    Codes (stage = the earliest one that stopped agreeing with its parent):
      BAR060  variant disagrees with the DSL einsum
@@ -39,17 +54,22 @@ exception Abort of string
 
 let abort fmt = Printf.ksprintf (fun s -> raise (Abort s)) fmt
 
-(* F_p arithmetic, p = 2^31 - 1 (Mersenne). Products fit 63-bit native
-   ints: (p-1)^2 = (2^31-2)^2 < 2^62 <= max_int. Every tensor entry is
-   already reduced (inputs are drawn from [0, p), outputs start at 0), so a
-   product starts from its first factor rather than from 1. *)
+(* F_p arithmetic, p = 2^31 - 1 (Mersenne), without data-dependent
+   branches. Every tensor entry is already reduced (inputs are drawn from
+   [0, p), outputs start at 0), and for such entries [addp] and [mulp]
+   equal (a + b) mod p and a * b mod p. Both form a value in [-p, p) and
+   add p back through the sign mask of the 63-bit native int. A product
+   fits it ((p-1)^2 < 2^62), and since 2^31 = 1 (mod p) it folds once into
+   its high and low 31 bits, whose sum is below 2p. A product starts from
+   its first factor rather than from 1. *)
 let prime = 2147483647
 
-let addp a b =
-  let s = a + b in
-  if s >= prime then s - prime else s
+let[@inline] canonical s = s + (prime land (s asr 62))
+let[@inline] addp a b = canonical (a + b - prime)
 
-let mulp a b = a * b mod prime
+let[@inline] mulp a b =
+  let x = a * b in
+  canonical ((x lsr 31) + (x land prime) - prime)
 
 (* ------------------------------------------------------------------ *)
 (* Field tensors *)
@@ -95,14 +115,29 @@ let with_produced (inputs : env) extents (produced : (string * string list) list
     produced;
   env
 
+(* The product at point [t] of a run: factor [f] is read at
+   [offs.(f) + t * steps.(f)]. *)
+let[@inline] product (data : int array array) offs steps t =
+  let nf = Array.length data in
+  let p = ref (if nf = 0 then 1 else data.(0).(offs.(0) + (t * steps.(0)))) in
+  for f = 1 to nf - 1 do
+    p := mulp !p data.(f).(offs.(f) + (t * steps.(f)))
+  done;
+  !p
+
 (* ------------------------------------------------------------------ *)
 (* Generic sum-of-products evaluation: out[out_dims] += prod factors,
    iterating [order] (which must drive every referenced index; a wrong
    order - missing, duplicated or extra indices - either aborts or shows
-   up as a wrong value, exactly what the validation is for). Offsets are
-   running sums: loop level [s] alone binds slot [s] (a duplicated index
-   carries its strides on its first slot only), so each iteration adds the
-   slot's strides and the loop's end takes back [extent x stride]. *)
+   up as a wrong value, exactly what the validation is for). Loop level
+   [s] alone binds slot [s] (a duplicated index carries its strides on its
+   first slot only). The nest runs as an odometer: the innermost level is
+   one loop over offsets [base + t x step], and each outer level advances
+   the base offsets by a precomputed delta (its stride, less the inner
+   levels' wrap from e-1 to 0). Points come in the recursion's order. A
+   run over a reduction (output stride 0) whose factors are not the output
+   tensor accumulates in a local and stores once; otherwise every point
+   updates the output, so a factor reading it sees every update. *)
 
 let eval_sop ~extents (env : env) ~out:(oname, odims) ~factors ~order =
   let slots = Array.of_list order in
@@ -125,93 +160,139 @@ let eval_sop ~extents (env : env) ~out:(oname, odims) ~factors ~order =
   let odata, ostrides = compile (oname, odims) in
   let factor_refs = Array.of_list (List.map compile factors) in
   let exts = Array.of_list (List.map (ext_of extents) order) in
-  let nf = Array.length factor_refs in
-  let fdata = Array.map fst factor_refs in
-  (* column [s]: each factor's stride at slot [s] *)
-  let fcols = Array.init nslots (fun s -> Array.map (fun (_, str) -> str.(s)) factor_refs) in
-  let ooff = ref 0 in
-  let offs = Array.make nf 0 in
-  let advance s by =
-    ooff := !ooff + (ostrides.(s) * by);
-    let col = fcols.(s) in
-    for f = 0 to nf - 1 do
-      offs.(f) <- offs.(f) + (col.(f) * by)
-    done
-  in
-  let rec go s =
-    if s = nslots then begin
-      let p = ref (if nf = 0 then 1 else fdata.(0).(offs.(0))) in
-      for f = 1 to nf - 1 do
-        p := mulp !p fdata.(f).(offs.(f))
+  if Array.for_all (fun e -> e > 0) exts then begin
+    let nf = Array.length factor_refs in
+    let fdata = Array.map fst factor_refs in
+    let fstrides = Array.map snd factor_refs in
+    let inner = nslots - 1 in
+    let len = if nslots = 0 then 1 else exts.(inner) in
+    let at strides = if nslots = 0 then 0 else strides.(inner) in
+    let ostep = at ostrides and fsteps = Array.map at fstrides in
+    let delta strides s =
+      let d = ref strides.(s) in
+      for r = s + 1 to inner - 1 do
+        d := !d - ((exts.(r) - 1) * strides.(r))
       done;
+      !d
+    in
+    let odelta = Array.init (max 0 inner) (delta ostrides) in
+    let fdelta = Array.init (max 0 inner) (fun s -> Array.map (fun st -> delta st s) fstrides) in
+    let local = ostep = 0 && not (Array.exists (fun d -> d == odata) fdata) in
+    let idx = Array.make nslots 0 in
+    let ooff = ref 0 and foffs = Array.make nf 0 in
+    let level = ref 0 in
+    while !level >= 0 do
       let o = !ooff in
-      odata.(o) <- addp odata.(o) !p
-    end
-    else begin
-      let e = exts.(s) in
-      for _ = 1 to e do
-        go (s + 1);
-        advance s 1
+      if local then begin
+        let acc = ref odata.(o) in
+        for t = 0 to len - 1 do
+          acc := addp !acc (product fdata foffs fsteps t)
+        done;
+        odata.(o) <- !acc
+      end
+      else
+        for t = 0 to len - 1 do
+          let i = o + (t * ostep) in
+          odata.(i) <- addp odata.(i) (product fdata foffs fsteps t)
+        done;
+      (* advance the odometer: the innermost outer level that has not
+         reached its last value steps, and every level inside it wraps *)
+      level := inner - 1;
+      while !level >= 0 && idx.(!level) = exts.(!level) - 1 do
+        idx.(!level) <- 0;
+        decr level
       done;
-      advance s (-e)
-    end
-  in
-  go 0
+      if !level >= 0 then begin
+        let s = !level in
+        idx.(s) <- idx.(s) + 1;
+        ooff := !ooff + odelta.(s);
+        let col = fdelta.(s) in
+        for f = 0 to nf - 1 do
+          foffs.(f) <- foffs.(f) + col.(f)
+        done
+      end
+    done
+  end
 
 (* ------------------------------------------------------------------ *)
-(* Stage evaluators. Each returns the output tensors as (name, data). *)
+(* Reference stages as data. An op is out[...] += product of factors,
+   iterating [order]; a description lists the tensors it zero-initializes
+   (in order), whether an op allocates its output on first write when it
+   is not yet bound (the variant stage's temporaries), its ops, and the
+   output names the stage reports. *)
+
+type ref_op = {
+  out : string * string list;
+  factors : (string * string list) list;
+  order : string list;
+}
+
+type description = {
+  produced : (string * string list) list;
+  temporaries : bool;
+  ops : ref_op list;
+  outputs : string list;
+}
 
 let refs_of (frs : Octopi.Ast.tensor_ref list) =
   List.map (fun (f : Octopi.Ast.tensor_ref) -> (f.name, f.indices)) frs
 
 (* Stage 1 - dsl: the direct einsum of each statement. Outputs shared
    across statements (repeated outputs accumulate, as on the device). *)
-let eval_dsl ~extents inputs (statements : Octopi.Contraction.t list) =
+let describe_dsl (statements : Octopi.Contraction.t list) =
   let produced =
     List.map (fun (c : Octopi.Contraction.t) -> (c.output, c.output_indices)) statements
   in
-  let env = with_produced inputs extents produced in
-  List.iter
-    (fun (c : Octopi.Contraction.t) ->
-      eval_sop ~extents env
-        ~out:(c.output, c.output_indices)
-        ~factors:(refs_of c.factors)
-        ~order:(c.output_indices @ c.sum_indices))
-    statements;
-  List.map (fun (name, _) -> (name, (find env name).data)) produced
+  {
+    produced;
+    temporaries = false;
+    ops =
+      List.map
+        (fun (c : Octopi.Contraction.t) ->
+          {
+            out = (c.output, c.output_indices);
+            factors = refs_of c.factors;
+            order = c.output_indices @ c.sum_indices;
+          })
+        statements;
+    outputs = List.map fst produced;
+  }
 
-(* Stage 2 - variant: each statement's strength-reduction plan, evaluated
-   op by op over its temporaries. Temporaries are renamed apart across
-   statements (as Combine.merge does) so they cannot collide. *)
-let eval_variant ~extents inputs
-    (choices : (Octopi.Contraction.t * Octopi.Variants.variant) list) =
-  let outputs =
+(* Stage 2 - variant: each statement's strength-reduction plan, op by op
+   over its temporaries. Temporaries are renamed apart across statements
+   (as Combine.merge does) so they cannot collide. A variant whose ops all
+   write statement outputs allocates nothing, so its rule is the dsl's. *)
+let describe_variant (choices : (Octopi.Contraction.t * Octopi.Variants.variant) list) =
+  let produced =
     List.map (fun ((c : Octopi.Contraction.t), _) -> (c.output, c.output_indices)) choices
   in
-  let env = with_produced inputs extents outputs in
-  List.iteri
-    (fun si ((c : Octopi.Contraction.t), (v : Octopi.Variants.variant)) ->
-      let rename name =
-        if name = c.output then name
-        else if List.exists (fun (op : Octopi.Plan.op) -> op.out = name) v.ops then
-          Printf.sprintf "s%d_%s" (si + 1) name
-        else name
-      in
-      List.iter
-        (fun (op : Octopi.Plan.op) ->
-          let out = rename op.out in
-          let factors = List.map (fun (n, d) -> (rename n, d)) op.factors in
-          if not (Hashtbl.mem env out) then
-            Hashtbl.replace env out (alloc extents op.out_indices);
-          let red =
-            List.sort_uniq compare (List.concat_map snd factors)
-            |> List.filter (fun i -> not (List.mem i op.out_indices))
-          in
-          eval_sop ~extents env ~out:(out, op.out_indices) ~factors
-            ~order:(op.out_indices @ red))
-        v.ops)
-    choices;
-  List.map (fun (name, _) -> (name, (find env name).data)) outputs
+  let ops =
+    List.concat
+      (List.mapi
+         (fun si ((c : Octopi.Contraction.t), (v : Octopi.Variants.variant)) ->
+           let rename name =
+             if name = c.output then name
+             else if List.exists (fun (op : Octopi.Plan.op) -> op.out = name) v.ops then
+               Printf.sprintf "s%d_%s" (si + 1) name
+             else name
+           in
+           List.map
+             (fun (op : Octopi.Plan.op) ->
+               let factors = List.map (fun (n, d) -> (rename n, d)) op.factors in
+               let red =
+                 List.sort_uniq compare (List.concat_map snd factors)
+                 |> List.filter (fun i -> not (List.mem i op.out_indices))
+               in
+               { out = (rename op.out, op.out_indices); factors; order = op.out_indices @ red })
+             v.ops)
+         choices)
+  in
+  {
+    produced;
+    temporaries = List.exists (fun op -> not (List.mem_assoc (fst op.out) produced)) ops;
+    ops;
+    outputs = List.map fst produced;
+  }
 
 let ir_produced (ir : Tcr.Ir.t) =
   List.filter_map
@@ -225,31 +306,79 @@ let ir_outputs (ir : Tcr.Ir.t) =
       if v.role = Tcr.Ir.Output then Some v.name else None)
     ir.vars
 
+let describe_ir (ir : Tcr.Ir.t) ordered =
+  {
+    produced = ir_produced ir;
+    temporaries = false;
+    ops =
+      List.map
+        (fun (op, order) -> { out = (op.Tcr.Ir.out, op.out_indices); factors = op.factors; order })
+        ordered;
+    outputs = ir_outputs ir;
+  }
+
 (* Stage 3 - tcr: the merged program, each op iterated by its own
    loop_order. *)
-let eval_tcr ~extents inputs (ir : Tcr.Ir.t) =
-  let env = with_produced inputs extents (ir_produced ir) in
-  List.iter
-    (fun (op : Tcr.Ir.op) ->
-      eval_sop ~extents env ~out:(op.out, op.out_indices) ~factors:op.factors
-        ~order:op.loop_order)
-    ir.ops;
-  List.map (fun name -> (name, (find env name).data)) (ir_outputs ir)
+let describe_tcr ir =
+  describe_ir ir (List.map (fun (op : Tcr.Ir.op) -> (op, op.loop_order)) ir.ops)
 
 (* Stage 4 - recipe: each op under its search point, iterating the mapped
    indices then the serial schedule (the single definition shared with the
    kernel lowering). *)
-let eval_recipe ~extents inputs (ir : Tcr.Ir.t) (points : Tcr.Space.point list) =
+let describe_recipe (ir : Tcr.Ir.t) (points : Tcr.Space.point list) =
   if List.length points <> List.length ir.ops then abort "one point per op required";
-  let env = with_produced inputs extents (ir_produced ir) in
-  List.iter2
-    (fun (op : Tcr.Ir.op) (point : Tcr.Space.point) ->
-      let mapped = Tcr.Space.mapped_indices point.decomp in
-      let parallel_serial, reductions = Tcr.Space.serial_schedule op point in
-      eval_sop ~extents env ~out:(op.out, op.out_indices) ~factors:op.factors
-        ~order:(mapped @ parallel_serial @ reductions))
-    ir.ops points;
-  List.map (fun name -> (name, (find env name).data)) (ir_outputs ir)
+  describe_ir ir
+    (List.map2
+       (fun (op : Tcr.Ir.op) (point : Tcr.Space.point) ->
+         let mapped = Tcr.Space.mapped_indices point.decomp in
+         let parallel_serial, reductions = Tcr.Space.serial_schedule op point in
+         (op, mapped @ parallel_serial @ reductions))
+       ir.ops points)
+
+let evaluate ~extents inputs d =
+  let env = with_produced inputs extents d.produced in
+  List.iter
+    (fun op ->
+      let name, dims = op.out in
+      if d.temporaries && not (Hashtbl.mem env name) then
+        Hashtbl.replace env name (alloc extents dims);
+      eval_sop ~extents env ~out:op.out ~factors:op.factors ~order:op.order)
+    d.ops;
+  env
+
+(* Two descriptions with equal keys compute equal arrays. An op that reads
+   its own output sees its updates in loop order, so its key keeps the
+   order as given. *)
+let key d =
+  ( d.produced,
+    d.temporaries,
+    List.map
+      (fun op ->
+        let order =
+          if List.mem_assoc (fst op.out) op.factors then op.order
+          else List.sort compare op.order
+        in
+        (op.out, op.factors, order))
+      d.ops )
+
+(* One round's sharing: each distinct key is evaluated once over the
+   round's inputs, and a stage reads its outputs from the stored
+   environment by its own output names. A stage that writes into an input
+   tensor changes what later stages read, so it is always evaluated. *)
+let shared_outputs ~extents inputs shared d =
+  let env =
+    if List.exists (fun op -> Hashtbl.mem inputs (fst op.out)) d.ops then
+      evaluate ~extents inputs d
+    else
+      let k = key d in
+      match Hashtbl.find_opt shared k with
+      | Some env -> env
+      | None ->
+        let env = evaluate ~extents inputs d in
+        Hashtbl.replace shared k env;
+        env
+  in
+  List.map (fun name -> (name, (find env name).data)) d.outputs
 
 (* ------------------------------------------------------------------ *)
 (* Stage 5 - kernel: the F_p instance of Codegen.Exec.walk, the kernel
@@ -262,7 +391,6 @@ let eval_kernel (env : env) (k : Codegen.Kernel.t) =
   let data name = (find env name).data in
   let out = data k.op.out in
   let factors = Array.of_list (List.map (fun (name, _) -> data name) k.op.factors) in
-  let nf = Array.length factors in
   let acc = ref 0 in
   let output off reduce =
     if k.scalar_replaced then begin
@@ -277,17 +405,17 @@ let eval_kernel (env : env) (k : Codegen.Kernel.t) =
       out.(off) <- addp saved !acc
     end
   in
-  let point offs =
-    let p = ref (if nf = 0 then 1 else factors.(0).(offs.(0))) in
-    for f = 1 to nf - 1 do
-      p := mulp !p factors.(f).(offs.(f))
+  let run offs steps len =
+    let a = ref !acc in
+    for t = 0 to len - 1 do
+      a := addp !a (product factors offs steps t)
     done;
-    acc := addp !acc !p
+    acc := !a
   in
   try
     Codegen.Exec.walk k
       ~elements:(fun name -> Array.length (data name))
-      ~output ~point
+      ~output ~run
   with Invalid_argument msg -> raise (Abort msg)
 
 let eval_kernels ~extents inputs (ir : Tcr.Ir.t) kernels =
@@ -306,30 +434,48 @@ type verdict = {
   diags : Diag.t list;
 }
 
-(* Appends a field element (in [0, p)) in decimal, as [string_of_int]
-   prints it. *)
-let rec add_decimal buf n =
-  if n >= 10 then add_decimal buf (n / 10);
-  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+let rec decimal_width n w = if n < 10 then w else decimal_width (n / 10) (w + 1)
+
+let rec fill_decimal b i n =
+  Bytes.set b i (Char.unsafe_chr (Char.code '0' + (n mod 10)));
+  if n >= 10 then fill_decimal b (i - 1) (n / 10)
+
+(* Writes a field element (in [0, p), so at most ten digits) in decimal at
+   [pos], as [string_of_int] prints it, and returns the position after
+   it. *)
+let write_decimal b pos n =
+  let last = pos + (if n >= 1_000_000_000 then 10 else decimal_width n 1) - 1 in
+  fill_decimal b last n;
+  last + 1
 
 (* MD5 hex of a stage's outputs: each output is [name:] and its elements in
-   decimal joined by [,], and the outputs are joined by [;]. *)
+   decimal joined by [,], and the outputs are joined by [;]. The text is
+   written into one buffer sized for ten digits and a separator per
+   element. *)
 let digest outs =
-  let buf =
-    Buffer.create (List.fold_left (fun n (_, data) -> n + 16 + (11 * Array.length data)) 0 outs)
+  let b =
+    Bytes.create
+      (List.fold_left
+         (fun n (name, data) -> n + String.length name + 2 + (11 * Array.length data))
+         0 outs)
+  in
+  let pos = ref 0 in
+  let add_char c =
+    Bytes.set b !pos c;
+    incr pos
   in
   List.iteri
     (fun i (name, data) ->
-      if i > 0 then Buffer.add_char buf ';';
-      Buffer.add_string buf name;
-      Buffer.add_char buf ':';
-      Array.iteri
-        (fun j x ->
-          if j > 0 then Buffer.add_char buf ',';
-          add_decimal buf x)
-        data)
+      if i > 0 then add_char ';';
+      Bytes.blit_string name 0 b !pos (String.length name);
+      pos := !pos + String.length name;
+      add_char ':';
+      for j = 0 to Array.length data - 1 do
+        if j > 0 then add_char ',';
+        pos := write_decimal b !pos data.(j)
+      done)
     outs;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  Digest.to_hex (Digest.subbytes b 0 !pos)
 
 (* First element on which two stages' outputs disagree. *)
 let first_mismatch parent child =
@@ -425,15 +571,6 @@ let validate ?(rounds = default_rounds) ?(seed = default_seed) ?mutate_kernel ~l
     let inputs_spec =
       List.map (fun (v : Tcr.Ir.var) -> (v.name, v.dims)) (Tcr.Ir.inputs ir)
     in
-    let chain =
-      [
-        ("dsl", fun inputs -> eval_dsl ~extents inputs statements);
-        ("variant", fun inputs -> eval_variant ~extents inputs choices);
-        ("tcr", fun inputs -> eval_tcr ~extents inputs ir);
-        ("recipe", fun inputs -> eval_recipe ~extents inputs ir points);
-        ("kernel", fun inputs -> eval_kernels ~extents inputs ir kernels);
-      ]
-    in
     let rng = Util.Rng.create seed in
     let stages = ref [] in
     (* Round 1's digests, newest first, so the head is the parent's. A
@@ -462,10 +599,21 @@ let validate ?(rounds = default_rounds) ?(seed = default_seed) ?mutate_kernel ~l
         }
       else begin
         let inputs = random_inputs rng extents inputs_spec in
+        let shared = Hashtbl.create 4 in
+        let reference describe () = shared_outputs ~extents inputs shared (describe ()) in
+        let chain =
+          [
+            ("dsl", reference (fun () -> describe_dsl statements));
+            ("variant", reference (fun () -> describe_variant choices));
+            ("tcr", reference (fun () -> describe_tcr ir));
+            ("recipe", reference (fun () -> describe_recipe ir points));
+            ("kernel", fun () -> eval_kernels ~extents inputs ir kernels);
+          ]
+        in
         (* each stage is compared with the one before it, so the first
            disagreement (or abort) names the earliest broken translation *)
         let step parent (stage, eval) =
-          match eval inputs with
+          match eval () with
           | exception Abort msg -> Error (abort_diag stage msg, stage)
           | exception Codegen.Exec.Out_of_bounds msg ->
             Error

@@ -7,12 +7,15 @@
     (p = 2^31 - 1) and compared exactly (Schwartz-Zippel: distinct
     polynomials of degree d agree with probability at most d/p per
     round, so a false "equivalent" is astronomically unlikely and a false
-    "different" is impossible). The kernel stage is the prime-field
-    instance of {!Codegen.Exec.walk}, the interpreter float execution runs
-    too - grid/block loops, unrolling with epilogue, scalar replacement -
-    with addresses formed from the kernel's own extents table and
-    bounds-checked, so stride corruption surfaces instead of being
-    normalized away.
+    "different" is impossible). Each round evaluates each distinct
+    reference computation once: reference stages whose ops agree on
+    output, factors and the multiset of loop indices (F_p sums commute
+    exactly) read one evaluation's arrays. The kernel stage is always
+    evaluated: it is the prime-field instance of {!Codegen.Exec.walk}, the
+    interpreter float execution runs too - grid/block loops, unrolling
+    with epilogue, scalar replacement - with addresses formed from the
+    kernel's own extents table and bounds-checked, so stride corruption
+    surfaces instead of being normalized away.
 
     Codes name the earliest stage that stopped agreeing with its parent:
     BAR060 variant vs dsl, BAR061 tcr vs variant, BAR062 recipe vs tcr,

@@ -4,11 +4,12 @@
    same structure the CUDA emitter prints - grid x block x parallel loops
    around each output element, reduction loops as the unrolled main loop
    plus epilogue - and leaves the arithmetic to its caller, which passes
-   closures over its own arrays. Two instances exist: [run_kernel] over
-   floats (checked against the einsum oracle by the test-suite) and the
-   prime-field kernel stage of Check.Semantic (checked against its own
-   stage evaluators), so the validator proves the interpreter that
-   Barracuda.run executes.
+   closures over its own arrays and gets each output element's points in
+   runs (one per innermost reduction loop). Two instances exist:
+   [run_kernel] over floats (checked against the einsum oracle by the
+   test-suite) and the prime-field kernel stage of Check.Semantic (checked
+   against its own stage evaluators), so the validator proves the
+   interpreter that Barracuda.run executes.
 
    Addresses are formed from the kernel's OWN extents table and
    bounds-checked against the caller's allocation, so corrupted strides
@@ -31,10 +32,16 @@ let find env name =
    slot's value, so an offset always equals the dot product of strides and
    slot values - also when two loop levels bind one slot (an ill-formed
    decomposition such as tx = bx), where the last write wins. [output off
-   reduce] runs once per output element and must call [reduce]; [point
-   offs] runs at each innermost point with the factors' offsets (the
-   walker's own buffer: read it, never write it). *)
-let walk (k : Kernel.t) ~elements ~output ~point =
+   reduce] runs once per output element and must call [reduce].
+
+   [run offs steps len] gets the points of one run: point [t] (from 0 to
+   [len - 1], in order) reads factor [f] at [offs.(f) + t * steps.(f)].
+   The innermost reduction level is one run of its extent: its unrolled
+   main loop and epilogue visit 0 .. e-1 in order, so the run covers both,
+   and the slot is left at e-1 as the loops leave it. Without reduction
+   loops each output element is a run of one. Both arrays are the walker's
+   own: read them, never write them. *)
+let walk (k : Kernel.t) ~elements ~output ~run =
   let kext i =
     match List.assoc_opt i k.extents with
     | Some e -> e
@@ -83,6 +90,33 @@ let walk (k : Kernel.t) ~elements ~output ~point =
            (Printf.sprintf "kernel %s accesses %s at linear offset %d outside its %d elements"
               k.name name off size))
   in
+  let sizes = Array.map (fun (_, size, _) -> size) factor_refs in
+  (* Offsets are affine along a run, so its two ends bound it. When an end
+     is out of bounds, the in-bounds prefix runs and the first failing
+     point raises, naming its first failing factor, as a per-point check
+     would. *)
+  let checked_run steps len =
+    let last = len - 1 in
+    let ok = ref true in
+    for f = 0 to nf - 1 do
+      let first = offs.(f) and size = sizes.(f) in
+      let final = first + (last * steps.(f)) in
+      if first < 0 || first >= size || final < 0 || final >= size then ok := false
+    done;
+    if !ok then run offs steps len
+    else begin
+      let rec first_failing t f =
+        if f = nf then first_failing (t + 1) 0
+        else
+          let off = offs.(f) + (t * steps.(f)) in
+          if off >= 0 && off < sizes.(f) then first_failing t (f + 1) else (t, f, off)
+      in
+      let t, f, off = first_failing 0 0 in
+      if t > 0 then run offs steps t;
+      let name, size, _ = factor_refs.(f) in
+      check name size off
+    end
+  in
   let loops ls =
     List.map (fun (l : Kernel.loop) -> (slot l.index, l.extent, max 1 l.unroll)) ls
   in
@@ -90,13 +124,15 @@ let walk (k : Kernel.t) ~elements ~output ~point =
     List.partition (fun (l : Kernel.loop) -> l.parallel) k.thread_loops
   in
   let parallel_loops = loops parallel_loops and reduction_loops = loops reduction_loops in
+  let no_steps = Array.make nf 0 in
   let rec reduce = function
-    | [] ->
-      for f = 0 to nf - 1 do
-        let name, size, _ = factor_refs.(f) in
-        check name size offs.(f)
-      done;
-      point offs
+    | [] -> checked_run no_steps 1
+    | [ (s, e, _) ] ->
+      if e > 0 then begin
+        set s 0;
+        checked_run factor_cols.(s) e;
+        set s (e - 1)
+      end
     | (s, e, u) :: rest ->
       let i = ref 0 in
       (* unrolled main loop *)
@@ -179,17 +215,22 @@ let run_kernel (k : Kernel.t) (env : env) =
       out.(off) <- saved +. acc.(0)
     end
   in
-  (* innermost body: one multiply-accumulate *)
-  let point offs =
-    let p = ref 1.0 in
-    for f = 0 to nf - 1 do
-      p := !p *. factors.(f).(offs.(f))
+  (* one multiply-accumulate per point: each product starts from 1.0 and
+     takes the factors in order, and the points accumulate in order *)
+  let run offs steps len =
+    let a = ref acc.(0) in
+    for t = 0 to len - 1 do
+      let p = ref 1.0 in
+      for f = 0 to nf - 1 do
+        p := !p *. factors.(f).(offs.(f) + (t * steps.(f)))
+      done;
+      a := !a +. !p
     done;
-    acc.(0) <- acc.(0) +. !p
+    acc.(0) <- !a
   in
   walk k
     ~elements:(fun name -> Tensor.Dense.num_elements (find env name))
-    ~output ~point
+    ~output ~run
 
 (* Allocate zeroed temporaries and outputs for a program. *)
 let allocate_produced (ir : Tcr.Ir.t) (inputs : env) : env =

@@ -22,14 +22,25 @@ exception Out_of_bounds of string
 
     [output off reduce] runs once per output element with the output's
     offset and must call [reduce] to run that element's reductions.
-    [point offs] runs at each innermost point with the factors' offsets in
-    [k.op.factors] order. The buffer is the walker's running offsets, kept
-    from one point to the next: read it, never write it. *)
+    [reduce] hands the element's points to [run offs steps len] in runs:
+    point [t] of a run, for [t] from 0 to [len - 1] in order, reads factor
+    [f] (in [k.op.factors] order) at [offs.(f) + t * steps.(f)]. The
+    innermost reduction loop is one run of its extent (its unrolled main
+    loop and epilogue visit the same points in the same order); an
+    element without reduction loops is one run of one point. Both arrays
+    are the walker's own, kept from one run to the next: read them, never
+    write them.
+
+    A run is checked at its two ends (offsets are affine along it). When
+    an end is out of bounds, [run] first gets the in-bounds prefix, if
+    any, and the first failing point then raises {!Out_of_bounds} naming
+    its first failing factor: the points run and the message are those of
+    a check at every point. *)
 val walk :
   Kernel.t ->
   elements:(string -> int) ->
   output:(int -> (unit -> unit) -> unit) ->
-  point:(int array -> unit) ->
+  run:(int array -> int array -> int -> unit) ->
   unit
 
 (** Execute one kernel over its grid, accumulating into the output (which

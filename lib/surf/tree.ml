@@ -26,23 +26,33 @@ type params = {
 let default_params ~dims =
   { k_candidates = max 1 (int_of_float (sqrt (float_of_int dims))); min_samples = 2; max_depth = 24 }
 
+(* Node statistics and the split draw loop over the index array with
+   local float refs, which stay unboxed; sums run in index order. *)
 let mean_of idx y =
   let n = Array.length idx in
   if n = 0 then 0.0
   else begin
     let s = ref 0.0 in
-    Array.iter (fun i -> s := !s +. y.(i)) idx;
+    for k = 0 to n - 1 do
+      s := !s +. y.(idx.(k))
+    done;
     !s /. float_of_int n
   end
 
+(* Squares with [** 2.0] (libm [pow]), which [x *. x] does not match bit
+   for bit. *)
 let sse_of idx y =
   let m = mean_of idx y in
   let s = ref 0.0 in
-  Array.iter (fun i -> s := !s +. ((y.(i) -. m) ** 2.0)) idx;
+  for k = 0 to Array.length idx - 1 do
+    s := !s +. ((y.(idx.(k)) -. m) ** 2.0)
+  done;
   !s
 
 (* Candidate split: a feature with spread in this node and a uniform
-   threshold strictly inside its range. *)
+   threshold strictly inside its range. The range updates are
+   [Stdlib.min] and [Stdlib.max] (NaN and signed zeros included) on
+   floats. *)
 let draw_split rng (x : float array array) idx dims =
   let tries = 8 in
   let rec attempt t =
@@ -50,20 +60,41 @@ let draw_split rng (x : float array array) idx dims =
     else begin
       let f = Util.Rng.int rng dims in
       let lo = ref infinity and hi = ref neg_infinity in
-      Array.iter
-        (fun i ->
-          lo := min !lo x.(i).(f);
-          hi := max !hi x.(i).(f))
-        idx;
+      for k = 0 to Array.length idx - 1 do
+        let v = x.(idx.(k)).(f) in
+        if not (!lo <= v) then lo := v;
+        if not (!hi >= v) then hi := v
+      done;
       if !hi > !lo then Some (f, Util.Rng.float_range rng !lo !hi)
       else attempt (t - 1)
     end
   in
   attempt tries
 
+(* Rows at or below the threshold, and rows above it, each in index
+   order: count, then fill. A NaN feature is in neither. *)
 let partition (x : float array array) idx feature threshold =
-  let left = Array.of_list (List.filter (fun i -> x.(i).(feature) <= threshold) (Array.to_list idx)) in
-  let right = Array.of_list (List.filter (fun i -> x.(i).(feature) > threshold) (Array.to_list idx)) in
+  let n = Array.length idx in
+  let nl = ref 0 and nr = ref 0 in
+  for k = 0 to n - 1 do
+    let v = x.(idx.(k)).(feature) in
+    if v <= threshold then incr nl else if v > threshold then incr nr
+  done;
+  let left = Array.make !nl 0 and right = Array.make !nr 0 in
+  nl := 0;
+  nr := 0;
+  for k = 0 to n - 1 do
+    let i = idx.(k) in
+    let v = x.(i).(feature) in
+    if v <= threshold then begin
+      left.(!nl) <- i;
+      incr nl
+    end
+    else if v > threshold then begin
+      right.(!nr) <- i;
+      incr nr
+    end
+  done;
   (left, right)
 
 let fit ?params rng (x : float array array) (y : float array) =

@@ -275,6 +275,49 @@ let test_acc_optimized () =
   Alcotest.(check bool) "vector clause" true (contains c "vector_length(");
   Alcotest.(check bool) "scalar replacement" true (contains c "double nv =")
 
+(* Digest of [Int64.bits_of_float] over every output element, outputs in
+   declaration order. *)
+let output_bits (ir : Tcr.Ir.t) env =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (v : Tcr.Ir.var) ->
+      if v.role = Tcr.Ir.Output then begin
+        Buffer.add_string buf v.name;
+        Array.iter
+          (fun x -> Buffer.add_string buf (Printf.sprintf "%Ld," (Int64.bits_of_float x)))
+          (Tensor.Dense.data (List.assoc v.name env))
+      end)
+    ir.vars;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Float execution keeps its output bits: an NWChem d1 kernel whose
+   reduction unroll (4) leaves an epilogue over its extent (6), and an s1
+   kernel with no reduction loop, where each output element is one
+   point. *)
+let test_exec_float_bits_pinned () =
+  List.iter
+    (fun (family, n, pick, want) ->
+      let b = Benchsuite.Nwchem.benchmark ~n family ~index:1 in
+      let c = List.hd (Autotune.Tuner.variant_choices b) in
+      let point = pick (Tcr.Space.enumerate (List.hd c.spaces.op_spaces)) in
+      let k = Codegen.Kernel.lower ~name:"k" c.v_ir (List.hd c.v_ir.ops) point in
+      let reductions = Codegen.Kernel.reduction_loops k in
+      (match family with
+      | Benchsuite.Nwchem.S1 -> check_int "s1: no reduction loop" 0 (List.length reductions)
+      | _ ->
+        Alcotest.(check bool)
+          "d1: the unroll leaves an epilogue" true
+          (List.exists (fun (l : Codegen.Kernel.loop) -> l.extent mod l.unroll <> 0) reductions));
+      let env = Codegen.Exec.run_program c.v_ir [ point ] (random_inputs ~seed:2 c.v_ir) in
+      Alcotest.(check string) b.label want (output_bits c.v_ir env))
+    [
+      ( Benchsuite.Nwchem.D1,
+        6,
+        List.find (fun p -> Tcr.Space.point_key p = "tx=h1 ty=p4 bx=p5 by=p6 uh7=4"),
+        "db31b70c1b17a9e6354f5bd6e68b1a87" );
+      (Benchsuite.Nwchem.S1, 4, List.hd, "ceb4e5bf285d61a831402d582914c7b9");
+    ]
+
 let suite =
   [
     ("lower dimensions", `Quick, test_lower_dimensions);
@@ -286,6 +329,7 @@ let suite =
     ("exec unroll epilogue", `Quick, test_exec_unroll_epilogue);
     ("exec accumulating ops", `Quick, test_exec_accumulating_ops);
     ("exec last write wins on a shared slot", `Quick, test_exec_last_write_wins);
+    ("exec float bits pinned", `Quick, test_exec_float_bits_pinned);
     ("exec rejects unbound tensor", `Quick, test_exec_rejects_unbound);
     QCheck_alcotest.to_alcotest qcheck_exec;
     ("cuda structure", `Quick, test_cuda_structure);

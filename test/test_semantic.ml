@@ -126,6 +126,58 @@ let test_rounds_must_be_positive () =
         (fun () -> ignore (validate ~rounds matmul_src "mm")))
     [ 0; -3 ]
 
+(* An NWChem triples kernel's five stages agree, pinned: the reference
+   stages share one evaluation per round, the kernel walk is its own. *)
+let test_nwchem_d1_stage_digests () =
+  let b = Benchsuite.Nwchem.benchmark ~n:4 Benchsuite.Nwchem.D1 ~index:1 in
+  let c = List.hd (Autotune.Tuner.variant_choices b) in
+  let points = List.map (fun s -> List.hd (Tcr.Space.enumerate s)) c.spaces.op_spaces in
+  let v =
+    Check.Semantic.validate ~label:b.label b.statements ~variant_ids:c.ids ~ir:c.v_ir ~points
+  in
+  check_bool "equivalent" true v.equivalent;
+  stage_digests "five stages, pinned"
+    (List.map
+       (fun s -> (s, "c1f2a8daaeb580e4c0873fff6a20dc25"))
+       [ "dsl"; "variant"; "tcr"; "recipe"; "kernel" ])
+    v.stages
+
+(* A recipe that maps j twice (tx = bx = j) iterates j twice: its loop
+   indices, sorted with duplicates kept, differ from the tcr program's, so
+   it is evaluated on its own and still fails at the recipe stage. A key
+   that dropped duplicates would share tcr's arrays and move the failure
+   to the kernel stage. *)
+let test_duplicated_index_fails_at_recipe () =
+  let src = "dims: i=4 j=3 k=5\nC[i j] = Sum([k], A[i k] * B[k j])" in
+  let b, c, points = first_candidate src "mm" in
+  Alcotest.(check (list string)) "first point" [ "tx=j ty=1 bx=i by=1 uk=1" ]
+    (List.map Tcr.Space.point_key points);
+  let points =
+    List.map
+      (fun (p : Tcr.Space.point) -> { p with decomp = { p.decomp with bx = "j" } })
+      points
+  in
+  let v =
+    Check.Semantic.validate ~label:"mm" b.statements ~variant_ids:c.Autotune.Tuner.ids
+      ~ir:c.Autotune.Tuner.v_ir ~points
+  in
+  Alcotest.(check (option string)) "failed at recipe" (Some "recipe") v.failed_stage;
+  let shared = "4beb8174e1a4843c1b930884612dc6ae" in
+  stage_digests "recipe digested fresh"
+    [
+      ("dsl", shared);
+      ("variant", shared);
+      ("tcr", shared);
+      ("recipe", "6bc755fe0d40b273564d06d2d60d9810");
+    ]
+    v.stages;
+  Alcotest.(check (list string)) "one BAR062"
+    [
+      "[BAR062] error (semantic) mm: recipe stage disagrees with its parent on C[0]: \
+       586522345 vs 1759567035 (mod 2147483647, round 1 of 2)";
+    ]
+    (List.map Check.Diag.render v.diags)
+
 (* ---------------- stage-injection pins ---------------- *)
 
 (* Corrupting the TCR stage (an op's factors) must be blamed on tcr
@@ -192,11 +244,21 @@ let test_mutation_swap_index () =
       (Astring_contains.contains d.message "on C[0]: 861637739 vs 1608435588")
   | ds -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds)
 
+(* The corrupted read fails inside a reduction run: the run's in-bounds
+   prefix runs, then its first failing point raises the message a check
+   at every point gives. *)
 let test_mutation_corrupt_stride () =
   let applied, v = mutation_caught Check.Mutate.Corrupt_stride in
   check_bool "applied" true applied;
   check_bool "caught" false v.Check.Semantic.equivalent;
-  check_bool "BAR063" true (has_code "BAR063" v.diags)
+  match v.diags with
+  | [ d ] ->
+    Alcotest.(check string) "BAR063" "BAR063" d.code;
+    Alcotest.(check string) "whole message"
+      "kernel stage: kernel mm_GPU_1 accesses B at linear offset 1024 outside its 1024 \
+       elements (round 1 of 2)"
+      d.message
+  | ds -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds)
 
 let test_mutation_drop_accumulation () =
   let applied, v = mutation_caught Check.Mutate.Drop_accumulation in
@@ -237,6 +299,57 @@ let test_kernel_oob_shared () =
     Alcotest.(check string) "BAR063" "BAR063" d.code;
     check_bool "same message" true (contains d.message msg)
   | ds -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds)
+
+(* ---------------- programs without a search point ---------------- *)
+
+(* A rank-1 output has no decomposition (tx and bx need two distinct
+   output indices), so its schedule space is empty. *)
+let rank1_src = "dims: i=8 j=6\nC[i] = Sum([j], T[i j] * X[j])"
+
+(* The CLI binary, built beside the test-suite (see test/dune): its exit
+   code and its standard output and error together. *)
+let run_cli args =
+  let cli =
+    List.fold_left Filename.concat
+      (Filename.dirname Sys.executable_name)
+      [ Filename.parent_dir_name; "bin"; "barracuda_cli.exe" ]
+  in
+  let out = Filename.temp_file "barracuda" ".out" in
+  let code =
+    Sys.command (Printf.sprintf "%s %s > %s 2>&1" (Filename.quote cli) args (Filename.quote out))
+  in
+  let text = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove out;
+  (code, text)
+
+let test_rank1_check_semantic () =
+  let code, text = run_cli ("check --semantic -e " ^ Filename.quote rank1_src) in
+  check_int "exit 1" 1 code;
+  check_bool "one BAR064 naming op1(C)" true
+    (Astring_contains.contains text
+       "[BAR064] error (semantic) tc: no search point for op1(C), so no candidate can be \
+        validated");
+  check_bool "nothing proven" true
+    (Astring_contains.contains text "translation validation: nothing proven");
+  check_bool "no internal error" false (Astring_contains.contains text "internal error")
+
+let test_rank1_tune () =
+  let b = Autotune.Tuner.benchmark_of_dsl ~label:"rank1" rank1_src in
+  Alcotest.check_raises "fails before building a pool"
+    (Autotune.Tuner.Empty_space "rank1: no search point for op1(C), so there is nothing to tune")
+    (fun () ->
+      ignore (Autotune.Tuner.tune ~rng:(Util.Rng.create 1) ~arch:Gpusim.Arch.gtx980 b));
+  List.iter
+    (fun cmd ->
+      let code, text = run_cli (cmd ^ " -e " ^ Filename.quote rank1_src) in
+      check_int (cmd ^ ": exit 1") 1 code;
+      check_bool (cmd ^ ": names op1(C)") true
+        (Astring_contains.contains text "no search point for op1(C)");
+      check_bool (cmd ^ ": no gate warning") false
+        (Astring_contains.contains text "static gate rejected");
+      check_bool (cmd ^ ": no internal error") false
+        (Astring_contains.contains text "internal error"))
+    [ "tune"; "cuda" ]
 
 (* ---------------- symbolic access analysis ---------------- *)
 
@@ -402,6 +515,9 @@ let suite =
     Alcotest.test_case "rounds must be positive" `Quick test_rounds_must_be_positive;
     Alcotest.test_case "eqn1 all variants" `Slow test_eqn1_all_variants;
     Alcotest.test_case "permuted schedule equivalent" `Quick test_permuted_schedule_equivalent;
+    Alcotest.test_case "nwchem d1 stage digests pinned" `Quick test_nwchem_d1_stage_digests;
+    Alcotest.test_case "duplicated index fails at recipe" `Quick
+      test_duplicated_index_fails_at_recipe;
     Alcotest.test_case "tcr corruption is BAR061" `Quick test_tcr_corruption_is_bar061;
     Alcotest.test_case "bad red_order aborts" `Quick test_bad_red_order_aborts;
     Alcotest.test_case "mutation: swap-index" `Quick test_mutation_swap_index;
@@ -410,6 +526,9 @@ let suite =
     Alcotest.test_case "kernel stage: out-of-bounds shared with Exec" `Quick
       test_kernel_oob_shared;
     Alcotest.test_case "mutation names roundtrip" `Quick test_mutation_names_roundtrip;
+    Alcotest.test_case "rank-1: check --semantic reports BAR064" `Quick
+      test_rank1_check_semantic;
+    Alcotest.test_case "rank-1: tune fails with a typed error" `Quick test_rank1_tune;
     Alcotest.test_case "access: clean summary" `Quick test_access_summary_clean;
     Alcotest.test_case "gate: fixed-seed tune bit-identical on/off" `Quick
       test_semantic_gate_bit_identical;

@@ -281,6 +281,26 @@ let test_surf_trajectory_pinned () =
     (history_of r);
   Alcotest.(check (list int)) "rivals" [ 80; 50; 96; 36; 93; 95; 35; 40; 67; 68 ] (rivals_of r)
 
+(* The surrogate's trees, pinned: a default-params fit on the first 40 of
+   pool_100's encoded rows and their objectives; the digests of its
+   predictions on all 100 rows and of its importances, bit for bit. *)
+let test_forest_fit_pinned () =
+  let bits a =
+    Digest.to_hex
+      (Digest.string
+         (String.concat ","
+            (Array.to_list (Array.map (fun v -> Int64.to_string (Int64.bits_of_float v)) a))))
+  in
+  let rows = Array.map encode pool_100 in
+  let f =
+    Surf.Forest.fit (Util.Rng.create 5) (Array.sub rows 0 40)
+      (Array.map objective (Array.sub pool_100 0 40))
+  in
+  Alcotest.(check string) "predictions" "b199c16bbae52a666ba12865181b68fb"
+    (bits (Array.map (Surf.Forest.predict f) rows));
+  Alcotest.(check string) "importance" "22c0183d63e6db20dbdb316f73e15175"
+    (bits (Surf.Forest.importance f ~dims:2))
+
 let test_surf_ties_pick_lowest_positions () =
   (* after the random batch every prediction ties, so each model-guided
      batch (and the rival list) is the lowest unevaluated positions *)
@@ -372,6 +392,7 @@ let suite =
     ("surf convergence telemetry", `Quick, test_surf_convergence_telemetry);
     ("surf categorical problem", `Quick, test_surf_categorical_problem);
     ("surf trajectory pinned", `Quick, test_surf_trajectory_pinned);
+    ("forest fit pinned", `Quick, test_forest_fit_pinned);
     ("surf ties pick lowest positions", `Quick, test_surf_ties_pick_lowest_positions);
     ("surf encodes each position once", `Quick, test_surf_encodes_each_position_once);
     ("surf rejects unequal widths", `Quick, test_surf_rejects_unequal_widths);
