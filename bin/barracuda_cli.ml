@@ -755,7 +755,8 @@ let cmd_check =
     Arg.(
       value & flag
       & info [ "no-lints" ]
-          ~doc:"Errors only: skip the warning-level kernel lints.")
+          ~doc:
+            "Errors only: skip every warning- and info-level lint, recipe and kernel.")
   in
   let semantic_flag =
     Arg.(

@@ -84,11 +84,14 @@ let total_space choices =
       if acc > max_int - n then max_int else acc + n)
     0 choices
 
+(* Feature names are "op<i>_<name>", the prefix made once per op: every
+   pool candidate is described this way. *)
 let features_of (c : variant_choice) points =
   ("variant", Surf.Feature.Cat (String.concat "." (List.map string_of_int c.ids)))
   :: List.concat
        (List.mapi
           (fun i (space, point) ->
+            let prefix = "op" ^ string_of_int (i + 1) ^ "_" in
             List.map
               (fun (name, v) ->
                 let v' =
@@ -96,7 +99,7 @@ let features_of (c : variant_choice) points =
                   | Tcr.Space.Cat s -> Surf.Feature.Cat s
                   | Tcr.Space.Num x -> Surf.Feature.Num x
                 in
-                (Printf.sprintf "op%d_%s" (i + 1) name, v'))
+                (prefix ^ name, v'))
               (Tcr.Space.features space point))
           (List.combine c.spaces.op_spaces points))
 

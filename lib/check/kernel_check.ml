@@ -10,57 +10,57 @@
    device limits. Quality lints (uncoalesced loads, low occupancy, partial
    warps, an undersized grid) are warnings: legal, but worth flagging. *)
 
+let rec loop_range i r = function
+  | [] -> r
+  | (l : Codegen.Kernel.loop) :: rest ->
+    loop_range i (if String.equal l.index i then Int.max r l.extent else r) rest
+
+let drives slot i = match slot with Some j -> String.equal j i | None -> false
+
 (* Iteration range of index [i] as the kernel actually drives it: the
    block/grid dimension when mapped, the loop extent when serial, the
    maximum of both in malformed kernels, 1 when never driven. *)
 let index_range (k : Codegen.Kernel.t) i =
   let d = k.decomp in
-  let r = ref 1 in
-  let bump v = r := max !r v in
-  if d.tx = i then bump (fst k.block);
-  (match d.ty with Some ty when ty = i -> bump (snd k.block) | _ -> ());
-  if d.bx = i then bump (fst k.grid);
-  (match d.by with Some by when by = i -> bump (snd k.grid) | _ -> ());
-  List.iter
-    (fun (l : Codegen.Kernel.loop) -> if l.index = i then bump l.extent)
-    k.thread_loops;
-  !r
+  let r = if String.equal d.tx i then Int.max 1 (fst k.block) else 1 in
+  let r = if drives d.ty i then Int.max r (snd k.block) else r in
+  let r = if String.equal d.bx i then Int.max r (fst k.grid) else r in
+  let r = if drives d.by i then Int.max r (snd k.grid) else r in
+  loop_range i r k.thread_loops
 
-(* BAR030: symbolic in-bounds proof per referenced array. *)
+(* BAR030 when some dimension of [name] has no extent: one finding per
+   such dimension, in order. *)
+let missing_extents (k : Codegen.Kernel.t) name dims =
+  List.filter_map
+    (fun i ->
+      match Tcr.Ir.assoc_index i k.extents with
+      | Some _ -> None
+      | None ->
+        Some
+          (Diag.error Diag.Kernel ~code:"BAR030" ~site:k.name
+             "cannot bound offsets of %s: dimension %s has no extent" name i))
+    dims
+
+(* BAR030: symbolic in-bounds proof of array [name]. Row-major, so Horner's
+   rule over the dims, outermost first, gives the maximum offset
+   [sum_d stride_d * (range_d - 1)] alongside the element count without
+   materializing strides or extents. *)
+let rec bound (k : Codegen.Kernel.t) name dims size offset = function
+  | i :: inner -> (
+    match Tcr.Ir.assoc_index i k.extents with
+    | Some e -> bound k name dims (size * e) ((offset * e) + index_range k i - 1) inner
+    | None -> missing_extents k name dims)
+  | [] ->
+    if offset >= size then
+      [
+        Diag.error Diag.Kernel ~code:"BAR030" ~site:k.name
+          "out of bounds: max linearized offset %d of %s reaches past its %d elements"
+          offset name size;
+      ]
+    else []
+
 let check_bounds (k : Codegen.Kernel.t) =
-  List.concat_map
-    (fun (name, dims) ->
-      let extents =
-        List.map (fun i -> (i, List.assoc_opt i k.extents)) dims
-      in
-      if List.exists (fun (_, e) -> e = None) extents then
-        List.filter_map
-          (fun (i, e) ->
-            if e = None then
-              Some
-                (Diag.error Diag.Kernel ~code:"BAR030" ~site:k.name
-                   "cannot bound offsets of %s: dimension %s has no extent" name i)
-            else None)
-          extents
-      else begin
-        let exts = Array.of_list (List.map (fun (_, e) -> Option.get e) extents) in
-        let size = Tensor.Shape.num_elements exts in
-        (* row-major strides of the declared dims *)
-        let strides = Tensor.Shape.strides exts in
-        let max_offset =
-          List.fold_left ( + ) 0
-            (List.mapi (fun pos idx -> strides.(pos) * (index_range k idx - 1)) dims)
-        in
-        if max_offset >= size then
-          [
-            Diag.error Diag.Kernel ~code:"BAR030" ~site:k.name
-              "out of bounds: max linearized offset %d of %s reaches past its %d \
-               elements"
-              max_offset name size;
-          ]
-        else []
-      end)
-    k.arrays
+  List.concat_map (fun (name, dims) -> bound k name dims 1 0 dims) k.arrays
 
 (* BAR031: at least one block must fit the SM's register file. *)
 let check_registers (arch : Gpusim.Arch.t) (k : Codegen.Kernel.t) =
@@ -86,14 +86,16 @@ let max_grid_y _arch = 65535
 let check_dims (arch : Gpusim.Arch.t) (k : Codegen.Kernel.t) =
   let gx, gy = k.grid and bx, by = k.block in
   let nonpos =
-    List.filter_map
-      (fun (what, v) ->
-        if v < 1 then
-          Some
-            (Diag.error Diag.Kernel ~code:"BAR034" ~site:k.name
-               "%s dimension %d is not positive" what v)
-        else None)
-      [ ("grid x", gx); ("grid y", gy); ("block x", bx); ("block y", by) ]
+    if gx >= 1 && gy >= 1 && bx >= 1 && by >= 1 then []
+    else
+      List.filter_map
+        (fun (what, v) ->
+          if v < 1 then
+            Some
+              (Diag.error Diag.Kernel ~code:"BAR034" ~site:k.name
+                 "%s dimension %d is not positive" what v)
+          else None)
+        [ ("grid x", gx); ("grid y", gy); ("block x", bx); ("block y", by) ]
   in
   let tpb = Codegen.Kernel.threads_per_block k in
   let block =

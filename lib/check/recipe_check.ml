@@ -10,35 +10,36 @@
 
 open Tcr
 
+(* Sites and messages are formatted only in the branch that makes a
+   finding: the tuner's gate runs this on every draw, and a clean point
+   should cost only the decisions. *)
 let site_of (s : Space.t) = Printf.sprintf "op%d(%s)" (s.op_index + 1) s.op.out
 
 let mapped_slots (p : Space.point) =
   let d = p.decomp in
-  [ ("tx", Some d.tx); ("ty", d.ty); ("bx", Some d.bx); ("by", d.by) ]
-  |> List.filter_map (fun (slot, i) -> Option.map (fun i -> (slot, i)) i)
+  let opt slot = function None -> [] | Some i -> [ (slot, i) ] in
+  (("tx", d.tx) :: opt "ty" d.ty) @ (("bx", d.bx) :: opt "by" d.by)
 
 (* BAR020/BAR021/BAR022: the decomposition itself. *)
 let check_decomposition (s : Space.t) (p : Space.point) =
-  let site = site_of s in
-  let op = s.op in
-  let reductions = Ir.reduction_indices op in
   let slots = mapped_slots p in
   let unknown =
     List.filter_map
       (fun (slot, i) ->
-        if List.mem i (Ir.iteration_indices op) then None
+        if Ir.mem_index i s.indices then None
         else
           Some
-            (Diag.error Diag.Recipe ~code:"BAR022" ~site
+            (Diag.error Diag.Recipe ~code:"BAR022" ~site:(site_of s)
                "%s is mapped to index %s, which the statement does not iterate" slot i))
       slots
   in
   let races =
     List.filter_map
       (fun (slot, i) ->
-        if List.mem i reductions then
+        (* a reduction index: iterated, but not an output index *)
+        if Ir.mem_index i s.indices && not (Ir.mem_index i s.op.out_indices) then
           Some
-            (Diag.error Diag.Recipe ~code:"BAR020" ~site
+            (Diag.error Diag.Recipe ~code:"BAR020" ~site:(site_of s)
                "reduction index %s is mapped to %s: concurrent threads would race on \
                 the accumulation"
                i slot)
@@ -49,10 +50,10 @@ let check_decomposition (s : Space.t) (p : Space.point) =
     let rec dups seen = function
       | [] -> []
       | (slot, i) :: rest ->
-        (match List.assoc_opt i seen with
+        (match Ir.assoc_index i seen with
         | Some prev ->
           [
-            Diag.error Diag.Recipe ~code:"BAR021" ~site
+            Diag.error Diag.Recipe ~code:"BAR021" ~site:(site_of s)
               "index %s is assigned to both %s and %s" i prev slot;
           ]
         | None -> [])
@@ -66,10 +67,10 @@ let check_decomposition (s : Space.t) (p : Space.point) =
 let check_threads (s : Space.t) (p : Space.point) =
   let d = p.decomp in
   match
-    ( List.assoc_opt d.tx s.ir.Ir.extents,
+    ( Ir.assoc_index d.tx s.ir.Ir.extents,
       match d.ty with
       | None -> Some 1
-      | Some ty -> List.assoc_opt ty s.ir.Ir.extents )
+      | Some ty -> Ir.assoc_index ty s.ir.Ir.extents )
   with
   | Some ex, Some ey when ex * ey > s.max_threads_per_block ->
     [
@@ -84,8 +85,10 @@ let check_red_order (s : Space.t) (p : Space.point) =
   match p.red_order with
   | [] -> []
   | order ->
-    let reductions = Ir.reduction_indices s.op in
-    if List.sort compare order = List.sort compare reductions then []
+    let reductions =
+      List.filter (fun i -> not (Ir.mem_index i s.op.out_indices)) s.indices
+    in
+    if Ir.is_permutation order reductions then []
     else
       [
         Diag.error Diag.Recipe ~code:"BAR024" ~site:(site_of s)
@@ -94,41 +97,41 @@ let check_red_order (s : Space.t) (p : Space.point) =
           (String.concat "," reductions);
       ]
 
-(* BAR025/BAR026/BAR027: unroll factors against their loops. *)
-let check_unrolls (s : Space.t) (p : Space.point) =
-  let site = site_of s in
-  let mapped = List.map snd (mapped_slots p) in
+(* BAR025 errors; BAR026/BAR027 lints (skipped with [~lints:false]): unroll
+   factors against their loops. *)
+let check_unrolls ~lints (s : Space.t) (p : Space.point) =
   List.concat_map
     (fun (loop, u) ->
-      if not (List.mem loop (Ir.iteration_indices s.op)) then
+      if not (Ir.mem_index loop s.indices) then
         [
-          Diag.error Diag.Recipe ~code:"BAR022" ~site
+          Diag.error Diag.Recipe ~code:"BAR022" ~site:(site_of s)
             "unroll names index %s, which the statement does not iterate" loop;
         ]
       else if u < 1 then
         [
-          Diag.error Diag.Recipe ~code:"BAR025" ~site
+          Diag.error Diag.Recipe ~code:"BAR025" ~site:(site_of s)
             "unroll factor %d of loop %s is not positive" u loop;
         ]
       else
-        match List.assoc_opt loop s.ir.Ir.extents with
+        match Ir.assoc_index loop s.ir.Ir.extents with
         | None -> []  (* layer-1 BAR010 *)
         | Some e ->
           if u > e then
             [
-              Diag.error Diag.Recipe ~code:"BAR025" ~site
+              Diag.error Diag.Recipe ~code:"BAR025" ~site:(site_of s)
                 "unroll factor %d exceeds the extent %d of loop %s" u e loop;
             ]
-          else if List.mem loop mapped then
+          else if not lints then []
+          else if Ir.mem_index loop (Space.mapped_indices p.decomp) then
             [
-              Diag.warning Diag.Recipe ~code:"BAR026" ~site
+              Diag.warning Diag.Recipe ~code:"BAR026" ~site:(site_of s)
                 "loop %s is mapped to the hardware decomposition; its unroll factor \
                  is ignored"
                 loop;
             ]
           else if u > 1 && e mod u <> 0 then
             [
-              Diag.info Diag.Recipe ~code:"BAR027" ~site
+              Diag.info Diag.Recipe ~code:"BAR027" ~site:(site_of s)
                 "unroll factor %d does not divide the extent %d of loop %s (epilogue \
                  iterations remain)"
                 u e loop;
@@ -136,5 +139,6 @@ let check_unrolls (s : Space.t) (p : Space.point) =
           else [])
     p.unrolls
 
-let check (s : Space.t) (p : Space.point) =
-  check_decomposition s p @ check_threads s p @ check_red_order s p @ check_unrolls s p
+let check ?(lints = true) (s : Space.t) (p : Space.point) =
+  check_decomposition s p @ check_threads s p @ check_red_order s p
+  @ check_unrolls ~lints s p

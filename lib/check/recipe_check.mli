@@ -10,4 +10,10 @@
     exceeds its loop's extent (BAR025). Lints: unrolling a mapped loop
     (BAR026, warning), non-dividing unroll factors (BAR027, info). *)
 
-val check : Tcr.Space.t -> Tcr.Space.point -> Diag.t list
+(** Every finding for one point, in a fixed order: decomposition (BAR022,
+    BAR020, BAR021), threads, reduction order, then unrolls in the point's
+    order. [~lints:false] (default [true]) computes errors only: no BAR026
+    warning and no BAR027 info, so the result is exactly the error subset
+    of the lints-on result. The tuner's gate runs this on every draw; a
+    clean point formats nothing. *)
+val check : ?lints:bool -> Tcr.Space.t -> Tcr.Space.point -> Diag.t list

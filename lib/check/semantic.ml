@@ -477,7 +477,9 @@ let digest outs =
     outs;
   Digest.to_hex (Digest.subbytes b 0 !pos)
 
-(* First element on which two stages' outputs disagree. *)
+(* First element on which two stages' outputs disagree. A stage served
+   from the round's sharing table gets back its parent's very arrays, which
+   cannot disagree, so those are not scanned. *)
 let first_mismatch parent child =
   List.fold_left
     (fun acc (name, pdata) ->
@@ -486,6 +488,7 @@ let first_mismatch parent child =
       | None -> (
         match List.assoc_opt name child with
         | None -> Some (name, -1, 0, 0)
+        | Some cdata when cdata == pdata -> None
         | Some cdata ->
           let n = min (Array.length pdata) (Array.length cdata) in
           let rec scan i =

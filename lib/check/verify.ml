@@ -28,7 +28,7 @@ let empty_report =
   { variants = 0; points_checked = 0; kernels_checked = 0; truncated = false; diags = [] }
 
 let ir = Ir_check.check
-let recipe = Recipe_check.check
+let recipe ?lints s p = Recipe_check.check ?lints s p
 let kernel ?lints arch k = Kernel_check.check ?lints arch k
 
 (* Did this point's findings stop it before layer 3? *)
@@ -40,10 +40,10 @@ let stopped_before_kernel ds =
 
 let space_point ?lints ?(label = "check") ~arch (s : Tcr.Space.t) (p : Tcr.Space.point)
     =
-  let rds = Recipe_check.check s p in
+  let rds = Recipe_check.check ?lints s p in
   if Diag.has_errors rds then rds
   else
-    let name = Printf.sprintf "%s_GPU_%d" label (s.op_index + 1) in
+    let name = label ^ "_GPU_" ^ string_of_int (s.op_index + 1) in
     match Codegen.Kernel.lower ~name s.ir s.op p with
     | k -> rds @ Kernel_check.check ?lints arch k
     | exception e ->

@@ -29,15 +29,18 @@ val empty_report : report
 (** Layer 1 alone: TCR well-formedness. *)
 val ir : Tcr.Ir.t -> Diag.t list
 
-(** Layer 2 alone: recipe legality of one point. *)
-val recipe : Tcr.Space.t -> Tcr.Space.point -> Diag.t list
+(** Layer 2 alone: recipe legality of one point; [~lints:false] computes
+    errors only. *)
+val recipe : ?lints:bool -> Tcr.Space.t -> Tcr.Space.point -> Diag.t list
 
 (** Layer 3 alone: resource analysis of an emitted kernel. *)
 val kernel : ?lints:bool -> Gpusim.Arch.t -> Codegen.Kernel.t -> Diag.t list
 
 (** Layers 2+3 for one search point: recipe legality, then - only when
     clean - lowering (a raise becomes BAR001) and kernel analysis.
-    [~lints:false] computes errors only. *)
+    [~lints:false] computes errors only at both layers (no BAR026/BAR027
+    recipe lints, no BAR07x kernel lints): the result is exactly the error
+    subset of the lints-on result. *)
 val space_point :
   ?lints:bool ->
   ?label:string ->

@@ -27,7 +27,7 @@ type t = {
 }
 
 let extent k i =
-  match List.assoc_opt i k.extents with
+  match Tcr.Ir.assoc_index i k.extents with
   | Some e -> e
   | None -> invalid_arg (Printf.sprintf "Kernel.extent: unknown index %s" i)
 
@@ -65,13 +65,15 @@ let flops k =
 let lower ?(scalar_replace = true) ~name (ir : Tcr.Ir.t) (op : Tcr.Ir.op)
     (point : Tcr.Space.point) =
   let d = point.decomp in
-  let mapped = d.tx :: d.bx :: (Option.to_list d.ty @ Option.to_list d.by) in
-  List.iter
-    (fun i ->
-      if not (List.mem i op.out_indices) then
-        invalid_arg
-          (Printf.sprintf "Kernel.lower: decomposition index %s is not parallel" i))
-    mapped;
+  let require_parallel i =
+    if not (Tcr.Ir.mem_index i op.out_indices) then
+      invalid_arg
+        (Printf.sprintf "Kernel.lower: decomposition index %s is not parallel" i)
+  in
+  require_parallel d.tx;
+  require_parallel d.bx;
+  Option.iter require_parallel d.ty;
+  Option.iter require_parallel d.by;
   let ext i = Tcr.Ir.extent ir i in
   (* the serial schedule (unmapped parallel loops outermost, reduction
      loops innermost, permuted by the point's red_order) is shared with
@@ -84,8 +86,11 @@ let lower ?(scalar_replace = true) ~name (ir : Tcr.Ir.t) (op : Tcr.Ir.op)
         {
           index = i;
           extent = ext i;
-          unroll = (match List.assoc_opt i point.unrolls with Some u -> max 1 u | None -> 1);
-          parallel = List.mem i op.out_indices;
+          unroll =
+            (match Tcr.Ir.assoc_index i point.unrolls with
+            | Some u -> Int.max 1 u
+            | None -> 1);
+          parallel = Tcr.Ir.mem_index i op.out_indices;
         })
       order
   in

@@ -17,7 +17,7 @@ let regs_per_thread (k : Codegen.Kernel.t) =
   let per_factor = 4 in
   let unroll_extra =
     List.fold_left
-      (fun acc (l : Codegen.Kernel.loop) -> acc + (2 * (max 1 l.unroll - 1)))
+      (fun acc (l : Codegen.Kernel.loop) -> acc + (2 * (Int.max 1 l.unroll - 1)))
       0 k.thread_loops
   in
   base + (per_factor * List.length k.op.factors) + unroll_extra

@@ -27,8 +27,22 @@ type t = {
   ops : op list;
 }
 
+(* Index names compare as strings: [List.mem] and [List.assoc_opt] would
+   go through polymorphic compare, and the tuner's static gate asks these
+   questions on every draw. The first match wins, as with the stdlib. *)
+let rec mem_index i = function
+  | [] -> false
+  | j :: rest -> String.equal i j || mem_index i rest
+
+let rec assoc_index i = function
+  | [] -> None
+  | (j, v) :: rest -> if String.equal i j then Some v else assoc_index i rest
+
+let is_permutation a b =
+  List.equal String.equal (List.sort String.compare a) (List.sort String.compare b)
+
 let extent t name =
-  match List.assoc_opt name t.extents with
+  match assoc_index name t.extents with
   | Some e -> e
   | None -> invalid_arg (Printf.sprintf "Ir.extent: unknown index %s" name)
 

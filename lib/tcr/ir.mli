@@ -27,6 +27,18 @@ type t = {
   ops : op list;
 }
 
+(** [List.mem] over index names, compared with [String.equal] instead of
+    polymorphic compare. *)
+val mem_index : string -> string list -> bool
+
+(** [List.assoc_opt] keyed by index name, compared with [String.equal];
+    the first match wins. *)
+val assoc_index : string -> (string * 'a) list -> 'a option
+
+(** [is_permutation a b]: [a] and [b] hold the same index names, counted
+    with multiplicity. *)
+val is_permutation : string list -> string list -> bool
+
 (** Raise [Invalid_argument] for unknown names. *)
 val extent : t -> string -> int
 

@@ -24,6 +24,7 @@ type t = {
   candidates : Decision.candidates;
   max_threads_per_block : int;
   decomps : decomposition array;  (* every valid decomposition, built once by [make] *)
+  indices : string list;  (* Ir.iteration_indices op, derived once by [make] *)
 }
 
 let default_max_threads = 1024
@@ -56,7 +57,17 @@ let lift = function "1" -> None | i -> Some i
 let make ?(max_threads_per_block = default_max_threads) (ir : Ir.t) op_index =
   let op = List.nth ir.ops op_index in
   let c = Decision.derive ir op in
-  let t = { ir; op_index; op; candidates = c; max_threads_per_block; decomps = [||] } in
+  let t =
+    {
+      ir;
+      op_index;
+      op;
+      candidates = c;
+      max_threads_per_block;
+      decomps = [||];
+      indices = Ir.iteration_indices op;
+    }
+  in
   let decomps =
     List.concat_map
       (fun tx ->
@@ -115,27 +126,49 @@ let sample rng t =
    drift from "what the lowering does" silently. *)
 let serial_schedule (op : Ir.op) (point : point) =
   let mapped = mapped_indices point.decomp in
-  let serial = List.filter (fun i -> not (List.mem i mapped)) op.loop_order in
-  let parallel_serial = List.filter (fun i -> List.mem i op.out_indices) serial in
-  let reductions = List.filter (fun i -> not (List.mem i op.out_indices)) serial in
+  let serial = List.filter (fun i -> not (Ir.mem_index i mapped)) op.loop_order in
+  let parallel_serial, reductions =
+    List.partition (fun i -> Ir.mem_index i op.out_indices) serial
+  in
   let reductions =
     match point.red_order with
     | [] -> reductions
     | order ->
-      if List.sort compare order <> List.sort compare reductions then
+      if not (Ir.is_permutation order reductions) then
         invalid_arg "Space.serial_schedule: red_order is not a permutation of the reductions";
       order
   in
   (parallel_serial, reductions)
 
+(* "tx=j ty=1 bx=i by=1 uk=4 ul=2 ro=m.l": built in one buffer, since the
+   pool keys every draw by it. *)
 let point_key point =
   let d = point.decomp in
-  Printf.sprintf "tx=%s ty=%s bx=%s by=%s %s%s" d.tx
-    (Option.value d.ty ~default:"1")
-    d.bx
-    (Option.value d.by ~default:"1")
-    (String.concat " " (List.map (fun (l, f) -> Printf.sprintf "u%s=%d" l f) point.unrolls))
-    (match point.red_order with [] | [ _ ] -> "" | o -> " ro=" ^ String.concat "." o)
+  let b = Buffer.create 64 in
+  let add = Buffer.add_string b in
+  add "tx=";
+  add d.tx;
+  add " ty=";
+  add (Option.value d.ty ~default:"1");
+  add " bx=";
+  add d.bx;
+  add " by=";
+  add (Option.value d.by ~default:"1");
+  add " ";
+  List.iteri
+    (fun n (l, f) ->
+      if n > 0 then add " ";
+      add "u";
+      add l;
+      add "=";
+      add (string_of_int f))
+    point.unrolls;
+  (match point.red_order with
+  | [] | [ _ ] -> ()
+  | o ->
+    add " ro=";
+    add (String.concat "." o));
+  Buffer.contents b
 
 (* Feature description of a point, consumed by SURF's binarizer: the
    decomposition parameters are categorical, the unroll factors numeric. *)

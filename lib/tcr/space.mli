@@ -27,6 +27,11 @@ type t = {
       (** every valid decomposition, in enumeration order, built once by
           {!make}; {!decompositions}, {!count}, {!enumerate} and {!sample}
           read it *)
+  indices : string list;
+      (** the statement's iteration indices ({!Ir.iteration_indices} of
+          [op]: sorted, distinct), derived once by {!make} so the recipe
+          check reads them instead of re-sorting every reference's indices
+          per point *)
 }
 
 val default_max_threads : int
@@ -58,7 +63,8 @@ val sample : Util.Rng.t -> t -> point
     recipe-stage semantic evaluator share this single definition. *)
 val serial_schedule : Ir.op -> point -> string list * string list
 
-(** Stable textual identity of a point (used for memoization). *)
+(** Stable textual identity of a point (used for memoization and the
+    pool's dedup), e.g. ["tx=j ty=1 bx=i by=1 uk=4"]. *)
 val point_key : point -> string
 
 type feature_value = Cat of string | Num of float

@@ -117,6 +117,130 @@ let test_recipe_enumerated_clean () =
           (Tcr.Space.point_key p) (Check.Diag.render_report ds))
     (Tcr.Space.enumerate s)
 
+(* The full rendered text of every finding, in order: sites and messages
+   are formatted only in the branch that makes a finding, so a code match
+   alone would not notice a message drifting. *)
+let check_renders what expected ds =
+  Alcotest.(check (list string)) what expected (List.map Check.Diag.render ds)
+
+let test_recipe_findings_pinned () =
+  let r ?(space = mm_space ()) p = Check.Verify.recipe space p in
+  check_renders "BAR020"
+    [
+      "[BAR020] error (recipe) op1(C): reduction index k is mapped to tx: concurrent \
+       threads would race on the accumulation";
+    ]
+    (r (point (d2 "k" "i") [] []));
+  check_renders "BAR021"
+    [ "[BAR021] error (recipe) op1(C): index i is assigned to both tx and bx" ]
+    (r (point (d2 "i" "i") [] []));
+  check_renders "BAR022 slot"
+    [
+      "[BAR022] error (recipe) op1(C): tx is mapped to index z, which the statement \
+       does not iterate";
+    ]
+    (r (point (d2 "z" "i") [] []));
+  check_renders "BAR022 unroll"
+    [
+      "[BAR022] error (recipe) op1(C): unroll names index z, which the statement does \
+       not iterate";
+    ]
+    (r (point (d2 "j" "i") [ ("z", 2) ] []));
+  check_renders "BAR023"
+    [
+      "[BAR023] error (recipe) op1(C): block of 32x1 = 32 threads exceeds the 16-thread \
+       limit";
+    ]
+    (r
+       ~space:(Tcr.Space.make ~max_threads_per_block:16 (ir_of matmul_src) 0)
+       (point (d2 "j" "i") [] []));
+  check_renders "BAR024"
+    [
+      "[BAR024] error (recipe) op1(C): reduction order (i) is not a permutation of the \
+       reduction loops (k)";
+    ]
+    (r (point (d2 "j" "i") [] [ "i" ]));
+  check_renders "BAR025 over the extent"
+    [ "[BAR025] error (recipe) op1(C): unroll factor 64 exceeds the extent 32 of loop k" ]
+    (r (point (d2 "j" "i") [ ("k", 64) ] []));
+  check_renders "BAR025 not positive"
+    [ "[BAR025] error (recipe) op1(C): unroll factor 0 of loop k is not positive" ]
+    (r (point (d2 "j" "i") [ ("k", 0) ] []));
+  check_renders "BAR026 with lints"
+    [
+      "[BAR026] warning (recipe) op1(C): loop j is mapped to the hardware \
+       decomposition; its unroll factor is ignored";
+    ]
+    (r (point (d2 "j" "i") [ ("j", 2) ] []));
+  check_renders "BAR027 with lints"
+    [
+      "[BAR027] info (recipe) op1(C): unroll factor 5 does not divide the extent 32 of \
+       loop k (epilogue iterations remain)";
+    ]
+    (r (point (d2 "j" "i") [ ("k", 5) ] []));
+  (* every check at once: decomposition (unknown, races, duplicates),
+     reduction order, then the unrolls in the point's order *)
+  check_renders "order across checks"
+    [
+      "[BAR022] error (recipe) op1(C): ty is mapped to index z, which the statement \
+       does not iterate";
+      "[BAR020] error (recipe) op1(C): reduction index k is mapped to tx: concurrent \
+       threads would race on the accumulation";
+      "[BAR020] error (recipe) op1(C): reduction index k is mapped to bx: concurrent \
+       threads would race on the accumulation";
+      "[BAR021] error (recipe) op1(C): index k is assigned to both tx and bx";
+      "[BAR024] error (recipe) op1(C): reduction order (i) is not a permutation of the \
+       reduction loops (k)";
+      "[BAR022] error (recipe) op1(C): unroll names index z, which the statement does \
+       not iterate";
+      "[BAR025] error (recipe) op1(C): unroll factor 0 of loop k is not positive";
+      "[BAR027] info (recipe) op1(C): unroll factor 3 does not divide the extent 32 of \
+       loop j (epilogue iterations remain)";
+    ]
+    (r
+       (point
+          { Tcr.Space.tx = "k"; ty = Some "z"; bx = "k"; by = None }
+          [ ("z", 2); ("k", 0); ("i", 2); ("j", 3) ]
+          [ "i" ]))
+
+(* [~lints:false] means errors only, at both layers: exactly the
+   error-severity subset of the lints-on findings, in the same order. *)
+let test_lints_off_is_error_subset () =
+  let s = mm_space () in
+  let hand_made =
+    [
+      point (d2 "k" "i") [] [];
+      point (d2 "i" "i") [] [];
+      point (d2 "z" "i") [ ("z", 2) ] [];
+      point (d2 "j" "i") [ ("k", 64) ] [ "i" ];
+      point (d2 "j" "i") [ ("j", 2); ("k", 5) ] [];
+      point (d2 "i" "j") [ ("k", 3) ] [];
+      point
+        { Tcr.Space.tx = "k"; ty = Some "z"; bx = "k"; by = None }
+        [ ("z", 2); ("k", 0); ("i", 2); ("j", 3) ]
+        [ "i" ];
+    ]
+  in
+  let renders ds = List.map Check.Diag.render ds in
+  List.iter
+    (fun p ->
+      let key = Tcr.Space.point_key p in
+      let on = Check.Verify.recipe s p in
+      Alcotest.(check (list string)) ("recipe " ^ key)
+        (renders (Check.Diag.errors on))
+        (renders (Check.Verify.recipe ~lints:false s p));
+      let on = Check.Verify.space_point ~arch s p in
+      Alcotest.(check (list string)) ("space_point " ^ key)
+        (renders (Check.Diag.errors on))
+        (renders (Check.Verify.space_point ~lints:false ~arch s p)))
+    (hand_made @ Tcr.Space.enumerate s);
+  (* the lints this drops do exist with lints on *)
+  let p = point (d2 "j" "i") [ ("j", 2); ("k", 5) ] [] in
+  Alcotest.(check (list string)) "lint codes with lints on" [ "BAR026"; "BAR027" ]
+    (List.map (fun (d : Check.Diag.t) -> d.code) (Check.Verify.space_point ~arch s p));
+  check_int "none with lints off" 0
+    (List.length (Check.Verify.space_point ~lints:false ~arch s p))
+
 (* ---------------- layer 3: kernel resource analysis ---------------- *)
 
 let mm_kernel () =
@@ -180,6 +304,92 @@ let test_kernel_lints () =
   Alcotest.(check bool) "lints are not errors" false (Check.Diag.has_errors ds);
   check_int "lints off: no warnings" 0
     (List.length (Check.Diag.warnings (Check.Verify.kernel ~lints:false arch k)))
+
+let test_kernel_findings_pinned () =
+  let k = mm_kernel () in
+  let kc a k = Check.Verify.kernel ~lints:false a k in
+  check_renders "BAR030 out of bounds"
+    [
+      "[BAR030] error (kernel) mm_GPU_1: out of bounds: max linearized offset 1055 of C \
+       reaches past its 1024 elements";
+      "[BAR030] error (kernel) mm_GPU_1: out of bounds: max linearized offset 1055 of B \
+       reaches past its 1024 elements";
+    ]
+    (kc arch { k with Codegen.Kernel.block = (2 * fst k.Codegen.Kernel.block, snd k.block) });
+  check_renders "BAR030 no extent"
+    [
+      "[BAR030] error (kernel) mm_GPU_1: cannot bound offsets of A: dimension k has no \
+       extent";
+      "[BAR030] error (kernel) mm_GPU_1: cannot bound offsets of B: dimension k has no \
+       extent";
+    ]
+    (kc arch
+       { k with Codegen.Kernel.extents = List.remove_assoc "k" k.Codegen.Kernel.extents });
+  let ir = ir_of "dims: i=1024 j=2 k=32\nC[i j] = Sum([k], A[i k] * B[k j])" in
+  let big =
+    Codegen.Kernel.lower ~name:"big_GPU_1" ir (List.hd ir.Tcr.Ir.ops)
+      (point (d2 "i" "j") [ ("k", 10) ] [])
+  in
+  check_renders "BAR031"
+    [
+      "[BAR031] error (kernel) big_GPU_1: register demand 40 regs/thread x 1024 threads \
+       = 40960 exceeds the 32768-register file of one Fermi SM";
+    ]
+    (kc fermi big);
+  check_renders "BAR032 (and the offsets it drives out of bounds)"
+    [
+      "[BAR030] error (kernel) mm_GPU_1: out of bounds: max linearized offset 3039 of C \
+       reaches past its 1024 elements";
+      "[BAR030] error (kernel) mm_GPU_1: out of bounds: max linearized offset 3039 of B \
+       reaches past its 1024 elements";
+      "[BAR032] error (kernel) mm_GPU_1: block of 2048x1 = 2048 threads exceeds GTX \
+       980's limit of 1024";
+    ]
+    (kc arch { k with Codegen.Kernel.block = (2048, 1) });
+  check_renders "BAR033 x (and the offsets it drives out of bounds)"
+    [
+      "[BAR030] error (kernel) mm_GPU_1: out of bounds: max linearized offset 2239999 of \
+       C reaches past its 1024 elements";
+      "[BAR030] error (kernel) mm_GPU_1: out of bounds: max linearized offset 2239999 of \
+       A reaches past its 1024 elements";
+      "[BAR033] error (kernel) mm_GPU_1: grid x dimension 70000 exceeds Tesla C2050's \
+       limit of 65535";
+    ]
+    (kc fermi { k with Codegen.Kernel.grid = (70000, snd k.Codegen.Kernel.grid) });
+  check_renders "BAR033 y"
+    [
+      "[BAR033] error (kernel) mm_GPU_1: grid y dimension 70000 exceeds GTX 980's limit \
+       of 65535";
+    ]
+    (kc arch { k with Codegen.Kernel.grid = (fst k.Codegen.Kernel.grid, 70000) });
+  check_renders "BAR034"
+    [ "[BAR034] error (kernel) mm_GPU_1: grid x dimension 0 is not positive" ]
+    (kc arch { k with Codegen.Kernel.grid = (0, 1) });
+  check_renders "BAR034 on every dimension"
+    [
+      "[BAR034] error (kernel) mm_GPU_1: grid x dimension 0 is not positive";
+      "[BAR034] error (kernel) mm_GPU_1: grid y dimension -1 is not positive";
+      "[BAR034] error (kernel) mm_GPU_1: block x dimension 0 is not positive";
+      "[BAR034] error (kernel) mm_GPU_1: block y dimension 0 is not positive";
+    ]
+    (kc arch { k with Codegen.Kernel.grid = (0, -1); block = (0, 0) })
+
+(* The range the bounds proof gives an index: its launch dimension when
+   mapped, its loop extent when serial, the larger of both when a
+   malformed kernel drives it both ways, and never below 1. *)
+let test_kernel_index_range () =
+  let k = mm_kernel () in
+  let range k i = Check.Kernel_check.index_range k i in
+  check_int "mapped to tx" 32 (range k "j");
+  check_int "mapped to bx" 32 (range k "i");
+  check_int "serial loop" 32 (range k "k");
+  check_int "never driven" 1 (range k "z");
+  check_int "empty block" 1 (range { k with Codegen.Kernel.block = (0, 1) } "j");
+  let loop_j = { Codegen.Kernel.index = "j"; extent = 48; unroll = 1; parallel = true } in
+  check_int "mapped and serial" 48
+    (range { k with block = (8, 1); thread_loops = k.thread_loops @ [ loop_j ] } "j");
+  check_int "ty and serial" 64
+    (range { k with decomp = { k.decomp with ty = Some "k" }; block = (32, 64) } "k")
 
 (* ---------------- the verifier facade ---------------- *)
 
@@ -277,6 +487,76 @@ let test_build_pool_gate_rejects () =
   in
   Alcotest.(check bool) "an accepting gate sees every point" true
     (!seen >= Array.length pool && Array.length pool > 0)
+
+(* The pool's strings are built by concatenation: over the whole eqn1
+   fixture space they must equal the Printf formats they replace, so the
+   pool's dedup, SURF's schema and the winners digests cannot move. *)
+let test_pool_strings_match_printf () =
+  let b = Autotune.Tuner.benchmark_of_dsl ~label:"eqn1" eqn1_src in
+  let ref_key (p : Tcr.Space.point) =
+    let d = p.decomp in
+    Printf.sprintf "tx=%s ty=%s bx=%s by=%s %s%s" d.tx
+      (Option.value d.ty ~default:"1")
+      d.bx
+      (Option.value d.by ~default:"1")
+      (String.concat " " (List.map (fun (l, f) -> Printf.sprintf "u%s=%d" l f) p.unrolls))
+      (match p.red_order with [] | [ _ ] -> "" | o -> " ro=" ^ String.concat "." o)
+  in
+  let ref_names (c : Autotune.Tuner.variant_choice) points =
+    "variant"
+    :: List.concat
+         (List.mapi
+            (fun i (space, point) ->
+              List.map
+                (fun (name, _) -> Printf.sprintf "op%d_%s" (i + 1) name)
+                (Tcr.Space.features space point))
+            (List.combine c.spaces.op_spaces points))
+  in
+  let swept = ref 0 in
+  List.iter
+    (fun (c : Autotune.Tuner.variant_choice) ->
+      let per_op = List.map Tcr.Space.enumerate c.spaces.op_spaces in
+      let firsts = List.map List.hd per_op in
+      List.iteri
+        (fun j points ->
+          List.iter
+            (fun p ->
+              incr swept;
+              Alcotest.(check string) "point key" (ref_key p) (Tcr.Space.point_key p);
+              let points = List.mapi (fun i q -> if i = j then p else q) firsts in
+              let cand = Autotune.Tuner.candidate_of c points in
+              Alcotest.(check (list string)) "feature names" (ref_names c points)
+                (List.map fst cand.features))
+            points)
+        per_op)
+    (Autotune.Tuner.variant_choices b);
+  check_int "every point of the space" 22852 !swept
+
+(* A paper-size eqn1 tune gates every draw, duplicates included, and the
+   gate rejects none of them (the decision algorithm only proposes legal
+   points); the gated pool is the ungated one, byte for byte. *)
+let test_paper_gate_counts_pinned () =
+  let b = Benchsuite.Suite.eqn1 ~n:10 () in
+  let cfg = { Surf.Search.default_config with max_evals = 10 } in
+  let r =
+    Autotune.Tuner.tune ~strategy:(Autotune.Tuner.Surf_search cfg)
+      ~rng:(Util.Rng.create 42) ~arch b
+  in
+  check_int "gate checked" 27003 r.gate.checked;
+  check_int "gate rejected" 0 r.gate.rejected;
+  Alcotest.(check (list (pair string int))) "gate codes" [] r.gate.by_code;
+  check_int "pool size" 9000 r.pool_size;
+  let gate s p = not (Check.Diag.has_errors (Check.Verify.space_point ~lints:false ~arch s p)) in
+  let pool =
+    Autotune.Tuner.build_pool ~gate (Util.Rng.create 42) (Autotune.Tuner.variant_choices b)
+  in
+  let key (c : Autotune.Tuner.candidate) =
+    String.concat "." (List.map string_of_int c.variant_ids)
+    ^ "/" ^ String.concat "|" (List.map Tcr.Space.point_key c.points)
+  in
+  Alcotest.(check string) "gated pool digest" "2b7dfd71f0455cc13f9f9027d363fd08"
+    (Digest.to_hex
+       (Digest.string (String.concat "\n" (Array.to_list (Array.map key pool)))))
 
 (* ---------------- journal plumbing ---------------- *)
 
@@ -411,12 +691,19 @@ let suite =
     Alcotest.test_case "recipe: unroll bounds" `Quick test_recipe_unroll_bounds;
     Alcotest.test_case "recipe: enumerated space is clean" `Quick
       test_recipe_enumerated_clean;
+    Alcotest.test_case "recipe: rendered findings pinned" `Quick
+      test_recipe_findings_pinned;
+    Alcotest.test_case "verify: lints off is the error subset" `Quick
+      test_lints_off_is_error_subset;
     Alcotest.test_case "kernel: clean lowering" `Quick test_kernel_clean;
     Alcotest.test_case "kernel: out-of-bounds proof" `Quick test_kernel_out_of_bounds;
     Alcotest.test_case "kernel: register overflow per arch" `Quick
       test_kernel_register_overflow;
     Alcotest.test_case "kernel: launch limits" `Quick test_kernel_launch_limits;
     Alcotest.test_case "kernel: quality lints" `Quick test_kernel_lints;
+    Alcotest.test_case "kernel: rendered findings pinned" `Quick
+      test_kernel_findings_pinned;
+    Alcotest.test_case "kernel: index ranges" `Quick test_kernel_index_range;
     Alcotest.test_case "verify: recipe error stops lowering" `Quick
       test_space_point_stops_on_recipe_error;
     Alcotest.test_case "verify: choice counts and caps" `Quick test_choice_counts;
@@ -427,6 +714,10 @@ let suite =
       test_gate_bit_identical;
     Alcotest.test_case "gate: build_pool composition" `Quick
       test_build_pool_gate_rejects;
+    Alcotest.test_case "pool: keys and feature names match Printf" `Quick
+      test_pool_strings_match_printf;
+    Alcotest.test_case "gate: paper-size eqn1 counts pinned" `Quick
+      test_paper_gate_counts_pinned;
     Alcotest.test_case "journal: gate fields and legacy decode" `Quick
       test_journal_gate_fields;
     Alcotest.test_case "service: gate metrics" `Quick test_service_gate_metrics;
