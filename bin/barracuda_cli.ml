@@ -100,7 +100,8 @@ let profile_out_arg =
         ~doc:
           "Profile every kernel evaluation through the roofline model and write \
            the report (time buckets per bound, top kernels by DRAM traffic, \
-           occupancy histogram, model-vs-measured divergence) to FILE.")
+           occupancy histogram, roofline vs simulated measurement (gpusim noise) \
+           divergence) to FILE.")
 
 (* Run [f] with the kernel profiler on when [out] is set, writing the
    roofline report afterwards. Profiling draws no RNG state, so results
@@ -205,7 +206,7 @@ let cmd_tcr =
     let b = Barracuda.parse src in
     let choices = Autotune.Tuner.variant_choices b in
     let choice =
-      match List.nth_opt choices vid with
+      match if vid < 0 then None else List.nth_opt choices vid with
       | Some c -> c
       | None -> failwith (Printf.sprintf "variant %d out of range (0..%d)" vid (List.length choices - 1))
     in
@@ -238,19 +239,13 @@ let cmd_space =
 
 (* ---------------- tune ---------------- *)
 
-(* A program without a search point is a user error: say which ops and
-   exit 1. *)
 let tune_common src arch seed evals prune =
   let b = Barracuda.parse src in
   let cfg = { Surf.Search.default_config with max_evals = evals } in
   let prune = if prune then Some Tcr.Prune.default else None in
-  try
-    Autotune.Tuner.tune
-      ~strategy:(Autotune.Tuner.Surf_search cfg)
-      ?prune ~journal_seed:seed ~rng:(Util.Rng.create seed) ~arch b
-  with Autotune.Tuner.Empty_space msg ->
-    prerr_endline ("barracuda: " ^ msg);
-    exit 1
+  Autotune.Tuner.tune
+    ~strategy:(Autotune.Tuner.Surf_search cfg)
+    ?prune ~journal_seed:seed ~rng:(Util.Rng.create seed) ~arch b
 
 let cmd_tune =
   let save_arg =
@@ -304,7 +299,7 @@ let cmd_annotations =
     let b = Barracuda.parse src in
     let choices = Autotune.Tuner.variant_choices b in
     let choice =
-      match List.nth_opt choices vid with
+      match if vid < 0 then None else List.nth_opt choices vid with
       | Some c -> c
       | None -> failwith (Printf.sprintf "variant %d out of range" vid)
     in
@@ -683,8 +678,8 @@ let cmd_profile =
        ~doc:
          "Tune a program with the kernel roofline profiler on and print the \
           report: per-variant time split by roofline bound (dp/issue/memory/launch), \
-          top kernels by DRAM traffic, occupancy histogram, and model-predicted vs \
-          measured divergence per architecture.")
+          top kernels by DRAM traffic, occupancy histogram, and the roofline vs \
+          simulated measurement (gpusim noise) divergence per architecture.")
     Term.(
       const run $ setup_logs $ src_args $ arch_arg $ seed_arg $ evals_arg $ prune_arg
       $ top_arg $ out_arg)
@@ -1799,4 +1794,28 @@ let () =
     prerr_string usage_screen;
     Printf.eprintf "\nbarracuda: unknown command %S\n" cmd;
     exit 2
-  | _ -> exit (Cmd.eval group)
+  | _ -> (
+    (* The one place exceptions end a command. A user error - bad input,
+       an unreadable file, a program without a search point - prints its
+       message and exits 1; anything else is a bug and keeps Cmdliner's
+       internal-error report and exit 125. *)
+    match Cmd.eval ~catch:false group with
+    | code -> exit code
+    | exception
+        ( Failure msg
+        | Sys_error msg
+        | Octopi.Parse.Error msg
+        | Octopi.Contraction.Invalid msg
+        | Octopi.Einsum_notation.Error msg
+        | Netopt.Network.Parse_error msg
+        | Tcr.Read.Error msg
+        | Autotune.Tuner.Empty_space msg ) ->
+      prerr_endline ("barracuda: " ^ msg);
+      exit 1
+    | exception e ->
+      let bt = Printexc.raw_backtrace_to_string (Printexc.get_raw_backtrace ()) in
+      let bt = if bt = "" then bt else String.sub bt 0 (String.length bt - 1) in
+      Format.eprintf "barracuda: @[internal error, uncaught exception:@\n%a@]@."
+        (Format.pp_print_list ~pp_sep:Format.pp_force_newline Format.pp_print_string)
+        (String.split_on_char '\n' (Printexc.to_string e ^ "\n" ^ bt));
+      exit Cmd.Exit.internal_error)

@@ -5,8 +5,6 @@
     (the joint Nekbone benchmark). The merged program is what the GPU
     simulator times: one kernel per statement, transfers counted once. *)
 
-val rename_temp : int -> string -> string
-
 (** Raises [Invalid_argument] on conflicting extents or on the same tensor
     name declared with different shapes. *)
 val merge :

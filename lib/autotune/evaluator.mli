@@ -11,12 +11,6 @@ type t = {
   mutable search_seconds : float;  (** modeled empirical search cost *)
 }
 
-val compile_seconds_per_kernel : float
-val harness_seconds : float
-
-(** Configurations running longer than this are abandoned. *)
-val eval_timeout_s : float
-
 val create : ?reps:int -> Gpusim.Arch.t -> t
 
 (** Memoization key of a (program, points) pair. *)
@@ -24,33 +18,14 @@ val key : Tcr.Ir.t -> Tcr.Space.point list -> string
 
 val measure : t -> Tcr.Ir.t -> Tcr.Space.point list -> Gpusim.Gpu.report
 
-(** Flatten one evaluation's kernel reports into {!Obs.Profile} samples
-    (the adapter between the simulator's types and the profiler's flat
-    records). Called automatically on every uncached measurement when
-    profiling is enabled; exposed for recording externally computed
-    reports. No RNG draws, no effect on results. *)
-val profile_report : Gpusim.Arch.t -> Tcr.Ir.t -> Gpusim.Gpu.report -> unit
-
-(** Merge an externally computed report, charging the modeled search cost
-    unless the pair is already memoized. *)
-val record : t -> Tcr.Ir.t -> Tcr.Space.point list -> Gpusim.Gpu.report -> unit
-
-(** Measure a batch through a pluggable executor: memoized pairs are
-    served from the cache, the rest become pure thunks (safe to run in
-    parallel domains) passed to [map], whose results must come back in
-    input order. Results and cost accounting are bit-identical to calling
-    {!measure} sequentially on each item. *)
-val measure_batch :
-  t ->
-  map:((unit -> Gpusim.Gpu.report) list -> Gpusim.Gpu.report list) ->
-  (Tcr.Ir.t * Tcr.Space.point list) list ->
-  Gpusim.Gpu.report list
-
 (** The search objective: simulated kernel time of one evaluation
     (transfers are variant-independent and excluded). *)
 val objective : t -> Tcr.Ir.t -> Tcr.Space.point list -> float
 
-(** {!measure_batch} mapped to objectives. *)
+(** {!objective} over a batch: memoized pairs come from the cache, the
+    rest become pure thunks (safe to run in parallel domains) passed to
+    [map], whose results must come back in input order. Results and cost
+    accounting are bit-identical to calling {!objective} on each item. *)
 val objective_batch :
   t ->
   map:((unit -> Gpusim.Gpu.report) list -> Gpusim.Gpu.report list) ->

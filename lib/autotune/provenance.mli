@@ -9,12 +9,6 @@
     what makes journal replay faithful. *)
 val dsl_of_statements : Octopi.Contraction.t list -> string
 
-(** Dotted variant-id choice, e.g. ["3.1"]. *)
-val variant_key : int list -> string
-
-(** Pipe-joined per-kernel decomposition point keys. *)
-val recipe_key : Tcr.Space.point list -> string
-
 (** Short human-readable identity of one candidate. *)
 val label : variant_ids:int list -> points:Tcr.Space.point list -> string
 

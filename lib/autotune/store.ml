@@ -159,10 +159,3 @@ let restore_result ?(reps = 100) ~arch (b : Tuner.benchmark) (s : saved) =
     gate = Check.Verify.empty_stats;
     semantic = None;
   }
-
-let load_file (b : Tuner.benchmark) path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  restore b (parse text)

@@ -6,8 +6,6 @@
 
 exception Error of string
 
-val format_version : string
-
 type saved = {
   label : string;
   arch_name : string;
@@ -36,5 +34,3 @@ val restore : Tuner.benchmark -> saved -> Tcr.Ir.t * Tcr.Space.point list
     The cache-hit fast path of the tuning service. *)
 val restore_result :
   ?reps:int -> arch:Gpusim.Arch.t -> Tuner.benchmark -> saved -> Tuner.result
-
-val load_file : Tuner.benchmark -> string -> Tcr.Ir.t * Tcr.Space.point list

@@ -132,8 +132,6 @@ let analyze (arch : Gpusim.Arch.t) (ir : Tcr.Ir.t) =
     flops = Tcr.Ir.flops ir;
   }
 
-let gflops r = float_of_int r.flops /. r.kernel_time_s /. 1e9
-
 (* TTGT time of the CPU-best variant of a benchmark (libraries also pick
    the cheapest factorization). *)
 let best_time (arch : Gpusim.Arch.t) (b : Tuner.benchmark) =

@@ -17,10 +17,6 @@ type op_mapping = {
   time_s : float;
 }
 
-(** Raises [Invalid_argument] on statements with three or more factors
-    (run strength reduction first). *)
-val map_op : Gpusim.Arch.t -> Tcr.Ir.t -> Tcr.Ir.op -> op_mapping
-
 type report = {
   ir : Tcr.Ir.t;
   mappings : op_mapping list;
@@ -29,7 +25,6 @@ type report = {
 }
 
 val analyze : Gpusim.Arch.t -> Tcr.Ir.t -> report
-val gflops : report -> float
 
 (** TTGT time of the cheapest strength-reduction variant. *)
 val best_time : Gpusim.Arch.t -> Tuner.benchmark -> float

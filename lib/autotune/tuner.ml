@@ -172,9 +172,8 @@ let empty_ops choices =
    flight-recorder entry (canonical problem key, RNG seed, contraction-order
    provenance); they never influence the tune. *)
 let tune ?(strategy = Surf_search Surf.Search.default_config) ?(reps = 100)
-    ?(pool_per_variant = 600) ?prune ?(static_gate = true) ?(semantic_gate = true)
-    ?batch_map ?(journal_key = "") ?(journal_seed = -1) ?journal_net ~rng ~arch
-    (b : benchmark) =
+    ?(pool_per_variant = 600) ?prune ?batch_map ?(journal_key = "") ?(journal_seed = -1)
+    ?journal_net ~rng ~arch (b : benchmark) =
   Obs.Trace.with_span ~cat:"autotune"
     ~attrs:(fun () -> [ ("label", b.label); ("arch", arch.Gpusim.Arch.name) ])
     "tune"
@@ -195,36 +194,32 @@ let tune ?(strategy = Surf_search Surf.Search.default_config) ?(reps = 100)
      counts what it saw; the counts land in the result and the journal. *)
   let gate_checked = ref 0 and gate_rejected = ref 0 in
   let gate_codes : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let gate =
-    if not static_gate then None
-    else
-      Some
-        (fun space p ->
-          incr gate_checked;
-          let diags = Check.Verify.space_point ~lints:false ~arch space p in
-          let bad = Check.Diag.has_errors diags in
-          if bad then begin
-            incr gate_rejected;
-            List.iter
-              (fun (code, n) ->
-                Hashtbl.replace gate_codes code
-                  (n + Option.value ~default:0 (Hashtbl.find_opt gate_codes code)))
-              (Check.Diag.by_code (Check.Diag.errors diags))
-          end;
-          not bad)
+  let gate space p =
+    incr gate_checked;
+    let diags = Check.Verify.space_point ~lints:false ~arch space p in
+    let bad = Check.Diag.has_errors diags in
+    if bad then begin
+      incr gate_rejected;
+      List.iter
+        (fun (code, n) ->
+          Hashtbl.replace gate_codes code
+            (n + Option.value ~default:0 (Hashtbl.find_opt gate_codes code)))
+        (Check.Diag.by_code (Check.Diag.errors diags))
+    end;
+    not bad
   in
   let pool =
     Obs.Trace.with_span ~cat:"autotune"
       ~attrs:(fun () -> [ ("per_variant", string_of_int pool_per_variant) ])
       "tune.pool"
       (fun span ->
-        let pool = build_pool ~pool_per_variant ?prune ?gate rng choices in
+        let pool = build_pool ~pool_per_variant ?prune ~gate rng choices in
         (* a policy can empty the pool of a tiny computation (e.g. a 10x10
            contraction cannot reach 32 threads per block): fall back to the
            full space rather than failing *)
         let pool =
           if Array.length pool = 0 && prune <> None then
-            build_pool ~pool_per_variant ?gate rng choices
+            build_pool ~pool_per_variant ~gate rng choices
           else pool
         in
         (* the decision algorithm only proposes legal points, so an empty
@@ -293,13 +288,12 @@ let tune ?(strategy = Surf_search Surf.Search.default_config) ?(reps = 100)
         best_report.Gpusim.Gpu.kernel_time_s search_result.evaluations
         (String.concat "." (List.map string_of_int best.variant_ids)));
   (* Translation validation of the winner, after the search settled: runs
-     with its own fixed seed and draws nothing from the tuner RNG, so a
-     fixed-seed tune is bit-identical with the semantic gate on or off.
-     Skipped (None) above the DSL oracle's cost budget - the naive einsum
-     is the spec, so its cost is irreducible. *)
+     with its own fixed seed and draws nothing from the tuner RNG, so it
+     cannot move a fixed-seed search. Skipped (None) above the DSL
+     oracle's cost budget - the naive einsum is the spec, so its cost is
+     irreducible. *)
   let semantic =
-    if not semantic_gate then None
-    else if Check.Semantic.cost b.statements > Check.Semantic.gate_budget then begin
+    if Check.Semantic.cost b.statements > Check.Semantic.gate_budget then begin
       Log.debug (fun m ->
           m "%s: semantic gate skipped (dsl oracle cost %d exceeds budget %d)"
             b.label (Check.Semantic.cost b.statements) Check.Semantic.gate_budget);
@@ -428,25 +422,6 @@ let tune ?(strategy = Surf_search Surf.Search.default_config) ?(reps = 100)
 
 (* Emit the tuned CUDA for a result. *)
 let emit_cuda result = Codegen.Cuda.emit_program result.best.ir result.best.points
-
-(* Validate that the tuned program computes the reference result. *)
-let validate ?(tol = 1e-9) ?(rng = Util.Rng.create 11) result =
-  let ir = result.best.ir in
-  let inputs =
-    List.filter_map
-      (fun (v : Tcr.Ir.var) ->
-        if v.role = Tcr.Ir.Input then
-          Some (v.name, Tensor.Dense.random rng (Tcr.Ir.var_shape ir v.name))
-        else None)
-      ir.vars
-  in
-  let got = Codegen.Exec.run_program ir result.best.points inputs in
-  let want = Codegen.Exec.run_reference ir inputs in
-  List.for_all
-    (fun (v : Tcr.Ir.var) ->
-      v.role <> Tcr.Ir.Output
-      || Tensor.Dense.approx_equal ~tol (List.assoc v.name want) (List.assoc v.name got))
-    ir.vars
 
 (* ------------------------------------------------------------------ *)
 (* CPU baselines: the sequential (and OpenMP) Haswell implementations also

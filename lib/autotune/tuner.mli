@@ -41,13 +41,13 @@ type result = {
       (** surrogate post-mortem: residuals and rejected rivals *)
   gate : Check.Verify.gate_stats;
       (** what the static pre-evaluation gate saw (points checked/rejected,
-          error codes); {!Check.Verify.empty_stats} when the gate was off
-          or the result was restored from an artifact *)
+          error codes); {!Check.Verify.empty_stats} when the result was
+          restored from an artifact *)
   semantic : Check.Semantic.verdict option;
       (** translation validation of the winner ({!Check.Semantic.validate});
-          [None] when the semantic gate was off, the DSL oracle's cost
-          exceeded {!Check.Semantic.gate_budget}, or the result was
-          restored from an artifact *)
+          [None] when the DSL oracle's cost exceeded
+          {!Check.Semantic.gate_budget} or the result was restored from an
+          artifact *)
 }
 
 val benchmark_of_dsl : label:string -> string -> benchmark
@@ -87,26 +87,25 @@ val empty_ops : variant_choice list -> string list
 exception Empty_space of string
 
 (** [batch_map], when given, executes the pure measurement thunks of each
-    SURF iteration batch (see {!Evaluator.measure_batch}) - the hook a
+    SURF iteration batch (see {!Evaluator.objective_batch}) - the hook a
     multi-domain scheduler plugs into. Results are bit-identical to the
     sequential default for any order-preserving executor.
 
-    [static_gate] (default [true]) verifies every candidate point with
-    {!Check.Verify.space_point} before it can enter the pool, so illegal
-    recipes are never lowered or measured. The decision algorithm only
-    proposes legal points, so on its own spaces the gate rejects nothing
-    and tuning is bit-identical with the gate on or off; points from
-    artifacts or hand-written recipes are where it bites. If the gate
-    rejects every candidate, tuning falls back to the ungated pool (with a
-    warning) rather than failing. A program without any search point
-    raises {!Empty_space} instead.
+    Two gates always run. The static gate verifies every candidate point
+    with {!Check.Verify.space_point} before it can enter the pool, so
+    illegal recipes are never lowered or measured. The decision algorithm
+    only proposes legal points, so on its own spaces the gate rejects
+    nothing and draws nothing from [rng]; points from artifacts or
+    hand-written recipes are where it bites. If the gate rejects every
+    candidate, tuning falls back to the ungated pool (with a warning)
+    rather than failing. A program without any search point raises
+    {!Empty_space} instead.
 
-    [semantic_gate] (default [true]) runs translation validation
+    The semantic gate runs translation validation
     ({!Check.Semantic.validate}) on the winner after the search settles,
-    with its own fixed seed - no draws from the tuner RNG, so a fixed-seed
-    tune is bit-identical with the gate on or off. The verdict lands in
-    the result and (as [semantic_ok]) in the journal entry; validation is
-    skipped when the DSL oracle's cost exceeds
+    with its own fixed seed - no draws from the tuner RNG. The verdict
+    lands in the result and (as [semantic_ok]) in the journal entry;
+    validation is skipped when the DSL oracle's cost exceeds
     {!Check.Semantic.gate_budget}.
 
     [journal_key], [journal_seed] and [journal_net] annotate the
@@ -118,8 +117,6 @@ val tune :
   ?reps:int ->
   ?pool_per_variant:int ->
   ?prune:Tcr.Prune.policy ->
-  ?static_gate:bool ->
-  ?semantic_gate:bool ->
   ?batch_map:((unit -> Gpusim.Gpu.report) list -> Gpusim.Gpu.report list) ->
   ?journal_key:string ->
   ?journal_seed:int ->
@@ -131,10 +128,6 @@ val tune :
 
 (** The tuned CUDA translation unit. *)
 val emit_cuda : result -> string
-
-(** Execute the tuned program on random inputs and compare against the
-    einsum oracle. *)
-val validate : ?tol:float -> ?rng:Util.Rng.t -> result -> bool
 
 (** CPU baselines use the variant minimizing CPU time (strength reduction
     benefits the sequential code too). *)

@@ -58,10 +58,6 @@ val cg_solve :
 (** Per-iteration auxiliary streaming (geometry scaling + CG vector ops). *)
 val aux_bytes : problem -> int
 
-val aux_flops : problem -> int
-val contraction_flops : operator -> int
-val total_flops_per_iter : operator -> int
-
 (** Share of sequential CPU time in the contractions (paper: ~60%). *)
 val contraction_fraction_cpu : operator -> float
 

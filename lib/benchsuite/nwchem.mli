@@ -16,13 +16,6 @@ val family_name : family -> string
 (** The nine (t1/t2 indices, v2 indices) signatures of a family. *)
 val signatures : family -> (string list * string list) list
 
-val first_factor_name : family -> string
-
-(** The contracted index, if any ([None] for S1). *)
-val sum_index : family -> string option
-
-val t3_indices : string list
-
 (** DSL text of kernel [index] (1..9) at trip count [n]. *)
 val dsl : family -> index:int -> n:int -> string
 

@@ -3,8 +3,6 @@
     small extents while the benchmark harness evaluates the performance
     model at the paper's sizes. *)
 
-val benchmark : label:string -> string -> Autotune.Tuner.benchmark
-
 (** Eqn.(1), the 3-d spectral-element contraction of Figure 2(a); [n] is
     every index extent (default 10). *)
 val eqn1 : ?n:int -> unit -> Autotune.Tuner.benchmark

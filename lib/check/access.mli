@@ -10,11 +10,6 @@
     are retired and reserved: they covered shared-memory tiles, which no
     lowering produces. *)
 
-(** Warps at or beyond half the fully-diverged cost are uncoalesced. *)
-val uncoalesced_threshold : float
-
-val low_occupancy_threshold : float
-
 (** Model-vs-exact gap (transactions/warp) worth a BAR076 info. *)
 val model_divergence_threshold : float
 

@@ -43,14 +43,6 @@ let stage_name = function
   | Kernel -> "kernel"
   | Semantic -> "semantic"
 
-(* Errors sort first, then warnings, then infos; ties by code. *)
-let severity_rank = function Error -> 0 | Warning -> 1 | Info -> 2
-
-let compare_diag a b =
-  match compare (severity_rank a.severity) (severity_rank b.severity) with
-  | 0 -> compare (a.code, a.site, a.message) (b.code, b.site, b.message)
-  | c -> c
-
 let diag severity stage ~code ~site fmt =
   Printf.ksprintf (fun message -> { code; severity; stage; site; message }) fmt
 
@@ -60,7 +52,6 @@ let info stage ~code ~site fmt = diag Info stage ~code ~site fmt
 
 let errors ds = List.filter (fun d -> d.severity = Error) ds
 let warnings ds = List.filter (fun d -> d.severity = Warning) ds
-let infos ds = List.filter (fun d -> d.severity = Info) ds
 let has_errors ds = List.exists (fun d -> d.severity = Error) ds
 
 (* Per-severity counts: (errors, warnings, infos). *)
@@ -90,8 +81,7 @@ let render d =
    (code, severity, stage, site, message) tuples render once with a count.
    First-seen order is preserved - a report reads in the order the pipeline
    produced its stages, deterministically, instead of interleaving stages
-   by code; callers that want severity-major order sort with
-   {!compare_diag} themselves. *)
+   by code; callers that want severity-major order sort themselves. *)
 let dedup ds =
   let tbl = Hashtbl.create 64 in
   let order = ref [] in

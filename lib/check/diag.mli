@@ -23,12 +23,6 @@ type t = {
   message : string;
 }
 
-val severity_name : severity -> string
-val stage_name : stage -> string
-
-(** Errors before warnings before infos; ties by (code, site, message). *)
-val compare_diag : t -> t -> int
-
 val error :
   stage -> code:string -> site:string -> ('a, unit, string, t) format4 -> 'a
 
@@ -40,7 +34,6 @@ val info :
 
 val errors : t list -> t list
 val warnings : t list -> t list
-val infos : t list -> t list
 val has_errors : t list -> bool
 
 (** Per-severity counts: [(errors, warnings, infos)]. *)

@@ -22,9 +22,6 @@
     BAR063 kernel vs recipe (including out-of-bounds), BAR064 evaluation
     aborted before comparison. *)
 
-(** The field modulus, 2^31 - 1. *)
-val prime : int
-
 val default_rounds : int
 val default_seed : int
 

@@ -28,8 +28,6 @@ let empty_report =
   { variants = 0; points_checked = 0; kernels_checked = 0; truncated = false; diags = [] }
 
 let ir = Ir_check.check
-let recipe ?lints s p = Recipe_check.check ?lints s p
-let kernel ?lints arch k = Kernel_check.check ?lints arch k
 
 (* Did this point's findings stop it before layer 3? *)
 let stopped_before_kernel ds =
@@ -52,10 +50,6 @@ let space_point ?lints ?(label = "check") ~arch (s : Tcr.Space.t) (p : Tcr.Space
           Diag.error Diag.Kernel ~code:"BAR001" ~site:name "lowering failed: %s"
             (Printexc.to_string e);
         ]
-
-(* The tuner's gate predicate: errors only, no lint computation. *)
-let point_ok ~arch s p =
-  not (Diag.has_errors (space_point ~lints:false ~arch s p))
 
 let take n l = List.filteri (fun i _ -> i < n) l
 

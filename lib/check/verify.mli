@@ -29,13 +29,6 @@ val empty_report : report
 (** Layer 1 alone: TCR well-formedness. *)
 val ir : Tcr.Ir.t -> Diag.t list
 
-(** Layer 2 alone: recipe legality of one point; [~lints:false] computes
-    errors only. *)
-val recipe : ?lints:bool -> Tcr.Space.t -> Tcr.Space.point -> Diag.t list
-
-(** Layer 3 alone: resource analysis of an emitted kernel. *)
-val kernel : ?lints:bool -> Gpusim.Arch.t -> Codegen.Kernel.t -> Diag.t list
-
 (** Layers 2+3 for one search point: recipe legality, then - only when
     clean - lowering (a raise becomes BAR001) and kernel analysis.
     [~lints:false] computes errors only at both layers (no BAR026/BAR027
@@ -49,10 +42,6 @@ val space_point :
   Tcr.Space.point ->
   Diag.t list
 
-(** [point_ok ~arch s p]: no error-severity finding (the gate predicate;
-    lints are skipped). *)
-val point_ok : arch:Gpusim.Arch.t -> Tcr.Space.t -> Tcr.Space.point -> bool
-
 (** Sweep one variant's whole search space (layer 1 once, layers 2+3 per
     enumerated point, capped per op by [max_points_per_op]). *)
 val choice :
@@ -62,8 +51,6 @@ val choice :
   arch:Gpusim.Arch.t ->
   Tcr.Space.program_space ->
   report
-
-val merge : report -> report -> report
 
 (** Sweep every labeled variant and merge the reports. *)
 val program :

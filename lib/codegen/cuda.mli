@@ -5,12 +5,7 @@
     the kernel sequence with data resident on the GPU and copies outputs
     back. *)
 
-(** C expression for the row-major linear offset of a reference; [subst]
-    rewrites a serial loop variable (unrolled bodies print ["(n + 2)"]). *)
-val offset_expr : Kernel.t -> ?subst:(string -> string) -> string list -> string
-
 val emit_kernel : Kernel.t -> string
-val emit_host : Tcr.Ir.t -> Kernel.t list -> string
 
 (** Full translation unit for a tuned program. *)
 val emit_program : ?scalar_replace:bool -> Tcr.Ir.t -> Tcr.Space.point list -> string

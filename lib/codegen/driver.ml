@@ -105,6 +105,17 @@ let emit ?(reps = 100) ?(seed = 1) (ir : Tcr.Ir.t) (points : Tcr.Space.point lis
     (Printf.sprintf
        "printf(\"%s: %%d reps, %%.3f ms/eval, %%.2f GFlops, max |err| = %%.3e\\n\", %d, 1e3 * elapsed / %d, gflops, max_err);"
        ir.label reps reps);
+  (* one free per host buffer allocated above *)
+  List.iter
+    (fun (v : Tcr.Ir.var) ->
+      let suffixes =
+        match v.role with
+        | Tcr.Ir.Input -> [ "_h" ]
+        | Tcr.Ir.Output -> [ "_h"; "_ref" ]
+        | Tcr.Ir.Temp -> [ "_ref" ]
+      in
+      List.iter (fun s -> line 2 (Printf.sprintf "free(%s%s);" v.name s)) suffixes)
+    ir.vars;
   line 2 "return max_err < 1e-9 ? 0 : 1;";
   line 0 "}";
   Buffer.contents b

@@ -50,35 +50,11 @@ let run (result : tuned) inputs =
       if v.role = Tcr.Ir.Output then Some (v.name, List.assoc v.name env) else None)
     ir.vars
 
-(* Tune directly from a NumPy-style einsum spec ("lk,mj,ni,lmn->ijk"). *)
-let tune_einsum ?label ?seed ?max_evals ?arch ?output ?names ?extents spec =
-  tune ?label ?seed ?max_evals ?arch
-    (Octopi.Einsum_notation.to_dsl ?output ?names ?extents spec)
-
 (* Save / reload tuning artifacts (see {!Autotune.Store}). *)
 let save_tuning = Autotune.Store.save
 
 let load_tuning (b : Autotune.Tuner.benchmark) text =
   Autotune.Store.restore b (Autotune.Store.parse text)
-
-(* ------------------------------------------------------------------ *)
-(* Tuning service: canonical cache + multi-domain batch evaluation. *)
-
-(* A long-lived service instance. Equivalent programs (up to index/tensor
-   renaming) share one cached tuning; batches of cold requests spread over
-   [domains]. *)
-let service ?(domains = 1) ?cache_dir ?(max_evals = 100) ?(seed = 42)
-    ?(arch = Gpusim.Arch.gtx980) () =
-  Service.Engine.create
-    ~config:{ Service.Engine.default_config with arch; domains; max_evals; seed; cache_dir }
-    ()
-
-(* Tune through a service: cache hit or full search as needed. *)
-let tune_service svc ?(label = "tc") src = Service.Engine.tune svc { label; src }
-
-(* The canonical cache key a program/arch pair would be served under. *)
-let cache_key ?(arch = Gpusim.Arch.gtx980) src =
-  (Service.Canonical.of_dsl ~arch src).key
 
 (* Standalone CUDA driver (main + timing loop + CPU check). *)
 let driver_of ?reps (result : tuned) =
@@ -118,43 +94,12 @@ let pp_summary fmt s =
 module Shape = Tensor.Shape
 module Einsum = Tensor.Einsum
 module Tensor = Tensor.Dense
-module Dsl = Octopi.Parse
 module Contraction = Octopi.Contraction
-module Strength_reduction = Octopi.Plan
-module Variant_sets = Octopi.Variants
-module Fusion = Octopi.Fusion
-module Decision = Tcr.Decision
 module Space = Tcr.Space
-module Tcr_orio = Tcr.Orio
-module Tcr_prune = Tcr.Prune
-module Tcr_cse = Tcr.Cse
+module Orio = Tcr.Orio
 module Tcr = Tcr.Ir
-module Kernel = Codegen.Kernel
 module Cuda = Codegen.Cuda
-module C = Codegen.C_emit
-module Exec = Codegen.Exec
 module Arch = Gpusim.Arch
-module Gpu = Gpusim.Gpu
-module Cpu = Cpusim.Haswell
 module Openacc = Cpusim.Openacc
-module Forest = Surf.Forest
-module Surf = Surf.Search
 module Tuner = Autotune.Tuner
-module Store = Autotune.Store
-module Ttgt = Autotune.Ttgt
-module Gemm = Gpusim.Gemm
-module Cache = Gpusim.Cache
-module Simtrace = Gpusim.Simtrace
-module Orio = Tcr_orio
-module Prune = Tcr_prune
-module Cse = Tcr_cse
-module Driver = Codegen.Driver
-module Einsum_notation = Octopi.Einsum_notation
 module Rng = Util.Rng
-module Diag = Check.Diag
-module Verify = Check.Verify
-module Canonical = Service.Canonical
-module Tuning_cache = Service.Tuning_cache
-module Metrics = Service.Metrics
-module Scheduler = Service.Scheduler
-module Service = Service.Engine

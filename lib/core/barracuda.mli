@@ -14,10 +14,12 @@
       print_string (Barracuda.cuda_of result)
     ]}
 
-    Each pipeline stage is re-exported below under its paper name; the
-    [module type of struct include ... end] idiom preserves type equalities
-    with the underlying libraries, so facade values interoperate with
-    direct library calls (e.g. [Benchsuite]). *)
+    Below, the twelve library modules that callers reach through the
+    facade are re-exported: [Shape], [Einsum], [Tensor], [Contraction],
+    [Space], [Orio], [Tcr], [Cuda], [Arch], [Openacc], [Tuner] and [Rng].
+    The [module type of struct include ... end] idiom preserves type
+    equalities with the underlying libraries, so facade values
+    interoperate with direct library calls (e.g. [Benchsuite]). *)
 
 type tuned = Autotune.Tuner.result
 
@@ -35,18 +37,6 @@ val variants : string -> Octopi.Variants.t list
     Deterministic for a fixed [seed]. *)
 val tune :
   ?label:string -> ?seed:int -> ?max_evals:int -> ?arch:Gpusim.Arch.t -> string -> tuned
-
-(** [tune] from a NumPy-style einsum spec such as ["lk,mj,ni,lmn->ijk"]. *)
-val tune_einsum :
-  ?label:string ->
-  ?seed:int ->
-  ?max_evals:int ->
-  ?arch:Gpusim.Arch.t ->
-  ?output:string ->
-  ?names:string list ->
-  ?extents:(string * int) list ->
-  string ->
-  tuned
 
 (** The tuned CUDA translation unit (kernels in the style of Figure 2(d)
     plus a host wrapper). *)
@@ -71,29 +61,6 @@ val load_tuning :
 (** Standalone CUDA driver (main + timing loop + CPU reference check). *)
 val driver_of : ?reps:int -> tuned -> string
 
-(** {1 Tuning service}
-
-    A long-lived front end over the pipeline: requests equivalent up to
-    index/tensor renaming share one cached tuning ({!Canonical} keys over
-    a persistent {!Tuning_cache}), and batches of cold requests spread
-    over OCaml 5 domains with a bit-identical-to-sequential guarantee.
-    See {!Service} for the full API. *)
-
-val service :
-  ?domains:int ->
-  ?cache_dir:string ->
-  ?max_evals:int ->
-  ?seed:int ->
-  ?arch:Gpusim.Arch.t ->
-  unit ->
-  Service.Engine.t
-
-val tune_service :
-  Service.Engine.t -> ?label:string -> string -> Service.Engine.response
-
-(** The canonical cache key a program would be served under on [arch]. *)
-val cache_key : ?arch:Gpusim.Arch.t -> string -> string
-
 (** {1 Summaries} *)
 
 type summary = {
@@ -108,7 +75,7 @@ type summary = {
 val summarize : tuned -> summary
 val pp_summary : Format.formatter -> summary -> unit
 
-(** {1 Pipeline stages under their paper names} *)
+(** {1 Pipeline stages} *)
 
 module Shape : module type of struct include Tensor.Shape end
 module Einsum : module type of struct include Tensor.Einsum end
@@ -116,64 +83,17 @@ module Einsum : module type of struct include Tensor.Einsum end
 (** Dense row-major tensors ({!Tensor.Dense}). *)
 module Tensor : module type of struct include Tensor.Dense end
 
-module Dsl : module type of struct include Octopi.Parse end
 module Contraction : module type of struct include Octopi.Contraction end
-
-(** Algorithm 1 ({!Octopi.Plan}). *)
-module Strength_reduction : module type of struct include Octopi.Plan end
-
-module Variant_sets : module type of struct include Octopi.Variants end
-module Fusion : module type of struct include Octopi.Fusion end
-module Decision : module type of struct include Tcr.Decision end
 module Space : module type of struct include Tcr.Space end
-module Tcr_orio : module type of struct include Tcr.Orio end
-module Tcr_prune : module type of struct include Tcr.Prune end
-module Tcr_cse : module type of struct include Tcr.Cse end
 
 (** The Orio/CHiLL annotation layer of Figure 2(c) ({!Tcr.Orio}). *)
 module Orio : module type of struct include Tcr.Orio end
 
-module Prune : module type of struct include Tcr.Prune end
-module Cse : module type of struct include Tcr.Cse end
-
 (** The intermediate representation of Figure 2(b) ({!Tcr.Ir}). *)
 module Tcr : module type of struct include Tcr.Ir end
 
-module Kernel : module type of struct include Codegen.Kernel end
 module Cuda : module type of struct include Codegen.Cuda end
-module C : module type of struct include Codegen.C_emit end
-module Exec : module type of struct include Codegen.Exec end
 module Arch : module type of struct include Gpusim.Arch end
-module Gpu : module type of struct include Gpusim.Gpu end
-module Cpu : module type of struct include Cpusim.Haswell end
 module Openacc : module type of struct include Cpusim.Openacc end
-module Forest : module type of struct include Surf.Forest end
-
-(** Algorithm 2 ({!Surf.Search}). *)
-module Surf : module type of struct include Surf.Search end
-
 module Tuner : module type of struct include Autotune.Tuner end
-module Store : module type of struct include Autotune.Store end
-module Ttgt : module type of struct include Autotune.Ttgt end
-module Gemm : module type of struct include Gpusim.Gemm end
-module Cache : module type of struct include Gpusim.Cache end
-module Simtrace : module type of struct include Gpusim.Simtrace end
-
-module Driver : module type of struct include Codegen.Driver end
-module Einsum_notation : module type of struct include Octopi.Einsum_notation end
 module Rng : module type of struct include Util.Rng end
-
-(** Canonical request form: the service cache identity. *)
-module Canonical : module type of struct include Service.Canonical end
-
-(** Persistent tuning cache (LRU front + versioned disk artifacts). *)
-module Tuning_cache : module type of struct include Service.Tuning_cache end
-
-(** Service counters, timers and latency histograms. *)
-module Metrics : module type of struct include Service.Metrics end
-
-(** Order-preserving multi-domain parallel map. *)
-module Scheduler : module type of struct include Service.Scheduler end
-
-(** The tuning service engine. *)
-module Service : module type of struct include Service.Engine end

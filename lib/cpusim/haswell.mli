@@ -29,8 +29,6 @@ val op_bytes : t -> Tcr.Ir.t -> Tcr.Ir.op -> int
 (** In [0.6, 1.0]: share of references contiguous under the loop order. *)
 val locality_factor : Tcr.Ir.op -> float
 
-val op_time : t -> cores:int -> vectorized:bool -> Tcr.Ir.t -> Tcr.Ir.op -> float
-
 (** One evaluation of the whole program, single core, scalar code. *)
 val sequential_time : ?cpu:t -> Tcr.Ir.t -> float
 

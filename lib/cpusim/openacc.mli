@@ -17,10 +17,6 @@ type strategy = Naive | Optimized of Tcr.Space.point list
 val naive_overhead : float
 val optimized_overhead : float
 
-(** The naive decomposition of one statement. Raises on statements with no
-    parallel loop. *)
-val naive_point : Tcr.Ir.t -> Tcr.Ir.op -> Tcr.Space.point
-
 (** True when the fallback single-parallel-loop mapping was used. *)
 val degenerate : Tcr.Space.decomposition -> bool
 

@@ -4,11 +4,6 @@
     cannot be served by "mapping the problem to use highly-tuned linear
     algebra libraries" (Section I). *)
 
-val tile_m : int
-val tile_n : int
-val library_efficiency : float
-val k_half : float
-
 type analysis = {
   m : int;
   n : int;

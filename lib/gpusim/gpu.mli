@@ -12,11 +12,6 @@ type report = {
   flops : int;
 }
 
-val noise_amplitude : float
-
-(** One kernel, with noise applied. *)
-val measure_kernel : Arch.t -> Codegen.Kernel.t -> Perf.kernel_report
-
 (** Whole program under per-statement points. Deterministic. *)
 val measure : ?scalar_replace:bool -> Arch.t -> Tcr.Ir.t -> Tcr.Space.point list -> report
 

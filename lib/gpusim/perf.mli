@@ -33,22 +33,10 @@ type kernel_report = {
   refs : ref_report list;
 }
 
-(** L2 serves traffic at this multiple of DRAM bandwidth. *)
-val l2_bw_multiplier : float
-
 (** Noise-free analytic time of a report: [t_launch + max(t_dp, t_issue,
     t_mem)]. Equals [time_s] for a report from {!analyze_kernel}; differs
-    from a {!Gpu.measure_kernel} report exactly by the modeled codegen
-    noise, which is what the profiler's divergence measures. *)
+    from the same kernel's report in {!Gpu.measure}'s result exactly by
+    the modeled codegen noise, which is what the profiler's divergence measures. *)
 val model_time : kernel_report -> float
-
-val latency_warps_compute : float
-val latency_warps_memory : float
-
-(** Representative-warp vs. exact grid-average coalescing per reference
-    (output first, then factors): [(name, model, exact)] transactions per
-    warp. The roofline keeps the representative number; the verifier
-    reports divergence as BAR076. *)
-val coalescing_divergence : Codegen.Kernel.t -> (string * float * float) list
 
 val analyze_kernel : Arch.t -> Codegen.Kernel.t -> kernel_report

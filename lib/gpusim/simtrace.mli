@@ -3,8 +3,6 @@
     cache of the architecture's L1 geometry, and compare the measured hit
     rate with {!Perf}'s classification. *)
 
-val line_bytes : int
-
 (** Byte address of a reference for given lane and serial-loop values
     (block indices fixed at 0). *)
 val address :
@@ -14,10 +12,6 @@ val address :
   ty:int ->
   serial_vals:(string * int) list ->
   int
-
-(** Replay one block's loads of [dims] through [cache]; the access count is
-    bounded by [max_accesses] (default 2e6). *)
-val replay_block : ?max_accesses:int -> Codegen.Kernel.t -> string list -> Cache.t -> unit
 
 (** Measured L1 hit rate of one reference over a block's execution. *)
 val block_hit_rate :

@@ -4,11 +4,10 @@
     exactly what the cost model scored, and flows through variants -> TCR
     -> recipe -> SURF -> codegen unchanged. *)
 
-(** [program ?output_name net tree]; a [Leaf] tree emits one (possibly
-    summing) copy statement. *)
-val program : ?output_name:string -> Network.t -> Tree.t -> Octopi.Ast.program
-
-(** DSL text of {!program} - feed to {!Autotune.Tuner.benchmark_of_dsl}. *)
+(** The lowered program as DSL text - feed to
+    {!Autotune.Tuner.benchmark_of_dsl}. [output_name] names the final
+    statement's tensor; a [Leaf] tree emits one (possibly summing) copy
+    statement. *)
 val to_dsl : ?output_name:string -> Network.t -> Tree.t -> string
 
 (** Contraction-order provenance for the tuning flight recorder:

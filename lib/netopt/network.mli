@@ -22,9 +22,6 @@ val make : ?output:string list -> ?extents:(string * int) list -> tensor list ->
 (** Every distinct index, sorted. *)
 val all_indices : t -> string list
 
-(** All extent declarations as [(index, extent, site)], declaration order. *)
-val extent_declarations : t -> (string * int * string) list
-
 (** First declaration wins; {!Octopi.Contraction.default_extent} otherwise. *)
 val extent_of : t -> string -> int
 
@@ -32,13 +29,8 @@ val extent_of : t -> string -> int
     an {!Octopi.Ast.program}'s [extents] field. *)
 val resolved_extents : t -> (string * int) list
 
-val log2_extent : t -> string -> float
-
 (** log2 of the element count of a tensor over exactly these indices. *)
 val log2_size : t -> string list -> float
-
-(** Number of tensors mentioning the index. *)
-val degree : t -> string -> int
 
 (** Network-stage diagnostics: BAR050 unknown output index, BAR051
     conflicting extents, BAR052 repeated index within a tensor, BAR053

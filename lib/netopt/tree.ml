@@ -42,8 +42,6 @@ let is_valid net tree =
   List.sort compare (leaves tree)
   = List.init (List.length net.Network.tensors) Fun.id
 
-let rec num_nodes = function Leaf _ -> 1 | Node (l, r) -> 1 + num_nodes l + num_nodes r
-
 let rec to_string net tree =
   match tree with
   | Leaf i -> (List.nth net.Network.tensors i).Network.t_name

@@ -22,19 +22,11 @@ type step = {
   sums : string list;  (** indices summed at this step, sorted *)
 }
 
-(** Leaf tensor positions, left to right. *)
-val leaves : t -> int list
-
 (** A full binary tree over exactly one leaf per input tensor. *)
 val is_valid : Network.t -> t -> bool
 
-val num_nodes : t -> int
-
 (** Serialized order, e.g. ["((T0,T1),T2)"] - journal/CLI provenance. *)
 val to_string : Network.t -> t -> string
-
-(** Union of the indices of the subtree's leaf tensors, sorted. *)
-val subtree_indices : Network.t -> t -> string list
 
 (** Post-order binary contraction steps. Intermediates retaining fewer
     than two indices keep their smallest-extent summation indices instead
@@ -43,15 +35,9 @@ val subtree_indices : Network.t -> t -> string list
     linearizes to no steps. *)
 val steps : Network.t -> t -> step list
 
-(** The indices of an operand's value ([out] of the referenced step). *)
-val operand_indices : Network.t -> step list -> operand -> string list
-
 type cost = { tc : float; sc : float; rw : float }
 
 val cost : Network.t -> t -> cost
-
-(** log2(sum of 2^x), [neg_infinity] on the empty list. *)
-val log2sumexp : float list -> float
 
 type score_fn = {
   tc_weight : float;
@@ -62,10 +48,6 @@ type score_fn = {
 
 (** [{tc_weight = 1; sc_weight = 1; rw_weight = 1; sc_target = 30}]. *)
 val default_score : score_fn
-
-(** Multiplier on the [sc]-over-target penalty term: one log2 unit over
-    budget outweighs ~100 units of tc/rw, making [sc_target] a hard cap. *)
-val overflow_scale : float
 
 val score : score_fn -> cost -> float
 

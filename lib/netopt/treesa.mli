@@ -14,8 +14,5 @@ type config = {
 (** [{sa_iters = 4000; beta0 = 0.1; beta1 = 10.0}]. *)
 val default_config : config
 
-(** One random rotation neighbour; [None] below three leaves. *)
-val propose : Util.Rng.t -> Tree.t -> Tree.t option
-
 val optimize :
   ?config:config -> ?score:Tree.score_fn -> rng:Util.Rng.t -> Network.t -> Tree.t

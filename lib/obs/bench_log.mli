@@ -40,7 +40,6 @@ type artifact = {
 val span_totals : Trace.event list -> span_agg list
 
 val make : ?suite:string -> experiment list -> artifact
-val to_json : artifact -> Json.t
 
 (** Pretty-printed JSON document (trailing newline included). *)
 val render : artifact -> string
@@ -74,8 +73,6 @@ val compare_artifacts :
 
 (** [true] iff no experiment regressed (missing baselines do not fail). *)
 val gate : delta list -> bool
-
-val status_name : status -> string
 
 (** Delta table for humans, one row per experiment. *)
 val render_deltas : delta list -> string

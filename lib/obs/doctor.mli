@@ -53,8 +53,6 @@
 
 type severity = Critical | Warning | Info
 
-val severity_name : severity -> string
-
 type finding = {
   code : string;  (** stable [DRxxx] id *)
   severity : severity;

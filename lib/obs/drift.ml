@@ -331,9 +331,6 @@ let all_alarms r =
          | 0 -> compare a.monitor b.monitor
          | c -> c)
 
-let total_suppressed r =
-  List.fold_left (fun acc m -> acc + m.suppressed) 0 r.mons
-
 let registry_json r =
   Json.Obj
     [

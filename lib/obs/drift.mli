@@ -103,7 +103,6 @@ val suppressed : t -> int
     collection); alarms cannot fire in this phase. *)
 val warming_up : t -> bool
 
-val direction_name : direction -> string
 val alarm_to_json : alarm -> Json.t
 
 (** Inverse of {!alarm_to_json}; [None] on malformed input. *)
@@ -125,9 +124,6 @@ val feed : registry -> string -> tick:int -> float -> alarm option
 
 (** All alarms across the registry, sorted by tick then monitor name. *)
 val all_alarms : registry -> alarm list
-
-(** Total suppressed alarms across the registry. *)
-val total_suppressed : registry -> int
 
 (** Deterministic JSON summary: monitors (name, kind, count, warming_up,
     suppressed) and the sorted alarm list. *)

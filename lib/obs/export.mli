@@ -13,22 +13,13 @@ val chrome_trace : ?dropped:int -> Trace.event list -> string
 
 val write_chrome_trace : ?dropped:int -> string -> Trace.event list -> unit
 
-(** Sanitize a user-derived metric name for the Prometheus exposition
-    format: illegal characters map to [_], and a leading digit gains a [_]
-    prefix so the result always matches [[a-zA-Z_][a-zA-Z0-9_]*]. *)
-val metric_name : string -> string -> string
-
-(** Escape a [# HELP] text per the exposition format: backslash and
-    newline become [\\] and [\n]. *)
-val help_escape : string -> string
-
 (** Prometheus text exposition. Counters render as
     [<prefix>_<name>_total]. Each sketch renders as a native histogram:
     [<prefix>_<name>_seconds] is a [# TYPE ... histogram] with cumulative
     [_bucket{le="..."}] lines over the sketch's log-bucket upper bounds
     (plus the mandatory [le="+Inf"]), [_sum] and [_count]. Every metric
-    carries [# HELP] and [# TYPE] lines; names are sanitized with
-    {!metric_name}. Bucket counts come straight from
+    carries [# HELP] and [# TYPE] lines; names are sanitized to
+    [[a-zA-Z_][a-zA-Z0-9_]*]. Bucket counts come straight from
     {!Sketch.buckets}, so exposition cost and size are O(buckets), not
     O(observations). Each timer also exposes two sketch-health gauges:
     [<prefix>_<name>_sketch_buckets] (live occupied-bucket count) and

@@ -81,7 +81,8 @@ type entry = {
   semantic_ok : bool option;
       (* translation validation of the winner: Some true when the semantic
          gate proved it equivalent, Some false when it did not, None when
-         the gate was off (and for entries journaled before it existed) *)
+         validation was skipped over its cost budget (and for entries
+         journaled before it existed) *)
   iterations : Search_log.iteration list;
   variants : variant list;  (* every evaluated variant, evaluation order *)
   winner : variant;

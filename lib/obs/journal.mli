@@ -13,8 +13,6 @@
     {!Trace}/{!Profile} style: one atomic load when off, no RNG draws ever,
     so fixed-seed tunes are bit-identical with journaling on or off. *)
 
-val schema_version : int
-
 (** [stage parent content] - chained lineage hash: digest of the parent
     stage's hash and this stage's canonical content, so equal final hashes
     imply the whole derivation chain matched. Pass [""] as the root
@@ -82,8 +80,9 @@ type entry = {
   semantic_ok : bool option;
       (** translation validation of the winner: [Some true] when the
           semantic gate proved it equivalent to its DSL contraction,
-          [Some false] when it did not, [None] when the gate was off (and
-          for entries journaled before it existed) *)
+          [Some false] when it did not, [None] when validation was
+          skipped over its cost budget (and for entries journaled before
+          it existed) *)
   iterations : Search_log.iteration list;
   variants : variant list;  (** every evaluated variant, evaluation order *)
   winner : variant;

@@ -2,8 +2,11 @@
    accumulates one sample per kernel launch the autotuner evaluates
    (Autotune.Evaluator feeds it), plus pure aggregations over the samples:
    per-variant time buckets by roofline bound, top-N kernels by DRAM
-   traffic, occupancy histograms and model-predicted vs measured
-   divergence per architecture.
+   traffic, occupancy histograms and, per architecture, the divergence of
+   the roofline from gpusim's simulated measurement. Both numbers are
+   modeled: the measurement is the same roofline plus gpusim's +-3%
+   structural-hash noise, so the divergence shows that noise, not a
+   measured error.
 
    Obs cannot see Gpusim's types (codegen sits between them), so the
    sample is a flat mirror of the fields of Gpusim.Perf.kernel_report the
@@ -134,8 +137,8 @@ let occupancy_histogram ss =
   List.init 10 (fun i ->
       (Printf.sprintf "%.1f-%.1f" (0.1 *. float_of_int i) (0.1 *. float_of_int (i + 1)), counts.(i)))
 
-(* Model-predicted vs measured divergence, per architecture: the relative
-   error |measured/model - 1| over every sample on that arch. *)
+(* Roofline vs simulated measurement divergence, per architecture: the
+   relative error |measured/model - 1| over every sample on that arch. *)
 type divergence = { n : int; mean_rel : float; max_rel : float }
 
 let divergence_by_arch ss =
@@ -197,7 +200,7 @@ let render ?(top = 10) ss =
           line "  %s %6d %s" label count (String.make (min 60 count) '#'))
       (occupancy_histogram ss);
     line "";
-    line "Model-predicted vs measured divergence per arch:";
+    line "Roofline vs simulated measurement (gpusim noise) divergence per arch:";
     List.iter
       (fun (a, d) ->
         line "  %-12s n=%-6d mean |rel| %.3f%%  max |rel| %.3f%%" a d.n

@@ -26,12 +26,6 @@ type sample = {
 
 val enabled : unit -> bool
 
-(** Clear the sink and enable recording. *)
-val start : unit -> unit
-
-(** Disable recording; samples stay available via {!samples}. *)
-val stop : unit -> unit
-
 val clear : unit -> unit
 
 (** Append a sample (no-op when disabled). Domain-safe. *)

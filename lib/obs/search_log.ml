@@ -22,8 +22,6 @@ let coverage it =
   if it.pool_size = 0 then 0.0
   else float_of_int it.evaluations /. float_of_int it.pool_size
 
-let best_curve iterations = List.map (fun it -> it.best_so_far) iterations
-
 (* The logged best-so-far sequence must never increase: each iteration's
    best is the minimum over all evaluations so far. *)
 let monotone iterations =

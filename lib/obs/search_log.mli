@@ -21,9 +21,6 @@ type iteration = {
 (** Fraction of the pool evaluated so far (0 for an empty pool). *)
 val coverage : iteration -> float
 
-(** The best-so-far objective after each iteration. *)
-val best_curve : iteration list -> float list
-
 (** Whether the best-so-far sequence is non-increasing (it must be). *)
 val monotone : iteration list -> bool
 

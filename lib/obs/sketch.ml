@@ -55,7 +55,6 @@ let create ?(alpha = 0.01) ?(max_buckets = 2048) () =
   }
 
 let alpha t = t.alpha
-let floor t = t.floor
 
 let copy t =
   let counts = Hashtbl.create (Hashtbl.length t.counts) in

@@ -9,7 +9,7 @@
     hard [max_buckets] cap enforced by collapsing the lowest buckets.
 
     Error bound: for a sketch holding samples [x_0 <= ... <= x_(n-1)]
-    (all above {!floor}, no collapse), [quantile t p] with rank
+    (all above the zero-bucket floor, no collapse), [quantile t p] with rank
     [r = p/100*(n-1)] returns [q] with
     [(1-alpha) * x_(floor r) <= q <= (1+alpha) * x_(ceil r)].
 
@@ -32,11 +32,6 @@ type t
 val create : ?alpha:float -> ?max_buckets:int -> unit -> t
 
 val alpha : t -> float
-
-(** Values at or below this magnitude (default 1e-12) land in the zero
-    bucket and are estimated as [0.]; the relative-error bound applies
-    above it. Negative values are clamped to the zero bucket too. *)
-val floor : t -> float
 
 (** Independent deep copy. *)
 val copy : t -> t
@@ -77,6 +72,6 @@ val merge : t -> t -> t
 val quantile : t -> float -> float
 
 (** Occupied buckets as [(upper_bound, count)] in ascending bound order,
-    zero bucket (bound {!floor}) first. Cumulating the counts yields a
+    zero bucket (bound: the floor) first. Cumulating the counts yields a
     Prometheus-style histogram exposition (see {!Export}). *)
 val buckets : t -> (float * int) list

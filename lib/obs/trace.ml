@@ -126,16 +126,6 @@ let timed ?cat ?attrs name f =
   let r = with_span ?cat ?attrs name f in
   (r, Unix.gettimeofday () -. t0)
 
-let instant ?(cat = "") ?(attrs = []) name =
-  if Atomic.get enabled_flag then begin
-    let d = Domain.DLS.get dls in
-    let id = Atomic.fetch_and_add next_id 1 in
-    let parent = match d.stack with [] -> None | p :: _ -> Some p in
-    let t = Unix.gettimeofday () in
-    push d.buf
-      { id; parent; name; cat; domain = (Domain.self () :> int); t0 = t; t1 = t; attrs }
-  end
-
 (* Run [f] with tracing enabled on a fresh sink; return its value and the
    merged events, restoring the previous sink state afterwards. *)
 let collect f =

@@ -25,10 +25,6 @@ type event = {
 (** Handle to a live span, for attaching attributes computed mid-span. *)
 type span
 
-(** The no-op span handle passed to instrumented code when tracing is off;
-    {!add_attrs} on it does nothing. *)
-val null_span : span
-
 val enabled : unit -> bool
 
 (** Per-domain buffer capacity (default 65536 spans). A domain at
@@ -79,9 +75,6 @@ val timed :
 
 (** Attach attributes to a live span (no-op when tracing is off). *)
 val add_attrs : span -> (string * string) list -> unit
-
-(** Record a zero-duration marker event. *)
-val instant : ?cat:string -> ?attrs:(string * string) list -> string -> unit
 
 (** [collect f]: run [f] with tracing enabled on a cleared sink; return its
     value together with the merged events. Restores the previous

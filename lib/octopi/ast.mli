@@ -19,9 +19,5 @@ type program = {
   stmts : stmt list;
 }
 
-val pp_tensor_ref : Format.formatter -> tensor_ref -> unit
-val pp_stmt : Format.formatter -> stmt -> unit
-val pp_program : Format.formatter -> program -> unit
-
 (** Concrete syntax that {!Parse.program} accepts back (round-trips). *)
 val to_string : program -> string

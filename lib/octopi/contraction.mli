@@ -11,21 +11,17 @@ type t = {
   extents : (string * int) list;  (** every index used has an extent *)
 }
 
-(** Raised by {!of_stmt} on malformed statements (repeated or phantom
+(** Raised by {!of_program} on malformed statements (repeated or phantom
     output indices, diagonal factors, inconsistent summation lists, ...). *)
 exception Invalid of string
 
 (** Extent of an index; raises {!Invalid} if unknown. *)
 val extent : t -> string -> int
 
-(** All indices used, sorted. *)
-val all_indices : t -> string list
-
 (** Extent assumed for indices without a [dims:] declaration (10, the
     paper's running example). *)
 val default_extent : int
 
-val of_stmt : extents:(string * int) list -> Ast.stmt -> t
 val of_program : Ast.program -> t list
 
 (** Flops of the naive single-loop-nest evaluation (e.g. O(p^6) for

@@ -82,16 +82,12 @@ let contract ?output ?names spec (tensors : Tensor.Dense.t list) =
     if List.length tensors <> List.length stmt.factors then
       err "einsum %S expects %d tensors, got %d" spec (List.length stmt.factors)
         (List.length tensors);
-    let env =
-      List.map2 (fun (f : Ast.tensor_ref) t -> (f.name, t)) stmt.factors tensors
-    in
     (* extents come from the tensors themselves via the einsum oracle *)
     let operands =
       List.map2
         (fun (f : Ast.tensor_ref) t -> Tensor.Einsum.operand t f.indices)
         stmt.factors tensors
     in
-    ignore env;
     Tensor.Einsum.contract ~output_indices:c.output_indices operands
   | cs, stmts ->
     err

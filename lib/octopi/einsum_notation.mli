@@ -4,8 +4,6 @@
 
 exception Error of string
 
-val default_factor_names : string list
-
 (** [parse ?output ?names ?extents spec]: factor tensors take [names]
     (default A, B, C, ...; specs with more factors than names get generated
     T8, T9, ... names, so network-sized specs need no explicit name list),

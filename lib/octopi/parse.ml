@@ -186,4 +186,5 @@ let program src =
     | tok -> raise (Error (Printf.sprintf "expected statement, found %s" (token_to_string tok)))
   in
   loop ();
+  if !stmts = [] then raise (Error "no statements");
   { Ast.extents = !extents; stmts = List.rev !stmts }

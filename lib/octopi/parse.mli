@@ -13,5 +13,5 @@ ref      ::= IDENT "[" { IDENT } "]"
 (** Raised with a human-readable message on any lexical or syntax error. *)
 exception Error of string
 
-(** Parse a whole program. *)
+(** Parse a whole program; one without a statement is an {!Error}. *)
 val program : string -> Ast.program

@@ -225,13 +225,6 @@ let evaluate plan env =
 let sorted_by_flops plans =
   List.stable_sort (fun a b -> compare (flops a) (flops b)) plans
 
-let minimal_flop_plans plans =
-  match sorted_by_flops plans with
-  | [] -> []
-  | best :: _ as sorted ->
-    let m = flops best in
-    List.filter (fun p -> flops p = m) sorted
-
 let describe plan =
   lower plan
   |> List.map (fun op ->

@@ -29,10 +29,6 @@ type op = {
 (** Input tensor names, left to right. *)
 val node_inputs : node -> string list
 
-(** Structural key invariant under product commutativity; used to
-    deduplicate enumeration paths. *)
-val canonical : node -> string
-
 (** Every distinct contraction tree; worst case (2n-3)!! trees for n
     factors. *)
 val enumerate : Contraction.t -> plan list
@@ -55,8 +51,6 @@ val evaluate : plan -> (string * Tensor.Dense.t) list -> Tensor.Dense.t
 
 (** Sorted cheapest-first (stable). *)
 val sorted_by_flops : plan list -> plan list
-
-val minimal_flop_plans : plan list -> plan list
 
 (** One-line rendering of {!lower}, for logs and the CLI. *)
 val describe : plan -> string

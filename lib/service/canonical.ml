@@ -53,6 +53,10 @@ let relabel ?(index = fun i -> i) ?(tensor = fun t -> t) (p : Octopi.Ast.program
         p.stmts;
   }
 
+(* Alpha-rename indices and tensors in first-appearance order, attach an
+   explicit extent to every used index, and sort the dims line and the Sum
+   lists. Returns the canonical program and the original -> canonical
+   renaming. *)
 let canonicalize (p : Octopi.Ast.program) =
   let fresh prefix table order name =
     if not (Hashtbl.mem table name) then begin

@@ -17,10 +17,6 @@ type t = {
   arch_fingerprint : string;
 }
 
-(** Every performance-relevant field of the device description: tuning
-    results do not transfer between architectures. *)
-val arch_fingerprint : Gpusim.Arch.t -> string
-
 (** Apply name substitutions without touching structure (both default to
     the identity). Used by tests and benchmarks to build equivalent
     requests. *)
@@ -30,21 +26,10 @@ val relabel :
   Octopi.Ast.program ->
   Octopi.Ast.program
 
-(** Alpha-rename indices/tensors in first-appearance order, attach explicit
-    extents to every used index, sort the dims line and Sum lists. Returns
-    the canonical program and the original->canonical renaming. *)
-val canonicalize : Octopi.Ast.program -> Octopi.Ast.program * renaming
-
 val of_program : arch:Gpusim.Arch.t -> Octopi.Ast.program -> t
 
 (** Parse then {!of_program}. Raises {!Octopi.Parse.Error} on bad input. *)
 val of_dsl : arch:Gpusim.Arch.t -> string -> t
-
-(** First 12 hex characters of the key, for display. *)
-val short : t -> string
-
-(** Service-internal benchmark label, derived from the key. *)
-val label : t -> string
 
 (** The canonical benchmark the service tunes (and whose artifacts it
     caches). *)

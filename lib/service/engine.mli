@@ -71,7 +71,6 @@ val effective_domains : t -> int
 (** Serve a batch: responses in request order. *)
 val batch : t -> request list -> response list
 
-val tune : t -> request -> response
 val tune_dsl : ?label:string -> t -> string -> response
 
 (** Rendered metrics plus cache counters plus drift-monitor summary. *)

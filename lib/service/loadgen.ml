@@ -13,8 +13,10 @@ let mix_of_journal entries =
   |> List.map (fun (dsl, (es : Obs.Journal.entry list)) ->
          { mix_label = (List.hd es).label; mix_dsl = dsl; weight = List.length es })
 
-(* Modeled service costs: constants of the latency model, not
-   measurements (see the interface). *)
+(* Modeled service costs, in seconds: constants of the latency model, not
+   measurements. A cache hit; the fixed cost of a cold tune; one SURF
+   evaluation; queue wait per batch position; and the lognormal sigma of
+   the per-request latency multiplier. *)
 let hit_cost_s = 2e-4
 let tune_base_s = 1e-3
 let eval_cost_s = 2e-3

@@ -23,12 +23,13 @@
     Latency model: each request's base cost is a sum of {e modeled}
     per-phase costs ({!Obs.Ledger.phase}), built from the constants
     below. Every class pays canonicalize (0.10 hit) + lookup (0.15 hit) +
-    queue ({!queue_cost_s} x batch position); warm hits add a 0.75-hit
-    restore measure, dedups a 0.25-hit share, and cold tunes split
-    {!tune_base_s} across enumerate/prune/gate/surrogate/codegen/store
-    (0.30/0.10/0.15/0.25/0.15/0.05) plus {!eval_cost_s} x evaluations of
-    measure. The whole vector is scaled by one multiplier - lognormal
-    {!jitter} x [degrade] - so the scaled phase costs sum {e exactly} to
+    queue (5e-6 s x batch position); warm hits add a 0.75-hit restore
+    measure, dedups a 0.25-hit share, and cold tunes split a 1e-3 s base
+    across enumerate/prune/gate/surrogate/codegen/store
+    (0.30/0.10/0.15/0.25/0.15/0.05) plus 2e-3 s x evaluations of measure,
+    where a hit is 2e-4 s. These constants are modeled, not measured. The
+    whole vector is scaled by one multiplier - lognormal (sigma 0.25) x
+    [degrade] - so the scaled phase costs sum {e exactly} to
     the end-to-end latency - the {!Obs.Ledger} reconciliation invariant,
     and the property that lets {!Obs.Whatif} compute causal phase impacts
     exactly.
@@ -38,25 +39,6 @@
     engine metrics retain at most {!Metrics.raw_sample_cap} raw samples
     per timer, so replaying 10^4-10^6 requests does not grow storage with
     the request count ([record] opts into O(requests) what-if records). *)
-
-(** {2 Modeled costs}
-
-    Constants of the latency model, in seconds: modeled, not measured. *)
-
-(** A cache hit (2e-4). *)
-val hit_cost_s : float
-
-(** Fixed cost of a cold tune (1e-3). *)
-val tune_base_s : float
-
-(** One SURF evaluation (2e-3). *)
-val eval_cost_s : float
-
-(** Queue wait per batch position (5e-6). *)
-val queue_cost_s : float
-
-(** Lognormal sigma of the per-request latency multiplier (0.25). *)
-val jitter : float
 
 type mix = { mix_label : string; mix_dsl : string; weight : int }
 

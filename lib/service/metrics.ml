@@ -143,17 +143,6 @@ let summaries t =
       Hashtbl.fold (fun name tm acc -> (name, summarize_timer tm) :: acc) t.timers []
       |> List.sort compare)
 
-let all_observations t =
-  locked t (fun () ->
-      Hashtbl.fold (fun name tm acc -> (name, retained tm) :: acc) t.timers []
-      |> List.sort compare)
-
-let quantile t name p =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.timers name with
-      | Some tm -> Obs.Sketch.quantile tm.sketch p
-      | None -> nan)
-
 let sketches t =
   locked t (fun () ->
       Hashtbl.fold

@@ -29,9 +29,6 @@ val observe : t -> string -> float -> unit
 (** Current value of a counter (0 if never incremented). *)
 val counter : t -> string -> int
 
-(** All counters, sorted by name. *)
-val counters : t -> (string * int) list
-
 (** Retained raw durations of a timer, oldest first: the full history up
     to {!raw_sample_cap} observations, the most recent cap afterwards. *)
 val observations : t -> string -> float list
@@ -49,14 +46,6 @@ type timer_summary = {
 }
 
 val summaries : t -> (string * timer_summary) list
-
-(** All timers with their retained durations, oldest first, sorted by
-    name (see {!observations} for the cap semantics). *)
-val all_observations : t -> (string * float list) list
-
-(** Sketch-estimated quantile of a timer, [p] in [0, 100]; [nan] for an
-    unknown timer. *)
-val quantile : t -> string -> float -> float
 
 (** Independent copies of the per-timer quantile sketches, sorted by
     name - the source for native-histogram exposition. *)

@@ -8,7 +8,7 @@
    or interleaving. Exceptions are re-raised in item order for the same
    reason. *)
 
-type t = { requested : int; domains : int }
+type t = { domains : int }
 
 (* Domains beyond the hardware's parallelism do not just fail to help -
    cross-domain GC coordination makes them actively slower - so requests
@@ -24,9 +24,8 @@ let create ?(clamp_to_cores = true) ?domains () =
     if clamp_to_cores then min requested (Domain.recommended_domain_count ())
     else requested
   in
-  { requested; domains = max 1 domains }
+  { domains = max 1 domains }
 
-let requested t = t.requested
 let domains t = t.domains
 
 let map t f xs =

@@ -15,9 +15,6 @@ type t
     domain spawned. *)
 val create : ?clamp_to_cores:bool -> ?domains:int -> unit -> t
 
-(** The domain count asked for, before clamping. *)
-val requested : t -> int
-
 (** The effective worker count. *)
 val domains : t -> int
 

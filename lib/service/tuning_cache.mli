@@ -6,8 +6,6 @@
 
 exception Error of string
 
-val entry_version : string
-
 type entry = { key : string; saved : Autotune.Store.saved }
 
 type stats = {

@@ -2,10 +2,6 @@
     space: named feature importances and residual summaries for the
     {!Search.explain} payload. *)
 
-(** The parameter a column binarizes: the plain name for numerics, the
-    base name for one-hot columns. *)
-val base_name : Feature.column -> string
-
 (** Fold per-column split-gain importances ({!Forest.importance}) back
     through the schema onto named parameters, descending by weight (ties
     by name). Grouping preserves the sum: columns summing to 1 yield

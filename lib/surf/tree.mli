@@ -23,9 +23,6 @@ type params = {
   max_depth : int;
 }
 
-(** K = sqrt(dims), min 2 samples, depth 24. *)
-val default_params : dims:int -> params
-
 (** Fit on rows [x] and targets [y]. Raises on an empty training set. *)
 val fit : ?params:params -> Util.Rng.t -> float array array -> float array -> t
 

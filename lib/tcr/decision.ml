@@ -24,6 +24,7 @@ type candidates = {
   red_orders : string list list;  (* loop-permutation candidates *)
 }
 
+(* The literal "1" used for one-dimensional choices. *)
 let one = "1"
 
 (* Parallel loops are the output indices: loops carrying a dependence are
@@ -65,6 +66,8 @@ let decomposition_pool (op : Ir.op) =
   let pool = from_contig @ if List.length from_contig < 4 then from_other else [] in
   pool
 
+(* At most [max_unrollable] inner loops receive unroll parameters, each
+   capped at [min extent max_unroll_factor]. *)
 let max_unrollable = 2
 let max_unroll_factor = 10
 

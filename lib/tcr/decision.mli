@@ -22,25 +22,9 @@ type candidates = {
       (** candidate permutations of the reduction loops *)
 }
 
-(** The literal "1" used for one-dimensional choices. *)
-val one : string
-
-(** Parallel loops of a statement (its output indices). *)
-val parallel_indices : Ir.op -> string list
-
 (** Ordered pool used for ThreadY/BlockX/BlockY per the two selection
     rules. *)
 val decomposition_pool : Ir.op -> string list
-
-(** At most this many inner loops receive unroll parameters. *)
-val max_unrollable : int
-
-(** Unroll factors are capped at [min extent max_unroll_factor]. *)
-val max_unroll_factor : int
-
-(** Up to this many reduction loops are fully permuted; more fall back to
-    rotations. *)
-val max_permuted_reductions : int
 
 val reduction_orders : Ir.op -> string list list
 

@@ -7,7 +7,6 @@
 type t
 
 val build : Ir.t -> t
-val num_ops : t -> int
 
 (** DAG depth of each statement (0 for sources), indexed in program
     order. *)

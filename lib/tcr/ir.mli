@@ -73,7 +73,6 @@ val of_variant : label:string -> Octopi.Contraction.t -> Octopi.Variants.variant
 val validate : t -> unit
 
 val pp_op : Format.formatter -> op -> unit
-val pp : Format.formatter -> t -> unit
 
 (** The concrete Figure 2(b) format; {!Read.program} parses it back. *)
 val to_string : t -> string

@@ -12,9 +12,6 @@ exception Parse_error of string
     kernel), in the style of Figure 2(c). *)
 val annotations : Space.program_space -> string
 
-(** A concrete recipe for one kernel at position [k] (1-based). *)
-val point_recipe : int -> Space.point -> string
-
 (** Concrete recipes for a whole program, one kernel per statement. *)
 val recipe : Space.point list -> string
 

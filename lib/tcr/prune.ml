@@ -29,16 +29,6 @@ let default =
     dividing_unrolls_only = true;
   }
 
-(* A permissive policy that only rejects plainly wasteful points. *)
-let conservative =
-  {
-    min_threads_per_block = 8;
-    max_threads_per_block = 1024;
-    min_blocks = 2;
-    require_coalesced_output = false;
-    dividing_unrolls_only = false;
-  }
-
 let threads_per_block (s : Space.t) (d : Space.decomposition) =
   Ir.extent s.ir d.tx * match d.ty with None -> 1 | Some i -> Ir.extent s.ir i
 

@@ -18,9 +18,6 @@ type policy = {
 (** 32..512 threads, >= 8 blocks, coalesced stores, dividing unrolls. *)
 val default : policy
 
-(** Only rejects plainly wasteful points. *)
-val conservative : policy
-
 val threads_per_block : Space.t -> Space.decomposition -> int
 val num_blocks : Space.t -> Space.decomposition -> int
 val output_coalesced : Space.t -> Space.decomposition -> bool

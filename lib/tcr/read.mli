@@ -1,4 +1,4 @@
-(** Parser for the textual TCR format printed by {!Ir.pp}. Loop orders are
+(** Parser for the textual TCR format printed by {!Ir.to_string}. Loop orders are
     not part of the concrete syntax; they are reconstructed as output
     indices followed by reduction indices. *)
 

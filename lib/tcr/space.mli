@@ -34,15 +34,10 @@ type t = {
           per point *)
 }
 
-val default_max_threads : int
-
 val make : ?max_threads_per_block:int -> Ir.t -> int -> t
 
 (** The four mapped indices of a decomposition. *)
 val mapped_indices : decomposition -> string list
-
-(** Choices pairwise distinct and the block fits the thread limit. *)
-val decomposition_valid : t -> decomposition -> bool
 
 (** All valid decompositions (the PERMUTE group of Figure 2(c)). *)
 val decompositions : t -> decomposition list

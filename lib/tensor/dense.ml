@@ -30,9 +30,6 @@ let num_elements t = Array.length t.data
 let get t idx = t.data.(Shape.linearize t.shape idx)
 let set t idx v = t.data.(Shape.linearize t.shape idx) <- v
 
-let get_linear t off = t.data.(off)
-let set_linear t off v = t.data.(off) <- v
-
 let fill t v = Array.fill t.data 0 (Array.length t.data) v
 
 let map f t = { t with data = Array.map f t.data }

@@ -22,8 +22,6 @@ val data : t -> float array
 val num_elements : t -> int
 val get : t -> int array -> float
 val set : t -> int array -> float -> unit
-val get_linear : t -> int -> float
-val set_linear : t -> int -> float -> unit
 val fill : t -> float -> unit
 val map : (float -> float) -> t -> t
 val scale : float -> t -> t

@@ -4,7 +4,6 @@
 type t = int array
 
 val of_list : int list -> t
-val to_list : t -> int list
 
 (** Number of dimensions. *)
 val rank : t -> int

@@ -38,8 +38,6 @@ let float t bound =
 (* Uniform in [lo, hi). *)
 let float_range t lo hi = lo +. float t (hi -. lo)
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
 (* Standard normal via Box-Muller. *)
 let gaussian t =
   let u1 = max 1e-12 (float t 1.0) in

@@ -27,15 +27,11 @@ val float : t -> float -> float
 (** [float_range t lo hi] is uniform in [lo, hi). *)
 val float_range : t -> float -> float -> float
 
-val bool : t -> bool
-
 (** Standard normal deviate (Box-Muller). *)
 val gaussian : t -> float
 
 (** Fisher-Yates shuffle of a fresh list. *)
 val shuffle : t -> 'a list -> 'a list
-
-val shuffle_in_place : t -> 'a array -> unit
 
 (** [sample_without_replacement t k arr]: [k] distinct elements of [arr].
     Raises if [k] exceeds the array length. *)

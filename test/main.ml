@@ -20,7 +20,6 @@ let () =
       ("orio", Test_orio.suite);
       ("cache", Test_cache.suite);
       ("ttgt", Test_ttgt.suite);
-      ("cse", Test_cse.suite);
       ("frontends", Test_frontends.suite);
       ("misc", Test_misc.suite);
       ("depgraph", Test_depgraph.suite);

@@ -69,32 +69,6 @@ let test_s1_annotations_no_permute () =
   let a = Tcr.Orio.annotations c.spaces in
   Alcotest.(check bool) "no permute directive" true (not (contains a "permute("))
 
-(* ---------------- CSE and the dependence graph compose ---------------- *)
-
-let test_cse_then_depgraph () =
-  let src =
-    "dims: i=3 j=3 k=3 l=3\n\
-     X[i j] = Sum([k l], A[i k] * U[k l] * B[l j])\n\
-     Y[i j] = Sum([k l], A[i k] * U[k l] * C[l j])"
-  in
-  let b = Autotune.Tuner.benchmark_of_dsl ~label:"cse" src in
-  let choice =
-    List.find
-      (fun (c : Autotune.Tuner.variant_choice) ->
-        List.length
-          (List.filter
-             (fun (op : Tcr.Ir.op) -> List.map fst op.factors = [ "A"; "U" ])
-             c.v_ir.ops)
-        = 2)
-      (Autotune.Tuner.variant_choices b)
-  in
-  let optimized, stats = Tcr.Cse.optimize choice.v_ir in
-  check_int "one shared op removed" 1 stats.eliminated_ops;
-  let g = Tcr.Depgraph.build optimized in
-  (* the shared temporary now feeds both remaining chains *)
-  Alcotest.(check bool) "still a DAG with waves" true
-    (List.length (Tcr.Depgraph.waves g) >= 2)
-
 (* ---------------- store header robustness ---------------- *)
 
 let test_store_header_any_order () =
@@ -146,7 +120,6 @@ let suite =
     ("allocate produced", `Quick, test_allocate_produced);
     ("s1: no reduction orders", `Quick, test_s1_no_red_orders);
     ("s1: annotations without permute", `Quick, test_s1_annotations_no_permute);
-    ("cse composes with depgraph", `Quick, test_cse_then_depgraph);
     ("store header order-insensitive", `Quick, test_store_header_any_order);
     ("gemm transpose monotone", `Quick, test_transpose_time_monotone);
     ("variants of multi-statement text", `Quick, test_of_string_multi);

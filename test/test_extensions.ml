@@ -41,8 +41,17 @@ let test_prune_respects_policy () =
 
 let test_prune_conservative_superset () =
   let s = mm_space () in
+  let conservative =
+    {
+      Tcr.Prune.min_threads_per_block = 8;
+      max_threads_per_block = 1024;
+      min_blocks = 2;
+      require_coalesced_output = false;
+      dividing_unrolls_only = false;
+    }
+  in
   Alcotest.(check bool) "conservative keeps more" true
-    (Tcr.Prune.count Tcr.Prune.conservative s >= Tcr.Prune.count Tcr.Prune.default s)
+    (Tcr.Prune.count conservative s >= Tcr.Prune.count Tcr.Prune.default s)
 
 let test_prune_fraction_range () =
   let s = mm_space () in

@@ -59,12 +59,6 @@ let test_deterministic_across_calls () =
   let r2 = Barracuda.tune ~seed:9 ~max_evals:15 mm in
   Alcotest.(check (float 0.0)) "same tuned time" r1.time_per_eval_s r2.time_per_eval_s
 
-let test_tune_einsum () =
-  let r = Barracuda.tune_einsum ~seed:4 ~max_evals:15 "ik,kj->ij" in
-  Alcotest.(check bool) "einsum front end tunes" true (r.gflops > 0.0);
-  Alcotest.(check bool) "output named O" true
-    (List.exists (fun (v : Barracuda.Tcr.var) -> v.name = "O") r.best.ir.vars)
-
 let test_save_load_tuning () =
   let r = Lazy.force tuned in
   let text = Barracuda.save_tuning r in
@@ -131,7 +125,6 @@ let suite =
     ("facade run matches oracle", `Quick, test_run);
     ("facade deterministic", `Quick, test_deterministic_across_calls);
     ("golden cuda kernel", `Quick, test_golden_cuda_kernel);
-    ("facade tune_einsum", `Quick, test_tune_einsum);
     ("facade save/load tuning", `Quick, test_save_load_tuning);
     ("facade driver_of", `Quick, test_driver_of);
   ]

@@ -123,6 +123,12 @@ let test_store_rejects_garbage () =
 
 (* ---------------- Driver ---------------- *)
 
+(* The driver frees every host buffer it allocates. *)
+let check_frees src =
+  check_int "one free per host allocation"
+    (Astring_contains.count src "malloc(" + Astring_contains.count src "calloc(")
+    (Astring_contains.count src "free(")
+
 let test_driver_structure () =
   let set =
     match Octopi.Variants.of_string "dims: i=6 j=6 k=6\nC[i j] = Sum([k], A[i k] * B[k j])" with
@@ -142,7 +148,8 @@ let test_driver_structure () =
   Alcotest.(check bool) "reference nest" true (contains src "C_ref[");
   Alcotest.(check bool) "error check drives exit code" true
     (contains src "return max_err < 1e-9");
-  check_int "kernel included once" 1 (Astring_contains.count src "__global__")
+  check_int "kernel included once" 1 (Astring_contains.count src "__global__");
+  check_frees src
 
 let test_driver_multi_statement () =
   let b = Benchsuite.Suite.lg3t ~p:4 ~elems:2 () in
@@ -150,7 +157,8 @@ let test_driver_multi_statement () =
   let points = List.map (fun s -> List.hd (Tcr.Space.enumerate s)) c.spaces.op_spaces in
   let src = Codegen.Driver.emit c.v_ir points in
   check_int "three kernels" 3 (Astring_contains.count src "__global__");
-  check_int "three reference nests" 3 (Astring_contains.count src "/* reference statement")
+  check_int "three reference nests" 3 (Astring_contains.count src "/* reference statement");
+  check_frees src
 
 let suite =
   [

@@ -273,8 +273,8 @@ let test_treesa_beats_greedy_end_to_end () =
                treesa)
           ~rng:(Util.Rng.create 2007) ~arch b)
   in
-  check_bool "tuned winner verifies numerically" true
-    (Autotune.Tuner.validate result);
+  check_bool "tuned winner proved equivalent" true
+    (match result.semantic with Some v -> v.Check.Semantic.equivalent | None -> false);
   check_bool "CUDA emits" true
     (String.length (Autotune.Tuner.emit_cuda result) > 1000);
   let report =

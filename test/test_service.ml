@@ -66,7 +66,7 @@ let random_program rng =
     (fun i ->
       let f = Util.Rng.int rng n_factors in
       factors.(f) <- i :: factors.(f);
-      if Util.Rng.bool rng then begin
+      if Util.Rng.int rng 2 = 0 then begin
         let f' = (f + 1 + Util.Rng.int rng (n_factors - 1)) mod n_factors in
         factors.(f') <- i :: factors.(f')
       end)
@@ -74,7 +74,7 @@ let random_program rng =
   let extents =
     List.filter_map
       (fun i ->
-        if Util.Rng.bool rng then Some (i, 4 + (2 * Util.Rng.int rng 4)) else None)
+        if Util.Rng.int rng 2 = 0 then Some (i, 4 + (2 * Util.Rng.int rng 4)) else None)
       (Util.Rng.shuffle rng used)
   in
   let tensor_names = [ "A"; "B"; "C"; "D" ] in
@@ -193,8 +193,7 @@ let test_scheduler_propagates_exception () =
 let test_scheduler_clamps () =
   let sched = Service.Scheduler.create ~domains:64 () in
   check_bool "clamped to the machine" true
-    (Service.Scheduler.domains sched <= Domain.recommended_domain_count ());
-  check_int "requested preserved" 64 (Service.Scheduler.requested sched)
+    (Service.Scheduler.domains sched <= Domain.recommended_domain_count ())
 
 (* ---------------- evaluator batch path ---------------- *)
 

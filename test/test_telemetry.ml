@@ -399,11 +399,8 @@ let test_metrics_histogram_streams () =
 let test_metrics_quantile_and_sketches () =
   let m = Service.Metrics.create () in
   List.iter (Service.Metrics.observe m "t") [ 1.0; 2.0; 3.0 ];
-  Alcotest.(check (float 0.05)) "direct quantile" 2.0
-    (Service.Metrics.quantile m "t" 50.0);
-  check_bool "unknown timer is nan" true
-    (Float.is_nan (Service.Metrics.quantile m "missing" 50.0));
   let sk = List.assoc "t" (Service.Metrics.sketches m) in
+  Alcotest.(check (float 0.05)) "sketch quantile" 2.0 (Obs.Sketch.quantile sk 50.0);
   Service.Metrics.observe m "t" 10.0;
   check_int "sketches are snapshots" 3 (Obs.Sketch.count sk)
 
@@ -526,10 +523,11 @@ let test_loadgen_result_shape () =
   let snap = Obs.Window.snapshot r.window ~now:r.ticks in
   check_bool "sketch stays small" true (Obs.Sketch.bucket_count snap.sketch < 512);
   List.iter
-    (fun (_, obs) ->
+    (fun (name, _) ->
       check_bool "timer storage capped" true
-        (List.length obs <= Service.Metrics.raw_sample_cap))
-    (Service.Metrics.all_observations r.metrics)
+        (List.length (Service.Metrics.observations r.metrics name)
+        <= Service.Metrics.raw_sample_cap))
+    (Service.Metrics.summaries r.metrics)
 
 let test_loadgen_violation_pages () =
   let cfg =
