@@ -1,45 +1,14 @@
-(* Command-line front end to the Barracuda pipeline.
+(* Command-line front end to the Barracuda pipeline: one subcommand per
+   job. [commands] at the bottom lists each with a one-line summary and
+   builds both the command group and the usage screen.
 
-   Subcommands:
-     variants  enumerate the OCTOPI strength-reduction variants of a program
-     tcr       print the TCR form of a chosen variant
-     space     summarize the autotuning search space
-     tune      run the full pipeline (SURF autotuning) and report
-     cuda      tune and emit the optimized CUDA translation unit
-     c         emit sequential C or OpenACC renderings
-     check     statically verify a program across all variants and points
-     batch     serve many requests via the tuning service (cache + domains)
-     stats     inspect a persistent tuning-cache directory
-     trace     tune with tracing on; write a Chrome/Perfetto trace-event JSON
-     report    tune and print convergence + Prometheus-style metrics reports
-     profile   tune with the kernel roofline profiler on and print the report
-     net       optimize an N-tensor network's contraction order (greedy vs TreeSA)
-     archs     list the simulated GPU architectures
-     history   list the runs recorded in a tuning journal
-     explain   full report for one journaled run (lineage, importances, rivals)
-     replay    re-run a journaled tune and fail on drift
-     loadgen   replay a journal's request mix under SLO monitoring
-     slo       render the SLO verdict of a saved replay report
-     dash      replay with a live text dashboard of the telemetry window
-
-   tune and batch also accept --profile-out=FILE to write the same roofline
-   report alongside their normal output, and --journal=FILE to append each
-   tuning run to the flight-recorder journal that history/explain/replay
-   read.
-
-   The tensor program is read from a file, or from the -e EXPR option. *)
+   The tensor program is read from a file, -e EXPR or --einsum SPEC. *)
 
 open Cmdliner
 
-let read_program file expr einsum =
-  match (file, expr, einsum) with
-  | None, Some src, None -> src
-  | None, None, Some spec -> Octopi.Einsum_notation.to_dsl spec
-  | Some path, None, None -> Util.Fs.read_file path
-  | None, None, None -> failwith "no input: give a file, -e EXPR or --einsum SPEC"
-  | _ -> failwith "give exactly one of: a file, -e, --einsum"
-
-let src_args =
+(* The program input: at most one of a file, -e EXPR and --einsum SPEC,
+   or [None] when none is given. *)
+let src_opt_arg =
   let file =
     Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:"Tensor program file.")
   in
@@ -56,7 +25,32 @@ let src_args =
       & info [ "einsum" ] ~docv:"SPEC"
           ~doc:"NumPy-style einsum spec, e.g. 'lk,mj,ni,lmn->ijk'.")
   in
-  Term.(const read_program $ file $ expr $ einsum)
+  let read file expr einsum =
+    match (file, expr, einsum) with
+    | None, None, None -> None
+    | None, Some src, None -> Some src
+    | None, None, Some spec -> Some (Octopi.Einsum_notation.to_dsl spec)
+    | Some path, None, None -> Some (Util.Fs.read_file path)
+    | _ -> failwith "give exactly one of: a file, -e, --einsum"
+  in
+  Term.(const read $ file $ expr $ einsum)
+
+(* The program input, required. *)
+let need_program = function
+  | Some src -> src
+  | None -> failwith "no input: give a file, -e EXPR or --einsum SPEC"
+
+let src_args = Term.(const need_program $ src_opt_arg)
+
+(* An integer converter that rejects values below [n] as a usage error
+   (exit 124) naming the bound. *)
+let at_least n =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok k when k < n -> Error (`Msg (Printf.sprintf "%d is below the minimum of %d" k n))
+    | r -> r
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
 
 let arch_arg =
   let parse s =
@@ -77,7 +71,9 @@ let seed_arg =
 
 let evals_arg =
   Arg.(
-    value & opt int 100 & info [ "evals" ] ~docv:"N" ~doc:"SURF evaluation budget (default 100).")
+    value
+    & opt (at_least 1) 100
+    & info [ "evals" ] ~docv:"N" ~doc:"SURF evaluation budget (default 100).")
 
 let prune_arg =
   Arg.(
@@ -85,12 +81,23 @@ let prune_arg =
     & info [ "prune" ]
         ~doc:"Prune the search space with the default static policy before searching.")
 
-let setup_logs =
-  let setup () =
-    Logs.set_reporter (Logs_fmt.reporter ());
-    Logs.set_level (Some Logs.Warning)
-  in
-  Term.(const setup $ const ())
+let json_flag =
+  Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as machine-readable JSON.")
+
+let variant_arg =
+  Arg.(
+    value & opt int 0
+    & info [ "variant" ] ~docv:"N"
+        ~doc:"Variant choice, by its index in the 'space' listing (default 0).")
+
+(* The variant choice [vid] of a program, as [space] numbers them. *)
+let variant_choice src vid =
+  let choices = Autotune.Tuner.variant_choices (Barracuda.parse src) in
+  match if vid < 0 then None else List.nth_opt choices vid with
+  | Some c -> c
+  | None ->
+    failwith
+      (Printf.sprintf "variant %d out of range (0..%d)" vid (List.length choices - 1))
 
 let profile_out_arg =
   Arg.(
@@ -114,6 +121,25 @@ let with_profile out f =
     Util.Fs.write_file path (Obs.Profile.render samples);
     Printf.printf "wrote roofline profile (%d kernel evaluations) to %s\n"
       (List.length samples) path;
+    r
+
+let trace_out_arg =
+  Arg.(
+    value & opt (some string) None
+    & info [ "trace-out" ] ~docv:"FILE"
+        ~doc:
+          "Trace the run and write Chrome trace-event JSON to FILE (open it in \
+           ui.perfetto.dev or chrome://tracing).")
+
+(* Run [f] with pipeline tracing on when [out] is set, writing the trace
+   afterwards. Tracing draws no RNG state either. *)
+let with_trace out f =
+  match out with
+  | None -> f ()
+  | Some path ->
+    let r, events = Obs.Trace.collect f in
+    Obs.Export.write_chrome_trace ~dropped:(Obs.Trace.dropped ()) path events;
+    Printf.printf "wrote %s (%d spans)\n" path (List.length events);
     r
 
 let journal_out_arg =
@@ -178,7 +204,7 @@ let run_arg =
 (* ---------------- variants ---------------- *)
 
 let cmd_variants =
-  let run () src =
+  let run src =
     List.iteri
       (fun si (set : Octopi.Variants.t) ->
         Printf.printf "statement %d: output %s, %d variants (naive: %d flops)\n" (si + 1)
@@ -194,31 +220,19 @@ let cmd_variants =
       (Barracuda.variants src)
   in
   Cmd.v (Cmd.info "variants" ~doc:"Enumerate OCTOPI strength-reduction variants.")
-    Term.(const run $ setup_logs $ src_args)
+    Term.(const run $ src_args)
 
 (* ---------------- tcr ---------------- *)
 
 let cmd_tcr =
-  let variant_arg =
-    Arg.(value & opt int 0 & info [ "variant" ] ~docv:"N" ~doc:"Variant id per statement.")
-  in
-  let run () src vid =
-    let b = Barracuda.parse src in
-    let choices = Autotune.Tuner.variant_choices b in
-    let choice =
-      match if vid < 0 then None else List.nth_opt choices vid with
-      | Some c -> c
-      | None -> failwith (Printf.sprintf "variant %d out of range (0..%d)" vid (List.length choices - 1))
-    in
-    print_string (Tcr.Ir.to_string choice.v_ir)
-  in
+  let run src vid = print_string (Tcr.Ir.to_string (variant_choice src vid).v_ir) in
   Cmd.v (Cmd.info "tcr" ~doc:"Print the TCR intermediate form of a variant.")
-    Term.(const run $ setup_logs $ src_args $ variant_arg)
+    Term.(const run $ src_args $ variant_arg)
 
 (* ---------------- space ---------------- *)
 
 let cmd_space =
-  let run () src =
+  let run src =
     let b = Barracuda.parse src in
     let choices = Autotune.Tuner.variant_choices b in
     Printf.printf "OCTOPI variants: %d\n" (List.length choices);
@@ -235,7 +249,7 @@ let cmd_space =
       choices
   in
   Cmd.v (Cmd.info "space" ~doc:"Summarize the autotuning search space.")
-    Term.(const run $ setup_logs $ src_args)
+    Term.(const run $ src_args)
 
 (* ---------------- tune ---------------- *)
 
@@ -254,7 +268,7 @@ let cmd_tune =
       & opt (some string) None
       & info [ "save" ] ~docv:"FILE" ~doc:"Save the tuning artifact to FILE.")
   in
-  let run () src arch seed evals prune save profile_out journal_out =
+  let run src arch seed evals prune save profile_out journal_out =
     let result =
       with_journal journal_out (fun () ->
           with_profile profile_out (fun () -> tune_common src arch seed evals prune))
@@ -280,30 +294,20 @@ let cmd_tune =
   in
   Cmd.v (Cmd.info "tune" ~doc:"Autotune a tensor program with SURF and report.")
     Term.(
-      const run $ setup_logs $ src_args $ arch_arg $ seed_arg $ evals_arg $ prune_arg
+      const run $ src_args $ arch_arg $ seed_arg $ evals_arg $ prune_arg
       $ save_arg $ profile_out_arg $ journal_out_arg)
 
 (* ---------------- annotations ---------------- *)
 
 let cmd_annotations =
-  let variant_arg =
-    Arg.(value & opt int 0 & info [ "variant" ] ~docv:"N" ~doc:"Variant id.")
-  in
   let recipe_arg =
     Arg.(
       value & flag
       & info [ "recipe" ]
           ~doc:"Also tune and print the concrete transformation recipe.")
   in
-  let run () src vid arch seed evals want_recipe =
-    let b = Barracuda.parse src in
-    let choices = Autotune.Tuner.variant_choices b in
-    let choice =
-      match if vid < 0 then None else List.nth_opt choices vid with
-      | Some c -> c
-      | None -> failwith (Printf.sprintf "variant %d out of range" vid)
-    in
-    print_string (Tcr.Orio.annotations choice.spaces);
+  let run src vid arch seed evals want_recipe =
+    print_string (Tcr.Orio.annotations (variant_choice src vid).spaces);
     if want_recipe then begin
       let result = tune_common src arch seed evals false in
       print_endline "/* tuned recipe */";
@@ -314,7 +318,7 @@ let cmd_annotations =
     (Cmd.info "annotations"
        ~doc:"Print the Orio/CUDA-CHiLL search-space annotations (Figure 2(c)).")
     Term.(
-      const run $ setup_logs $ src_args $ variant_arg $ arch_arg $ seed_arg $ evals_arg
+      const run $ src_args $ variant_arg $ arch_arg $ seed_arg $ evals_arg
       $ recipe_arg)
 
 (* ---------------- cuda ---------------- *)
@@ -331,7 +335,7 @@ let cmd_cuda =
       & info [ "from" ] ~docv:"FILE"
           ~doc:"Re-emit from a saved tuning artifact instead of searching.")
   in
-  let run () src arch seed evals prune from out =
+  let run src arch seed evals prune from out =
     let cuda =
       match from with
       | Some path ->
@@ -351,7 +355,7 @@ let cmd_cuda =
   in
   Cmd.v (Cmd.info "cuda" ~doc:"Tune and emit the optimized CUDA code.")
     Term.(
-      const run $ setup_logs $ src_args $ arch_arg $ seed_arg $ evals_arg $ prune_arg
+      const run $ src_args $ arch_arg $ seed_arg $ evals_arg $ prune_arg
       $ from_arg $ out_arg)
 
 (* ---------------- c ---------------- *)
@@ -367,7 +371,7 @@ let cmd_c =
       value & opt mode_conv `Seq
       & info [ "mode" ] ~docv:"MODE" ~doc:"seq, omp, acc-naive or acc-optimized.")
   in
-  let run () src arch seed evals mode =
+  let run src arch seed evals mode =
     let result = tune_common src arch seed evals false in
     let mode =
       match mode with
@@ -381,27 +385,27 @@ let cmd_c =
     print_string (Barracuda.c_of ~mode result)
   in
   Cmd.v (Cmd.info "c" ~doc:"Emit sequential C or OpenACC renderings.")
-    Term.(const run $ setup_logs $ src_args $ arch_arg $ seed_arg $ evals_arg $ mode_arg)
+    Term.(const run $ src_args $ arch_arg $ seed_arg $ evals_arg $ mode_arg)
 
 (* ---------------- driver ---------------- *)
 
 let cmd_driver =
   let reps_arg =
-    Arg.(value & opt int 100 & info [ "reps" ] ~docv:"N" ~doc:"Timed repetitions.")
+    Arg.(value & opt (at_least 1) 100 & info [ "reps" ] ~docv:"N" ~doc:"Timed repetitions.")
   in
-  let run () src arch seed evals reps =
+  let run src arch seed evals reps =
     let result = tune_common src arch seed evals false in
     print_string (Codegen.Driver.emit ~reps result.best.ir result.best.points)
   in
   Cmd.v
     (Cmd.info "driver"
        ~doc:"Tune and emit a standalone CUDA driver (main + timing + check).")
-    Term.(const run $ setup_logs $ src_args $ arch_arg $ seed_arg $ evals_arg $ reps_arg)
+    Term.(const run $ src_args $ arch_arg $ seed_arg $ evals_arg $ reps_arg)
 
 (* ---------------- inspect ---------------- *)
 
 let cmd_inspect =
-  let run () src arch seed evals =
+  let run src arch seed evals =
     let result = tune_common src arch seed evals false in
     Printf.printf "%s on %s: %.2f GFlops (simulated)\n\n" result.benchmark.label
       arch.Gpusim.Arch.name result.gflops;
@@ -434,7 +438,7 @@ let cmd_inspect =
   Cmd.v
     (Cmd.info "inspect"
        ~doc:"Tune and print the per-kernel performance-model breakdown.")
-    Term.(const run $ setup_logs $ src_args $ arch_arg $ seed_arg $ evals_arg)
+    Term.(const run $ src_args $ arch_arg $ seed_arg $ evals_arg)
 
 (* ---------------- batch (tuning service) ---------------- *)
 
@@ -452,28 +456,22 @@ let cmd_batch =
       value & opt_all string []
       & info [ "e"; "expr" ] ~docv:"EXPR" ~doc:"Inline tensor program (repeatable).")
   in
-  let domains_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Worker domains for parallel evaluation (default 1).")
-  in
   let cache_arg =
     Arg.(
       value & opt (some string) None
       & info [ "cache-dir" ] ~docv:"DIR"
           ~doc:"Persistent tuning-cache directory (created if missing).")
   in
+  let domains_arg =
+    Arg.(
+      value & opt int 1
+      & info [ "domains" ] ~docv:"N"
+          ~doc:"Worker domains for parallel evaluation (default 1).")
+  in
   let stats_flag =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print service metrics after the batch.")
   in
-  let trace_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:"Trace the batch and write Chrome trace-event JSON to FILE.")
-  in
-  let run () files exprs arch seed evals domains cache_dir want_stats trace_out
+  let run files exprs arch seed evals domains cache_dir want_stats trace_out
       profile_out journal_out =
     let requests =
       List.map
@@ -490,16 +488,7 @@ let cmd_batch =
     let responses =
       with_journal journal_out @@ fun () ->
       with_profile profile_out @@ fun () ->
-      match trace_out with
-      | None -> Service.Engine.batch svc requests
-      | Some path ->
-        let responses, events =
-          Obs.Trace.collect (fun () -> Service.Engine.batch svc requests)
-        in
-        Obs.Export.write_chrome_trace ~dropped:(Obs.Trace.dropped ()) path
-          events;
-        Printf.printf "wrote %s (%d spans)\n" path (List.length events);
-        responses
+      with_trace trace_out @@ fun () -> Service.Engine.batch svc requests
     in
     Printf.printf "%-16s %-14s %-12s %10s %10s\n" "request" "served" "key" "gflops" "wall";
     List.iter
@@ -519,69 +508,9 @@ let cmd_batch =
          "Serve a batch of tuning requests: canonical-cache lookup, deduplication, \
           multi-domain tuning of the cold remainder.")
     Term.(
-      const run $ setup_logs $ files_arg $ exprs_arg $ arch_arg $ seed_arg $ evals_arg
-      $ domains_arg $ cache_arg $ stats_flag $ trace_arg $ profile_out_arg
+      const run $ files_arg $ exprs_arg $ arch_arg $ seed_arg $ evals_arg
+      $ domains_arg $ cache_arg $ stats_flag $ trace_out_arg $ profile_out_arg
       $ journal_out_arg)
-
-(* ---------------- trace ---------------- *)
-
-let cmd_trace =
-  let out_arg =
-    Arg.(
-      value & opt string "trace.json"
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Write the Chrome trace-event JSON to FILE (default trace.json).")
-  in
-  let report_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "report" ] ~docv:"FILE"
-          ~doc:"Also write the convergence + metrics report to FILE.")
-  in
-  let domains_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N" ~doc:"Worker domains for parallel evaluation.")
-  in
-  let run () src arch seed evals domains out report_out =
-    let svc = Service.Engine.create ~config:(service_config arch seed evals domains None) () in
-    let response, events =
-      Obs.Trace.collect (fun () -> Service.Engine.tune_dsl svc src)
-    in
-    Obs.Export.write_chrome_trace ~dropped:(Obs.Trace.dropped ()) out events;
-    let cats =
-      List.sort_uniq compare (List.map (fun (e : Obs.Trace.event) -> e.cat) events)
-    in
-    Printf.printf "%s: %.2f GFlops (%s), %d evaluations\n" response.label
-      response.result.gflops
-      (Service.Engine.served_name response.served)
-      response.result.evaluations;
-    Printf.printf "wrote %s: %d spans across %d domains (categories: %s)\n" out
-      (List.length events)
-      (List.length
-         (List.sort_uniq compare (List.map (fun (e : Obs.Trace.event) -> e.domain) events)))
-      (String.concat ", " cats);
-    print_string (Service.Engine.convergence_report response);
-    match report_out with
-    | None -> ()
-    | Some path ->
-      Util.Fs.write_file path
-        (String.concat "\n"
-           [
-             Service.Engine.convergence_report response;
-             Service.Engine.stats_report svc;
-             Service.Engine.prometheus_report svc;
-           ]);
-      Printf.printf "wrote %s\n" path
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Tune a program with pipeline tracing enabled and write a Chrome \
-          trace-event JSON (open in chrome://tracing or ui.perfetto.dev).")
-    Term.(
-      const run $ setup_logs $ src_args $ arch_arg $ seed_arg $ evals_arg $ domains_arg
-      $ out_arg $ report_arg)
 
 (* ---------------- report ---------------- *)
 
@@ -592,9 +521,9 @@ let cmd_report =
       & info [ "prom-out" ] ~docv:"FILE"
           ~doc:"Also write the Prometheus text exposition to FILE.")
   in
-  let run () src arch seed evals prom_out =
+  let run src arch seed evals trace_out prom_out =
     let svc = Service.Engine.create ~config:(service_config arch seed evals 1 None) () in
-    let response = Service.Engine.tune_dsl svc src in
+    let response = with_trace trace_out (fun () -> Service.Engine.tune_dsl svc src) in
     Printf.printf "%s on %s: %.2f GFlops after %d evaluations (pool %d of %d)\n\n"
       response.label arch.Gpusim.Arch.name response.result.gflops
       response.result.evaluations response.result.pool_size
@@ -616,8 +545,11 @@ let cmd_report =
        ~doc:
          "Tune a program and print the SURF convergence report (best-so-far, pool \
           coverage, surrogate R^2 per iteration) plus service metrics in \
-          human-readable and Prometheus text form.")
-    Term.(const run $ setup_logs $ src_args $ arch_arg $ seed_arg $ evals_arg $ prom_arg)
+          human-readable and Prometheus text form; --trace-out also writes \
+          the traced tune as Chrome trace-event JSON.")
+    Term.(
+      const run $ src_args $ arch_arg $ seed_arg $ evals_arg $ trace_out_arg
+      $ prom_arg)
 
 (* ---------------- stats (cache inventory) ---------------- *)
 
@@ -627,7 +559,7 @@ let cmd_stats =
       required & opt (some string) None
       & info [ "cache-dir" ] ~docv:"DIR" ~doc:"Tuning-cache directory to inspect.")
   in
-  let run () dir =
+  let run dir =
     let inv = Service.Tuning_cache.inventory ~dir in
     Printf.printf "cache %s: %d entries, %d corrupt\n" dir
       (List.length inv.entries) (List.length inv.corrupt_files);
@@ -643,68 +575,11 @@ let cmd_stats =
   in
   Cmd.v
     (Cmd.info "stats" ~doc:"Inspect a persistent tuning-cache directory.")
-    Term.(const run $ setup_logs $ dir_arg)
-
-(* ---------------- profile ---------------- *)
-
-let cmd_profile =
-  let top_arg =
-    Arg.(
-      value & opt int 10
-      & info [ "top" ] ~docv:"N" ~doc:"Kernels to list in the DRAM-traffic table.")
-  in
-  let out_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Also write the report to FILE (stdout is always printed).")
-  in
-  let run () src arch seed evals prune top out =
-    let result, samples =
-      Obs.Profile.collect (fun () -> tune_common src arch seed evals prune)
-    in
-    let report = Obs.Profile.render ~top samples in
-    Printf.printf "%s on %s: %.2f GFlops after %d evaluations\n\n"
-      result.benchmark.label arch.Gpusim.Arch.name result.gflops result.evaluations;
-    print_string report;
-    match out with
-    | None -> ()
-    | Some path ->
-      Util.Fs.write_file path report;
-      Printf.printf "\nwrote %s\n" path
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Tune a program with the kernel roofline profiler on and print the \
-          report: per-variant time split by roofline bound (dp/issue/memory/launch), \
-          top kernels by DRAM traffic, occupancy histogram, and the roofline vs \
-          simulated measurement (gpusim noise) divergence per architecture.")
-    Term.(
-      const run $ setup_logs $ src_args $ arch_arg $ seed_arg $ evals_arg $ prune_arg
-      $ top_arg $ out_arg)
+    Term.(const run $ dir_arg)
 
 (* ---------------- check ---------------- *)
 
 let cmd_check =
-  let file_arg =
-    Arg.(
-      value & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"Tensor program file.")
-  in
-  let expr_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "e"; "expr" ] ~docv:"EXPR" ~doc:"Tensor program given inline.")
-  in
-  let einsum_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "einsum" ] ~docv:"SPEC"
-          ~doc:"NumPy-style einsum spec, e.g. 'lk,mj,ni,lmn->ijk'.")
-  in
   let tcr_arg =
     Arg.(
       value
@@ -731,11 +606,6 @@ let cmd_check =
       value & opt float Netopt.Tree.default_score.sc_target
       & info [ "sc-target" ] ~docv:"L"
           ~doc:"log2 intermediate-size cap for --net tree findings.")
-  in
-  let json_flag =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the report as machine-readable JSON.")
   in
   let max_points_arg =
     Arg.(
@@ -772,15 +642,9 @@ let cmd_check =
              validation round (implies --semantic).")
   in
   let rounds_arg =
-    let parse s =
-      match Arg.conv_parser Arg.int s with
-      | Ok k when k < 1 -> Error (`Msg (Printf.sprintf "%d rounds: validation needs at least one" k))
-      | r -> r
-    in
-    let rounds_conv = Arg.conv ~docv:"K" (parse, Format.pp_print_int) in
     Arg.(
       value
-      & opt rounds_conv Check.Semantic.default_rounds
+      & opt (at_least 1) Check.Semantic.default_rounds
       & info [ "rounds" ] ~docv:"K"
           ~doc:"Schwartz-Zippel rounds for --semantic (at least 1).")
   in
@@ -801,7 +665,7 @@ let cmd_check =
                 (%s) and verify it is caught (implies --semantic)."
                (String.concat ", " (List.map Check.Mutate.name Check.Mutate.all))))
   in
-  let run () file expr einsum tcr net_file sc_target arch json max_points no_lints
+  let run src tcr net_file sc_target arch json max_points no_lints
       semantic diff rounds sz_seed mutate =
     let lints = not no_lints in
     let semantic = semantic || diff || mutate <> None in
@@ -819,6 +683,8 @@ let cmd_check =
     let report, bench =
       match (tcr, net_file) with
       | Some _, Some _ -> failwith "give at most one of --tcr, --net"
+      | (Some _, _ | _, Some _) when src <> None ->
+        failwith "give a program or --tcr/--net, not both"
       | Some path, None ->
         if semantic then
           failwith "--semantic validates DSL or --net programs, not --tcr";
@@ -848,13 +714,11 @@ let cmd_check =
         in
         ({ Check.Verify.empty_report with diags }, bench)
       | None, None ->
-        let src = read_program file expr einsum in
-        let b = Barracuda.parse src in
+        let b = Barracuda.parse (need_program src) in
         let labeled =
           List.map
             (fun (c : Autotune.Tuner.variant_choice) ->
-              ( Printf.sprintf "v%s" (String.concat "." (List.map string_of_int c.ids)),
-                c.spaces ))
+              (Autotune.Provenance.variant_name c.ids, c.spaces))
             (Autotune.Tuner.variant_choices b)
         in
         ( Check.Verify.program ~lints ?max_points_per_op:max_points ~arch labeled,
@@ -967,7 +831,7 @@ let cmd_check =
           plus (--semantic) translation validation over the prime field. \
           Exits nonzero when any error-severity diagnostic is found.")
     Term.(
-      const run $ setup_logs $ file_arg $ expr_arg $ einsum_arg $ tcr_arg $ net_arg
+      const run $ src_opt_arg $ tcr_arg $ net_arg
       $ sc_target_arg $ arch_arg $ json_flag $ max_points_arg $ no_lints_flag
       $ semantic_flag $ diff_flag $ rounds_arg $ sz_seed_arg $ mutate_arg)
 
@@ -1028,9 +892,6 @@ let cmd_net =
             "log2 elements an intermediate may occupy (the GPU-memory cap); \
              exceeding it is hard-penalized.")
   in
-  let json_flag =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
-  in
   let emit_dsl_flag =
     Arg.(
       value & flag
@@ -1056,7 +917,7 @@ let cmd_net =
           ("score", Obs.Json.Num score);
         ] )
   in
-  let run () file einsum gen n gen_seed seed sa_iters tc_w sc_w rw_w sc_target
+  let run file einsum gen n gen_seed seed sa_iters tc_w sc_w rw_w sc_target
       json emit_dsl do_tune arch evals journal_out =
     let net =
       match (file, einsum, gen) with
@@ -1064,10 +925,13 @@ let cmd_net =
       | None, Some spec, None -> Netopt.Network.of_einsum spec
       | None, None, Some shape -> (
         let rng = Util.Rng.create gen_seed in
-        match shape with
-        | `Line -> Netopt.Gen.line ~n rng
-        | `Ring -> Netopt.Gen.ring ~n rng
-        | `Power -> Netopt.Gen.power_law ~n rng)
+        (* each generator rejects an [n] below its shape's minimum *)
+        try
+          match shape with
+          | `Line -> Netopt.Gen.line ~n rng
+          | `Ring -> Netopt.Gen.ring ~n rng
+          | `Power -> Netopt.Gen.power_law ~n rng
+        with Invalid_argument msg -> failwith msg)
       | None, None, None ->
         failwith "no input: give a network spec file, --einsum or --gen"
       | _ -> failwith "give exactly one of: a file, --einsum, --gen"
@@ -1136,7 +1000,7 @@ let cmd_net =
           time/space/read-write under an sc_target memory cap), and \
           optionally lower the winner into the autotuning pipeline.")
     Term.(
-      const run $ setup_logs $ file_arg $ einsum_arg $ gen_arg $ n_arg
+      const run $ file_arg $ einsum_arg $ gen_arg $ n_arg
       $ gen_seed_arg $ seed_arg $ sa_iters_arg $ tc_arg $ sc_arg $ rw_arg
       $ sc_target_arg $ json_flag $ emit_dsl_flag $ tune_flag $ arch_arg
       $ evals_arg $ journal_out_arg)
@@ -1153,7 +1017,7 @@ let cmd_archs =
       Gpusim.Arch.all
   in
   Cmd.v (Cmd.info "archs" ~doc:"List the simulated GPU architectures.")
-    Term.(const run $ setup_logs)
+    Term.(const run $ const ())
 
 (* ---------------- history / explain / replay (tuning journal) ------- *)
 
@@ -1171,16 +1035,7 @@ let cmd_history =
       & info [ "since" ] ~docv:"RUN"
           ~doc:"Show only the runs recorded after RUN (id or unique prefix).")
   in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Emit the history as a JSON array (one summary object per run: \
-             ids, key, arch, seed, winner time and kernel hash) instead of \
-             the table.")
-  in
-  let run () journal tail since json =
+  let run journal tail since json =
     let entries = load_journal journal in
     let entries =
       match since with
@@ -1214,11 +1069,11 @@ let cmd_history =
           recent N (--tail), or the ones after a given run (--since); \
           --json emits machine-readable summaries instead.")
     Term.(
-      const run $ setup_logs $ journal_file_arg $ tail_arg $ since_arg
-      $ json_arg)
+      const run $ journal_file_arg $ tail_arg $ since_arg
+      $ json_flag)
 
 let cmd_explain =
-  let run () journal run_id =
+  let run journal run_id =
     print_string (Obs.Journal.render_explain (find_run (load_journal journal) run_id))
   in
   Cmd.v
@@ -1227,7 +1082,7 @@ let cmd_explain =
          "Full report for one journaled run: the winner's five-stage \
           provenance lineage, named parameter importances of the surrogate, \
           its predicted-vs-measured fit, and the rejected rivals.")
-    Term.(const run $ setup_logs $ journal_file_arg $ run_arg)
+    Term.(const run $ journal_file_arg $ run_arg)
 
 let cmd_replay =
   let tolerance_arg =
@@ -1236,7 +1091,7 @@ let cmd_replay =
       & info [ "tolerance" ] ~docv:"R"
           ~doc:"Allowed |measured-time ratio - 1| before declaring drift.")
   in
-  let run () journal run_id prune tolerance =
+  let run journal run_id prune tolerance =
     let entry = find_run (load_journal journal) run_id in
     let arch =
       match
@@ -1266,21 +1121,22 @@ let cmd_replay =
          "Re-run a journaled tune from its recorded inputs (DSL, seed, \
           budget) and exit nonzero if the winning kernel hash or the \
           measured-time ratio drifts.")
-    Term.(const run $ setup_logs $ journal_file_arg $ run_arg $ prune_arg $ tolerance_arg)
+    Term.(const run $ journal_file_arg $ run_arg $ prune_arg $ tolerance_arg)
 
-(* ---------------- loadgen / slo / dash (telemetry) ---------------- *)
+(* ---------------- loadgen / slo (telemetry) ---------------- *)
 
-(* Shared replay configuration: loadgen and dash drive the same
-   deterministic harness with the same knobs. *)
+(* The replay configuration of the deterministic load harness. *)
 let loadgen_config_term =
   let requests =
     Arg.(
-      value & opt int 10_000
+      value
+      & opt (at_least 1) 10_000
       & info [ "requests" ] ~docv:"N" ~doc:"Requests to replay (default 10000).")
   in
   let batch =
     Arg.(
-      value & opt int 16
+      value
+      & opt (at_least 1) 16
       & info [ "batch" ] ~docv:"N" ~doc:"Requests per engine batch (default 16).")
   in
   let error_rate =
@@ -1327,19 +1183,22 @@ let loadgen_config_term =
   in
   let window_width =
     Arg.(
-      value & opt int 250
+      value
+      & opt (at_least 1) 250
       & info [ "window-width" ] ~docv:"TICKS"
           ~doc:"Logical ticks per telemetry-window epoch (default 250).")
   in
   let window_buckets =
     Arg.(
-      value & opt int 8
+      value
+      & opt (at_least 1) 8
       & info [ "window-buckets" ] ~docv:"N"
           ~doc:"Epochs in the telemetry-window ring (default 8).")
   in
   let reps_arg =
     Arg.(
-      value & opt int 3
+      value
+      & opt (at_least 1) 3
       & info [ "reps" ] ~docv:"N"
           ~doc:"Measurement repetitions per cold-tune evaluation (default 3).")
   in
@@ -1370,18 +1229,6 @@ let loadgen_config_term =
     $ error_rate $ degrade $ degrade_at $ monitor $ p99_budget
     $ error_objective $ window_width $ window_buckets)
 
-(* The journal's entries and the request mix they define. *)
-let load_mix journal =
-  let entries = load_journal journal in
-  let mix = Service.Loadgen.mix_of_journal entries in
-  if mix = [] then
-    failwith
-      (Printf.sprintf
-         "journal %s holds no runs; record one first, e.g. 'barracuda tune \
-          --journal=%s -e EXPR'"
-         journal journal);
-  (entries, mix)
-
 let cmd_loadgen =
   let out_arg =
     Arg.(
@@ -1403,11 +1250,33 @@ let cmd_loadgen =
              the 'whatif' subcommand replays) to FILE. Deterministic for a \
              fixed seed.")
   in
-  let run () journal cfg out ledger_out =
-    let entries, mix = load_mix journal in
-    let record = ledger_out <> None in
+  let frames_arg =
+    Arg.(
+      value
+      & opt (at_least 0) 0
+      & info [ "frames" ] ~docv:"N"
+          ~doc:
+            "Print N dashboard frames of the telemetry window (per-epoch \
+             rates, quantiles, a p99 sparkline), evenly spaced over the \
+             replay (default 0).")
+  in
+  let run journal cfg frames out ledger_out =
+    let entries = load_journal journal in
+    let mix = Service.Loadgen.mix_of_journal entries in
+    if mix = [] then
+      failwith
+        (Printf.sprintf
+           "journal %s holds no runs; record one first, e.g. 'barracuda tune \
+            --journal=%s -e EXPR'"
+           journal journal);
+    let frame w ~now =
+      Printf.printf "--- tick %d ---\n%s\n" now (Obs.Window.render w ~now)
+    in
+    let frame_every =
+      if frames = 0 then None else Some (max 1 (cfg.Service.Loadgen.requests / frames))
+    in
     let r =
-      Service.Loadgen.run ~record
+      Service.Loadgen.run ~on_frame:frame ?frame_every ~record:(ledger_out <> None)
         ~run_ids:(Service.Loadgen.run_ids_of_journal entries)
         cfg mix
     in
@@ -1434,7 +1303,7 @@ let cmd_loadgen =
           windows, and exit nonzero if the final SLO verdict pages or (with \
           --monitor) a change-point monitor alarms.")
     Term.(
-      const run $ setup_logs $ journal_file_arg $ loadgen_config_term $ out_arg
+      const run $ journal_file_arg $ loadgen_config_term $ frames_arg $ out_arg
       $ ledger_out_arg)
 
 let cmd_slo =
@@ -1446,7 +1315,7 @@ let cmd_slo =
             "Replay report written by 'loadgen --out' (the verdict is read \
              from its 'slo' member) or a bare SLO report.")
   in
-  let run () path =
+  let run path =
     let report =
       read_json path (fun j ->
           Obs.Slo.of_json (Option.value ~default:j (Obs.Json.member "slo" j)))
@@ -1459,31 +1328,7 @@ let cmd_slo =
        ~doc:
          "Render the SLO verdict of a saved replay report and exit nonzero \
           if it pages.")
-    Term.(const run $ setup_logs $ report_arg)
-
-let cmd_dash =
-  let frames_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "frames" ] ~docv:"N"
-          ~doc:"Dashboard frames to print during the replay (default 4).")
-  in
-  let run () journal cfg frames =
-    let _, mix = load_mix journal in
-    let every = max 1 (cfg.Service.Loadgen.requests / max 1 frames) in
-    let frame w ~now =
-      Printf.printf "--- tick %d ---\n%s\n" now (Obs.Window.render w ~now)
-    in
-    let r = Service.Loadgen.run ~on_frame:frame ~frame_every:every cfg mix in
-    print_string (Service.Loadgen.render r)
-  in
-  Cmd.v
-    (Cmd.info "dash"
-       ~doc:
-         "Replay a journal's request mix and print a live text dashboard of \
-          the sliding telemetry window (per-epoch rates, quantiles, a p99 \
-          sparkline) plus the final SLO verdict.")
-    Term.(const run $ setup_logs $ journal_file_arg $ loadgen_config_term $ frames_arg)
+    Term.(const run $ report_arg)
 
 let cmd_doctor =
   let bench_arg =
@@ -1515,11 +1360,6 @@ let cmd_doctor =
              ledger report): enables the DR04x phase-attribution findings \
              and the worst-request exemplar jump.")
   in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the machine-readable health report.")
-  in
   let mispredict_arg =
     Arg.(
       value & opt float 0.5
@@ -1536,7 +1376,7 @@ let cmd_doctor =
             "Winner-time ratio slack before a diverging lineage counts as a \
              critical kernel regression (default 0.25).")
   in
-  let run () journal bench slo ledger json mispredict_threshold time_tolerance
+  let run journal bench slo ledger json mispredict_threshold time_tolerance
       =
     let entries, discarded = Obs.Journal.load journal in
     let bench =
@@ -1582,8 +1422,8 @@ let cmd_doctor =
           at the earliest diverging lineage stage, surrogate drift, cache \
           eviction). Exits nonzero on a critical finding.")
     Term.(
-      const run $ setup_logs $ journal_file_arg $ bench_arg $ slo_arg
-      $ ledger_arg $ json_arg $ mispredict_arg $ tolerance_arg)
+      const run $ journal_file_arg $ bench_arg $ slo_arg
+      $ ledger_arg $ json_flag $ mispredict_arg $ tolerance_arg)
 
 (* ---------------- ledger / whatif (causal cost ledger) ---------------- *)
 
@@ -1594,11 +1434,6 @@ let ledger_file_arg =
         ~doc:"Ledger replay file written by 'loadgen --ledger-out'.")
 
 let cmd_ledger =
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the machine-readable ledger report.")
-  in
   let prom_arg =
     Arg.(
       value
@@ -1608,7 +1443,7 @@ let cmd_ledger =
             "Write a Prometheus exposition of the per-phase and per-class \
              histograms rebuilt from the recorded requests.")
   in
-  let run () path json prom_out =
+  let run path json prom_out =
     let f = read_json path Obs.Whatif.file_of_json in
     if json then
       print_endline
@@ -1643,7 +1478,7 @@ let cmd_ledger =
           cost quantiles split by serve class (cold/warm/dedup), phase \
           shares of modeled time, and the worst-request exemplars that \
           link slow p99 slots back to journal runs.")
-    Term.(const run $ setup_logs $ ledger_file_arg $ json_arg $ prom_arg)
+    Term.(const run $ ledger_file_arg $ json_flag $ prom_arg)
 
 let cmd_whatif =
   let factors_arg =
@@ -1664,11 +1499,6 @@ let cmd_whatif =
             "Exit nonzero unless the causal ranking's top phase is PHASE \
              (the CI gate pinning where the next perf PR must aim).")
   in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the machine-readable what-if report.")
-  in
   let out_arg =
     Arg.(
       value
@@ -1678,7 +1508,7 @@ let cmd_whatif =
             "Write the machine-readable ranking to FILE (bit-identical \
              across runs of the same replay file).")
   in
-  let run () path factors expect_top json out =
+  let run path factors expect_top json out =
     let f = read_json path Obs.Whatif.file_of_json in
     if f.Obs.Whatif.f_records = [] then
       failwith
@@ -1721,76 +1551,73 @@ let cmd_whatif =
           latency, and rank phases by their true p99 impact. Deterministic \
           - two runs over the same file are bit-identical.")
     Term.(
-      const run $ setup_logs $ ledger_file_arg $ factors_arg $ expect_arg
-      $ json_arg $ out_arg)
+      const run $ ledger_file_arg $ factors_arg $ expect_arg
+      $ json_flag $ out_arg)
 
 (* ---------------- main ---------------- *)
 
-(* One-line-per-subcommand usage screen, shown on bare invocation and on
-   --help, and on stderr (exit 2) for an unknown subcommand. *)
-let subcommands =
+(* Every command with its one-line summary: the command group and the
+   usage screen are both built from this list. *)
+let commands =
   [
-    ("variants", "enumerate the OCTOPI strength-reduction variants");
-    ("tcr", "print the TCR form of a chosen variant");
-    ("space", "summarize the autotuning search space");
-    ("annotations", "print the Orio/CUDA-CHiLL search-space annotations");
-    ("tune", "run the full pipeline (SURF autotuning) and report");
-    ("cuda", "tune and emit the optimized CUDA translation unit");
-    ("driver", "tune and emit a standalone CUDA driver");
-    ("c", "emit sequential C or OpenACC renderings");
-    ("inspect", "tune and print the per-kernel performance-model breakdown");
-    ( "check",
+    (cmd_variants, "enumerate the OCTOPI strength-reduction variants");
+    (cmd_tcr, "print the TCR form of a chosen variant");
+    (cmd_space, "summarize the autotuning search space");
+    (cmd_annotations, "print the Orio/CUDA-CHiLL search-space annotations");
+    (cmd_tune, "run the full pipeline (SURF autotuning) and report");
+    (cmd_cuda, "tune and emit the optimized CUDA translation unit");
+    (cmd_driver, "tune and emit a standalone CUDA driver");
+    (cmd_c, "emit sequential C or OpenACC renderings");
+    (cmd_inspect, "tune and print the per-kernel performance-model breakdown");
+    ( cmd_check,
       "statically verify a program across all variants and points \
        (--semantic adds translation validation)" );
-    ("batch", "serve many requests via the tuning service (cache + domains)");
-    ("stats", "inspect a persistent tuning-cache directory");
-    ("trace", "tune with tracing on; write a Chrome trace-event JSON");
-    ("report", "tune and print convergence + metrics reports");
-    ("profile", "tune with the kernel roofline profiler and print the report");
-    ("net", "optimize an N-tensor network's contraction order (greedy vs TreeSA)");
-    ("archs", "list the simulated GPU architectures");
-    ("history", "list the runs recorded in a tuning journal");
-    ("explain", "full report for one journaled run (lineage, importances)");
-    ("replay", "re-run a journaled tune; exit nonzero on drift");
-    ("loadgen", "replay a journal's request mix; exit nonzero on SLO breach");
-    ("slo", "render the SLO verdict of a saved replay report");
-    ("dash", "replay with a live text dashboard of the telemetry window");
-    ("doctor", "correlate journal/bench/SLO artifacts into a health report");
-    ("ledger", "render the per-phase causal cost ledger of a recorded replay");
-    ("whatif", "rank phases by exact causal p99 impact (virtual speedups)");
+    (cmd_batch, "serve many requests via the tuning service (cache + domains)");
+    (cmd_stats, "inspect a persistent tuning-cache directory");
+    (cmd_report, "tune and print convergence + metrics reports");
+    (cmd_net, "optimize an N-tensor network's contraction order (greedy vs TreeSA)");
+    (cmd_archs, "list the simulated GPU architectures");
+    (cmd_history, "list the runs recorded in a tuning journal");
+    (cmd_explain, "full report for one journaled run (lineage, importances)");
+    (cmd_replay, "re-run a journaled tune; exit nonzero on drift");
+    (cmd_loadgen, "replay a journal's request mix; exit nonzero on SLO breach");
+    (cmd_slo, "render the SLO verdict of a saved replay report");
+    (cmd_doctor, "correlate journal/bench/SLO artifacts into a health report");
+    (cmd_ledger, "render the per-phase causal cost ledger of a recorded replay");
+    (cmd_whatif, "rank phases by exact causal p99 impact (virtual speedups)");
   ]
 
+(* Shown on bare invocation and on --help, and on stderr (exit 2) for an
+   unknown command. *)
 let usage_screen =
   let b = Buffer.create 1024 in
   Buffer.add_string b
     "barracuda - autotuning tensor-contraction compiler for (simulated) GPUs\n\n\
      usage: barracuda COMMAND [OPTIONS]\n\ncommands:\n";
   List.iter
-    (fun (name, doc) -> Buffer.add_string b (Printf.sprintf "  %-12s %s\n" name doc))
-    subcommands;
+    (fun (cmd, summary) ->
+      Buffer.add_string b (Printf.sprintf "  %-12s %s\n" (Cmd.name cmd) summary))
+    commands;
   Buffer.add_string b
     "\nRun 'barracuda COMMAND --help' for the options of one command.\n";
   Buffer.contents b
 
 let () =
+  Logs.set_reporter (Logs_fmt.reporter ());
+  Logs.set_level (Some Logs.Warning);
   let info =
     Cmd.info "barracuda" ~version:"1.0.0"
       ~doc:"Autotuning tensor-contraction compiler for (simulated) GPUs."
   in
-  let group =
-    Cmd.group info
-      [ cmd_variants; cmd_tcr; cmd_space; cmd_annotations; cmd_tune; cmd_cuda;
-        cmd_driver; cmd_c; cmd_inspect; cmd_check; cmd_batch; cmd_stats; cmd_trace;
-        cmd_report; cmd_profile; cmd_net; cmd_archs; cmd_history; cmd_explain;
-        cmd_replay; cmd_loadgen; cmd_slo; cmd_dash; cmd_doctor; cmd_ledger;
-        cmd_whatif ]
-  in
+  let group = Cmd.group info (List.map fst commands) in
   match Array.to_list Sys.argv with
   | [ _ ] | _ :: ("--help" | "-h" | "help") :: _ ->
     print_string usage_screen;
     exit 0
   | _ :: cmd :: _
-    when cmd <> "" && cmd.[0] <> '-' && not (List.mem_assoc cmd subcommands) ->
+    when cmd <> ""
+         && cmd.[0] <> '-'
+         && not (List.exists (fun (c, _) -> Cmd.name c = cmd) commands) ->
     prerr_string usage_screen;
     Printf.eprintf "\nbarracuda: unknown command %S\n" cmd;
     exit 2

@@ -44,14 +44,22 @@ let record t (ir : Tcr.Ir.t) points report =
    libraries), so this is the adapter that flattens a kernel_report into a
    profile sample. Pure accumulation: no RNG draws, no influence on the
    measurement, so tuning results are bit-identical with profiling on or
-   off. *)
-let profile_report (arch : Gpusim.Arch.t) (ir : Tcr.Ir.t) (report : Gpusim.Gpu.report) =
+   off. A sample names its variant choice ({!Provenance.variant_name});
+   the IR label, the same for every choice of a program, stands in only
+   when the caller gave no ids. *)
+let profile_report (arch : Gpusim.Arch.t) ?variant_ids (ir : Tcr.Ir.t)
+    (report : Gpusim.Gpu.report) =
+  let variant =
+    match variant_ids with
+    | Some ids -> Provenance.variant_name ids
+    | None -> ir.label
+  in
   List.iter
     (fun (kr : Gpusim.Perf.kernel_report) ->
       Obs.Profile.record
         {
           Obs.Profile.arch = arch.name;
-          variant = ir.label;
+          variant;
           kernel = kr.kernel_name;
           bound = kr.bound;
           t_dp = kr.t_dp;
@@ -68,7 +76,7 @@ let profile_report (arch : Gpusim.Arch.t) (ir : Tcr.Ir.t) (report : Gpusim.Gpu.r
 
 (* One real (uncached) measurement, wrapped in a span so traces show every
    empirical evaluation - wherever it ran, including worker domains. *)
-let traced_measure arch (ir : Tcr.Ir.t) points =
+let traced_measure arch ?variant_ids (ir : Tcr.Ir.t) points =
   Obs.Trace.with_span ~cat:"autotune"
     ~attrs:(fun () -> [ ("label", ir.label) ])
     "eval.measure"
@@ -76,14 +84,14 @@ let traced_measure arch (ir : Tcr.Ir.t) points =
   let report = Gpusim.Gpu.measure arch ir points in
   Obs.Trace.add_attrs span
     [ ("kernel_time_s", Printf.sprintf "%.6g" report.Gpusim.Gpu.kernel_time_s) ];
-  if Obs.Profile.enabled () then profile_report arch ir report;
+  if Obs.Profile.enabled () then profile_report arch ?variant_ids ir report;
   report
 
-let measure t (ir : Tcr.Ir.t) points =
+let measure ?variant_ids t (ir : Tcr.Ir.t) points =
   match Hashtbl.find_opt t.cache (key ir points) with
   | Some report -> report
   | None ->
-    let report = traced_measure t.arch ir points in
+    let report = traced_measure t.arch ?variant_ids ir points in
     record t ir points report;
     report
 
@@ -95,19 +103,21 @@ let measure t (ir : Tcr.Ir.t) points =
 let measure_batch t ~map items =
   let slots =
     List.map
-      (fun (ir, points) -> (ir, points, Hashtbl.find_opt t.cache (key ir points)))
+      (fun (variant_ids, ir, points) ->
+        (variant_ids, ir, points, Hashtbl.find_opt t.cache (key ir points)))
       items
   in
   let thunks =
     List.filter_map
       (function
-        | ir, points, None -> Some (fun () -> traced_measure t.arch ir points)
+        | variant_ids, ir, points, None ->
+          Some (fun () -> traced_measure t.arch ~variant_ids ir points)
         | _ -> None)
       slots
   in
   let computed = ref (map thunks) in
   List.map
-    (fun (ir, points, cached) ->
+    (fun (_, ir, points, cached) ->
       match cached with
       | Some report -> report
       | None ->
@@ -124,7 +134,8 @@ let measure_batch t ~map items =
 
 (* The search objective: simulated kernel time of one evaluation (transfers
    are variant-independent, so they do not influence the choice). *)
-let objective t ir points = (measure t ir points).Gpusim.Gpu.kernel_time_s
+let objective ?variant_ids t ir points =
+  (measure ?variant_ids t ir points).Gpusim.Gpu.kernel_time_s
 
 let objective_batch t ~map items =
   List.map (fun (r : Gpusim.Gpu.report) -> r.kernel_time_s) (measure_batch t ~map items)

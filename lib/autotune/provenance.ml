@@ -33,10 +33,13 @@ let dsl_of_statements (statements : Octopi.Contraction.t list) =
 let variant_key variant_ids = String.concat "." (List.map string_of_int variant_ids)
 let recipe_key points = String.concat "|" (List.map Tcr.Space.point_key points)
 
+(* A variant choice as the journal, the profiler and [check] name it. *)
+let variant_name variant_ids = "v" ^ variant_key variant_ids
+
 (* Short human-readable identity of one candidate: variant choice plus the
    per-kernel decomposition points. *)
 let label ~variant_ids ~points =
-  Printf.sprintf "v%s %s" (variant_key variant_ids) (recipe_key points)
+  Printf.sprintf "%s %s" (variant_name variant_ids) (recipe_key points)
 
 (* The full five-stage chain for one candidate. [dsl] is the canonical
    source from {!dsl_of_statements}, passed in so a tune hashes it once.

@@ -9,7 +9,12 @@
     what makes journal replay faithful. *)
 val dsl_of_statements : Octopi.Contraction.t list -> string
 
-(** Short human-readable identity of one candidate. *)
+(** A variant choice, one OCTOPI variant id per statement, as the
+    journal names it: "v3", or "v0.2" for a two-statement program. *)
+val variant_name : int list -> string
+
+(** Short human-readable identity of one candidate: its {!variant_name}
+    and decomposition points. *)
 val label : variant_ids:int list -> points:Tcr.Space.point list -> string
 
 (** The full chain for one candidate; [dsl] comes from

@@ -249,7 +249,9 @@ let tune ?(strategy = Surf_search Surf.Search.default_config) ?(reps = 100)
       m "%s on %s: %d variants, %d-candidate pool (full space %d)" b.label arch.Gpusim.Arch.name
         (List.length choices) (Array.length pool) (total_space choices));
   let evaluator = Evaluator.create ~reps arch in
-  let eval (c : candidate) = Evaluator.objective evaluator c.ir c.points in
+  let eval (c : candidate) =
+    Evaluator.objective ~variant_ids:c.variant_ids evaluator c.ir c.points
+  in
   (* one schema per tune, shared by the search and the importances *)
   let schema =
     lazy (Surf.Feature.make_schema (Array.to_list (Array.map (fun c -> c.features) pool)))
@@ -268,7 +270,7 @@ let tune ?(strategy = Surf_search Surf.Search.default_config) ?(reps = 100)
         Option.map
           (fun map cs ->
             Evaluator.objective_batch evaluator ~map
-              (List.map (fun (c : candidate) -> (c.ir, c.points)) cs))
+              (List.map (fun (c : candidate) -> (c.variant_ids, c.ir, c.points)) cs))
           batch_map
       in
       Surf.Search.surf ~config:cfg ?eval_batch rng ~pool ~encode ~eval

@@ -20,7 +20,7 @@
 
 type sample = {
   arch : string;
-  variant : string;  (* IR label of the program being evaluated *)
+  variant : string;  (* variant choice, e.g. "v3"; else the IR label *)
   kernel : string;
   bound : string;  (* "dp" | "issue" | "memory" | "launch" *)
   t_dp : float;
@@ -163,7 +163,8 @@ let divergence_by_arch ss =
 
 (* ---------------- report ---------------- *)
 
-let render ?(top = 10) ss =
+let render ss =
+  let top = 10 in
   let buf = Buffer.create 4096 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   line "Kernel roofline profile: %d kernel evaluations, %d variants, %d arch(s)"

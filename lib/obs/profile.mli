@@ -10,7 +10,9 @@
 
 type sample = {
   arch : string;
-  variant : string;  (** IR label of the evaluated program *)
+  variant : string;
+      (** the evaluated candidate's variant choice as the journal names it
+          ("v3"), or the IR label when the evaluator was given no ids *)
   kernel : string;
   bound : string;  (** "dp", "issue", "memory" or "launch" *)
   t_dp : float;
@@ -69,6 +71,6 @@ type divergence = { n : int; mean_rel : float; max_rel : float }
     noise-free roofline prediction. *)
 val divergence_by_arch : sample list -> (string * divergence) list
 
-(** Human-readable report: per-variant bound buckets, top-[top] kernels by
-    DRAM traffic, occupancy histogram, divergence per arch. *)
-val render : ?top:int -> sample list -> string
+(** Human-readable report: per-variant bound buckets, the top ten kernels
+    by DRAM traffic, occupancy histogram, divergence per arch. *)
+val render : sample list -> string

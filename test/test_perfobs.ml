@@ -274,6 +274,29 @@ let test_profile_tune_bit_identical () =
         (abs_float ((s.measured_s /. s.model_s) -. 1.0) <= 0.03))
     samples
 
+(* A sample names its candidate's variant choice as the journal does
+   ("v3"), not the IR label that every choice of a program shares: the
+   fixed-seed eqn1 tune of `tune examples/eqn1.tc --evals 30` evaluates
+   eleven OCTOPI variants, and its profile reports eleven. *)
+let test_profile_names_variants () =
+  let b =
+    Autotune.Tuner.benchmark_of_dsl ~label:"tc"
+      "dims: i=24 j=16 k=16 l=24 m=16 n=24\n\
+       V[i j k] = Sum([l m n], A[l k] * B[m j] * C[n i] * U[l m n])"
+  in
+  let cfg = { Surf.Search.default_config with max_evals = 30 } in
+  let _, samples =
+    Obs.Profile.collect (fun () ->
+        Autotune.Tuner.tune
+          ~strategy:(Autotune.Tuner.Surf_search cfg)
+          ~rng:(Util.Rng.create 42) ~arch:Gpusim.Arch.gtx980 b)
+  in
+  Alcotest.(check (list string))
+    "variants" [ "v0"; "v10"; "v11"; "v13"; "v14"; "v2"; "v3"; "v5"; "v6"; "v8"; "v9" ]
+    (List.map fst (Obs.Profile.variant_buckets samples));
+  check_bool "header counts them" true
+    (contains_sub (Obs.Profile.render samples) "90 kernel evaluations, 11 variants")
+
 let suite =
   [
     ("json roundtrip", `Quick, test_json_roundtrip);
@@ -295,4 +318,5 @@ let suite =
     ("profile divergence", `Quick, test_profile_divergence);
     ("profile render", `Quick, test_profile_render);
     ("profile does not perturb tuning", `Quick, test_profile_tune_bit_identical);
+    ("profile names each variant choice", `Quick, test_profile_names_variants);
   ]

@@ -351,8 +351,10 @@ let test_rank1_tune () =
         (Astring_contains.contains text "internal error"))
     [ "tune"; "cuda" ]
 
-(* User errors - malformed input, an unknown run id, a missing input - exit
-   1 with a one-line "barracuda: " message, never as an uncaught exception. *)
+(* User errors - malformed input, an unknown run id, a missing input, a
+   program given beside --tcr or --net, a generated network below its
+   shape's minimum size - exit 1 with a one-line "barracuda: " message,
+   never as an uncaught exception. *)
 let test_user_errors_exit_1 () =
   let q = Filename.quote in
   let empty = Filename.temp_file "barracuda" ".tc" in
@@ -384,8 +386,112 @@ let test_user_errors_exit_1 () =
       "annotations --variant=-1 -e " ^ q matmul_src;
       "tune";
       "net --einsum " ^ q "ab,,->";
+      "check --tcr " ^ q empty ^ " -e " ^ q matmul_src;
+      "check --net " ^ q not_json ^ " " ^ q empty;
+      "net --gen line -n 1";
+      "net --gen ring -n 2";
+      "net --gen power -n 2";
     ];
   List.iter Sys.remove [ empty; not_json; journal ]
+
+(* A numeric flag below its bound is a usage error (exit 124) that names
+   the bound, never an uncaught exception. The loadgen cases fail while
+   parsing, before the (empty) journal is read. *)
+let test_numeric_flags_bounded () =
+  let q = Filename.quote in
+  let mm = " -e " ^ q matmul_src in
+  let journal = Filename.temp_file "barracuda" ".jsonl" in
+  let loadgen = "loadgen --journal " ^ q journal in
+  List.iter
+    (fun (args, flag, value, least) ->
+      let code, text = run_cli (Printf.sprintf "%s --%s=%d" args flag value) in
+      check_int (args ^ ": exit 124") 124 code;
+      check_bool (args ^ ": names the bound") true
+        (Astring_contains.contains text
+           (Printf.sprintf "'--%s': %d is below the minimum of %d" flag value least));
+      check_bool (args ^ ": no internal error") false
+        (Astring_contains.contains text "internal error"))
+    (List.map
+       (fun cmd -> (cmd ^ mm, "evals", 0, 1))
+       [ "tune"; "cuda"; "c"; "driver"; "inspect"; "annotations --recipe"; "report"; "batch" ]
+    @ [
+        ("net --tune --einsum " ^ q "ab,bc->ac", "evals", 0, 1);
+        ("check --semantic" ^ mm, "rounds", 0, 1);
+        ("driver" ^ mm, "reps", 0, 1);
+        (loadgen, "reps", 0, 1);
+        (loadgen, "requests", 0, 1);
+        (loadgen, "batch", 0, 1);
+        (loadgen, "window-width", 0, 1);
+        (loadgen, "window-buckets", 0, 1);
+        (loadgen, "frames", -1, 0);
+      ]);
+  Sys.remove journal
+
+(* The commands of the usage screen: the lines between "commands:" and
+   the blank line after them. *)
+let usage_commands text =
+  let rec after_header = function
+    | [] -> []
+    | "commands:" :: rest -> rest
+    | _ :: rest -> after_header rest
+  in
+  let rec until_blank = function
+    | [] | "" :: _ -> []
+    | line :: rest -> List.hd (String.split_on_char ' ' (String.trim line)) :: until_blank rest
+  in
+  until_blank (after_header (String.split_on_char '\n' text))
+
+(* Each job has one command: the roofline profile is tune --profile-out,
+   the pipeline trace is report --trace-out, and the live dashboard is
+   loadgen --frames. trace, profile and dash are unknown commands. *)
+let test_cli_one_command_per_job () =
+  let q = Filename.quote in
+  let mm = " -e " ^ q matmul_src ^ " --evals 8" in
+  let tmp ext = Filename.temp_file "barracuda" ext in
+  let profile = tmp ".txt" and trace = tmp ".json" and journal = tmp ".jsonl" in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let code, _ = run_cli ("tune" ^ mm ^ " --profile-out " ^ q profile) in
+  check_int "tune --profile-out: exit 0" 0 code;
+  let report = read profile in
+  check_bool "profile: roofline bound" true (Astring_contains.contains report "roofline bound");
+  check_bool "profile: divergence" true (Astring_contains.contains report "divergence");
+  let code, text = run_cli ("report" ^ mm ^ " --trace-out " ^ q trace) in
+  check_int "report --trace-out: exit 0" 0 code;
+  check_bool "report still printed" true (Astring_contains.contains text "convergence:");
+  let events = Obs.Json.arr "traceEvents" (Obs.Json.parse_exn (read trace)) in
+  let count ph cat =
+    List.length
+      (List.filter
+         (fun e ->
+           Option.bind (Obs.Json.member "ph" e) Obs.Json.get_str = Some ph
+           && Option.bind (Obs.Json.member "cat" e) Obs.Json.get_str = Some cat)
+         events)
+  in
+  List.iter
+    (fun cat ->
+      let b = count "B" cat in
+      check_bool ("trace: " ^ cat ^ " spans") true (b > 0);
+      check_int ("trace: " ^ cat ^ " B/E balanced") b (count "E" cat))
+    [ "octopi"; "tcr"; "codegen"; "surf"; "service" ];
+  let code, _ = run_cli ("tune" ^ mm ^ " --journal " ^ q journal) in
+  check_int "journaled tune: exit 0" 0 code;
+  let code, text =
+    run_cli ("loadgen --journal " ^ q journal ^ " --requests 400 --frames 2")
+  in
+  check_int "loadgen --frames: exit 0" 0 code;
+  check_int "two frames" 2 (Astring_contains.count text "--- tick ");
+  check_bool "final report" true (Astring_contains.contains text "replayed 400 requests");
+  List.iter
+    (fun cmd ->
+      let code, text = run_cli cmd in
+      check_int (cmd ^ ": exit 2") 2 code;
+      check_bool (cmd ^ ": unknown") true
+        (Astring_contains.contains text (Printf.sprintf "unknown command %S" cmd));
+      let listed = usage_commands text in
+      check_int (cmd ^ ": usage lists 23 commands") 23 (List.length listed);
+      check_bool (cmd ^ ": not listed") false (List.mem cmd listed))
+    [ "trace"; "profile"; "dash" ];
+  List.iter Sys.remove [ profile; trace; journal ]
 
 (* ---------------- symbolic access analysis ---------------- *)
 
@@ -554,6 +660,8 @@ let suite =
       test_rank1_check_semantic;
     Alcotest.test_case "rank-1: tune fails with a typed error" `Quick test_rank1_tune;
     Alcotest.test_case "cli: user errors exit 1" `Quick test_user_errors_exit_1;
+    Alcotest.test_case "cli: numeric flags are bounded" `Quick test_numeric_flags_bounded;
+    Alcotest.test_case "cli: one command per job" `Quick test_cli_one_command_per_job;
     Alcotest.test_case "access: clean summary" `Quick test_access_summary_clean;
     Alcotest.test_case "gate: fixed-seed tune proves its winner" `Quick
       test_semantic_gate_proves_winner;
