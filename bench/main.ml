@@ -316,7 +316,7 @@ let run_check () = table "check" check_table
 
 (* Causal cost ledger: a small fixed-seed loadgen replay through a real
    engine, its per-phase attribution, and the exact what-if ranking over
-   the recorded requests. The cold-class phase quantiles land in the
+   the requests it recorded. The cold-class phase quantiles land in the
    artifact keyed "phase:<name>" so Doctor DR042 can compare a live
    ledger against this committed baseline. *)
 let ledger_cfg =
@@ -342,15 +342,20 @@ let ledger_mix =
 
 let run_ledger () =
   timed "ledger" (fun () ->
-      let r = Service.Loadgen.run ~record:true ledger_cfg ledger_mix in
-      let rep = Obs.Ledger.report r.ledger in
+      let path = Filename.temp_file "ledger" ".jsonl" in
+      let r =
+        Out_channel.with_open_bin path (fun out ->
+            Service.Loadgen.run ~out ledger_cfg ledger_mix)
+      in
+      let recorded = Obs.Replay.load path in
+      Sys.remove path;
+      let rep = Obs.Ledger.report r.summary.ledger in
       print_string (Obs.Ledger.render rep);
       print_newline ();
-      let wr =
-        Obs.Whatif.run ~slo:ledger_cfg.slo ~width:ledger_cfg.window_width
-          ~buckets:ledger_cfg.window_buckets r.records
+      let header, records =
+        match recorded with Ok hr -> hr | Error msg -> failwith msg
       in
-      print_string (Obs.Whatif.render wr);
+      print_string (Obs.Replay.render_whatif (Obs.Replay.whatif header records));
       print_newline ();
       List.filter_map
         (fun (cls, phase, (st : Obs.Ledger.stat)) ->

@@ -52,6 +52,18 @@ let at_least n =
   in
   Arg.conv ~docv:"N" (parse, Format.pp_print_int)
 
+(* A float converter that rejects values failing [ok] as a usage error
+   (exit 124) naming the [bound]. *)
+let float_where bound ok =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok x when not (ok x) -> Error (`Msg (Printf.sprintf "%s is not %s" s bound))
+    | r -> r
+  in
+  Arg.conv ~docv:"X" (parse, Format.pp_print_float)
+
+let unit_interval = float_where "in [0, 1]" (fun x -> x >= 0. && x <= 1.)
+
 let arch_arg =
   let parse s =
     match Gpusim.Arch.by_name s with
@@ -183,12 +195,6 @@ let load_journal path =
       discarded
       (if discarded = 1 then "" else "s");
   entries
-
-(* Read a JSON artifact and decode it; any failure names the file. *)
-let read_json path decode =
-  match Result.bind (Obs.Json.parse (Util.Fs.read_file path)) decode with
-  | Ok v -> v
-  | Error msg -> failwith (Printf.sprintf "%s: %s" path msg)
 
 let find_run entries run =
   match Obs.Journal.find entries ~run with
@@ -1141,15 +1147,18 @@ let loadgen_config_term =
   in
   let error_rate =
     Arg.(
-      value & opt float 0.001
+      value & opt unit_interval 0.001
       & info [ "error-rate" ] ~docv:"R"
           ~doc:"Injected failure probability per request (default 0.001).")
   in
   let degrade =
     Arg.(
-      value & opt float 1.0
+      value
+      & opt (float_where "> 0" (fun x -> x > 0.)) 1.0
       & info [ "degrade" ] ~docv:"X"
-          ~doc:"Latency-model multiplier; >1 simulates a regression (default 1).")
+          ~doc:
+            "Latency-model multiplier; >1 simulates a regression, inf an \
+             unbounded one (default 1).")
   in
   let degrade_at =
     Arg.(
@@ -1171,13 +1180,15 @@ let loadgen_config_term =
   in
   let p99_budget =
     Arg.(
-      value & opt float Obs.Slo.default_spec.latency_budget_s
+      value
+      & opt (float_where "finite and >= 0" (fun x -> Float.is_finite x && x >= 0.))
+          Obs.Slo.default_spec.latency_budget_s
       & info [ "p99-budget" ] ~docv:"SECONDS"
           ~doc:"p99 latency budget of the SLO, in seconds (default 0.005).")
   in
   let error_objective =
     Arg.(
-      value & opt float Obs.Slo.default_spec.error_objective
+      value & opt unit_interval Obs.Slo.default_spec.error_objective
       & info [ "error-objective" ] ~docv:"R"
           ~doc:"Tolerated error ratio of the SLO (default 0.01).")
   in
@@ -1229,6 +1240,19 @@ let loadgen_config_term =
     $ error_rate $ degrade $ degrade_at $ monitor $ p99_budget
     $ error_objective $ window_width $ window_buckets)
 
+(* Read a replay artifact with [read] ({!Obs.Replay.load} or
+   {!Obs.Replay.summarize}); any failure names the file. *)
+let read_replay read path =
+  match read path with
+  | Ok v -> v
+  | Error msg -> failwith (Printf.sprintf "%s: %s" path msg)
+
+let replay_file_arg =
+  Arg.(
+    value & pos 0 string "load.jsonl"
+    & info [] ~docv:"FILE"
+        ~doc:"Replay artifact written by 'loadgen --out' (default load.jsonl).")
+
 let cmd_loadgen =
   let out_arg =
     Arg.(
@@ -1236,19 +1260,10 @@ let cmd_loadgen =
       & opt (some string) None
       & info [ "out" ] ~docv:"FILE"
           ~doc:
-            "Write the machine-readable replay report (JSON, deterministic \
-             for a fixed seed) to FILE.")
-  in
-  let ledger_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "ledger-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the causal cost ledger replay file (per-phase report, \
-             exemplars with journal run ids, and the per-request records \
-             the 'whatif' subcommand replays) to FILE. Deterministic for a \
-             fixed seed.")
+            "Record the replay to FILE (JSONL, deterministic for a fixed \
+             seed): a header line, then one line per request as it is \
+             served. The slo, ledger, whatif and doctor --load commands \
+             re-derive their reports from it.")
   in
   let frames_arg =
     Arg.(
@@ -1260,7 +1275,7 @@ let cmd_loadgen =
              rates, quantiles, a p99 sparkline), evenly spaced over the \
              replay (default 0).")
   in
-  let run journal cfg frames out ledger_out =
+  let run journal cfg frames out =
     let entries = load_journal journal in
     let mix = Service.Loadgen.mix_of_journal entries in
     if mix = [] then
@@ -1275,25 +1290,19 @@ let cmd_loadgen =
     let frame_every =
       if frames = 0 then None else Some (max 1 (cfg.Service.Loadgen.requests / frames))
     in
-    let r =
-      Service.Loadgen.run ~on_frame:frame ?frame_every ~record:(ledger_out <> None)
+    let replay out =
+      Service.Loadgen.run ~on_frame:frame ?frame_every ?out
         ~run_ids:(Service.Loadgen.run_ids_of_journal entries)
         cfg mix
     in
+    let r =
+      match out with
+      | None -> replay None
+      | Some path -> Out_channel.with_open_bin path (fun oc -> replay (Some oc))
+    in
     print_string (Service.Loadgen.render r);
-    (match out with
-    | Some path ->
-      Util.Fs.write_file path
-        (Obs.Json.to_string ~indent:true (Service.Loadgen.report_json r));
-      Printf.printf "wrote replay report to %s\n" path
-    | None -> ());
-    (match ledger_out with
-    | Some path ->
-      Util.Fs.write_file path
-        (Obs.Json.to_string (Obs.Whatif.file_json (Service.Loadgen.ledger_file r)));
-      Printf.printf "wrote ledger replay file to %s\n" path
-    | None -> ());
-    if not (Obs.Slo.ok r.verdict) || r.alarms <> [] then exit 1
+    Option.iter (Printf.printf "wrote replay to %s\n") out;
+    if not (Obs.Slo.ok r.summary.verdict) || r.summary.alarms <> [] then exit 1
   in
   Cmd.v
     (Cmd.info "loadgen"
@@ -1303,32 +1312,20 @@ let cmd_loadgen =
           windows, and exit nonzero if the final SLO verdict pages or (with \
           --monitor) a change-point monitor alarms.")
     Term.(
-      const run $ journal_file_arg $ loadgen_config_term $ frames_arg $ out_arg
-      $ ledger_out_arg)
+      const run $ journal_file_arg $ loadgen_config_term $ frames_arg $ out_arg)
 
 let cmd_slo =
-  let report_arg =
-    Arg.(
-      value & pos 0 string "slo-report.json"
-      & info [] ~docv:"FILE"
-          ~doc:
-            "Replay report written by 'loadgen --out' (the verdict is read \
-             from its 'slo' member) or a bare SLO report.")
-  in
   let run path =
-    let report =
-      read_json path (fun j ->
-          Obs.Slo.of_json (Option.value ~default:j (Obs.Json.member "slo" j)))
-    in
-    print_string (Obs.Slo.render report);
-    if not (Obs.Slo.ok report) then exit 1
+    let s = read_replay Obs.Replay.summarize path in
+    print_string (Obs.Slo.render s.verdict);
+    if not (Obs.Slo.ok s.verdict) then exit 1
   in
   Cmd.v
     (Cmd.info "slo"
        ~doc:
-         "Render the SLO verdict of a saved replay report and exit nonzero \
+         "Render the final SLO verdict of a recorded replay and exit nonzero \
           if it pages.")
-    Term.(const run $ report_arg)
+    Term.(const run $ replay_file_arg)
 
 let cmd_doctor =
   let bench_arg =
@@ -1341,43 +1338,17 @@ let cmd_doctor =
              quantiles already over the SLO budget corroborate a paged \
              verdict.")
   in
-  let slo_arg =
+  let load_arg =
     Arg.(
       value
       & opt (some string) None
-      & info [ "slo" ] ~docv:"FILE"
+      & info [ "load" ] ~docv:"FILE"
           ~doc:
-            "Replay report written by 'loadgen --out' (SLO verdict, drift \
-             alarms, serve counts) or a bare SLO report.")
+            "Replay artifact written by 'loadgen --out': its SLO verdict, \
+             drift alarms and serve counts, and the DR04x phase-attribution \
+             findings and worst-request exemplar jump of its ledger.")
   in
-  let ledger_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "ledger" ] ~docv:"FILE"
-          ~doc:
-            "Ledger replay file written by 'loadgen --ledger-out' (or a bare \
-             ledger report): enables the DR04x phase-attribution findings \
-             and the worst-request exemplar jump.")
-  in
-  let mispredict_arg =
-    Arg.(
-      value & opt float 0.5
-      & info [ "mispredict-threshold" ] ~docv:"R"
-          ~doc:
-            "Mean |predicted/measured - 1| above which a run's surrogate \
-             counts as drifted (default 0.5).")
-  in
-  let tolerance_arg =
-    Arg.(
-      value & opt float 0.25
-      & info [ "time-tolerance" ] ~docv:"R"
-          ~doc:
-            "Winner-time ratio slack before a diverging lineage counts as a \
-             critical kernel regression (default 0.25).")
-  in
-  let run journal bench slo ledger json mispredict_threshold time_tolerance
-      =
+  let run journal bench load json =
     let entries, discarded = Obs.Journal.load journal in
     let bench =
       match bench with
@@ -1387,26 +1358,9 @@ let cmd_doctor =
         | Ok a -> Some a
         | Error msg -> failwith (Printf.sprintf "%s: %s" path msg))
     in
-    let load = Option.map (fun path -> read_json path Obs.Doctor.load_of_json) slo in
-    let ledger =
-      Option.map
-        (fun path ->
-          (* a full --ledger-out replay file embeds the report under
-             "ledger"; a bare report document is the report itself *)
-          read_json path (fun j ->
-              Obs.Ledger.report_of_json (Option.value ~default:j (Obs.Json.member "ledger" j))))
-        ledger
-    in
+    let replay = Option.map (read_replay Obs.Replay.summarize) load in
     let report =
-      Obs.Doctor.diagnose ~mispredict_threshold ~time_tolerance
-        {
-          Obs.Doctor.journal = entries;
-          discarded;
-          bench;
-          load;
-          ledger;
-          extra_alarms = [];
-        }
+      Obs.Doctor.diagnose { Obs.Doctor.journal = entries; discarded; bench; replay }
     in
     if json then
       print_endline (Obs.Json.to_string ~indent:true (Obs.Doctor.to_json report))
@@ -1416,22 +1370,14 @@ let cmd_doctor =
   Cmd.v
     (Cmd.info "doctor"
        ~doc:
-         "Correlate a tuning journal, a benchmark artifact and a replay/SLO \
-          report into a health report: paged SLOs and change-point alarms \
+         "Correlate a tuning journal, a benchmark artifact and a recorded \
+          replay into a health report: paged SLOs and change-point alarms \
           are attributed to ranked suspects (arch change, kernel regression \
           at the earliest diverging lineage stage, surrogate drift, cache \
           eviction). Exits nonzero on a critical finding.")
-    Term.(
-      const run $ journal_file_arg $ bench_arg $ slo_arg
-      $ ledger_arg $ json_flag $ mispredict_arg $ tolerance_arg)
+    Term.(const run $ journal_file_arg $ bench_arg $ load_arg $ json_flag)
 
 (* ---------------- ledger / whatif (causal cost ledger) ---------------- *)
-
-let ledger_file_arg =
-  Arg.(
-    value & pos 0 string "ledger.json"
-    & info [] ~docv:"FILE"
-        ~doc:"Ledger replay file written by 'loadgen --ledger-out'.")
 
 let cmd_ledger =
   let prom_arg =
@@ -1441,35 +1387,19 @@ let cmd_ledger =
       & info [ "prom-out" ] ~docv:"FILE"
           ~doc:
             "Write a Prometheus exposition of the per-phase and per-class \
-             histograms rebuilt from the recorded requests.")
+             histograms.")
   in
   let run path json prom_out =
-    let f = read_json path Obs.Whatif.file_of_json in
+    let s = read_replay Obs.Replay.summarize path in
+    let report = Obs.Ledger.report s.ledger in
     if json then
-      print_endline
-        (Obs.Json.to_string ~indent:true (Obs.Ledger.report_json f.f_ledger))
-    else print_string (Obs.Ledger.render f.f_ledger);
-    match prom_out with
-    | None -> ()
-    | Some out ->
-      (* the report holds quantile summaries, not sketches; rebuild the
-         ledger from the raw records for a faithful histogram exposition *)
-      if f.f_records = [] then
-        failwith "--prom-out needs the per-request records (loadgen --ledger-out writes them)";
-      let t = Obs.Ledger.create ~slot_width:f.f_ledger.lr_slot_width () in
-      List.iter
-        (fun (r : Obs.Whatif.record) ->
-          let costs =
-            List.map (fun (p, v) -> (p, v *. r.rq_mult)) r.rq_costs
-          in
-          let latency =
-            List.fold_left (fun acc (_, v) -> acc +. v) 0.0 costs
-          in
-          Obs.Ledger.observe t ~tick:r.rq_tick ~cls:r.rq_class ~ok:r.rq_ok
-            ~latency_s:latency costs)
-        f.f_records;
-      Util.Fs.write_file out (Obs.Ledger.prometheus t);
-      Printf.printf "wrote Prometheus exposition to %s\n" out
+      print_endline (Obs.Json.to_string ~indent:true (Obs.Ledger.report_json report))
+    else print_string (Obs.Ledger.render report);
+    Option.iter
+      (fun out ->
+        Util.Fs.write_file out (Obs.Ledger.prometheus s.ledger);
+        Printf.printf "wrote Prometheus exposition to %s\n" out)
+      prom_out
   in
   Cmd.v
     (Cmd.info "ledger"
@@ -1478,13 +1408,15 @@ let cmd_ledger =
           cost quantiles split by serve class (cold/warm/dedup), phase \
           shares of modeled time, and the worst-request exemplars that \
           link slow p99 slots back to journal runs.")
-    Term.(const run $ ledger_file_arg $ json_flag $ prom_arg)
+    Term.(const run $ replay_file_arg $ json_flag $ prom_arg)
 
 let cmd_whatif =
   let factors_arg =
     Arg.(
       value
-      & opt (list float) [ 0.5; 0.25; 0.1 ]
+      & opt
+          (list (float_where "finite and > 0" (fun x -> Float.is_finite x && x > 0.)))
+          [ 0.5; 0.25; 0.1 ]
       & info [ "factors" ] ~docv:"F,F,..."
           ~doc:
             "Speedup factors to apply to each phase's modeled cost \
@@ -1506,25 +1438,17 @@ let cmd_whatif =
       & info [ "out" ] ~docv:"FILE"
           ~doc:
             "Write the machine-readable ranking to FILE (bit-identical \
-             across runs of the same replay file).")
+             across runs of the same replay artifact).")
   in
   let run path factors expect_top json out =
-    let f = read_json path Obs.Whatif.file_of_json in
-    if f.Obs.Whatif.f_records = [] then
-      failwith
-        "the replay file has no per-request records; re-run loadgen with \
-         --ledger-out to record them";
-    let report =
-      Obs.Whatif.run ~factors ?slo:f.f_slo ~width:f.f_width
-        ~buckets:f.f_buckets f.f_records
-    in
+    let header, records = read_replay Obs.Replay.load path in
+    let ranking = Obs.Replay.whatif ~factors header records in
     if json then
-      print_endline
-        (Obs.Json.to_string ~indent:true (Obs.Whatif.report_json report))
-    else print_string (Obs.Whatif.render report);
+      print_endline (Obs.Json.to_string ~indent:true (Obs.Replay.whatif_json ranking))
+    else print_string (Obs.Replay.render_whatif ranking);
     (match out with
     | Some p ->
-      Util.Fs.write_file p (Obs.Json.to_string (Obs.Whatif.report_json report));
+      Util.Fs.write_file p (Obs.Json.to_string (Obs.Replay.whatif_json ranking));
       Printf.printf "wrote what-if ranking to %s\n" p
     | None -> ());
     match expect_top with
@@ -1533,7 +1457,7 @@ let cmd_whatif =
       match Obs.Ledger.phase_of_name name with
       | None -> failwith (Printf.sprintf "unknown phase %S" name)
       | Some expected -> (
-        match Obs.Whatif.top report with
+        match Obs.Replay.top ranking with
         | Some actual when actual = expected -> ()
         | top ->
           Printf.eprintf
@@ -1549,9 +1473,9 @@ let cmd_whatif =
          "Exact causal profiling over a recorded replay: virtually speed \
           up each phase by the given factors, recompute every request's \
           latency, and rank phases by their true p99 impact. Deterministic \
-          - two runs over the same file are bit-identical.")
+          - two runs over the same artifact are bit-identical.")
     Term.(
-      const run $ ledger_file_arg $ factors_arg $ expect_arg
+      const run $ replay_file_arg $ factors_arg $ expect_arg
       $ json_flag $ out_arg)
 
 (* ---------------- main ---------------- *)

@@ -1,6 +1,6 @@
 (* Cross-artifact root-cause correlator. Pure over its inputs: every
    finding and score is a deterministic function of the journal entries,
-   bench artifact, load report and alarms handed in, so the same artifacts
+   bench artifact and replay summary handed in, so the same artifacts
    produce a bit-identical report (the CI smoke relies on this). *)
 
 let spf = Printf.sprintf
@@ -23,57 +23,20 @@ type finding = {
   detail : string;
 }
 
-type load = {
-  slo : Slo.report option;
-  alarms : Drift.alarm list;
-  served : (string * int) list;
-  load_classes : int;
-}
-
-let load_of_json =
-  Json.decode (fun j ->
-      match Json.member "slo" j with
-      | None -> (* bare SLO report *)
-        { slo = Some (Json.ok (Slo.of_json j)); alarms = []; served = []; load_classes = 0 }
-      | Some slo_j ->
-        (* full loadgen report *)
-        let slo =
-          match Slo.of_json slo_j with Ok s -> s | Error e -> Json.fail "bad slo member: %s" e
-        in
-        let alarms =
-          match Json.member "drift" j with
-          | Some d -> List.filter_map Drift.alarm_of_json (Json.arr "alarms" d)
-          | None -> []
-        in
-        let served =
-          match Json.member "served" j with
-          | Some (Json.Obj kvs) ->
-            List.filter_map
-              (fun (k, v) -> Option.map (fun n -> (k, int_of_float n)) (Json.get_num v))
-              kvs
-          | _ -> []
-        in
-        let load_classes = List.length (Option.value ~default:[] (Json.opt Json.arr "classes" j)) in
-        { slo = Some slo; alarms; served; load_classes })
-
 type inputs = {
   journal : Journal.entry list;
   discarded : int;
   bench : Bench_log.artifact option;
-  load : load option;
-  ledger : Ledger.report option;
-  extra_alarms : Drift.alarm list;
+  replay : Replay.summary option;
 }
 
-let no_inputs =
-  {
-    journal = [];
-    discarded = 0;
-    bench = None;
-    load = None;
-    ledger = None;
-    extra_alarms = [];
-  }
+let no_inputs = { journal = []; discarded = 0; bench = None; replay = None }
+
+(* DR012's mean |predicted/measured - 1| above which a surrogate counts
+   as drifted, and DR011's winner-time slack before a diverging lineage
+   is a critical regression. *)
+let mispredict_threshold = 0.5
+let time_tolerance = 0.25
 
 type report = {
   runs : int;
@@ -131,7 +94,7 @@ let check_arch_changes gs =
           })
     gs
 
-let check_kernel_drift ~time_tolerance gs =
+let check_kernel_drift gs =
   List.concat_map
     (fun (_, entries) ->
       let archs = uniq (List.map (fun (e : Journal.entry) -> e.arch) entries) in
@@ -173,7 +136,7 @@ let check_kernel_drift ~time_tolerance gs =
         archs)
     gs
 
-let check_surrogate ~mispredict_threshold gs =
+let check_surrogate gs =
   List.filter_map
     (fun (_, entries) ->
       match List.rev entries with
@@ -202,14 +165,15 @@ let check_surrogate ~mispredict_threshold gs =
         | _ -> None))
     gs
 
-let check_cache load =
-  match load with
+let check_cache replay =
+  match replay with
   | None -> []
-  | Some l ->
+  | Some (s : Replay.summary) ->
     let tuned =
-      match List.assoc_opt "tuned" l.served with Some n -> n | None -> 0
+      match List.assoc_opt "tuned" s.served with Some n -> n | None -> 0
     in
-    if l.load_classes > 0 && tuned > l.load_classes then
+    let classes = Array.length s.header.classes in
+    if tuned > classes then
       [
         {
           code = "DR013";
@@ -221,14 +185,14 @@ let check_cache load =
             spf
               "%d cold tunes for %d request classes: the canonical cache \
                re-tuned keys it had already seen (eviction or capacity loss)"
-              tuned l.load_classes;
+              tuned classes;
         };
       ]
     else []
 
-let check_bench bench load =
-  match (bench, load) with
-  | Some (b : Bench_log.artifact), Some { slo = Some (s : Slo.report); _ } ->
+let check_bench bench replay =
+  match (bench, replay) with
+  | Some (b : Bench_log.artifact), Some { Replay.verdict = s; _ } ->
     List.concat_map
       (fun (e : Bench_log.experiment) ->
         List.filter_map
@@ -456,11 +420,10 @@ let stage_of cause_findings =
     (fun f -> if f.code = "DR011" then f.stage else None)
     cause_findings
 
-let check_slo load ~suspects ~stage =
-  match load with
+let check_slo replay ~suspects ~stage =
+  match replay with
   | None -> []
-  | Some { slo = None; _ } -> []
-  | Some { slo = Some (r : Slo.report); _ } ->
+  | Some { Replay.verdict = r; _ } ->
     List.filter_map
       (fun (a : Slo.alert) ->
         match a.severity with
@@ -502,30 +465,32 @@ let check_alarms alarms ~suspects ~stage =
 
 (* ------------------------------------------------------------------ *)
 
-let diagnose ?(mispredict_threshold = 0.5) ?(time_tolerance = 0.25) inputs =
+let diagnose inputs =
   let gs = Journal.by_dsl inputs.journal in
+  let ledger =
+    Option.map (fun (s : Replay.summary) -> Ledger.report s.ledger) inputs.replay
+  in
   let causes =
     check_semantic inputs.journal
     @ check_arch_changes gs
-    @ check_kernel_drift ~time_tolerance gs
-    @ check_surrogate ~mispredict_threshold gs
-    @ check_cache inputs.load
-    @ check_ledger_queue inputs.ledger
-    @ check_ledger_bench inputs.ledger inputs.bench
+    @ check_kernel_drift gs
+    @ check_surrogate gs
+    @ check_cache inputs.replay
+    @ check_ledger_queue ledger
+    @ check_ledger_bench ledger inputs.bench
   in
   let suspects = attribution causes in
   let stage = stage_of causes in
   let alarms =
-    (match inputs.load with None -> [] | Some l -> l.alarms)
-    @ inputs.extra_alarms
+    match inputs.replay with None -> [] | Some s -> s.Replay.alarms
   in
   let findings =
-    check_slo inputs.load ~suspects ~stage
+    check_slo inputs.replay ~suspects ~stage
     @ check_alarms alarms ~suspects ~stage
     @ causes
-    @ check_bench inputs.bench inputs.load
-    @ check_ledger_dominant inputs.ledger
-    @ check_ledger_exemplar inputs.ledger
+    @ check_bench inputs.bench inputs.replay
+    @ check_ledger_dominant ledger
+    @ check_ledger_exemplar ledger
     @ check_discarded inputs.discarded
   in
   let findings =

@@ -1,10 +1,11 @@
 (** Cross-artifact root-cause correlator: the "drift doctor".
 
-    {!diagnose} reads up to four artifact families - a tuning journal
-    ({!Journal}), a benchmark artifact ({!Bench_log}), a load/SLO report
-    (the [loadgen] JSON, or a bare {!Slo} report) and live {!Drift}
-    alarms - aligns them by canonical key, arch fingerprint and lineage
-    hashes, and emits a machine-readable health report.
+    {!diagnose} reads up to three artifact families - a tuning journal
+    ({!Journal}), a benchmark artifact ({!Bench_log}) and a [loadgen]
+    replay folded into its {!Replay.summary} (SLO verdict, {!Drift}
+    alarms, serve counts, {!Ledger}) - aligns them by canonical key, arch
+    fingerprint and lineage hashes, and emits a machine-readable health
+    report.
 
     Findings carry stable [DRxxx] codes:
 
@@ -17,10 +18,10 @@
     - [DR011] (critical/warning) - two runs of the same key on the same
       arch disagree on the winning lineage; the finding names the
       earliest diverging stage ({!Journal.first_divergence}) and is
-      critical when the later winner is slower beyond [time_tolerance].
+      critical when the later winner is slower by more than 25%.
     - [DR012] (warning) - surrogate mispredict (mean
       [|predicted/measured - 1|] over a run's model-guided variants)
-      above [mispredict_threshold] on the latest run of a key.
+      above 0.5 on the latest run of a key.
     - [DR013] (warning) - cold tunes exceed the number of request
       classes: the canonical cache re-tuned something it had already
       seen (eviction / capacity loss).
@@ -62,26 +63,13 @@ type finding = {
   detail : string;
 }
 
-(** The load/SLO side of the correlation: parsed from a [loadgen] report
-    (or a bare SLO report, which fills only [slo]). *)
-type load = {
-  slo : Slo.report option;
-  alarms : Drift.alarm list;
-  served : (string * int) list;  (** serve-class counts, e.g. ["tuned"] *)
-  load_classes : int;  (** request classes in the replay mix *)
-}
-
-(** Accepts a full [loadgen] report (member ["slo"], optional ["drift"])
-    or a bare {!Slo} report document. *)
-val load_of_json : Json.t -> (load, string) result
-
 type inputs = {
   journal : Journal.entry list;
   discarded : int;  (** undecodable journal lines *)
   bench : Bench_log.artifact option;
-  load : load option;
-  ledger : Ledger.report option;  (** from [loadgen --ledger-out] *)
-  extra_alarms : Drift.alarm list;  (** live monitors beyond the report *)
+  replay : Replay.summary option;
+      (** a [loadgen] replay: its SLO verdict, drift alarms, serve counts
+          and ledger *)
 }
 
 val no_inputs : inputs
@@ -93,10 +81,7 @@ type report = {
   findings : finding list;  (** severity-sorted, stable order *)
 }
 
-(** [mispredict_threshold] defaults to 0.5, [time_tolerance] (DR011
-    critical band) to 0.25. *)
-val diagnose :
-  ?mispredict_threshold:float -> ?time_tolerance:float -> inputs -> report
+val diagnose : inputs -> report
 
 val has_critical : report -> bool
 val to_json : report -> Json.t

@@ -274,38 +274,6 @@ let observe t ~tick x =
 let alarms t = List.rev t.alarms_rev
 let suppressed t = t.suppressed
 
-let alarm_to_json a =
-  Json.Obj
-    [
-      ("monitor", Json.Str a.monitor);
-      ("at_tick", Json.of_int a.at_tick);
-      ("direction", Json.Str (direction_name a.direction));
-      ("statistic", Json.Num a.statistic);
-      ("threshold", Json.Num a.threshold);
-      ("observed", Json.Num a.observed);
-      ("reference", Json.Num a.reference);
-      ("detail", Json.Str a.detail);
-    ]
-
-(* Lenient: only the monitor name and tick are required; other fields
-   default (numbers to nan, direction to up, detail to ""). *)
-let alarm_of_json j =
-  let num k = Option.value ~default:nan (Json.opt Json.num k j) in
-  match
-    {
-      monitor = Json.str "monitor" j;
-      at_tick = Json.int "at_tick" j;
-      direction = (if Json.opt Json.str "direction" j = Some "down" then Down else Up);
-      statistic = num "statistic";
-      threshold = num "threshold";
-      observed = num "observed";
-      reference = num "reference";
-      detail = Option.value ~default:"" (Json.opt Json.str "detail" j);
-    }
-  with
-  | a -> Some a
-  | exception Json.Decode_error _ -> None
-
 (* ------------------------------------------------------------------ *)
 (* Registry *)
 
@@ -330,26 +298,6 @@ let all_alarms r =
          match compare a.at_tick b.at_tick with
          | 0 -> compare a.monitor b.monitor
          | c -> c)
-
-let registry_json r =
-  Json.Obj
-    [
-      ( "monitors",
-        Json.Arr
-          (List.map
-             (fun m ->
-               Json.Obj
-                 [
-                   ("name", Json.Str m.name);
-                   ("kind", Json.Str (kind m));
-                   ("observations", Json.of_int m.count);
-                   ("warming_up", Json.Bool (warming_up m));
-                   ("alarm_count", Json.of_int m.n_alarms);
-                   ("suppressed", Json.of_int m.suppressed);
-                 ])
-             r.mons) );
-      ("alarms", Json.Arr (List.map alarm_to_json (all_alarms r)));
-    ]
 
 let render r =
   let b = Buffer.create 256 in

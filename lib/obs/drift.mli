@@ -103,11 +103,6 @@ val suppressed : t -> int
     collection); alarms cannot fire in this phase. *)
 val warming_up : t -> bool
 
-val alarm_to_json : alarm -> Json.t
-
-(** Inverse of {!alarm_to_json}; [None] on malformed input. *)
-val alarm_of_json : Json.t -> alarm option
-
 (** A named collection of monitors, preserving registration order. *)
 type registry
 
@@ -124,10 +119,6 @@ val feed : registry -> string -> tick:int -> float -> alarm option
 
 (** All alarms across the registry, sorted by tick then monitor name. *)
 val all_alarms : registry -> alarm list
-
-(** Deterministic JSON summary: monitors (name, kind, count, warming_up,
-    suppressed) and the sorted alarm list. *)
-val registry_json : registry -> Json.t
 
 (** Human-readable registry summary. *)
 val render : registry -> string

@@ -40,7 +40,6 @@ type serve_class = Cold | Warm | Dedup
 let all_classes = [ Cold; Warm; Dedup ]
 
 let class_name = function Cold -> "cold" | Warm -> "warm" | Dedup -> "dedup"
-let class_of_name n = List.find_opt (fun c -> class_name c = n) all_classes
 
 type exemplar = {
   ex_slot : int;
@@ -307,65 +306,6 @@ let report_json r =
       ( "worst",
         match r.lr_worst with None -> Json.Null | Some e -> exemplar_json e );
     ]
-
-let class_of_json = Json.enum "serve class" class_of_name
-let phase_of_json = Json.enum "phase" phase_of_name
-
-let stat_of_json j =
-  Json.
-    {
-      st_n = int "n" j;
-      st_total_s = num "total_s" j;
-      st_mean_s = num "mean_s" j;
-      st_std_s = num "std_s" j;
-      st_p50_s = num "p50_s" j;
-      st_p90_s = num "p90_s" j;
-      st_p99_s = num "p99_s" j;
-      st_max_s = num "max_s" j;
-    }
-
-let exemplar_of_json j =
-  Json.
-    {
-      ex_slot = int "slot" j;
-      ex_tick = int "tick" j;
-      ex_latency_s = num "latency_s" j;
-      ex_class = class_of_json (str "class" j);
-      ex_phase = phase_of_json (str "phase" j);
-      ex_label = opt str "label" j;
-      ex_key = opt str "key" j;
-      ex_run_id = opt str "run_id" j;
-    }
-
-let report_of_json =
-  Json.decode (fun j ->
-      let classes =
-        match Json.field "classes" j with
-        | Json.Obj kvs -> List.map (fun (c, s) -> (class_of_json c, stat_of_json s)) kvs
-        | _ -> Json.fail "invalid field \"classes\""
-      in
-      let cell c =
-        (class_of_json (Json.str "class" c), phase_of_json (Json.str "phase" c),
-         stat_of_json (Json.field "stat" c))
-      in
-      let share = function
-        | Json.Arr [ Json.Str name; Json.Num s ] -> (phase_of_json name, s)
-        | _ -> Json.fail "invalid phase_share entry"
-      in
-      {
-        lr_requests = Json.int "requests" j;
-        lr_errors = Json.int "errors" j;
-        lr_slot_width = Json.int "slot_width" j;
-        lr_overall = stat_of_json (Json.field "overall" j);
-        lr_classes = classes;
-        lr_cells = List.map cell (Json.arr "cells" j);
-        lr_phase_share = List.map share (Json.arr "phase_share" j);
-        lr_exemplars = List.map exemplar_of_json (Json.arr "exemplars" j);
-        lr_worst =
-          (match Json.member "worst" j with
-          | None | Some Json.Null -> None
-          | Some e -> Some (exemplar_of_json e));
-      })
 
 (* ---------------- render ---------------- *)
 

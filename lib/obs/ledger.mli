@@ -50,7 +50,6 @@ type serve_class = Cold | Warm | Dedup
 
 val all_classes : serve_class list
 val class_name : serve_class -> string
-val class_of_name : string -> serve_class option
 
 (* ------------------------------------------------------------------ *)
 (* Streaming per-request ledger *)
@@ -129,7 +128,6 @@ val report : t -> report
 val dominant : report -> phase option
 
 val report_json : report -> Json.t
-val report_of_json : Json.t -> (report, string) result
 val render : report -> string
 
 (** Per-(class, phase) native-histogram exposition

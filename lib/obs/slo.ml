@@ -56,7 +56,8 @@ let burn ~budget observed =
 let latency_alert spec (short : Window.snapshot) (long : Window.snapshot) =
   let p_short = Window.quantile short spec.latency_p in
   let p_long = Window.quantile long spec.latency_p in
-  let over v = Float.is_finite v && v > spec.latency_budget_s in
+  (* NaN is the quantile of an empty window; +inf is over any budget *)
+  let over v = (not (Float.is_nan v)) && v > spec.latency_budget_s in
   let severity =
     match (over p_short, over p_long) with
     | true, true -> Page
@@ -112,7 +113,7 @@ let ok r = not (List.exists (fun a -> a.severity = Page) r.alerts)
 
 (* ---------------- JSON ---------------- *)
 
-let spec_json s =
+let spec_to_json s =
   Json.Obj
     [
       ("name", Json.Str s.name);
@@ -125,68 +126,27 @@ let spec_json s =
       ("ticket_burn", Json.Num s.ticket_burn);
     ]
 
-let alert_json a =
-  Json.Obj
-    [
-      ("objective", Json.Str a.objective);
-      ("severity", Json.Str (severity_name a.severity));
-      ("observed_short", Json.Num a.observed_short);
-      ("observed_long", Json.Num a.observed_long);
-      ("budget", Json.Num a.budget);
-      ("burn_short", Json.Num a.burn_short);
-      ("burn_long", Json.Num a.burn_long);
-      ("detail", Json.Str a.detail);
-    ]
-
-let to_json r =
-  Json.Obj
-    [
-      ("spec", spec_json r.spec);
-      ("at_tick", Json.of_int r.at_tick);
-      ("requests", Json.of_int r.requests);
-      ("ok", Json.Bool (ok r));
-      ("alerts", Json.Arr (List.map alert_json r.alerts));
-    ]
-
 let spec j =
-  Json.
-    {
-      name = str "name" j;
-      latency_p = num "latency_p" j;
-      latency_budget_s = num "latency_budget_s" j;
-      error_objective = num "error_objective" j;
-      short_epochs = int "short_epochs" j;
-      long_epochs = int "long_epochs" j;
-      page_burn = num "page_burn" j;
-      ticket_burn = num "ticket_burn" j;
-    }
-
-let alert j =
-  Json.
-    {
-      objective = str "objective" j;
-      severity =
-        enum "severity"
-          (fun s -> List.find_opt (fun v -> severity_name v = s) [ Page; Ticket; Ok ])
-          (str "severity" j);
-      observed_short = num "observed_short" j;
-      observed_long = num "observed_long" j;
-      budget = num "budget" j;
-      burn_short = num "burn_short" j;
-      burn_long = num "burn_long" j;
-      detail = str "detail" j;
-    }
+  let s =
+    Json.
+      {
+        name = str "name" j;
+        latency_p = num "latency_p" j;
+        latency_budget_s = num "latency_budget_s" j;
+        error_objective = num "error_objective" j;
+        short_epochs = int "short_epochs" j;
+        long_epochs = int "long_epochs" j;
+        page_burn = num "page_burn" j;
+        ticket_burn = num "ticket_burn" j;
+      }
+  in
+  if not (s.latency_p >= 0.0 && s.latency_p <= 100.0) then
+    Json.fail "latency_p %g is not a percentile in [0, 100]" s.latency_p;
+  if s.short_epochs < 1 || s.long_epochs < 1 then
+    Json.fail "short_epochs and long_epochs must be >= 1";
+  s
 
 let spec_of_json = Json.decode spec
-
-let of_json =
-  Json.decode (fun j ->
-      {
-        spec = spec (Json.field "spec" j);
-        at_tick = Json.int "at_tick" j;
-        requests = Json.int "requests" j;
-        alerts = List.map alert (Json.arr "alerts" j);
-      })
 
 let render r =
   let b = Buffer.create 256 in
@@ -199,5 +159,3 @@ let render r =
                                              a.detail))
     r.alerts;
   Buffer.contents b
-
-let spec_to_json = spec_json

@@ -11,11 +11,13 @@
     Burn rate is observed/objective. For errors, [Page] requires both
     windows at or above [page_burn] and [Ticket] both at or above
     [ticket_burn]; for latency the budget itself is the threshold ([Page]
-    when both windows breach it, [Ticket] when exactly one does).
+    when both windows breach it, [Ticket] when exactly one does). An
+    infinite quantile breaches any budget; the NaN quantile of an empty
+    window breaches none.
 
     Evaluation is pure over the window state, so fixed-seed replays
-    produce bit-identical reports; {!to_json}/{!of_json} round-trip the
-    report for machine consumption (the CI gate). *)
+    produce bit-identical reports. A saved replay is re-evaluated from its
+    recorded requests ({!Replay}), so the report itself has no codec. *)
 
 type spec = {
   name : string;
@@ -59,12 +61,10 @@ val evaluate : spec -> Window.t -> now:int -> report
 (** No [Page]-severity alert ([Ticket]s degrade gracefully). *)
 val ok : report -> bool
 
-val to_json : report -> Json.t
-val of_json : Json.t -> (report, string) result
 val render : report -> string
 
-(** Round-trip a bare spec (used by the {!Whatif} replay file, which
-    records the spec the ledger replay ran under). *)
+(** Round-trip a spec (the {!Replay} artifact's header records the spec
+    the replay ran under). *)
 val spec_to_json : spec -> Json.t
 
 val spec_of_json : Json.t -> (spec, string) result

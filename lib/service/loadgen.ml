@@ -53,27 +53,10 @@ let default_config =
   }
 
 type result = {
-  cfg : config;
-  classes : mix list;
-  total : int;
-  errors : int;
-  served : (string * int) list;
-  ticks : int;
-  window : Obs.Window.t;
-  verdict : Obs.Slo.report;
+  summary : Obs.Replay.summary;
   metrics : Metrics.t;
-  drift : Obs.Drift.registry option;
-  alarms : Obs.Drift.alarm list;
-  ledger : Obs.Ledger.t;
-  records : Obs.Whatif.record list;
   wall_s : float;
 }
-
-let serve_class (r : Engine.response) =
-  match r.served with
-  | Engine.Tuned -> Obs.Ledger.Cold
-  | Engine.Memory_hit | Engine.Disk_hit -> Obs.Ledger.Warm
-  | Engine.Deduplicated -> Obs.Ledger.Dedup
 
 (* Modeled service time of one response, decomposed by phase. Every class
    pays canonicalization + cache lookup plus a queue wait growing with its
@@ -117,205 +100,125 @@ let run_ids_of_journal entries =
   |> List.map (fun (dsl, es) ->
          (dsl, (List.nth es (List.length es - 1) : Obs.Journal.entry).run_id))
 
-let run ?on_frame ?frame_every ?(record = false) ?(run_ids = []) cfg classes =
+(* The artifact header of a replay: the configuration, and the class
+   table with each DSL's canonical key and latest journal run. *)
+let header ~run_ids cfg classes =
+  {
+    Obs.Replay.requests = cfg.requests;
+    seed = cfg.seed;
+    batch = cfg.batch;
+    error_rate = cfg.error_rate;
+    degrade = cfg.degrade;
+    degrade_at = cfg.degrade_at;
+    monitor = cfg.monitor;
+    width = cfg.window_width;
+    buckets = cfg.window_buckets;
+    slo = cfg.slo;
+    classes =
+      Array.of_list
+        (List.map
+           (fun m ->
+             {
+               Obs.Replay.label = m.mix_label;
+               dsl = m.mix_dsl;
+               key = (Canonical.of_dsl ~arch:cfg.engine.arch m.mix_dsl).key;
+               run_id = List.assoc_opt m.mix_dsl run_ids;
+               weight = m.weight;
+             })
+           classes);
+  }
+
+let run ?on_frame ?frame_every ?out ?(run_ids = []) cfg classes =
   if classes = [] then invalid_arg "Loadgen.run: empty request mix";
   if cfg.requests < 1 then invalid_arg "Loadgen.run: requests must be >= 1";
   if cfg.batch < 1 then invalid_arg "Loadgen.run: batch must be >= 1";
   let t0 = Unix.gettimeofday () in
   let rng = Util.Rng.create cfg.seed in
   let svc = Engine.create ~config:cfg.engine () in
-  let window =
-    Obs.Window.create ~width:cfg.window_width ~buckets:cfg.window_buckets ()
+  let header = header ~run_ids cfg classes in
+  let fold = Obs.Replay.start header in
+  let write line x = Option.iter (fun oc -> output_string oc (line x)) out in
+  write Obs.Replay.header_line header;
+  let table = header.classes in
+  let total_weight =
+    Array.fold_left (fun acc (c : Obs.Replay.request_class) -> acc + c.weight) 0 table
   in
-  let ledger = Obs.Ledger.create ~slot_width:cfg.window_width () in
-  let records = ref [] in
-  let total_weight = List.fold_left (fun acc m -> acc + m.weight) 0 classes in
+  (* a class index, drawn by weight *)
   let pick () =
     let w = Util.Rng.int rng total_weight in
-    let rec go acc = function
-      | [ m ] -> m
-      | m :: rest -> if w < acc + m.weight then m else go (acc + m.weight) rest
-      | [] -> assert false
+    let rec go i acc =
+      let acc = acc + table.(i).weight in
+      if i = Array.length table - 1 || w < acc then i else go (i + 1) acc
     in
-    go 0 classes
+    go 0 0
   in
-  let errors = ref 0 in
-  let served = Hashtbl.create 8 in
   let tick = ref (-1) in
-  (* Change-point monitors over the modeled latency stream, calibrated
-     from the replay's own early windows (one window of CUSUM reference =
-     two epochs; quantile-shift merges its first two windows). Feeding
-     starts after the first epoch so cold-tune outliers - every class is
-     tuned within the first few batches - stay out of the reference. *)
-  let drift =
-    if not cfg.monitor then None
-    else begin
-      let r = Obs.Drift.create_registry () in
-      Obs.Drift.register r
-        (Obs.Drift.quantile_shift ~p:99.0 ~ratio:2.0 ~window:cfg.window_width
-           ~ref_windows:2 "latency.p99");
-      Obs.Drift.register r
-        (Obs.Drift.cusum ~ref_count:(2 * cfg.window_width) ~k:0.5 ~h:15.0
-           "latency.mean");
-      Some r
-    end
-  in
   let next_frame = ref (match frame_every with Some k -> k | None -> max_int) in
   let remaining = ref cfg.requests in
   while !remaining > 0 do
     let n = min cfg.batch !remaining in
     remaining := !remaining - n;
-    let reqs =
-      List.init n (fun _ ->
-          let m = pick () in
-          { Engine.label = m.mix_label; src = m.mix_dsl })
+    let picks = List.init n (fun _ -> pick ()) in
+    let responses =
+      Engine.batch svc
+        (List.map (fun i -> { Engine.label = table.(i).label; src = table.(i).dsl }) picks)
     in
-    let responses = Engine.batch svc reqs in
-    let position = ref (-1) in
-    List.iter2
-      (fun (req : Engine.request) (r : Engine.response) ->
+    List.iteri
+      (fun position (cls, (r : Engine.response)) ->
         Stdlib.incr tick;
-        Stdlib.incr position;
         let degrade = if !tick >= cfg.degrade_at then cfg.degrade else 1.0 in
-        (* one multiplier for the whole request, so the scaled per-phase
-           costs sum exactly to the latency (the ledger reconciliation
-           invariant, and what lets Whatif scale one phase exactly) *)
         let mult = degrade *. exp (jitter *. Util.Rng.gaussian rng) in
-        let costs = phase_costs r ~position:!position in
-        let base = List.fold_left (fun acc (_, v) -> acc +. v) 0.0 costs in
-        let latency = base *. mult in
         let ok = not (Util.Rng.float rng 1.0 < cfg.error_rate) in
-        if not ok then Stdlib.incr errors;
-        (match drift with
-        | Some reg when !tick >= cfg.window_width ->
-          List.iter
-            (fun m -> ignore (Obs.Drift.observe m ~tick:!tick latency))
-            (Obs.Drift.monitors reg)
-        | _ -> ());
-        let name = Engine.served_name r.served in
-        (match Hashtbl.find_opt served name with
-        | Some c -> Stdlib.incr c
-        | None -> Hashtbl.add served name (ref 1));
-        Obs.Window.observe window ~now:!tick ~ok latency;
-        let cls = serve_class r in
-        Obs.Ledger.observe ledger ~label:r.label ~key:r.key
-          ?run_id:(List.assoc_opt req.src run_ids)
-          ~tick:!tick ~cls ~ok ~latency_s:latency
-          (List.map (fun (p, v) -> (p, v *. mult)) costs);
-        if record then
-          records :=
-            {
-              Obs.Whatif.rq_tick = !tick;
-              rq_class = cls;
-              rq_ok = ok;
-              rq_mult = mult;
-              rq_costs = costs;
-            }
-            :: !records;
+        let record =
+          {
+            Obs.Replay.rq_tick = !tick;
+            rq_class = cls;
+            rq_served = Engine.served_name r.served;
+            rq_ok = ok;
+            rq_mult = mult;
+            rq_costs = phase_costs r ~position;
+          }
+        in
+        Obs.Replay.step fold record;
+        write Obs.Replay.record_line record;
         if !tick + 1 >= !next_frame then begin
-          (match on_frame with Some f -> f window ~now:!tick | None -> ());
+          (match on_frame with
+          | Some f -> f (Obs.Replay.window fold) ~now:!tick
+          | None -> ());
           next_frame :=
             !next_frame + (match frame_every with Some k -> k | None -> max_int)
         end)
-      reqs responses
+      (List.combine picks responses)
   done;
-  let verdict = Obs.Slo.evaluate cfg.slo window ~now:!tick in
   {
-    cfg;
-    classes;
-    total = cfg.requests;
-    errors = !errors;
-    served =
-      Hashtbl.fold (fun name c acc -> (name, !c) :: acc) served []
-      |> List.sort compare;
-    ticks = !tick;
-    window;
-    verdict;
+    summary = Obs.Replay.finish fold;
     metrics = Engine.metrics svc;
-    drift;
-    alarms =
-      (match drift with None -> [] | Some r -> Obs.Drift.all_alarms r);
-    ledger;
-    records = List.rev !records;
     wall_s = Unix.gettimeofday () -. t0;
   }
 
-(* Everything the ledger/whatif CLI subcommands need to re-derive the
-   replay offline: the ledger report plus (when [run ~record:true]) the
-   raw per-request cost records. *)
-let ledger_file r =
-  {
-    Obs.Whatif.f_requests = r.total;
-    f_seed = r.cfg.seed;
-    f_width = r.cfg.window_width;
-    f_buckets = r.cfg.window_buckets;
-    f_slo = Some r.cfg.slo;
-    f_ledger = Obs.Ledger.report r.ledger;
-    f_records = r.records;
-  }
-
 let render r =
+  let s = r.summary in
+  let h = s.header in
   let b = Buffer.create 1024 in
   Buffer.add_string b
     (Printf.sprintf "replayed %d requests (%d classes, seed %d) in %.2fs (%.0f req/s)\n"
-       r.total (List.length r.classes) r.cfg.seed r.wall_s
-       (float_of_int r.total /. Float.max 1e-9 r.wall_s));
-  List.iter
-    (fun m ->
+       s.total (Array.length h.classes) h.seed r.wall_s
+       (float_of_int s.total /. Float.max 1e-9 r.wall_s));
+  Array.iter
+    (fun (c : Obs.Replay.request_class) ->
       Buffer.add_string b
-        (Printf.sprintf "  class %-16s weight %d\n" m.mix_label m.weight))
-    r.classes;
+        (Printf.sprintf "  class %-16s weight %d\n" c.label c.weight))
+    h.classes;
   List.iter
     (fun (name, n) -> Buffer.add_string b (Printf.sprintf "  served %-14s %d\n" name n))
-    r.served;
+    s.served;
   Buffer.add_string b
-    (Printf.sprintf "  injected errors: %d (%.3f%%)\n" r.errors
-       (100.0 *. float_of_int r.errors /. float_of_int r.total));
-  Buffer.add_string b (Obs.Window.render r.window ~now:r.ticks);
-  Buffer.add_string b (Obs.Slo.render r.verdict);
-  Buffer.add_string b (Obs.Ledger.render (Obs.Ledger.report r.ledger));
-  (match r.drift with
+    (Printf.sprintf "  injected errors: %d (%.3f%%)\n" s.errors
+       (100.0 *. float_of_int s.errors /. float_of_int s.total));
+  Buffer.add_string b (Obs.Window.render s.window ~now:s.ticks);
+  Buffer.add_string b (Obs.Slo.render s.verdict);
+  Buffer.add_string b (Obs.Ledger.render (Obs.Ledger.report s.ledger));
+  (match s.drift with
   | Some reg -> Buffer.add_string b (Obs.Drift.render reg)
   | None -> ());
   Buffer.contents b
-
-let report_json r =
-  let snap = Obs.Window.snapshot r.window ~now:r.ticks in
-  Obs.Json.Obj
-    ([
-      ("schema_version", Obs.Json.of_int 1);
-      ("requests", Obs.Json.of_int r.total);
-      ("seed", Obs.Json.of_int r.cfg.seed);
-      ("batch", Obs.Json.of_int r.cfg.batch);
-      ("errors", Obs.Json.of_int r.errors);
-      ( "classes",
-        Obs.Json.Arr
-          (List.map
-             (fun m ->
-               Obs.Json.Obj
-                 [
-                   ("label", Obs.Json.Str m.mix_label);
-                   ("weight", Obs.Json.of_int m.weight);
-                 ])
-             r.classes) );
-      ( "served",
-        Obs.Json.Obj (List.map (fun (name, n) -> (name, Obs.Json.of_int n)) r.served) );
-      ( "window",
-        Obs.Json.Obj
-          [
-            ("ticks", Obs.Json.of_int snap.ticks);
-            ("requests", Obs.Json.of_int snap.requests);
-            ("error_ratio", Obs.Json.Num snap.error_ratio);
-            ("rate_per_tick", Obs.Json.Num snap.rate);
-            ("p50_s", Obs.Json.Num (Obs.Window.quantile snap 50.0));
-            ("p90_s", Obs.Json.Num (Obs.Window.quantile snap 90.0));
-            ("p99_s", Obs.Json.Num (Obs.Window.quantile snap 99.0));
-            ("sketch_buckets", Obs.Json.of_int (Obs.Sketch.bucket_count snap.sketch));
-          ] );
-      ("slo", Obs.Slo.to_json r.verdict);
-      ("ledger", Obs.Ledger.report_json (Obs.Ledger.report r.ledger));
-    ]
-    @
-    match r.drift with
-    | None -> []
-    | Some reg -> [ ("drift", Obs.Drift.registry_json reg) ])

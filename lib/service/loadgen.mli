@@ -1,6 +1,8 @@
 (** Journal-replay load harness: drive {!Engine} with a realistic request
-    mix recorded by the tuning flight recorder, feed the resulting stream
-    through {!Obs.Window}, and emit a final {!Obs.Slo} verdict.
+    mix recorded by the tuning flight recorder, and fold the resulting
+    request stream ({!Obs.Replay}) into a telemetry window, a final
+    {!Obs.Slo} verdict, a causal {!Obs.Ledger} and (when monitoring)
+    {!Obs.Drift} alarms.
 
     Arrival mix: each journal entry contributes one request class (its
     label and recorded canonical DSL); duplicate DSLs merge, weights count
@@ -15,8 +17,8 @@
     per-phase cost decomposition (see below) summed and multiplied by
     fixed-seed lognormal jitter - not a wall-clock measurement. Engine
     results are themselves deterministic for a fixed seed, so a replay is
-    bit-identical across runs: {!report_json} excludes wall time for
-    exactly this reason. Errors are injected with probability
+    bit-identical across runs, and so is its artifact, which records no
+    wall time. Errors are injected with probability
     [error_rate] from the same RNG so the error-budget side of the SLO is
     exercised.
 
@@ -31,14 +33,15 @@
     whole vector is scaled by one multiplier - lognormal (sigma 0.25) x
     [degrade] - so the scaled phase costs sum {e exactly} to
     the end-to-end latency - the {!Obs.Ledger} reconciliation invariant,
-    and the property that lets {!Obs.Whatif} compute causal phase impacts
-    exactly.
+    and the property that lets {!Obs.Replay.whatif} compute causal phase
+    impacts exactly.
 
     Memory is bounded: window state is O(buckets) sketches, the ledger is
     O(classes x phases) sketch cells plus a fixed exemplar ring, and the
     engine metrics retain at most {!Metrics.raw_sample_cap} raw samples
     per timer, so replaying 10^4-10^6 requests does not grow storage with
-    the request count ([record] opts into O(requests) what-if records). *)
+    the request count. The replay keeps no per-request list: with [out],
+    each record is written as soon as it is made. *)
 
 type mix = { mix_label : string; mix_dsl : string; weight : int }
 
@@ -73,25 +76,9 @@ type config = {
 val default_config : config
 
 type result = {
-  cfg : config;
-  classes : mix list;
-  total : int;  (** requests actually replayed *)
-  errors : int;  (** injected failures *)
-  served : (string * int) list;  (** serve-class name -> count, sorted *)
-  ticks : int;  (** final logical tick (= total - 1) *)
-  window : Obs.Window.t;
-  verdict : Obs.Slo.report;  (** evaluated at the final tick *)
+  summary : Obs.Replay.summary;  (** the fold of the replayed stream *)
   metrics : Metrics.t;  (** the engine's metrics registry *)
-  drift : Obs.Drift.registry option;  (** the monitors, when [monitor] *)
-  alarms : Obs.Drift.alarm list;
-      (** change-point alarms fired during the replay, tick order; [[]]
-          when [monitor] is off. Deterministic: two identical replays
-          alarm at identical ticks. *)
-  ledger : Obs.Ledger.t;  (** per-phase cost accounting of the replay *)
-  records : Obs.Whatif.record list;
-      (** per-request what-if records in tick order; [[]] unless the
-          replay ran with [record] *)
-  wall_s : float;  (** real wall time of the replay (not in the JSON) *)
+  wall_s : float;  (** real wall time of the replay (not in the artifact) *)
 }
 
 (** Latest journal run id per canonical DSL, in first-appearance order:
@@ -100,31 +87,22 @@ type result = {
 val run_ids_of_journal : Obs.Journal.entry list -> (string * string) list
 
 (** Run the replay. [on_frame] (with [frame_every] ticks, default none)
-    is called during the replay for live dashboards. [record] (default
-    false) keeps per-request {!Obs.Whatif} records for causal what-if
-    profiling - the one opt-in that grows with the request count.
-    [run_ids] maps canonical DSL to journal run id for exemplars (see
-    {!run_ids_of_journal}). Raises [Invalid_argument] on an empty mix or
-    a non-positive request count or batch size. *)
+    is called during the replay for live dashboards. [out] receives the
+    {!Obs.Replay} artifact: its header line first, then each request's
+    record line as the request is served. [run_ids] maps canonical DSL to
+    journal run id for exemplars (see {!run_ids_of_journal}). Raises
+    [Invalid_argument] on an empty mix or a non-positive request count or
+    batch size; a class whose DSL the front end rejects raises its error
+    before the first request, as serving it would. *)
 val run :
   ?on_frame:(Obs.Window.t -> now:int -> unit) ->
   ?frame_every:int ->
-  ?record:bool ->
+  ?out:out_channel ->
   ?run_ids:(string * string) list ->
   config ->
   mix list ->
   result
 
-(** Package a result as the {!Obs.Whatif.file} that [loadgen
-    --ledger-out] writes and the [ledger]/[whatif] subcommands read. *)
-val ledger_file : result -> Obs.Whatif.file
-
 (** Human-readable summary: mix, serve counts, window dashboard, SLO
-    verdict, throughput. *)
+    verdict, ledger and (when monitoring) the drift monitors. *)
 val render : result -> string
-
-(** Machine-readable report for CI: config echo, class mix, serve counts,
-    window-tail quantiles, the SLO verdict, the ledger report and (when
-    monitoring) the drift-monitor summary with its alarms. Deterministic
-    for a fixed seed (no wall times, no timestamps). *)
-val report_json : result -> Obs.Json.t

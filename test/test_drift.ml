@@ -153,25 +153,6 @@ let test_quantile_shift_absorbs_sketch_error () =
   check_int "2x shift under a 2x-ratio threshold stays silent" 0
     (List.length alarms)
 
-(* ---------------- alarm JSON ---------------- *)
-
-let test_alarm_json_roundtrip () =
-  let m = Obs.Drift.page_hinkley "lat" in
-  ignore (feed_all m (constant 100 1.0));
-  let a =
-    match Obs.Drift.observe m ~tick:100 9.0 with
-    | Some a -> a
-    | None -> (
-      match feed_all m (constant 10 9.0) with
-      | a :: _ -> a
-      | [] -> Alcotest.fail "no alarm to round-trip")
-  in
-  (match Obs.Drift.alarm_of_json (Obs.Drift.alarm_to_json a) with
-  | Some b -> check_bool "round-trip exact" true (a = b)
-  | None -> Alcotest.fail "alarm_of_json rejected its own output");
-  check_bool "malformed input rejected" true
-    (Obs.Drift.alarm_of_json (Obs.Json.Str "nope") = None)
-
 (* ---------------- registry ---------------- *)
 
 let test_registry () =
@@ -214,7 +195,7 @@ let test_registry () =
       | Some m -> check_int (name ^ ": nothing suppressed") 0 (Obs.Drift.suppressed m)
       | None -> assert false)
     [ "a"; "b" ];
-  (* a registry fed the same stream twice serializes bit-identically *)
+  (* a registry fed the same stream twice alarms identically *)
   let replay () =
     let r = Obs.Drift.create_registry () in
     Obs.Drift.register r (Obs.Drift.cusum ~ref_count:50 "m");
@@ -222,9 +203,11 @@ let test_registry () =
       (fun t v -> ignore (Obs.Drift.feed r "m" ~tick:t v))
       (List.init 50 (fun i -> if i mod 2 = 0 then 1.0 else 1.2)
       @ constant 10 5.0);
-    Obs.Json.to_string (Obs.Drift.registry_json r)
+    (Obs.Drift.render r, Obs.Drift.all_alarms r)
   in
-  Alcotest.(check string) "registry json deterministic" (replay ()) (replay ())
+  let a = replay () in
+  check_bool "the stream alarms" true (snd a <> []);
+  check_bool "registry deterministic" true (a = replay ())
 
 (* ---------------- QCheck properties ---------------- *)
 
@@ -321,13 +304,33 @@ let mix =
     { Service.Loadgen.mix_label = "tiny"; mix_dsl = tiny_dsl; weight = 1 };
   ]
 
+(* Run [cfg] recording its artifact: the result and the artifact's bytes. *)
+let recorded_run cfg =
+  let path = Filename.temp_file "replay" ".jsonl" in
+  let r =
+    Out_channel.with_open_bin path (fun out ->
+        Service.Loadgen.run ~out cfg mix)
+  in
+  let bytes = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  (r, bytes)
+
 (* One degraded monitored replay, shared across the tests below (a replay
    tunes both classes, so it is the expensive part). *)
-let degraded = lazy (Service.Loadgen.run monitored_cfg mix)
+let degraded = lazy (recorded_run monitored_cfg)
+
+(* Fold an artifact's bytes back into a summary. *)
+let refold bytes =
+  let path = Filename.temp_file "replay" ".jsonl" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+  let s = Obs.Replay.summarize path in
+  Sys.remove path;
+  match s with Ok s -> s | Error e -> Alcotest.fail ("summarize: " ^ e)
 
 let test_loadgen_monitor_pages_after_degrade () =
-  let r = Lazy.force degraded in
-  check_bool "monitors attached" true (r.Service.Loadgen.drift <> None);
+  let result, _ = Lazy.force degraded in
+  let r = result.Service.Loadgen.summary in
+  check_bool "monitors attached" true (r.drift <> None);
   check_bool "the injected regression alarms" true (r.alarms <> []);
   List.iter
     (fun (a : Obs.Drift.alarm) ->
@@ -336,21 +339,39 @@ let test_loadgen_monitor_pages_after_degrade () =
         true
         (a.at_tick >= monitored_cfg.degrade_at))
     r.alarms;
-  check_contains "render" (Service.Loadgen.render r) "drift monitors";
+  check_contains "render" (Service.Loadgen.render result) "drift monitors";
   (* nonzero exit contract for the CLI: alarms imply a failed replay even
      if the SLO window has not breached yet *)
   check_bool "alarms present regardless of SLO" true
     (r.alarms <> [] || not (Obs.Slo.ok r.verdict))
 
 let test_loadgen_monitor_deterministic () =
-  let r1 = Lazy.force degraded in
-  let r2 = Service.Loadgen.run monitored_cfg mix in
-  Alcotest.(check string) "bit-identical monitored reports"
-    (Obs.Json.to_string (Service.Loadgen.report_json r1))
-    (Obs.Json.to_string (Service.Loadgen.report_json r2));
-  check_bool "identical alarm ticks" true
-    (List.map (fun (a : Obs.Drift.alarm) -> a.at_tick) r1.alarms
-    = List.map (fun (a : Obs.Drift.alarm) -> a.at_tick) r2.alarms)
+  let r1, bytes1 = Lazy.force degraded in
+  let r2, bytes2 = recorded_run monitored_cfg in
+  Alcotest.(check string) "bit-identical monitored artifacts" bytes1 bytes2;
+  let ticks (r : Service.Loadgen.result) =
+    List.map (fun (a : Obs.Drift.alarm) -> a.at_tick) r.summary.alarms
+  in
+  check_bool "identical alarm ticks" true (ticks r1 = ticks r2)
+
+(* Every report of the degraded replay, folded back from its artifact, is
+   byte-identical to the one the replay made live. *)
+let test_refold_equals_live () =
+  let result, bytes = Lazy.force degraded in
+  let live = result.Service.Loadgen.summary and back = refold bytes in
+  let ledger (s : Obs.Replay.summary) =
+    Obs.Json.to_string (Obs.Ledger.report_json (Obs.Ledger.report s.ledger))
+  in
+  Alcotest.(check string) "ledger report" (ledger live) (ledger back);
+  Alcotest.(check string) "slo verdict"
+    (Obs.Slo.render live.verdict)
+    (Obs.Slo.render back.verdict);
+  check_bool "slo report values" true (live.verdict = back.verdict);
+  check_bool "the replay alarmed" true (live.alarms <> []);
+  check_bool "drift alarms" true (live.alarms = back.alarms);
+  check_bool "serve counts" true (live.served = back.served);
+  check_int "errors" live.errors back.errors;
+  check_int "final tick" live.ticks back.ticks
 
 let test_loadgen_monitor_clean_run_silent () =
   let r =
@@ -358,7 +379,7 @@ let test_loadgen_monitor_clean_run_silent () =
       { monitored_cfg with degrade = 1.0; degrade_at = 0 }
       mix
   in
-  check_int "no alarms on a clean replay" 0 (List.length r.alarms)
+  check_int "no alarms on a clean replay" 0 (List.length r.summary.alarms)
 
 (* ---------------- doctor ---------------- *)
 
@@ -381,9 +402,54 @@ let base_entry =
 let find_code (r : Obs.Doctor.report) code =
   List.find_opt (fun (f : Obs.Doctor.finding) -> f.code = code) r.findings
 
-let diagnose_journal ?load entries =
+let diagnose_journal ?replay entries =
   Obs.Doctor.diagnose
-    { Obs.Doctor.no_inputs with journal = entries; load }
+    { Obs.Doctor.no_inputs with journal = entries; replay }
+
+(* A replay of [served] requests (serve name, count) over [classes]
+   request classes: one cheap warm-sized cost each, so no ledger finding
+   beyond the two infos fires. *)
+let synthetic_summary ?(classes = 1) served =
+  let header =
+    {
+      Obs.Replay.requests = 0;
+      seed = 0;
+      batch = 1;
+      error_rate = 0.0;
+      degrade = 1.0;
+      degrade_at = 0;
+      monitor = false;
+      width = 10;
+      buckets = 4;
+      slo = Obs.Slo.default_spec;
+      classes =
+        Array.init classes (fun i ->
+            {
+              Obs.Replay.label = Printf.sprintf "c%d" i;
+              dsl = "-";
+              key = "k";
+              run_id = None;
+              weight = 1;
+            });
+    }
+  in
+  let names = List.concat_map (fun (name, n) -> List.init n (fun _ -> name)) served in
+  Obs.Replay.fold header
+    (List.mapi
+       (fun t name ->
+         {
+           Obs.Replay.rq_tick = t;
+           rq_class = t mod classes;
+           rq_served = name;
+           rq_ok = true;
+           rq_mult = 1.0;
+           rq_costs = [ (Obs.Ledger.Lookup, 1e-5); (Obs.Ledger.Measure, 1e-4) ];
+         })
+       names)
+
+(* A quiet replay summary carrying [alarms]. *)
+let with_alarms alarms =
+  { (synthetic_summary [ ("hit:memory", 20) ]) with Obs.Replay.alarms }
 
 let test_doctor_healthy () =
   let r = Obs.Doctor.diagnose Obs.Doctor.no_inputs in
@@ -477,22 +543,17 @@ let test_doctor_surrogate_drift () =
     (find_code (diagnose_journal [ good ]) "DR012" = None)
 
 let test_doctor_cache_eviction () =
-  let load =
-    {
-      Obs.Doctor.slo = None;
-      alarms = [];
-      served = [ ("tuned", 5); ("hit:memory", 40) ];
-      load_classes = 2;
-    }
+  let replay =
+    synthetic_summary ~classes:2 [ ("tuned", 5); ("hit:memory", 40) ]
   in
-  (match find_code (diagnose_journal ~load []) "DR013" with
+  (match find_code (diagnose_journal ~replay []) "DR013" with
   | Some f ->
     check_bool "suspect" true (List.mem_assoc "cache-eviction" f.suspects);
     check_contains "detail" f.detail "5 cold tunes for 2 request classes"
   | None -> Alcotest.fail "expected DR013");
-  let ok_load = { load with Obs.Doctor.served = [ ("tuned", 2) ] } in
+  let replay = synthetic_summary ~classes:2 [ ("tuned", 2) ] in
   check_bool "tunes within class count stay silent" true
-    (find_code (diagnose_journal ~load:ok_load []) "DR013" = None)
+    (find_code (diagnose_journal ~replay []) "DR013" = None)
 
 let test_doctor_discarded_lines () =
   let r =
@@ -515,7 +576,8 @@ let test_doctor_alarm_attribution () =
   (* no journal-side cause: the critical finding falls back to a generic
      serving-regression suspect *)
   let r =
-    Obs.Doctor.diagnose { Obs.Doctor.no_inputs with extra_alarms = [ a ] }
+    Obs.Doctor.diagnose
+      { Obs.Doctor.no_inputs with replay = Some (with_alarms [ a ]) }
   in
   check_bool "critical" true (Obs.Doctor.has_critical r);
   (match find_code r "DR002" with
@@ -531,7 +593,7 @@ let test_doctor_alarm_attribution () =
       {
         Obs.Doctor.no_inputs with
         journal = [ e; slow_kernel_clone e ];
-        extra_alarms = [ a ];
+        replay = Some (with_alarms [ a ]);
       }
   in
   match find_code r "DR002" with
@@ -544,21 +606,18 @@ let test_doctor_alarm_attribution () =
     check_bool "stage carried onto the symptom" true (f.stage = Some "kernel")
   | None -> Alcotest.fail "expected DR002"
 
-let test_doctor_load_of_json_end_to_end () =
-  let r = Lazy.force degraded in
-  match Obs.Doctor.load_of_json (Service.Loadgen.report_json r) with
-  | Error e -> Alcotest.failf "load_of_json: %s" e
-  | Ok load ->
-    check_bool "slo parsed" true (load.Obs.Doctor.slo <> None);
-    check_int "alarms parsed" (List.length r.alarms)
-      (List.length load.Obs.Doctor.alarms);
-    check_int "classes counted" 2 load.Obs.Doctor.load_classes;
-    check_bool "served parsed" true
-      (List.mem_assoc "tuned" load.Obs.Doctor.served);
-    let report = diagnose_journal ~load [] in
-    check_bool "replay alarms surface as critical findings" true
-      (Obs.Doctor.has_critical report);
-    check_bool "DR002 present" true (find_code report "DR002" <> None)
+(* The degraded replay's artifact, read back, drives the doctor. *)
+let test_doctor_load_end_to_end () =
+  let live, bytes = Lazy.force degraded in
+  let replay = refold bytes in
+  check_int "alarms read back" (List.length live.Service.Loadgen.summary.alarms)
+    (List.length replay.alarms);
+  check_int "classes counted" 2 (Array.length replay.header.classes);
+  check_bool "served read back" true (List.mem_assoc "tuned" replay.served);
+  let report = diagnose_journal ~replay [] in
+  check_bool "replay alarms surface as critical findings" true
+    (Obs.Doctor.has_critical report);
+  check_bool "DR002 present" true (find_code report "DR002" <> None)
 
 let test_doctor_json_deterministic () =
   let e = Lazy.force base_entry in
@@ -567,7 +626,7 @@ let test_doctor_json_deterministic () =
       Obs.Doctor.no_inputs with
       journal = [ e; slow_kernel_clone e ];
       discarded = 1;
-      extra_alarms = [ fire_alarm () ];
+      replay = Some (with_alarms [ fire_alarm () ]);
     }
   in
   let dump () =
@@ -644,7 +703,6 @@ let suite =
       test_quantile_shift_down;
     Alcotest.test_case "quantile-shift: absorbs sketch error" `Quick
       test_quantile_shift_absorbs_sketch_error;
-    Alcotest.test_case "alarm json round-trip" `Quick test_alarm_json_roundtrip;
     Alcotest.test_case "registry semantics" `Quick test_registry;
     Alcotest.test_case "engine: self-watching monitors" `Quick
       test_engine_drift_monitors;
@@ -652,6 +710,8 @@ let suite =
       `Quick test_loadgen_monitor_pages_after_degrade;
     Alcotest.test_case "loadgen: monitored replay is deterministic" `Quick
       test_loadgen_monitor_deterministic;
+    Alcotest.test_case "replay: refold equals live" `Quick
+      test_refold_equals_live;
     Alcotest.test_case "loadgen: clean replay stays silent" `Quick
       test_loadgen_monitor_clean_run_silent;
     Alcotest.test_case "doctor: healthy inputs" `Quick test_doctor_healthy;
@@ -668,7 +728,7 @@ let suite =
     Alcotest.test_case "doctor: alarm attribution" `Quick
       test_doctor_alarm_attribution;
     Alcotest.test_case "doctor: loadgen report end-to-end" `Quick
-      test_doctor_load_of_json_end_to_end;
+      test_doctor_load_end_to_end;
     Alcotest.test_case "doctor: bit-identical json" `Quick
       test_doctor_json_deterministic;
     Alcotest.test_case "journal: first_divergence stages" `Quick

@@ -2,12 +2,12 @@
    reconciliation invariant (per-class phase costs sum to end-to-end
    latency), the span self-time telescoping property and a pinned
    two-domain accounts fixture (Obs.Trace.accounts), exemplar ring
-   semantics, bit-identical what-if rankings over a recorded replay, JSON
-   round-trips, the per-domain trace buffer cap, and the ledger-aware
-   doctor findings (DR040-DR043). *)
+   semantics, bit-identical what-if rankings over a recorded replay, the
+   per-domain trace buffer cap, and the ledger-aware doctor findings
+   (DR040-DR043). *)
 
 module L = Obs.Ledger
-module W = Obs.Whatif
+module R = Obs.Replay
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -222,63 +222,65 @@ let test_report_shares_and_dominant () =
   check_contains "render shares" rendered "measure";
   check_contains "render worst" rendered "worst:"
 
-let test_report_json_roundtrip () =
-  let l = L.create ~slot_width:5 () in
-  for t = 0 to 24 do
-    observe_simple ~label:"mm" ~run_id:"r1" l ~tick:t ~cls:L.Warm
-      (0.1 *. float_of_int (1 + (t mod 7)))
-  done;
-  L.observe l ~tick:25 ~cls:L.Cold ~ok:false ~latency_s:2.0
-    [ (L.Enumerate, 1.5); (L.Store, 0.5) ];
-  let rep = L.report l in
-  let j = L.report_json rep in
-  match L.report_of_json j with
-  | Error e -> Alcotest.fail ("report_of_json: " ^ e)
-  | Ok rep' ->
-    check_str "json round-trip is the identity on the document"
-      (Obs.Json.to_string j)
-      (Obs.Json.to_string (L.report_json rep'));
-    check_int "errors survive" 1 rep'.lr_errors;
-    check_bool "worst survives" true
-      (match rep'.lr_worst with Some e -> e.ex_tick = 25 | None -> false)
-
 (* ---------------- what-if ---------------- *)
+
+(* A one-class replay header over a [width]-tick window. *)
+let header ?(slo = Obs.Slo.default_spec) ?(label = "mm") ?run_id ~width () =
+  {
+    R.requests = 0;
+    seed = 0;
+    batch = 1;
+    error_rate = 0.0;
+    degrade = 1.0;
+    degrade_at = 0;
+    monitor = false;
+    width;
+    buckets = 4;
+    slo;
+    classes = [| { R.label; dsl = "-"; key = "k"; run_id; weight = 1 } |];
+  }
 
 let synthetic_records n =
   List.init n (fun i ->
       {
-        W.rq_tick = i;
-        rq_class = L.Warm;
+        R.rq_tick = i;
+        rq_class = 0;
+        rq_served = "hit:memory";
         rq_ok = true;
         rq_mult = 1.0 +. (0.1 *. float_of_int (i mod 3));
         rq_costs = [ (L.Lookup, 1e-4); (L.Measure, 9e-4) ];
       })
 
 let test_whatif_synthetic () =
-  let r = W.run ~width:10 ~buckets:4 (synthetic_records 50) in
+  let h = header ~width:10 () in
+  let r = R.whatif h (synthetic_records 50) in
   check_int "requests" 50 r.wr_requests;
   check_int "observed phases only" 2 (List.length r.wr_ranking);
-  check_bool "top is the dominant cost" true (W.top r = Some L.Measure);
+  check_bool "top is the dominant cost" true (R.top r = Some L.Measure);
   (match r.wr_ranking with
   | m :: l :: [] ->
     check_bool "ranking order" true
-      (m.W.en_phase = L.Measure && l.W.en_phase = L.Lookup);
+      (m.R.en_phase = L.Measure && l.R.en_phase = L.Lookup);
     check_bool "impacts ordered" true
-      (m.W.en_impact_p99_s >= l.W.en_impact_p99_s);
+      (m.R.en_impact_p99_s >= l.R.en_impact_p99_s);
     check_bool "speedups never hurt" true
       (List.for_all
          (fun e ->
-           List.for_all (fun s -> s.W.sc_delta_p99_s >= 0.0) e.W.en_scenarios)
+           List.for_all (fun s -> s.R.sc_delta_p99_s >= 0.0) e.R.en_scenarios)
          r.wr_ranking);
-    check_int "three factors per phase" 3 (List.length m.W.en_scenarios);
-    check_str "no slo, no verdict" "-" r.wr_baseline_verdict
+    check_int "three factors per phase" 3 (List.length m.R.en_scenarios);
+    check_str "verdict under the default spec" "ok" r.wr_baseline_verdict
   | _ -> Alcotest.fail "expected a two-entry ranking");
   Alcotest.check_raises "empty records"
-    (Invalid_argument "Whatif.run: no records") (fun () ->
-      ignore (W.run ~width:10 ~buckets:4 []));
-  Alcotest.check_raises "bad factor"
-    (Invalid_argument "Whatif.run: factors must be > 0") (fun () ->
-      ignore (W.run ~factors:[ 0.0 ] ~width:10 ~buckets:4 (synthetic_records 5)))
+    (Invalid_argument "Replay.whatif: no records") (fun () ->
+      ignore (R.whatif h []));
+  List.iter
+    (fun f ->
+      Alcotest.check_raises
+        (Printf.sprintf "bad factor %g" f)
+        (Invalid_argument "Replay.whatif: factors must be finite and > 0")
+        (fun () -> ignore (R.whatif ~factors:[ f ] h (synthetic_records 5))))
+    [ 0.0; -1.0; nan; infinity ]
 
 (* ---------------- recorded replay end-to-end ---------------- *)
 
@@ -302,54 +304,50 @@ let small_mix =
     { Service.Loadgen.mix_label = "tiny"; mix_dsl = tiny_dsl; weight = 1 };
   ]
 
-let recorded = lazy (Service.Loadgen.run ~record:true small_cfg small_mix)
+(* The small-mix replay, recorded through its artifact and read back. *)
+let recorded =
+  lazy
+    (let path = Filename.temp_file "replay" ".jsonl" in
+     let r =
+       Out_channel.with_open_bin path (fun out ->
+           Service.Loadgen.run ~out small_cfg small_mix)
+     in
+     let loaded = R.load path in
+     Sys.remove path;
+     match loaded with
+     | Ok (h, records) -> (r, h, records)
+     | Error e -> Alcotest.fail ("load: " ^ e))
 
 let test_replay_reconciles () =
-  let r = Lazy.force recorded in
-  check_int "one record per request" r.total (List.length r.records);
+  let r, _, records = Lazy.force recorded in
+  check_int "one record per request" r.summary.total (List.length records);
   List.iter
     (fun (cls, n, costs, lat) ->
       check_bool
         (Printf.sprintf "%s reconciles over %d requests" (L.class_name cls) n)
         true
         (abs_float (costs -. lat) <= 1e-9 *. Float.max 1.0 lat))
-    (L.reconcile r.ledger);
-  (* each record's scaled costs reproduce its observed latency exactly *)
+    (L.reconcile r.summary.ledger);
   List.iter
-    (fun (rq : W.record) ->
-      let base = List.fold_left (fun a (_, v) -> a +. v) 0.0 rq.rq_costs in
-      check_bool "record invariant" true (base *. rq.rq_mult > 0.0))
-    r.records
+    (fun rq -> check_bool "record invariant" true (R.latency rq > 0.0))
+    records
 
 let test_whatif_bit_identical () =
-  let r = Lazy.force recorded in
-  let report () =
-    Obs.Json.to_string
-      (W.report_json
-         (W.run ~slo:small_cfg.slo ~width:small_cfg.window_width
-            ~buckets:small_cfg.window_buckets r.records))
-  in
+  let _, h, records = Lazy.force recorded in
+  let report () = Obs.Json.to_string (R.whatif_json (R.whatif h records)) in
   let a = report () in
   check_str "two runs, one report" a (report ());
   (* the pinned decision: measurement dominates the serve path *)
-  let wr =
-    W.run ~slo:small_cfg.slo ~width:small_cfg.window_width
-      ~buckets:small_cfg.window_buckets r.records
-  in
-  check_bool "top phase pinned to measure" true (W.top wr = Some L.Measure)
+  check_bool "top phase pinned to measure" true
+    (R.top (R.whatif h records) = Some L.Measure)
 
-let test_ledger_file_roundtrip () =
-  let r = Lazy.force recorded in
-  let f = Service.Loadgen.ledger_file r in
-  let j = W.file_json f in
-  match W.file_of_json j with
-  | Error e -> Alcotest.fail ("file_of_json: " ^ e)
-  | Ok f' ->
-    check_int "records survive" (List.length f.f_records)
-      (List.length f'.f_records);
-    check_str "file round-trip is the identity on the document"
-      (Obs.Json.to_string j)
-      (Obs.Json.to_string (W.file_json f'))
+(* The ranking is the one the separate what-if replay loop gave before the
+   fold took its place, over the same small-mix replay. *)
+let test_whatif_ranking_pinned () =
+  let _, h, records = Lazy.force recorded in
+  check_str "what-if json digest" "03fc7ffc9ac8475e869c9f6320398689"
+    (Digest.to_hex
+       (Digest.string (Obs.Json.to_string (R.whatif_json (R.whatif h records)))))
 
 (* ---------------- trace buffer cap ---------------- *)
 
@@ -387,21 +385,28 @@ let test_trace_capacity () =
 let find_code (r : Obs.Doctor.report) code =
   List.find_opt (fun (f : Obs.Doctor.finding) -> f.code = code) r.findings
 
-let ledger_report_for_doctor ?(queue_share = 0.1) () =
-  let l = L.create ~slot_width:10 () in
-  for t = 0 to 19 do
-    let lat = if t = 13 then 4.0 else 1.0 in
-    let q = queue_share *. lat and rest = (1.0 -. queue_share) *. lat in
-    L.observe ~label:"mm" ~run_id:"run13" l ~tick:t ~cls:L.Cold ~ok:true
-      ~latency_s:lat
-      [ (L.Queue, q); (L.Measure, rest) ]
-  done;
-  L.report l
+(* Twenty cold requests of one class whose journal run is "run13"; tick
+   13 is a 4x spike. *)
+let summary_for_doctor ?(queue_share = 0.1) () =
+  let slo = { Obs.Slo.default_spec with latency_budget_s = 10.0 } in
+  R.fold
+    (header ~slo ~run_id:"run13" ~width:10 ())
+    (List.init 20 (fun t ->
+         let lat = if t = 13 then 4.0 else 1.0 in
+         {
+           R.rq_tick = t;
+           rq_class = 0;
+           rq_served = "tuned";
+           rq_ok = true;
+           rq_mult = 1.0;
+           rq_costs =
+             [ (L.Queue, queue_share *. lat); (L.Measure, (1.0 -. queue_share) *. lat) ];
+         }))
 
 let test_doctor_ledger_findings () =
-  let rep = ledger_report_for_doctor () in
   let r =
-    Obs.Doctor.diagnose { Obs.Doctor.no_inputs with ledger = Some rep }
+    Obs.Doctor.diagnose
+      { Obs.Doctor.no_inputs with replay = Some (summary_for_doctor ()) }
   in
   (match find_code r "DR040" with
   | Some f ->
@@ -416,10 +421,8 @@ let test_doctor_ledger_findings () =
   check_bool "healthy queue share stays silent" true
     (find_code r "DR041" = None);
   (* queue wait above 25% of modeled time pages as a capacity problem *)
-  let hot = ledger_report_for_doctor ~queue_share:0.4 () in
-  let r =
-    Obs.Doctor.diagnose { Obs.Doctor.no_inputs with ledger = Some hot }
-  in
+  let hot = summary_for_doctor ~queue_share:0.4 () in
+  let r = Obs.Doctor.diagnose { Obs.Doctor.no_inputs with replay = Some hot } in
   match find_code r "DR041" with
   | Some f ->
     check_bool "warning" true (f.severity = Obs.Doctor.Warning);
@@ -428,7 +431,7 @@ let test_doctor_ledger_findings () =
   | None -> Alcotest.fail "expected DR041"
 
 let test_doctor_ledger_bench_regression () =
-  let rep = ledger_report_for_doctor () in
+  let replay = summary_for_doctor () in
   (* the fixture's cold measure p99 is ~0.9 s (the single 3.6 s spike sits
      above the 99th percentile of 20 observations) *)
   let with_baseline q99 =
@@ -447,7 +450,7 @@ let test_doctor_ledger_bench_regression () =
         ]
     in
     Obs.Doctor.diagnose
-      { Obs.Doctor.no_inputs with ledger = Some rep; bench = Some bench }
+      { Obs.Doctor.no_inputs with replay = Some replay; bench = Some bench }
   in
   (match find_code (with_baseline 0.1) "DR042" with
   | Some f ->
@@ -467,14 +470,12 @@ let suite =
       test_exemplar_ring;
     Alcotest.test_case "ledger: shares and dominant" `Quick
       test_report_shares_and_dominant;
-    Alcotest.test_case "ledger: report json round-trip" `Quick
-      test_report_json_roundtrip;
     Alcotest.test_case "whatif: synthetic ranking" `Quick test_whatif_synthetic;
     Alcotest.test_case "replay: ledger reconciles" `Quick test_replay_reconciles;
     Alcotest.test_case "replay: what-if bit-identical, top pinned" `Quick
       test_whatif_bit_identical;
-    Alcotest.test_case "replay: ledger file round-trip" `Quick
-      test_ledger_file_roundtrip;
+    Alcotest.test_case "replay: what-if ranking pinned" `Quick
+      test_whatif_ranking_pinned;
     Alcotest.test_case "trace: buffer cap counts drops" `Quick
       test_trace_capacity;
     Alcotest.test_case "doctor: DR040/DR041/DR043 ledger findings" `Quick

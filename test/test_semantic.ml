@@ -351,6 +351,30 @@ let test_rank1_tune () =
         (Astring_contains.contains text "internal error"))
     [ "tune"; "cuda" ]
 
+(* A replay artifact of one request: [header] adjusts a valid header,
+   and [record] is the request line as written. *)
+let artifact ?(header = Fun.id) record =
+  let h =
+    {
+      Obs.Replay.requests = 1;
+      seed = 0;
+      batch = 1;
+      error_rate = 0.0;
+      degrade = 1.0;
+      degrade_at = 0;
+      monitor = false;
+      width = 10;
+      buckets = 2;
+      slo = Obs.Slo.default_spec;
+      classes = [| { label = "mm"; dsl = matmul_src; key = "k"; run_id = None; weight = 1 } |];
+    }
+  in
+  let path = Filename.temp_file "barracuda" ".jsonl" in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Obs.Replay.header_line (header h));
+      output_string oc record);
+  path
+
 (* User errors - malformed input, an unknown run id, a missing input, a
    program given beside --tcr or --net, a generated network below its
    shape's minimum size - exit 1 with a one-line "barracuda: " message,
@@ -360,6 +384,16 @@ let test_user_errors_exit_1 () =
   let empty = Filename.temp_file "barracuda" ".tc" in
   let not_json = Filename.temp_file "barracuda" ".json" in
   Out_channel.with_open_bin not_json (fun oc -> output_string oc "not json\n");
+  let record tick =
+    Printf.sprintf
+      "{\"tick\":%d,\"class\":0,\"served\":\"tuned\",\"ok\":true,\"mult\":1,\"costs\":[]}\n"
+      tick
+  in
+  let torn = artifact "{\"tick\":0,\"cla" in
+  let negative_tick = artifact (record (-1)) in
+  let bad_spec slo = artifact ~header:(fun h -> { h with slo = slo h.slo }) (record 0) in
+  let bad_percentile = bad_spec (fun s -> { s with latency_p = 150.0 }) in
+  let no_short_window = bad_spec (fun s -> { s with short_epochs = 0 }) in
   let journal = Filename.temp_file "barracuda" ".jsonl" in
   List.iter
     (fun args ->
@@ -378,7 +412,14 @@ let test_user_errors_exit_1 () =
       "slo " ^ q not_json;
       "ledger " ^ q not_json;
       "whatif " ^ q not_json;
-      "doctor --slo " ^ q not_json;
+      "doctor --load " ^ q not_json;
+      "slo " ^ q torn;
+      "ledger " ^ q torn;
+      "whatif " ^ q torn;
+      "doctor --load " ^ q torn;
+      "slo " ^ q negative_tick;
+      "slo " ^ q bad_percentile;
+      "slo " ^ q no_short_window;
       "explain --journal " ^ q journal ^ " nosuchrun";
       "replay --journal " ^ q journal ^ " nosuchrun";
       "tcr --variant 99 -e " ^ q matmul_src;
@@ -392,7 +433,11 @@ let test_user_errors_exit_1 () =
       "net --gen ring -n 2";
       "net --gen power -n 2";
     ];
-  List.iter Sys.remove [ empty; not_json; journal ]
+  (* a torn artifact names its torn line *)
+  let _, text = run_cli ("slo " ^ q torn) in
+  check_bool "torn line named" true (Astring_contains.contains text "line 2:");
+  List.iter Sys.remove
+    [ empty; not_json; torn; negative_tick; bad_percentile; no_short_window; journal ]
 
 (* A numeric flag below its bound is a usage error (exit 124) that names
    the bound, never an uncaught exception. The loadgen cases fail while
@@ -425,6 +470,35 @@ let test_numeric_flags_bounded () =
         (loadgen, "window-buckets", 0, 1);
         (loadgen, "frames", -1, 0);
       ]);
+  (* a float flag outside its range: the message may wrap, so compare
+     whitespace-normalised text *)
+  let words text =
+    String.split_on_char '\n' text
+    |> List.concat_map (String.split_on_char ' ')
+    |> List.filter (( <> ) "")
+    |> String.concat " "
+  in
+  List.iter
+    (fun (args, flag, value, bound) ->
+      let code, text = run_cli (Printf.sprintf "%s --%s=%s" args flag value) in
+      check_int (args ^ " --" ^ flag ^ "=" ^ value ^ ": exit 124") 124 code;
+      check_bool (flag ^ "=" ^ value ^ ": names the bound") true
+        (Astring_contains.contains (words text)
+           (Printf.sprintf "%s is not %s" value bound));
+      check_bool (flag ^ "=" ^ value ^ ": no internal error") false
+        (Astring_contains.contains text "internal error"))
+    [
+      (loadgen, "degrade", "nan", "> 0");
+      (loadgen, "degrade", "-1", "> 0");
+      (loadgen, "p99-budget", "nan", "finite and >= 0");
+      (loadgen, "p99-budget", "inf", "finite and >= 0");
+      (loadgen, "error-rate", "-1", "in [0, 1]");
+      (loadgen, "error-objective", "1.5", "in [0, 1]");
+      ("whatif", "factors", "0", "finite and > 0");
+      ("whatif", "factors", "nan", "finite and > 0");
+      ("whatif", "factors", "-1", "finite and > 0");
+      ("whatif", "factors", "inf", "finite and > 0");
+    ];
   Sys.remove journal
 
 (* The commands of the usage screen: the lines between "commands:" and
@@ -492,6 +566,52 @@ let test_cli_one_command_per_job () =
       check_bool (cmd ^ ": not listed") false (List.mem cmd listed))
     [ "trace"; "profile"; "dash" ];
   List.iter Sys.remove [ profile; trace; journal ]
+
+(* One loadgen replay records one artifact, and every replay reader takes
+   it: slo, ledger (with its Prometheus exposition), whatif and doctor
+   --load. An infinitely degraded replay pages, live and read back. *)
+let test_cli_replay_readers () =
+  let q = Filename.quote in
+  let tmp ext = Filename.temp_file "barracuda" ext in
+  let journal = tmp ".jsonl" and load = tmp ".jsonl" and prom = tmp ".prom" in
+  let inf_load = tmp ".jsonl" in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let code, _ =
+    run_cli ("tune -e " ^ q matmul_src ^ " --evals 8 --journal " ^ q journal)
+  in
+  check_int "journaled tune: exit 0" 0 code;
+  let code, _ =
+    run_cli ("loadgen --journal " ^ q journal ^ " --requests 400 --out " ^ q load)
+  in
+  check_int "loadgen --out: exit 0" 0 code;
+  let code, text = run_cli ("slo " ^ q load) in
+  check_int "slo: exit 0" 0 code;
+  check_bool "slo: verdict" true (Astring_contains.contains text "SLO serving @ tick 399");
+  let code, text = run_cli ("ledger " ^ q load ^ " --prom-out " ^ q prom) in
+  check_int "ledger --prom-out: exit 0" 0 code;
+  check_bool "ledger: report" true (Astring_contains.contains text "ledger: 400 requests");
+  let exposition = read prom in
+  check_bool "prom: request counter" true
+    (Astring_contains.contains exposition "barracuda_ledger_requests_total 400");
+  check_bool "prom: a phase histogram" true
+    (Astring_contains.contains exposition "# TYPE barracuda_phase_cold_measure_seconds histogram");
+  let code, text = run_cli ("whatif " ^ q load ^ " --expect-top measure") in
+  check_int "whatif: exit 0" 0 code;
+  check_bool "whatif: ranking" true
+    (Astring_contains.contains text "what-if over 400 recorded requests");
+  let code, text = run_cli ("doctor --journal " ^ q journal ^ " --load " ^ q load) in
+  check_int "doctor --load: exit 0" 0 code;
+  check_bool "doctor: ledger findings" true (Astring_contains.contains text "DR040");
+  let code, text =
+    run_cli
+      ("loadgen --journal " ^ q journal ^ " --requests 100 --degrade=inf --out "
+     ^ q inf_load)
+  in
+  check_int "degrade=inf: exit 1" 1 code;
+  check_bool "degrade=inf: p99 pages" true (Astring_contains.contains text "[PAGE] p99 page");
+  let code, _ = run_cli ("slo " ^ q inf_load) in
+  check_int "degrade=inf read back: slo exit 1" 1 code;
+  List.iter Sys.remove [ journal; load; prom; inf_load ]
 
 (* ---------------- symbolic access analysis ---------------- *)
 
@@ -662,6 +782,8 @@ let suite =
     Alcotest.test_case "cli: user errors exit 1" `Quick test_user_errors_exit_1;
     Alcotest.test_case "cli: numeric flags are bounded" `Quick test_numeric_flags_bounded;
     Alcotest.test_case "cli: one command per job" `Quick test_cli_one_command_per_job;
+    Alcotest.test_case "cli: every replay reader takes the artifact" `Quick
+      test_cli_replay_readers;
     Alcotest.test_case "access: clean summary" `Quick test_access_summary_clean;
     Alcotest.test_case "gate: fixed-seed tune proves its winner" `Quick
       test_semantic_gate_proves_winner;

@@ -315,20 +315,16 @@ let test_slo_alert_order () =
   | first :: _ -> check_bool "worst first" true (first.severity = Obs.Slo.Page)
   | [] -> Alcotest.fail "no alerts"
 
-let test_slo_json_roundtrip () =
-  let w =
-    filled_window 80 (fun t -> ((if t < 70 then 0.05 else 1e-4), t mod 7 <> 0))
-  in
+(* An infinite p99 is over any budget; the NaN p99 of an empty window is
+   not. *)
+let test_slo_infinite_p99 () =
+  let w = filled_window 80 (fun _ -> (infinity, true)) in
   let r = Obs.Slo.evaluate spec w ~now:79 in
-  (match Obs.Slo.of_json (Obs.Slo.to_json r) with
-  | Ok r' -> check_bool "value round-trip" true (r = r')
-  | Error msg -> Alcotest.fail msg);
-  (* and through the printer/parser, which keeps doubles exact (%.17g) *)
-  match
-    Obs.Slo.of_json (Obs.Json.parse_exn (Obs.Json.to_string (Obs.Slo.to_json r)))
-  with
-  | Ok r' -> check_bool "string round-trip" true (r = r')
-  | Error msg -> Alcotest.fail msg
+  check_bool "infinite latency pages" true (severity_of r "latency" = Obs.Slo.Page);
+  check_bool "not ok" false (Obs.Slo.ok r);
+  let r = Obs.Slo.evaluate spec (filled_window 0 (fun _ -> (0.0, true))) ~now:79 in
+  check_bool "empty window stays ok" true (severity_of r "latency" = Obs.Slo.Ok);
+  check_bool "ok" true (Obs.Slo.ok r)
 
 (* ---------------- metrics (bounded registry) ---------------- *)
 
@@ -501,16 +497,25 @@ let small_mix =
     { Service.Loadgen.mix_label = "tiny"; mix_dsl = tiny_dsl; weight = 1 };
   ]
 
-let test_loadgen_replay_deterministic () =
-  let report cfg =
-    Obs.Json.to_string (Service.Loadgen.report_json (Service.Loadgen.run cfg small_mix))
+let test_artifact_deterministic () =
+  let artifact cfg =
+    let path = Filename.temp_file "replay" ".jsonl" in
+    Out_channel.with_open_bin path (fun out ->
+        ignore (Service.Loadgen.run ~out cfg small_mix));
+    let bytes = In_channel.with_open_bin path In_channel.input_all in
+    Sys.remove path;
+    bytes
   in
-  Alcotest.(check string) "bit-identical reports" (report small_cfg) (report small_cfg);
+  let a = artifact small_cfg in
+  check_int "a header and one line per request" 601
+    (List.length (String.split_on_char '\n' (String.trim a)));
+  Alcotest.(check string) "bit-identical artifacts" a (artifact small_cfg);
   check_bool "seed changes the replay" true
-    (report small_cfg <> report { small_cfg with seed = small_cfg.seed + 1 })
+    (a <> artifact { small_cfg with seed = small_cfg.seed + 1 })
 
 let test_loadgen_result_shape () =
-  let r = Service.Loadgen.run small_cfg small_mix in
+  let res = Service.Loadgen.run small_cfg small_mix in
+  let r = res.summary in
   check_int "all requests replayed" 600 r.total;
   check_int "final tick" 599 r.ticks;
   check_int "every request served" 600
@@ -525,9 +530,9 @@ let test_loadgen_result_shape () =
   List.iter
     (fun (name, _) ->
       check_bool "timer storage capped" true
-        (List.length (Service.Metrics.observations r.metrics name)
+        (List.length (Service.Metrics.observations res.metrics name)
         <= Service.Metrics.raw_sample_cap))
-    (Service.Metrics.summaries r.metrics)
+    (Service.Metrics.summaries res.metrics)
 
 let test_loadgen_violation_pages () =
   let cfg =
@@ -537,14 +542,14 @@ let test_loadgen_violation_pages () =
     }
   in
   let r = Service.Loadgen.run cfg small_mix in
-  check_bool "impossible budget pages" false (Obs.Slo.ok r.verdict);
+  check_bool "impossible budget pages" false (Obs.Slo.ok r.summary.verdict);
   let out = Service.Loadgen.render r in
   check_contains "render names the page" out "PAGE"
 
 let test_loadgen_degrade_regression () =
   (* a 10^4x latency regression must breach the default 5ms p99 budget *)
   let r = Service.Loadgen.run { small_cfg with degrade = 1e4 } small_mix in
-  check_bool "degraded replay pages" false (Obs.Slo.ok r.verdict)
+  check_bool "degraded replay pages" false (Obs.Slo.ok r.summary.verdict)
 
 let test_loadgen_validation () =
   Alcotest.check_raises "empty mix"
@@ -629,8 +634,7 @@ let suite =
     Alcotest.test_case "slo: latency ticket" `Quick test_slo_latency_ticket;
     Alcotest.test_case "slo: error-budget page" `Quick test_slo_error_page;
     Alcotest.test_case "slo: worst alert first" `Quick test_slo_alert_order;
-    Alcotest.test_case "slo: report json round-trip" `Quick
-      test_slo_json_roundtrip;
+    Alcotest.test_case "slo: infinite p99 pages" `Quick test_slo_infinite_p99;
     Alcotest.test_case "metrics: exact below the cap" `Quick
       test_metrics_exact_below_cap;
     Alcotest.test_case "metrics: bounded beyond the cap" `Quick
@@ -649,8 +653,8 @@ let suite =
       test_legacy_prometheus_help;
     Alcotest.test_case "export: sketch health gauges" `Quick
       test_prometheus_sketch_health_gauges;
-    Alcotest.test_case "loadgen: deterministic replay" `Quick
-      test_loadgen_replay_deterministic;
+    Alcotest.test_case "replay: artifact bytes are deterministic" `Quick
+      test_artifact_deterministic;
     Alcotest.test_case "loadgen: result shape and bounded memory" `Quick
       test_loadgen_result_shape;
     Alcotest.test_case "loadgen: impossible budget pages" `Quick
