@@ -44,7 +44,7 @@ type result = {
   (* what the static pre-evaluation gate saw; empty when it was off *)
   semantic : Check.Semantic.verdict option;
   (* translation validation of the winner; None when the semantic gate was
-     off or the DSL oracle's cost exceeded Check.Semantic.gate_budget *)
+     off or Check.Semantic.cost exceeded Check.Semantic.gate_budget *)
 }
 
 let benchmark_of_dsl ~label src =
@@ -291,9 +291,9 @@ let tune ?(strategy = Surf_search Surf.Search.default_config) ?(reps = 100)
         (String.concat "." (List.map string_of_int best.variant_ids)));
   (* Translation validation of the winner, after the search settled: runs
      with its own fixed seed and draws nothing from the tuner RNG, so it
-     cannot move a fixed-seed search. Skipped (None) above the DSL
-     oracle's cost budget - the naive einsum is the spec, so its cost is
-     irreducible. *)
+     cannot move a fixed-seed search. Skipped (None) above the budget on
+     Semantic.cost, which stands in for the kernel walk, the one full-size
+     evaluation validation still makes. *)
   let semantic =
     if Check.Semantic.cost b.statements > Check.Semantic.gate_budget then begin
       Log.debug (fun m ->

@@ -45,7 +45,7 @@ type result = {
           restored from an artifact *)
   semantic : Check.Semantic.verdict option;
       (** translation validation of the winner ({!Check.Semantic.validate});
-          [None] when the DSL oracle's cost exceeded
+          [None] when {!Check.Semantic.cost} exceeded
           {!Check.Semantic.gate_budget} or the result was restored from an
           artifact *)
 }
@@ -105,7 +105,7 @@ exception Empty_space of string
     ({!Check.Semantic.validate}) on the winner after the search settles,
     with its own fixed seed - no draws from the tuner RNG. The verdict
     lands in the result and (as [semantic_ok]) in the journal entry;
-    validation is skipped when the DSL oracle's cost exceeds
+    validation is skipped when {!Check.Semantic.cost} exceeds
     {!Check.Semantic.gate_budget}.
 
     [journal_key], [journal_seed] and [journal_net] annotate the

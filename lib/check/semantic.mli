@@ -2,32 +2,40 @@
     contraction.
 
     Each stage of a tuned candidate's lineage (dsl -> variant -> tcr ->
-    recipe -> kernel) denotes a polynomial in the input tensor entries;
-    the stages are evaluated on uniformly random points of F_p
-    (p = 2^31 - 1) and compared exactly (Schwartz-Zippel: distinct
-    polynomials of degree d agree with probability at most d/p per
-    round, so a false "equivalent" is astronomically unlikely and a false
-    "different" is impossible). Each round evaluates each distinct
-    reference computation once: reference stages whose ops agree on
-    output, factors and the multiset of loop indices (F_p sums commute
-    exactly) read one evaluation's arrays. The kernel stage is always
-    evaluated: it is the prime-field instance of {!Codegen.Exec.walk}, the
-    interpreter float execution runs too - grid/block loops, unrolling
-    with epilogue, scalar replacement - with addresses formed from the
-    kernel's own extents table and bounds-checked, so stride corruption
-    surfaces instead of being normalized away.
+    recipe -> kernel) denotes a polynomial in the input tensor entries.
+    Each round draws the inputs uniformly from F_p (p = 2^31 - 1) and, from
+    a generator of its own, one vector r_a per axis of every output, and
+    compares the stages' fingerprints [sum_x C[x] * prod_a r_a[x_a]] of
+    every output [C] (Freivalds' check). Two stages' fingerprints differ by
+    a polynomial of degree at most the number of factors plus the output
+    rank, so by Schwartz-Zippel a false "equivalent" has probability at
+    most d/p per round, and a false "different" is impossible. The
+    reference stages never form an output that none of their ops reads:
+    each op adds its share of the fingerprint directly. The kernel stage
+    is the prime-field instance of {!Codegen.Exec.walk}, the interpreter
+    float execution runs too - grid/block loops, unrolling with epilogue,
+    scalar replacement - with addresses formed from the kernel's own
+    extents table and bounds-checked, so stride corruption surfaces
+    instead of being normalized away; its outputs are fingerprinted after
+    the walk. When fingerprints differ and {!cost} fits {!gate_budget}, the
+    two stages are evaluated element by element so that the diagnostic
+    names the first element that differs.
 
     Codes name the earliest stage that stopped agreeing with its parent:
     BAR060 variant vs dsl, BAR061 tcr vs variant, BAR062 recipe vs tcr,
     BAR063 kernel vs recipe (including out-of-bounds), BAR064 evaluation
-    aborted before comparison. *)
+    aborted before comparison (including a reference whose shape is not
+    its tensor's). *)
 
 val default_rounds : int
 val default_seed : int
 
-(** Points the DSL einsum oracle iterates per round (saturating). The
-    naive einsum is the spec, so this cost is irreducible; gates skip
-    validation when it exceeds {!gate_budget}. *)
+(** Points the naive einsum of the statements iterates (saturating).
+    Validation no longer runs that nest, but it still walks every kernel
+    over its full output, so this stands in for the kernel walk, the one
+    full-size evaluation left, until the gate is priced by that walk
+    itself. Gates skip validation when it exceeds {!gate_budget}, and
+    above it a mismatch is reported by its fingerprints. *)
 val cost : Octopi.Contraction.t list -> int
 
 (** Largest {!cost} the tuner's semantic gate will validate (the O(n^10)
@@ -39,8 +47,8 @@ type verdict = {
   failed_stage : string option;  (** earliest non-equivalent stage *)
   rounds_run : int;
   stages : (string * string) list;
-      (** per-stage output digest from the first round, in pipeline order
-          (the [check --diff] view) *)
+      (** per-stage digest of the first round's output fingerprints, in
+          pipeline order (the [check --diff] view) *)
   diags : Diag.t list;
 }
 

@@ -346,9 +346,16 @@ let check_ledger_exemplar ledger =
               (Ledger.class_name e.Ledger.ex_class)
               e.Ledger.ex_latency_s
               (Ledger.phase_name e.Ledger.ex_phase)
-              (match e.Ledger.ex_label with
-              | Some l -> spf " (key %s)" l
-              | None -> "")
+              (* the label names the program, the key prefix its class *)
+              (match
+                 List.filter_map Fun.id
+                   [
+                     e.Ledger.ex_label;
+                     Option.map (fun k -> "key " ^ Journal.short k) e.Ledger.ex_key;
+                   ]
+               with
+              | [] -> ""
+              | parts -> spf " (%s)" (String.concat ", " parts))
               (match e.Ledger.ex_run_id with
               | Some id ->
                 spf " - inspect with: explain %s / history --since %s"

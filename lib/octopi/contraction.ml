@@ -83,7 +83,33 @@ let of_stmt ~extents (stmt : Ast.stmt) =
     extents;
   }
 
-let of_program (p : Ast.program) = List.map (of_stmt ~extents:p.extents) p.stmts
+(* Every tensor name has one shape across the program: a factor read with
+   two shapes would be read past its allocation, and a tensor written with
+   one shape and read with another cannot be laid out at all. The program's
+   extents are global, so an index shared by two references has one
+   extent. *)
+let check_shapes statements =
+  let seen = ref [] in
+  let see t name indices =
+    match List.find_opt (fun (n, _, _) -> String.equal n name) !seen with
+    | None -> seen := (name, indices, t) :: !seen
+    | Some (_, first, t0) ->
+      let same a b = String.equal a b || extent t0 a = extent t b in
+      if not (List.compare_lengths first indices = 0 && List.for_all2 same first indices) then
+        let show t indices =
+          "[" ^ String.concat "x" (List.map (fun i -> string_of_int (extent t i)) indices) ^ "]"
+        in
+        invalid "tensor %s is used with shapes %s and %s" name (show t0 first) (show t indices)
+  in
+  List.iter
+    (fun t ->
+      see t t.output t.output_indices;
+      List.iter (fun (f : Ast.tensor_ref) -> see t f.name f.indices) t.factors)
+    statements;
+  statements
+
+let of_program (p : Ast.program) =
+  check_shapes (List.map (of_stmt ~extents:p.extents) p.stmts)
 
 (* Flop count of the naive single-loop-nest evaluation: one (k-1)-multiply /
    one-add chain per point of the full iteration space. *)

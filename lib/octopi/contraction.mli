@@ -12,7 +12,8 @@ type t = {
 }
 
 (** Raised by {!of_program} on malformed statements (repeated or phantom
-    output indices, diagonal factors, inconsistent summation lists, ...). *)
+    output indices, diagonal factors, inconsistent summation lists, a
+    tensor used with two shapes, ...). *)
 exception Invalid of string
 
 (** Extent of an index; raises {!Invalid} if unknown. *)

@@ -418,6 +418,28 @@ let test_doctor_ledger_findings () =
     check_contains "exemplar jump" f.detail "explain ";
     check_contains "names the run" f.detail "run13"
   | None -> Alcotest.fail "expected DR043");
+  (* two classes under one label: the finding tells them apart by the
+     slower class's key prefix *)
+  let h = header ~label:"tc" ~width:10 () in
+  let cls key = { (h.classes.(0)) with R.key } in
+  let h = { h with classes = [| cls "aaaaaaaaaaaaaaaa"; cls "bbbbbbbbbbbbbbbb" |] } in
+  let shared =
+    R.fold h
+      (List.init 20 (fun t ->
+           {
+             R.rq_tick = t;
+             rq_class = t mod 2;
+             rq_served = "tuned";
+             rq_ok = true;
+             rq_mult = 1.0;
+             rq_costs = [ (L.Measure, if t = 13 then 4.0 else 1.0) ];
+           }))
+  in
+  (match
+     find_code (Obs.Doctor.diagnose { Obs.Doctor.no_inputs with replay = Some shared }) "DR043"
+   with
+  | Some f -> check_contains "slower class's key" f.detail "(tc, key bbbbbbbbbbbb)"
+  | None -> Alcotest.fail "expected DR043 for the shared label");
   check_bool "healthy queue share stays silent" true
     (find_code r "DR041" = None);
   (* queue wait above 25% of modeled time pages as a capacity problem *)

@@ -32,10 +32,9 @@ let validate ?rounds ?mutate_kernel src label =
 
 (* ---------------- translation validation ---------------- *)
 
-(* Stage digests at the default rounds and seed. A stage that agrees with
-   its parent over the same output names takes the parent's digest; the
-   pinned bytes show it is the digest a fresh one would give. *)
-let mm_digest = "46ef140b6e1582da2e88d9fcc7fbfee6"
+(* Stage digests at the default rounds and seed: the MD5 of a stage's
+   round-1 output fingerprints, so stages that agree share a digest. *)
+let mm_digest = "5e92ea6e8452efd5ceff4cfe9aa56783"
 
 let stage_digests = Alcotest.(check (list (pair string string)))
 
@@ -48,7 +47,7 @@ let test_matmul_equivalent () =
     v.stages
 
 (* Two statements accumulating into C list C twice at dsl and variant but
-   once from tcr on: the stages agree, yet tcr is digested fresh. *)
+   once from tcr on: the stages agree, yet their digests differ. *)
 let test_digest_when_names_differ () =
   let src =
     "dims: i=4 j=3 k=5\n\
@@ -57,7 +56,7 @@ let test_digest_when_names_differ () =
   in
   let v = validate src "acc" in
   check_bool "equivalent" true v.Check.Semantic.equivalent;
-  let twice = "db0c0a2427d7fdce0771b07ac3b67c55" and once = "397849c0ffade20dfeaa6c700c5b45df" in
+  let twice = "eada83a48462c29958f3a93b1e70d647" and once = "54f19fec36da0055180715204d175d9a" in
   stage_digests "C;C then C"
     [ ("dsl", twice); ("variant", twice); ("tcr", once); ("recipe", once); ("kernel", once) ]
     v.stages
@@ -127,7 +126,8 @@ let test_rounds_must_be_positive () =
     [ 0; -3 ]
 
 (* An NWChem triples kernel's five stages agree, pinned: the reference
-   stages share one evaluation per round, the kernel walk is its own. *)
+   stages fingerprint an output they never form, the kernel stage the one
+   its walk forms. *)
 let test_nwchem_d1_stage_digests () =
   let b = Benchsuite.Nwchem.benchmark ~n:4 Benchsuite.Nwchem.D1 ~index:1 in
   let c = List.hd (Autotune.Tuner.variant_choices b) in
@@ -138,15 +138,14 @@ let test_nwchem_d1_stage_digests () =
   check_bool "equivalent" true v.equivalent;
   stage_digests "five stages, pinned"
     (List.map
-       (fun s -> (s, "c1f2a8daaeb580e4c0873fff6a20dc25"))
+       (fun s -> (s, "ce78b71c22cb452aa64d6ed9c2d0bfd5"))
        [ "dsl"; "variant"; "tcr"; "recipe"; "kernel" ])
     v.stages
 
-(* A recipe that maps j twice (tx = bx = j) iterates j twice: its loop
-   indices, sorted with duplicates kept, differ from the tcr program's, so
-   it is evaluated on its own and still fails at the recipe stage. A key
-   that dropped duplicates would share tcr's arrays and move the failure
-   to the kernel stage. *)
+(* A recipe that maps j twice (tx = bx = j) iterates j twice, so it adds
+   every point once per value of j and fails at the recipe stage. Its
+   fingerprint differs from tcr's, and the element-wise pass that follows
+   names the first element that differs. *)
 let test_duplicated_index_fails_at_recipe () =
   let src = "dims: i=4 j=3 k=5\nC[i j] = Sum([k], A[i k] * B[k j])" in
   let b, c, points = first_candidate src "mm" in
@@ -162,13 +161,13 @@ let test_duplicated_index_fails_at_recipe () =
       ~ir:c.Autotune.Tuner.v_ir ~points
   in
   Alcotest.(check (option string)) "failed at recipe" (Some "recipe") v.failed_stage;
-  let shared = "4beb8174e1a4843c1b930884612dc6ae" in
-  stage_digests "recipe digested fresh"
+  let agreed = "5ceef50b744456d255587733bba14c77" in
+  stage_digests "recipe digest differs"
     [
-      ("dsl", shared);
-      ("variant", shared);
-      ("tcr", shared);
-      ("recipe", "6bc755fe0d40b273564d06d2d60d9810");
+      ("dsl", agreed);
+      ("variant", agreed);
+      ("tcr", agreed);
+      ("recipe", "2c13c542b5d2708c8e6e67b952b25b50");
     ]
     v.stages;
   Alcotest.(check (list string)) "one BAR062"
@@ -197,6 +196,101 @@ let test_tcr_corruption_is_bar061 () =
   check_bool "not equivalent" false v.Check.Semantic.equivalent;
   check_bool "BAR061" true (has_code "BAR061" v.diags);
   Alcotest.(check (option string)) "failed at tcr" (Some "tcr") v.failed_stage
+
+(* Eqn.(1) at n = 4: its first variant writes two temporaries, s1_T1[j k
+   l m] = A[l k] * B[m j] and s1_T2[i l m] = C[n i] * U[l m n], that V's op
+   reads. Dropping a factor of the first temporary's op, or swapping two
+   indices of V's first temporary reference, is a TCR bug: the tcr stage
+   forms the temporaries, and the BAR061 names the first element of V that
+   differs. *)
+let test_tcr_temporary_injections () =
+  let src =
+    "dims: i=4 j=4 k=4 l=4 m=4 n=4\n\
+     V[i j k] = Sum([l m n], A[l k] * B[m j] * C[n i] * U[l m n])"
+  in
+  let b, c, points = first_candidate src "eqn1" in
+  let ir = c.Autotune.Tuner.v_ir in
+  let is_temp name = List.exists (fun (v : Tcr.Ir.var) -> v.name = name) (Tcr.Ir.temps ir) in
+  (* rewrite the first element of [l] that [hit] selects *)
+  let rec first hit f = function
+    | x :: rest when hit x -> f x :: rest
+    | x :: rest -> x :: first hit f rest
+    | [] -> Alcotest.fail "no injection site"
+  in
+  let drop_factor ops =
+    first
+      (fun (op : Tcr.Ir.op) -> is_temp op.out)
+      (fun op -> { op with factors = List.tl op.factors })
+      ops
+  in
+  let swap_temp_ref ops =
+    first
+      (fun (op : Tcr.Ir.op) -> List.exists (fun (name, _) -> is_temp name) op.factors)
+      (fun op ->
+        let swap (name, dims) =
+          match dims with a :: b :: rest -> (name, b :: a :: rest) | _ -> (name, dims)
+        in
+        { op with factors = first (fun (name, _) -> is_temp name) swap op.factors })
+      ops
+  in
+  List.iter
+    (fun (what, inject) ->
+      let ir = { ir with Tcr.Ir.ops = inject ir.ops } in
+      let v =
+        Check.Semantic.validate ~label:"eqn1" b.statements ~variant_ids:c.Autotune.Tuner.ids
+          ~ir ~points
+      in
+      Alcotest.(check (option string)) (what ^ ": failed at tcr") (Some "tcr") v.failed_stage;
+      match v.diags with
+      | [ d ] ->
+        Alcotest.(check string) (what ^ ": BAR061") "BAR061" d.code;
+        check_bool (what ^ ": names an element of V") true
+          (Astring_contains.contains d.message "tcr stage disagrees with its parent on V[")
+      | ds -> Alcotest.failf "%s: expected one diagnostic, got %d" what (List.length ds))
+    [ ("drop a factor", drop_factor); ("swap a temporary's indices", swap_temp_ref) ]
+
+(* Above the gate budget a mismatch is reported by its fingerprints: at
+   n = 13 Eqn.(1)'s naive einsum iterates 13^6 points, more than the
+   budget, so swap-index names the output and both fingerprints instead of
+   evaluating the stages element by element. *)
+let test_mismatch_above_budget () =
+  let src =
+    "dims: i=13 j=13 k=13 l=13 m=13 n=13\n\
+     V[i j k] = Sum([l m n], A[l k] * B[m j] * C[n i] * U[l m n])"
+  in
+  let b, c, points = first_candidate src "eqn1" in
+  check_bool "over budget" true (Check.Semantic.cost b.statements > Check.Semantic.gate_budget);
+  let mutate_kernel k = fst (Check.Mutate.apply Check.Mutate.Swap_factor_indices k) in
+  let v =
+    Check.Semantic.validate ~mutate_kernel ~label:"eqn1" b.statements
+      ~variant_ids:c.Autotune.Tuner.ids ~ir:c.Autotune.Tuner.v_ir ~points
+  in
+  Alcotest.(check (list string)) "one BAR063 naming the fingerprints"
+    [
+      "[BAR063] error (semantic) eqn1: kernel stage disagrees with its parent on V: \
+       fingerprint 1944452249 vs 1706612521 (mod 2147483647, round 1 of 2)";
+    ]
+    (List.map Check.Diag.render v.diags)
+
+(* A reference read with a shape other than its tensor's (only a hand-built
+   program can have one: the front end rejects a tensor used with two
+   shapes) aborts its stage instead of reading past the allocation. *)
+let test_reference_shape_aborts () =
+  let src = "dims: i=3 j=5 k=7\nC[i j] = Sum([k], A[i k] * B[k j])" in
+  let b, c, points = first_candidate src "mm" in
+  let ir = c.Autotune.Tuner.v_ir in
+  let a_as_kj (n, d) = if n = "A" then (n, [ "k"; "j" ]) else (n, d) in
+  let reread (op : Tcr.Ir.op) = { op with factors = List.map a_as_kj op.factors } in
+  let v =
+    Check.Semantic.validate ~label:"mm" b.statements ~variant_ids:c.Autotune.Tuner.ids
+      ~ir:{ ir with Tcr.Ir.ops = List.map reread ir.ops } ~points
+  in
+  Alcotest.(check (list string)) "one BAR064 at the tcr stage"
+    [
+      "[BAR064] error (semantic) mm: semantic evaluation aborted at the tcr stage: A[k j] has \
+       shape [7x5], but A is allocated as [3x7]";
+    ]
+    (List.map Check.Diag.render v.diags)
 
 (* A recipe whose red_order is not a permutation aborts at the recipe
    stage (BAR064) rather than pretending equivalence. *)
@@ -228,14 +322,14 @@ let mutation_caught m =
   in
   (!applied, v)
 
-(* The stage that disagrees with its parent is digested fresh. *)
+(* The stage that disagrees with its parent has its own digest. *)
 let test_mutation_swap_index () =
   let applied, v = mutation_caught Check.Mutate.Swap_factor_indices in
   check_bool "applied" true applied;
   check_bool "caught" false v.Check.Semantic.equivalent;
   stage_digests "failing kernel stage digested"
     (List.map (fun s -> (s, mm_digest)) [ "dsl"; "variant"; "tcr"; "recipe" ]
-    @ [ ("kernel", "0d02ad7e00af666071c48330e6792127") ])
+    @ [ ("kernel", "e4336f14ee332bddff5690709ab8bed9") ])
     v.stages;
   match v.diags with
   | [ d ] ->
@@ -375,10 +469,20 @@ let artifact ?(header = Fun.id) record =
       output_string oc record);
   path
 
-(* User errors - malformed input, an unknown run id, a missing input, a
-   program given beside --tcr or --net, a generated network below its
-   shape's minimum size - exit 1 with a one-line "barracuda: " message,
-   never as an uncaught exception. *)
+(* A tensor used with two shapes: within one statement, and as one
+   statement's output read by the next. *)
+let shape_clashes =
+  [
+    "dims: i=3 j=5 k=7\nC[i j] = Sum([k], A[i k] * A[k j])";
+    "dims: i=3 j=5 k=7 l=2\n\
+     D[i j] = Sum([k l], A[i k] * B[k l] * E[l j])\n\
+     F[i j] = Sum([k], D[i k] * G[k j])";
+  ]
+
+(* User errors - malformed input, a tensor used with two shapes, an
+   unknown run id, a missing input, a program given beside --tcr or --net,
+   a generated network below its shape's minimum size - exit 1 with a
+   one-line "barracuda: " message, never as an uncaught exception. *)
 let test_user_errors_exit_1 () =
   let q = Filename.quote in
   let empty = Filename.temp_file "barracuda" ".tc" in
@@ -403,7 +507,7 @@ let test_user_errors_exit_1 () =
         (String.starts_with ~prefix:"barracuda: " text);
       check_bool (args ^ ": no internal error") false
         (Astring_contains.contains text "internal error"))
-    [
+    ([
       "tune " ^ q empty;
       "space " ^ q empty;
       "c " ^ q empty;
@@ -432,7 +536,11 @@ let test_user_errors_exit_1 () =
       "net --gen line -n 1";
       "net --gen ring -n 2";
       "net --gen power -n 2";
-    ];
+    ]
+    @ List.concat_map
+        (fun src ->
+          List.map (fun cmd -> cmd ^ " -e " ^ q src) [ "tune"; "check --semantic"; "space"; "c" ])
+        shape_clashes);
   (* a torn artifact names its torn line *)
   let _, text = run_cli ("slo " ^ q torn) in
   check_bool "torn line named" true (Astring_contains.contains text "line 2:");
@@ -730,10 +838,29 @@ let test_doctor_dr050 () =
 
 (* ---------------- qcheck property ---------------- *)
 
+(* Swap-index swaps the first two indices of a kernel's first factor of
+   rank two or more. When neither index occurs anywhere else in the
+   kernel, the swapped factor reads, for every value of the other indices,
+   the same elements in another order, so the sum is unchanged. *)
+let harmless_swap (k : Codegen.Kernel.t) =
+  match List.find_index (fun (_, dims) -> List.length dims >= 2) k.op.factors with
+  | Some f -> (
+    match List.nth k.op.factors f with
+    | _, a :: b :: _ ->
+      let elsewhere i =
+        List.mem i k.op.out_indices
+        || List.exists (fun (g, (_, dims)) -> g <> f && List.mem i dims)
+             (List.mapi (fun g r -> (g, r)) k.op.factors)
+      in
+      not (elsewhere a || elsewhere b)
+    | _ -> false)
+  | None -> false
+
 (* End-to-end soundness sweep: random tensor networks lowered through the
    real pipeline (greedy tree -> DSL -> variants -> TCR -> recipe ->
-   kernel) validate across all five stages with no diagnostics. Small
-   extents keep the naive oracle cheap. *)
+   kernel) validate across all five stages with no diagnostics, and every
+   kernel mutation that changes the sum fails at the kernel stage with
+   BAR063. Small extents keep the kernel walks cheap. *)
 let qcheck_random_networks_validate =
   QCheck.Test.make ~name:"random networks validate end to end" ~count:15
     QCheck.(int_range 0 100000)
@@ -746,7 +873,20 @@ let qcheck_random_networks_validate =
       let tree = Netopt.Greedy.optimize net in
       let src = Netopt.Lower.to_dsl net tree in
       let v = validate ~rounds:1 src "net" in
-      v.Check.Semantic.equivalent && v.diags = [])
+      let caught m =
+        let changed = ref false in
+        let mutate_kernel k =
+          let k', applied = Check.Mutate.apply m k in
+          if applied && not (m = Check.Mutate.Swap_factor_indices && harmless_swap k) then
+            changed := true;
+          k'
+        in
+        let v = validate ~rounds:1 ~mutate_kernel src "net" in
+        (not !changed)
+        || v.failed_stage = Some "kernel"
+           && List.map (fun (d : Check.Diag.t) -> d.code) v.diags = [ "BAR063" ]
+      in
+      v.Check.Semantic.equivalent && v.diags = [] && List.for_all caught Check.Mutate.all)
 
 let test_mutation_names_roundtrip () =
   List.iter
@@ -769,6 +909,11 @@ let suite =
     Alcotest.test_case "duplicated index fails at recipe" `Quick
       test_duplicated_index_fails_at_recipe;
     Alcotest.test_case "tcr corruption is BAR061" `Quick test_tcr_corruption_is_bar061;
+    Alcotest.test_case "tcr: temporary injections are BAR061" `Quick
+      test_tcr_temporary_injections;
+    Alcotest.test_case "mismatch above the budget names fingerprints" `Quick
+      test_mismatch_above_budget;
+    Alcotest.test_case "reference with another shape aborts" `Quick test_reference_shape_aborts;
     Alcotest.test_case "bad red_order aborts" `Quick test_bad_red_order_aborts;
     Alcotest.test_case "mutation: swap-index" `Quick test_mutation_swap_index;
     Alcotest.test_case "mutation: corrupt-stride" `Quick test_mutation_corrupt_stride;
