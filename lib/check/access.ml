@@ -29,17 +29,18 @@ type ref_summary = {
   model_transactions : float;     (* representative-warp model *)
 }
 
-(* Global references of the compute loops: the output, then every
-   factor. *)
+(* Global references of the compute loops, from the kernel's access map:
+   the output, then every factor. *)
 let summarize_refs (k : Codegen.Kernel.t) =
+  let a = Codegen.Kernel.access k in
   List.map
-    (fun (name, dims) ->
+    (fun (r : Codegen.Kernel.reference) ->
       {
-        name;
-        exact_transactions = Gpusim.Coalesce.exact_transactions_per_warp k dims;
-        model_transactions = Gpusim.Coalesce.transactions_per_warp k dims;
+        name = r.name;
+        exact_transactions = Gpusim.Coalesce.exact_transactions_per_warp k a r;
+        model_transactions = Gpusim.Coalesce.transactions_per_warp k a r;
       })
-    ((k.op.out, k.op.out_indices) :: k.op.factors)
+    (a.out :: a.factors)
 
 (* ------------------------------------------------------------------ *)
 (* Lints: exact-quantity warnings and infos. *)

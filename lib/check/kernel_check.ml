@@ -5,62 +5,33 @@
    references, the maximum linearized offset any thread can form -
    [sum over dims of stride * (iteration range - 1)], with each index's
    range read off the kernel's own grid/block/loop structure - must stay
-   below the allocated element count. Alongside it: the register file must
-   hold at least one block, and grid/block dimensions must respect the
-   device limits. Quality lints (uncoalesced loads, low occupancy, partial
-   warps, an undersized grid) are warnings: legal, but worth flagging. *)
+   below the allocated element count: Codegen.Kernel.bound, over the
+   ranges the kernel's access map gives its slots. Alongside it: the
+   register file must hold at least one block, and grid/block dimensions
+   must respect the device limits. Quality lints (uncoalesced loads, low
+   occupancy, partial warps, an undersized grid) are warnings: legal, but
+   worth flagging. *)
 
-let rec loop_range i r = function
-  | [] -> r
-  | (l : Codegen.Kernel.loop) :: rest ->
-    loop_range i (if String.equal l.index i then Int.max r l.extent else r) rest
-
-let drives slot i = match slot with Some j -> String.equal j i | None -> false
-
-(* Iteration range of index [i] as the kernel actually drives it: the
-   block/grid dimension when mapped, the loop extent when serial, the
-   maximum of both in malformed kernels, 1 when never driven. *)
-let index_range (k : Codegen.Kernel.t) i =
-  let d = k.decomp in
-  let r = if String.equal d.tx i then Int.max 1 (fst k.block) else 1 in
-  let r = if drives d.ty i then Int.max r (snd k.block) else r in
-  let r = if String.equal d.bx i then Int.max r (fst k.grid) else r in
-  let r = if drives d.by i then Int.max r (snd k.grid) else r in
-  loop_range i r k.thread_loops
-
-(* BAR030 when some dimension of [name] has no extent: one finding per
-   such dimension, in order. *)
-let missing_extents (k : Codegen.Kernel.t) name dims =
-  List.filter_map
-    (fun i ->
-      match Tcr.Ir.assoc_index i k.extents with
-      | Some _ -> None
-      | None ->
-        Some
-          (Diag.error Diag.Kernel ~code:"BAR030" ~site:k.name
-             "cannot bound offsets of %s: dimension %s has no extent" name i))
-    dims
-
-(* BAR030: symbolic in-bounds proof of array [name]. Row-major, so Horner's
-   rule over the dims, outermost first, gives the maximum offset
-   [sum_d stride_d * (range_d - 1)] alongside the element count without
-   materializing strides or extents. *)
-let rec bound (k : Codegen.Kernel.t) name dims size offset = function
-  | i :: inner -> (
-    match Tcr.Ir.assoc_index i k.extents with
-    | Some e -> bound k name dims (size * e) ((offset * e) + index_range k i - 1) inner
-    | None -> missing_extents k name dims)
-  | [] ->
-    if offset >= size then
-      [
-        Diag.error Diag.Kernel ~code:"BAR030" ~site:k.name
-          "out of bounds: max linearized offset %d of %s reaches past its %d elements"
-          offset name size;
-      ]
-    else []
-
+(* BAR030: the in-bounds proof of every array (no map is built: the
+   tuner's gate proves every point it draws), and one finding per
+   dimension without an extent. *)
 let check_bounds (k : Codegen.Kernel.t) =
-  List.concat_map (fun (name, dims) -> bound k name dims 1 0 dims) k.arrays
+  List.concat_map
+    (fun (name, dims) ->
+      match Codegen.Kernel.bound k dims with
+      | Within -> []
+      | Past (offset, size) ->
+        [
+          Diag.error Diag.Kernel ~code:"BAR030" ~site:k.name
+            "out of bounds: max linearized offset %d of %s reaches past its %d elements"
+            offset name size;
+        ]
+      | No_extent missing ->
+        List.map
+          (Diag.error Diag.Kernel ~code:"BAR030" ~site:k.name
+             "cannot bound offsets of %s: dimension %s has no extent" name)
+          missing)
+    k.arrays
 
 (* BAR031: at least one block must fit the SM's register file. *)
 let check_registers (arch : Gpusim.Arch.t) (k : Codegen.Kernel.t) =

@@ -9,10 +9,6 @@
     delegates to {!Access}: the exact BAR07x facts supersede the old
     heuristic BAR040-043 lints. *)
 
-(** Largest value the kernel's own grid/block/loop structure drives index
-    [i] through (1 when the kernel never drives it). *)
-val index_range : Codegen.Kernel.t -> string -> int
-
 (** Errors always; [~lints:false] skips the warning-level analyses (the
     tuner's gate only needs the errors). *)
 val check : ?lints:bool -> Gpusim.Arch.t -> Codegen.Kernel.t -> Diag.t list

@@ -34,10 +34,10 @@
 
    The kernel stage is evaluated through Codegen.Exec.walk - the
    interpreter float execution runs too - with F_p arithmetic: grid/block
-   loops, unrolled main loop plus epilogue, scalar replacement, and
-   addresses formed from the KERNEL'S OWN extents table so that corrupted
-   strides surface as wrong values or out-of-bounds accesses rather than
-   being silently normalized away. Every kernel access is bounds-checked
+   loops, every reduction point in the printed order, scalar replacement,
+   and addresses from the kernel's access map, formed from the KERNEL'S
+   OWN extents table so that corrupted strides surface as wrong values or
+   out-of-bounds accesses rather than being silently normalized away. Every kernel access is bounds-checked
    against the true allocation; an out-of-bounds read is reported as the
    stage's divergence. Its outputs are then fingerprinted by one pass. The
    reference stages never touch the walker, so a bug in it still shows up
@@ -531,10 +531,10 @@ let fingerprint_stage ~extents ~vectors inputs d =
 
 (* ------------------------------------------------------------------ *)
 (* Stage 5 - kernel: the F_p instance of Codegen.Exec.walk, the kernel
-   interpreter float execution also runs. The walker forms addresses from
-   the kernel's OWN extents table and bounds-checks them, so stride
-   corruption is observed rather than normalized away; its layout errors
-   (a missing extent or slot) abort the stage. *)
+   interpreter float execution also runs. The walker reads the kernel's
+   access map, formed from its OWN extents table, and bounds-checks every
+   address, so stride corruption is observed rather than normalized away;
+   its layout errors (a missing extent or slot) abort the stage. *)
 
 let eval_kernel (env : env) (k : Codegen.Kernel.t) =
   let data name = (find env name).data in

@@ -13,8 +13,9 @@
     reference stages never form an output that none of their ops reads:
     each op adds its share of the fingerprint directly. The kernel stage
     is the prime-field instance of {!Codegen.Exec.walk}, the interpreter
-    float execution runs too - grid/block loops, unrolling with epilogue,
-    scalar replacement - with addresses formed from the kernel's own
+    float execution runs too - grid/block loops, every reduction point in
+    the printed order, scalar replacement - with addresses from the
+    kernel's access map ({!Codegen.Kernel.access}), formed from its own
     extents table and bounds-checked, so stride corruption surfaces
     instead of being normalized away; its outputs are fingerprinted after
     the walk. When fingerprints differ and {!cost} fits {!gate_budget}, the

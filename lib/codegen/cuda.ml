@@ -5,39 +5,19 @@
 
 let buf_add = Buffer.add_string
 
-(* C expression for the linear (row-major) offset of an array reference.
-   Index variables are tx/ty/bx/by or serial loop variables; [subst]
-   rewrites a loop variable, used to print unrolled bodies as "(n + 2)". *)
-let offset_expr (k : Kernel.t) ?(subst = fun v -> v) (dims : string list) =
-  let strides = Tensor.Shape.strides (Array.of_list (List.map (Kernel.extent k) dims)) in
-  let var_of idx =
-    let d = k.decomp in
-    if idx = d.tx then "tx"
-    else if Some idx = d.ty then "ty"
-    else if idx = d.bx then "bx"
-    else if Some idx = d.by then "by"
-    else subst idx
-  in
-  let terms =
-    List.mapi
-      (fun pos idx ->
-        let v = var_of idx in
-        if strides.(pos) = 1 then v else Printf.sprintf "%s * %d" v strides.(pos))
-      dims
-  in
-  String.concat " + " terms
+(* C expression for the linear (row-major) offset of a reference: its
+   terms in the kernel's access map, each slot printed by [var]. *)
+let offset_expr var (r : Kernel.reference) =
+  let term (s, stride) = if stride = 1 then var s else Printf.sprintf "%s * %d" (var s) stride in
+  String.concat " + " (List.map term r.terms)
 
 let param_list (k : Kernel.t) =
   String.concat ", " (List.map (fun (name, _) -> "double *" ^ name) k.arrays)
 
-(* The multiply-accumulate statement with loop-variable substitution. *)
-let body_stmt (k : Kernel.t) acc_var subst =
-  let factors =
-    List.map
-      (fun (name, dims) -> Printf.sprintf "%s[%s]" name (offset_expr k ~subst dims))
-      k.op.factors
-  in
-  Printf.sprintf "%s = %s + %s;" acc_var acc_var (String.concat " * " factors)
+(* The multiply-accumulate statement, slots printed by [var]. *)
+let body_stmt (a : Kernel.access) acc_var var =
+  let load (r : Kernel.reference) = Printf.sprintf "%s[%s]" r.name (offset_expr var r) in
+  Printf.sprintf "%s = %s + %s;" acc_var acc_var (String.concat " * " (List.map load a.factors))
 
 let emit_kernel (k : Kernel.t) =
   let b = Buffer.create 1024 in
@@ -56,39 +36,41 @@ let emit_kernel (k : Kernel.t) =
     (fun (l : Kernel.loop) -> line 2 (Printf.sprintf "int %s;" l.index))
     k.thread_loops;
   if k.scalar_replaced then line 2 "double nv;";
-  let out_expr = Printf.sprintf "%s[%s]" k.op.out (offset_expr k k.op.out_indices) in
-  let identity v = v in
-  (* reduction loops: each may be unrolled (main loop + epilogue), with the
-     substitutions composing across nesting levels *)
-  let rec emit_reductions indent acc subst = function
-    | [] -> line indent (body_stmt k acc subst)
+  let a = Kernel.access k in
+  let name s = a.slots.(s).var in
+  let out_expr = Printf.sprintf "%s[%s]" a.out.name (offset_expr name a.out) in
+  (* reduction loops: each may be unrolled (main loop + epilogue), which
+     prints the loop's slot as an offset from its variable or as a
+     constant; the renamings compose across nesting levels *)
+  let rec emit_reductions indent acc var = function
+    | [] -> line indent (body_stmt a acc var)
     | (l : Kernel.loop) :: rest ->
       if l.unroll <= 1 then begin
         line indent
           (Printf.sprintf "for (%s = 0; %s < %d; %s++) {" l.index l.index l.extent l.index);
-        emit_reductions (indent + 2) acc subst rest;
+        emit_reductions (indent + 2) acc var rest;
         line indent "}"
       end
       else begin
-        let u = l.unroll and e = l.extent in
+        let u = l.unroll and e = l.extent and ls = Kernel.slot a l.index in
         let main = e - (e mod u) in
         if main > 0 then begin
           line indent
             (Printf.sprintf "for (%s = 0; %s <= %d; %s += %d) {" l.index l.index (main - u)
                l.index u);
           for j = 0 to u - 1 do
-            let subst' v =
-              if v = l.index then
-                if j = 0 then l.index else Printf.sprintf "(%s + %d)" l.index j
-              else subst v
+            let var' s =
+              if s <> ls then var s
+              else if j = 0 then l.index
+              else Printf.sprintf "(%s + %d)" l.index j
             in
-            emit_reductions (indent + 2) acc subst' rest
+            emit_reductions (indent + 2) acc var' rest
           done;
           line indent "}"
         end;
         for i = main to e - 1 do
-          let subst' v = if v = l.index then string_of_int i else subst v in
-          emit_reductions indent acc subst' rest
+          let var' s = if s = ls then string_of_int i else var s in
+          emit_reductions indent acc var' rest
         done
       end
   in
@@ -97,12 +79,12 @@ let emit_kernel (k : Kernel.t) =
     | [] ->
       if k.scalar_replaced then begin
         line indent (Printf.sprintf "nv = %s;" out_expr);
-        emit_reductions indent "nv" identity reduction_loops;
+        emit_reductions indent "nv" name reduction_loops;
         line indent (Printf.sprintf "%s = nv;" out_expr)
       end
       else
         (* ablation form: accumulate straight into global memory *)
-        emit_reductions indent out_expr identity reduction_loops
+        emit_reductions indent out_expr name reduction_loops
     | (l : Kernel.loop) :: rest ->
       line indent
         (Printf.sprintf "for (%s = 0; %s < %d; %s++) {" l.index l.index l.extent l.index);

@@ -1,20 +1,13 @@
-(* Interpreter for the kernel IR.
+(* Interpreter for the kernel IR. [walk] is the one walk over a kernel's
+   iteration space (its contract is in exec.mli); its two instances are
+   [run_kernel] over floats, checked against the einsum oracle by the
+   test-suite, and the prime-field kernel stage of Check.Semantic, so the
+   validator proves the interpreter that Barracuda.run executes.
 
-   [walk] is the one walk over a kernel's iteration space. It executes the
-   same structure the CUDA emitter prints - grid x block x parallel loops
-   around each output element, reduction loops as the unrolled main loop
-   plus epilogue - and leaves the arithmetic to its caller, which passes
-   closures over its own arrays and gets each output element's points in
-   runs (one per innermost reduction loop). Two instances exist:
-   [run_kernel] over floats (checked against the einsum oracle by the
-   test-suite) and the prime-field kernel stage of Check.Semantic (checked
-   against its own stage evaluators), so the validator proves the
-   interpreter that Barracuda.run executes.
-
-   Addresses are formed from the kernel's OWN extents table and
-   bounds-checked against the caller's allocation, so corrupted strides
-   surface as wrong values or [Out_of_bounds] instead of being normalized
-   away. *)
+   Addresses come from the kernel's access map (Kernel.access), formed
+   from its OWN extents table, and are bounds-checked against the
+   caller's allocation, so corrupted strides surface as wrong values or
+   [Out_of_bounds] instead of being normalized away. *)
 
 type env = (string * Tensor.Dense.t) list
 
@@ -25,52 +18,27 @@ let find env name =
   | Some t -> t
   | None -> invalid_arg (Printf.sprintf "Exec: unbound tensor %s" name)
 
-(* Walk [k]. Slots hold the decomposition indices first, then the thread
-   loops; each reference compiles to per-slot row-major strides over the
-   kernel's extents. Offsets are running sums: a slot write moves every
-   reference's offset by its stride at that slot times the change in the
-   slot's value, so an offset always equals the dot product of strides and
-   slot values - also when two loop levels bind one slot (an ill-formed
-   decomposition such as tx = bx), where the last write wins. [output off
-   reduce] runs once per output element and must call [reduce].
-
-   [run offs steps len] gets the points of one run: point [t] (from 0 to
-   [len - 1], in order) reads factor [f] at [offs.(f) + t * steps.(f)].
-   The innermost reduction level is one run of its extent: its unrolled
-   main loop and epilogue visit 0 .. e-1 in order, so the run covers both,
-   and the slot is left at e-1 as the loops leave it. Without reduction
-   loops each output element is a run of one. Both arrays are the walker's
-   own: read them, never write them. *)
+(* Walk [k] over its access map. Each reference's stride at a slot is the
+   sum of its terms there. Offsets are running sums: a slot write moves
+   every reference's offset by its stride at that slot times the change in
+   the slot's value, so an offset always equals the dot product of strides
+   and slot values - also when two levels bind one slot (tx = bx), where
+   the last write wins. The innermost reduction level is one run of its
+   extent, and its slot is left at e-1 as the loop leaves it. *)
 let walk (k : Kernel.t) ~elements ~output ~run =
-  let kext i =
-    match List.assoc_opt i k.extents with
-    | Some e -> e
-    | None -> invalid_arg (Printf.sprintf "kernel %s has no extent for index %s" k.name i)
-  in
-  let slots = Array.of_list (Kernel.mapped_indices k @ Kernel.serial_indices k) in
-  let nslots = Array.length slots in
-  let slot name =
-    let rec go i =
-      if i >= nslots then invalid_arg (Printf.sprintf "kernel %s: index %s has no slot" k.name name)
-      else if slots.(i) = name then i
-      else go (i + 1)
-    in
-    go 0
-  in
-  let compile (name, dims) =
-    let size = elements name in
-    let strides = Tensor.Shape.strides (Array.of_list (List.map kext dims)) in
+  let a = Kernel.access k in
+  let nslots = Array.length a.slots in
+  let strides (r : Kernel.reference) =
     let s = Array.make nslots 0 in
-    List.iteri (fun pos dim -> s.(slot dim) <- s.(slot dim) + strides.(pos)) dims;
-    (name, size, s)
+    List.iter (fun (slot, stride) -> s.(slot) <- s.(slot) + stride) r.terms;
+    s
   in
-  let out_name, out_size, out_strides = compile (k.op.out, k.op.out_indices) in
-  let factor_refs = Array.of_list (List.map compile k.op.factors) in
-  let nf = Array.length factor_refs in
+  let out_strides = strides a.out and out_size = elements a.out.name in
+  let factors = Array.of_list a.factors in
+  let nf = Array.length factors in
+  let factor_strides = Array.map strides factors in
   (* column [s]: each factor's stride at slot [s] *)
-  let factor_cols =
-    Array.init nslots (fun s -> Array.map (fun (_, _, strides) -> strides.(s)) factor_refs)
-  in
+  let factor_cols = Array.init nslots (fun s -> Array.map (fun st -> st.(s)) factor_strides) in
   let vals = Array.make nslots 0 in
   let out_off = ref 0 in
   let offs = Array.make nf 0 in
@@ -90,7 +58,7 @@ let walk (k : Kernel.t) ~elements ~output ~run =
            (Printf.sprintf "kernel %s accesses %s at linear offset %d outside its %d elements"
               k.name name off size))
   in
-  let sizes = Array.map (fun (_, size, _) -> size) factor_refs in
+  let sizes = Array.map (fun (r : Kernel.reference) -> elements r.name) factors in
   (* Offsets are affine along a run, so its two ends bound it. When an end
      is out of bounds, the in-bounds prefix runs and the first failing
      point raises, naming its first failing factor, as a per-point check
@@ -113,13 +81,11 @@ let walk (k : Kernel.t) ~elements ~output ~run =
       in
       let t, f, off = first_failing 0 0 in
       if t > 0 then run offs steps t;
-      let name, size, _ = factor_refs.(f) in
-      check name size off
+      check factors.(f).name sizes.(f) off
     end
   in
-  let loops ls =
-    List.map (fun (l : Kernel.loop) -> (slot l.index, l.extent, max 1 l.unroll)) ls
-  in
+  let slot = Kernel.slot a in
+  let loops = List.map (fun (l : Kernel.loop) -> (slot l.index, l.extent)) in
   let parallel_loops, reduction_loops =
     List.partition (fun (l : Kernel.loop) -> l.parallel) k.thread_loops
   in
@@ -127,57 +93,36 @@ let walk (k : Kernel.t) ~elements ~output ~run =
   let no_steps = Array.make nf 0 in
   let rec reduce = function
     | [] -> checked_run no_steps 1
-    | [ (s, e, _) ] ->
+    | [ (s, e) ] ->
       if e > 0 then begin
         set s 0;
         checked_run factor_cols.(s) e;
         set s (e - 1)
       end
-    | (s, e, u) :: rest ->
-      let i = ref 0 in
-      (* unrolled main loop *)
-      while !i + u <= e do
-        for j = 0 to u - 1 do
-          set s (!i + j);
-          reduce rest
-        done;
-        i := !i + u
-      done;
-      (* epilogue *)
-      while !i < e do
-        set s !i;
-        reduce rest;
-        incr i
+    | (s, e) :: rest ->
+      for i = 0 to e - 1 do
+        set s i;
+        reduce rest
       done
   in
   let reductions () = reduce reduction_loops in
   let rec parallel = function
     | [] ->
-      check out_name out_size !out_off;
+      check a.out.name out_size !out_off;
       output !out_off reductions
-    | (s, e, _) :: rest ->
+    | (s, e) :: rest ->
       for i = 0 to e - 1 do
-        set s i;
+        if s >= 0 then set s i;
         parallel rest
       done
   in
-  let d = k.decomp in
-  let bx_e, by_e = k.grid and tx_e, ty_e = k.block in
-  let tx_s = slot d.tx and bx_s = slot d.bx in
-  let ty_s = Option.map slot d.ty and by_s = Option.map slot d.by in
-  for by = 0 to by_e - 1 do
-    Option.iter (fun s -> set s by) by_s;
-    for bx = 0 to bx_e - 1 do
-      set bx_s bx;
-      for ty = 0 to ty_e - 1 do
-        Option.iter (fun s -> set s ty) ty_s;
-        for tx = 0 to tx_e - 1 do
-          set tx_s tx;
-          parallel parallel_loops
-        done
-      done
-    done
-  done
+  (* by, bx, ty and tx, then the parallel loops; a grid or block dimension
+     that the decomposition leaves unmapped binds no slot (-1) *)
+  let level i e = ((match i with Some i -> slot i | None -> -1), e) in
+  let d = k.decomp and bx_e, by_e = k.grid and tx_e, ty_e = k.block in
+  parallel
+    ([ level d.by by_e; level (Some d.bx) bx_e; level d.ty ty_e; level (Some d.tx) tx_e ]
+    @ parallel_loops)
 
 (* Run one kernel over its grid. Accumulates into the (pre-zeroed or
    previously accumulated) output tensor, as the generated CUDA does by

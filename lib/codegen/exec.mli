@@ -1,10 +1,10 @@
-(** Interpreter for the kernel IR. {!walk} executes the same structure the
-    CUDA emitter prints - including the unrolled main loop plus epilogue
-    and the scalar-replaced output - with the arithmetic left to its
-    caller. {!run_kernel} is its float instance, checked by the test-suite
-    against the einsum oracle; [Check.Semantic]'s kernel stage is its
-    prime-field instance, so translation validation proves the interpreter
-    that [Barracuda.run] executes. *)
+(** Interpreter for the kernel IR. {!walk} visits the points of the
+    structure the CUDA emitter prints - including the scalar-replaced
+    output - with the arithmetic left to its caller. {!run_kernel} is its
+    float instance, checked by the test-suite against the einsum oracle;
+    [Check.Semantic]'s kernel stage is its prime-field instance, so
+    translation validation proves the interpreter that [Barracuda.run]
+    executes. *)
 
 type env = (string * Tensor.Dense.t) list
 
@@ -13,23 +13,24 @@ type env = (string * Tensor.Dense.t) list
 exception Out_of_bounds of string
 
 (** The one walk over a kernel's iteration space: grid x block x parallel
-    loops around each output element, reduction loops as an unrolled main
-    loop plus epilogue. Slots hold the decomposition indices first, then
-    the thread loops. Every address is row-major over the kernel's own
-    extents table and checked against [elements name], the allocated size
-    of array [name]; an offset outside it raises {!Out_of_bounds}, and a
-    missing extent or slot raises [Invalid_argument].
+    loops around each output element, then each reduction loop's points
+    in order, which is the order the printed main loop and epilogue visit
+    them (whether the printed unrolled text computes those points is a
+    check of the CUDA itself, not of the walker). Every address comes from
+    the kernel's {!Kernel.access} map, row-major over its own extents
+    table, and is checked against [elements name], the allocated size of
+    array [name]; an offset outside it raises {!Out_of_bounds}, and a
+    missing extent or an index no level binds raises [Invalid_argument]
+    (see {!Kernel.access}).
 
     [output off reduce] runs once per output element with the output's
     offset and must call [reduce] to run that element's reductions.
     [reduce] hands the element's points to [run offs steps len] in runs:
     point [t] of a run, for [t] from 0 to [len - 1] in order, reads factor
     [f] (in [k.op.factors] order) at [offs.(f) + t * steps.(f)]. The
-    innermost reduction loop is one run of its extent (its unrolled main
-    loop and epilogue visit the same points in the same order); an
-    element without reduction loops is one run of one point. Both arrays
-    are the walker's own, kept from one run to the next: read them, never
-    write them.
+    innermost reduction loop is one run of its extent; an element without
+    reduction loops is one run of one point. Both arrays are the walker's
+    own, kept from one run to the next: read them, never write them.
 
     A run is checked at its two ends (offsets are affine along it). When
     an end is out of bounds, [run] first gets the in-bounds prefix, if

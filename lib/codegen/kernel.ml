@@ -3,9 +3,10 @@
    the CUDA-CHiLL-style transformations.
 
    [lower] builds every kernel the pipeline runs. The CUDA printer, the
-   simulator's timing model and Exec's interpreter (behind both float
-   execution and translation validation) consume this exact structure, so
-   the code we "time" and prove is the code we emit. *)
+   simulator's timing model, the bounds proof and Exec's interpreter
+   (behind both float execution and translation validation) consume this
+   exact structure and read its addresses from one [access] map, so the
+   code we "time" and prove is the code we emit. *)
 
 type loop = {
   index : string;
@@ -26,17 +27,13 @@ type t = {
   arrays : (string * string list) list;  (* every array referenced, with dims *)
 }
 
+let rec extent_in i = function
+  | [] -> raise Not_found
+  | (j, e) :: rest -> if String.equal i j then e else extent_in i rest
+
 let extent k i =
-  match Tcr.Ir.assoc_index i k.extents with
-  | Some e -> e
-  | None -> invalid_arg (Printf.sprintf "Kernel.extent: unknown index %s" i)
-
-(* Indices handled by the hardware decomposition. *)
-let mapped_indices k =
-  let d = k.decomp in
-  d.tx :: d.bx :: (Option.to_list d.ty @ Option.to_list d.by)
-
-let serial_indices k = List.map (fun l -> l.index) k.thread_loops
+  try extent_in i k.extents
+  with Not_found -> invalid_arg (Printf.sprintf "kernel %s has no extent for index %s" k.name i)
 
 let reduction_loops k = List.filter (fun l -> not l.parallel) k.thread_loops
 
@@ -52,6 +49,87 @@ let total_threads k = threads_per_block k * num_blocks k
    factor and one accumulate add. *)
 let flops k =
   total_threads k * serial_iterations k * List.length k.op.factors
+
+(* ------------------------------------------------------------------ *)
+(* The access map: the one definition of a kernel's addresses. *)
+
+let rec loop_range i r = function
+  | [] -> r
+  | l :: rest -> loop_range i (if String.equal l.index i then Int.max r l.extent else r) rest
+
+let drives level i = match level with Some j -> String.equal j i | None -> false
+
+(* The largest extent any level drives [i] through, at least 1;
+   allocation-free, for the gate's bounds proof. *)
+let range k i =
+  let d = k.decomp in
+  let r = if String.equal d.tx i then Int.max 1 (fst k.block) else 1 in
+  let r = if drives d.ty i then Int.max r (snd k.block) else r in
+  let r = if String.equal d.bx i then Int.max r (fst k.grid) else r in
+  let r = if drives d.by i then Int.max r (snd k.grid) else r in
+  loop_range i r k.thread_loops
+
+type slot = { index : string; var : string; range : int }
+type reference = { name : string; dims : string list; terms : (int * int) list; elements : int }
+type access = { slots : slot array; out : reference; factors : reference list }
+
+let rec find_slot slots i s =
+  if s = Array.length slots then raise Not_found
+  else if String.equal slots.(s).index i then s
+  else find_slot slots i (s + 1)
+
+let slot a i = find_slot a.slots i 0
+
+let rec bound_in i = function [] -> false | s :: rest -> String.equal s.index i || bound_in i rest
+
+(* Product of the extents of [dims], checked in order. *)
+let rec elements k = function [] -> 1 | i :: inner -> let e = extent k i in e * elements k inner
+
+(* Slots in first-binding order - tx, ty, bx, by, then the thread loops -
+   so each is named after its first binding. References are built output
+   first, each one's extents before its bindings. The gate never builds
+   the map, but gpusim builds one per kernel report, so nothing here
+   allocates beyond the map itself. *)
+let access k =
+  let d = k.decomp in
+  let bind var i slots =
+    if bound_in i slots then slots else { index = i; var; range = range k i } :: slots
+  in
+  let bind_opt var i slots = match i with Some i -> bind var i slots | None -> slots in
+  let slots = bind_opt "by" d.by (bind "bx" d.bx (bind_opt "ty" d.ty (bind "tx" d.tx []))) in
+  let slots = List.fold_left (fun slots (l : loop) -> bind l.index l.index slots) slots k.thread_loops in
+  let slots = Array.of_list (List.rev slots) in
+  (* row-major: a dimension's stride is the product of the extents inside it *)
+  let rec terms = function
+    | [] -> []
+    | i :: inner ->
+      let s =
+        try find_slot slots i 0
+        with Not_found -> invalid_arg (Printf.sprintf "kernel %s: index %s has no slot" k.name i)
+      in
+      (s, elements k inner) :: terms inner
+  in
+  let reference (name, dims) =
+    let elements = elements k dims in
+    { name; dims; terms = terms dims; elements }
+  in
+  let out = reference (k.op.out, k.op.out_indices) in
+  { slots; out; factors = List.map reference k.op.factors }
+
+type bound = Within | Past of int * int | No_extent of string list
+
+(* Horner's rule over the dims, outermost first, gives the largest offset
+   [sum_d stride_d * (range_d - 1)] alongside the element count without
+   materializing strides or extents. *)
+let rec horner k dims size offset = function
+  | i :: inner -> (
+    match extent_in i k.extents with
+    | e -> horner k dims (size * e) ((offset * e) + range k i - 1) inner
+    | exception Not_found ->
+      No_extent (List.filter (fun i -> not (List.mem_assoc i k.extents)) dims))
+  | [] -> if offset >= size then Past (offset, size) else Within
+
+let bound k dims = horner k dims 1 0 dims
 
 (* ------------------------------------------------------------------ *)
 (* Lowering *)

@@ -3,7 +3,9 @@
     is computed by evaluating the affine address function for each of the
     32 lanes and counting distinct segments - the rule the hardware's
     load-store unit applies. Lanes are x-fastest:
-    [lane = ty * blockDim.x + tx]. *)
+    [lane = ty * blockDim.x + tx]. Addresses come from the kernel's access
+    map ({!Codegen.Kernel.access}), which the caller builds once per
+    kernel and passes with each reference. *)
 
 val segment_bytes : int
 
@@ -16,19 +18,22 @@ type ref_analysis = {
   tensor_bytes : int;  (** whole-array size *)
 }
 
-val transactions_per_warp : Codegen.Kernel.t -> string list -> float
+val transactions_per_warp :
+  Codegen.Kernel.t -> Codegen.Kernel.access -> Codegen.Kernel.reference -> float
 
 (** Exact average transactions per warp-wide load over every warp of every
     block and every serial iteration: for affine addresses the count
     depends only on the base residue mod the segment size, so the grid
     average is a finite sum over the distribution of that residue. *)
-val exact_transactions_per_warp : Codegen.Kernel.t -> string list -> float
+val exact_transactions_per_warp :
+  Codegen.Kernel.t -> Codegen.Kernel.access -> Codegen.Kernel.reference -> float
 
-val footprint_per_block : Codegen.Kernel.t -> string list -> int
+val footprint_per_block :
+  Codegen.Kernel.t -> Codegen.Kernel.access -> Codegen.Kernel.reference -> int
 
 (** One analysis per factor reference. *)
-val analyze : Codegen.Kernel.t -> ref_analysis list
+val analyze : Codegen.Kernel.t -> Codegen.Kernel.access -> ref_analysis list
 
 (** The output reference; without scalar replacement its loads count once
     per innermost iteration instead of once per element. *)
-val analyze_output : Codegen.Kernel.t -> ref_analysis
+val analyze_output : Codegen.Kernel.t -> Codegen.Kernel.access -> ref_analysis

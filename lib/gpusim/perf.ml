@@ -97,10 +97,11 @@ let classify_ref (arch : Arch.t) (k : Codegen.Kernel.t) (occ : Occupancy.t)
 
 let analyze_kernel (arch : Arch.t) (k : Codegen.Kernel.t) =
   let occ = Occupancy.analyze arch k in
+  let a = Codegen.Kernel.access k in
   let factor_reports =
-    List.map (classify_ref arch k occ ~is_output:false) (Coalesce.analyze k)
+    List.map (classify_ref arch k occ ~is_output:false) (Coalesce.analyze k a)
   in
-  let out_report = classify_ref arch k occ ~is_output:true (Coalesce.analyze_output k) in
+  let out_report = classify_ref arch k occ ~is_output:true (Coalesce.analyze_output k a) in
   let refs = factor_reports @ [ out_report ] in
   let dram_bytes = List.fold_left (fun acc (r : ref_report) -> acc +. r.dram_bytes) 0.0 refs in
   let l2_bytes = List.fold_left (fun acc (r : ref_report) -> acc +. r.l2_bytes) 0.0 refs in

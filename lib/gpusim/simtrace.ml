@@ -10,39 +10,39 @@
 
 let line_bytes = 128
 
-(* Address (in bytes) of one reference for given lane/serial values. *)
-let address (k : Codegen.Kernel.t) dims ~tx ~ty ~serial_vals =
-  let d = k.decomp in
-  let value idx =
-    if idx = d.tx then tx
-    else if Some idx = d.ty then ty
-    else if idx = d.bx then 0
-    else if Some idx = d.by then 0
-    else
-      match List.assoc_opt idx serial_vals with
-      | Some v -> v
-      | None -> invalid_arg (Printf.sprintf "Simtrace.address: no value for %s" idx)
-  in
-  let strides =
-    Tensor.Shape.strides (Array.of_list (List.map (Codegen.Kernel.extent k) dims))
-  in
-  8 * List.fold_left ( + ) 0 (List.mapi (fun pos idx -> value idx * strides.(pos)) dims)
+(* Address (in bytes) of reference [r] under slot values [vals]. *)
+let address (r : Codegen.Kernel.reference) vals =
+  8 * List.fold_left (fun acc (s, stride) -> acc + (vals.(s) * stride)) 0 r.terms
 
-(* Replay one block's accesses to [dims] through [cache]. The reference is
-   loaded once per iteration of the serial loops it depends on (and all
-   outer ones), per thread - mirroring [Coalesce.loads_per_thread]. *)
-let replay_block ?(max_accesses = 2_000_000) (k : Codegen.Kernel.t) dims cache =
-  let tx_e, ty_e = k.block in
-  (* serial loops down to the deepest one the reference depends on *)
-  let depth_max =
-    List.fold_left
-      (fun acc (i, (l : Codegen.Kernel.loop)) -> if List.mem l.index dims then i else acc)
-      (-1)
-      (List.mapi (fun i l -> (i, l)) k.thread_loops)
+(* Replay one block's accesses to the kernel's reference [(name, dims)]
+   through an L1 of [arch]'s geometry, over the kernel's access map, built
+   once: block indices stay 0, the serial loops write their slots, then
+   each lane writes tx's and ty's. The reference is loaded once per
+   iteration of the serial loops it depends on (and all outer ones), per
+   thread - mirroring [Coalesce.loads_per_thread]. *)
+let replay_block ways (arch : Arch.t) (k : Codegen.Kernel.t) (name, dims) =
+  let cache = Cache.create ~bytes:arch.l1_bytes ~line_bytes ~ways in
+  let a = Codegen.Kernel.access k in
+  let r =
+    List.find
+      (fun (r : Codegen.Kernel.reference) -> r.name = name && r.dims = dims)
+      (a.out :: a.factors)
   in
-  let loops = List.filteri (fun i _ -> i <= depth_max) k.thread_loops in
-  let budget = ref max_accesses in
-  let rec iterate env = function
+  let slot = Codegen.Kernel.slot a in
+  let vals = Array.make (Array.length a.slots) 0 in
+  let tx_e, ty_e = k.block in
+  let tx_s = slot k.decomp.tx and ty_s = Option.map slot k.decomp.ty in
+  (* serial loops down to the deepest one the reference depends on *)
+  let rec drop_unused = function
+    | (s, _) :: outer when not (List.mem_assoc s r.terms) -> drop_unused outer
+    | loops -> loops
+  in
+  let loops =
+    List.rev_map (fun (l : Codegen.Kernel.loop) -> (slot l.index, l.extent)) k.thread_loops
+    |> drop_unused |> List.rev
+  in
+  let budget = ref 2_000_000 in
+  let rec iterate = function
     | [] ->
       (* one warp-wide load: lanes in x-fastest order *)
       if !budget > 0 then
@@ -50,27 +50,25 @@ let replay_block ?(max_accesses = 2_000_000) (k : Codegen.Kernel.t) dims cache =
           for tx = 0 to tx_e - 1 do
             if !budget > 0 then begin
               decr budget;
-              ignore (Cache.access cache (address k dims ~tx ~ty ~serial_vals:env))
+              Option.iter (fun s -> vals.(s) <- ty) ty_s;
+              vals.(tx_s) <- tx;
+              ignore (Cache.access cache (address r vals))
             end
           done
         done
-    | (l : Codegen.Kernel.loop) :: rest ->
-      for i = 0 to l.extent - 1 do
-        iterate ((l.index, i) :: env) rest
+    | (s, e) :: rest ->
+      for i = 0 to e - 1 do
+        vals.(s) <- i;
+        iterate rest
       done
   in
-  iterate [] loops
+  iterate loops;
+  cache
 
 (* Measured L1 hit rate of one reference over a block's execution. *)
-let block_hit_rate ?(ways = 8) (arch : Arch.t) (k : Codegen.Kernel.t) (name, dims) =
-  ignore name;
-  let cache = Cache.create ~bytes:arch.l1_bytes ~line_bytes ~ways in
-  replay_block k dims cache;
-  Cache.hit_rate cache
+let block_hit_rate ?(ways = 8) arch k reference =
+  Cache.hit_rate (replay_block ways arch k reference)
 
 (* Bytes one block actually moves past the L1 for this reference. *)
-let block_miss_bytes ?(ways = 8) (arch : Arch.t) (k : Codegen.Kernel.t) (name, dims) =
-  ignore name;
-  let cache = Cache.create ~bytes:arch.l1_bytes ~line_bytes ~ways in
-  replay_block k dims cache;
-  Cache.miss_bytes cache
+let block_miss_bytes ?(ways = 8) arch k reference =
+  Cache.miss_bytes (replay_block ways arch k reference)

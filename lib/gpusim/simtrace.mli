@@ -3,17 +3,13 @@
     cache of the architecture's L1 geometry, and compare the measured hit
     rate with {!Perf}'s classification. *)
 
-(** Byte address of a reference for given lane and serial-loop values
-    (block indices fixed at 0). *)
-val address :
-  Codegen.Kernel.t ->
-  string list ->
-  tx:int ->
-  ty:int ->
-  serial_vals:(string * int) list ->
-  int
+(** Byte address of a reference of the kernel's access map
+    ({!Codegen.Kernel.access}) under one value per slot. *)
+val address : Codegen.Kernel.reference -> int array -> int
 
-(** Measured L1 hit rate of one reference over a block's execution. *)
+(** Measured L1 hit rate of one of the kernel's references, [(name, dims)],
+    over a block's execution; the replay builds the kernel's access map
+    once. Raises [Not_found] when the kernel has no such reference. *)
 val block_hit_rate :
   ?ways:int -> Arch.t -> Codegen.Kernel.t -> string * string list -> float
 

@@ -106,7 +106,10 @@ let canonicalize (p : Octopi.Ast.program) =
   ( { Octopi.Ast.extents; stmts },
     { indices = mapping imap iorder; tensors = mapping tmap torder } )
 
+(* The user's program passes the front end's checks first, so that a
+   malformed one is reported in its own names, not the canonical ones. *)
 let of_program ~arch (p : Octopi.Ast.program) =
+  ignore (Octopi.Contraction.of_program p);
   let program, renaming = canonicalize p in
   let rendered = Octopi.Ast.to_string program in
   let arch_fingerprint = arch_fingerprint arch in
@@ -121,3 +124,20 @@ let short t = String.sub t.key 0 12
    cached artifacts and live tunes agree by construction. *)
 let label t = "svc-" ^ short t
 let benchmark t = Autotune.Tuner.benchmark_of_dsl ~label:(label t) t.rendered
+
+(* A message about the canonical program, restated for a request: its
+   label for the canonical one, and in each op site, [op1(t0)], the
+   user's name for the canonical tensor's. *)
+let restate t ~label:request msg =
+  let users = List.map (fun (user, canonical) -> (canonical, user)) t.renaming.tensors in
+  let site s =
+    let j = Option.value ~default:(String.length s) (String.index_opt s ')') in
+    let name = String.sub s 0 j in
+    Option.value ~default:name (List.assoc_opt name users) ^ String.sub s j (String.length s - j)
+  in
+  let msg =
+    String.concat "(" (List.mapi (fun n s -> if n = 0 then s else site s) (String.split_on_char '(' msg))
+  in
+  let canonical = label t in
+  if not (String.starts_with ~prefix:canonical msg) then msg
+  else request ^ String.sub msg (String.length canonical) (String.length msg - String.length canonical)

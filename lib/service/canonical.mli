@@ -26,6 +26,8 @@ val relabel :
   Octopi.Ast.program ->
   Octopi.Ast.program
 
+(** Raises {!Octopi.Contraction.Invalid}, naming the user's tensors, when
+    the program fails the front end's checks. *)
 val of_program : arch:Gpusim.Arch.t -> Octopi.Ast.program -> t
 
 (** Parse then {!of_program}. Raises {!Octopi.Parse.Error} on bad input. *)
@@ -34,3 +36,9 @@ val of_dsl : arch:Gpusim.Arch.t -> string -> t
 (** The canonical benchmark the service tunes (and whose artifacts it
     caches). *)
 val benchmark : t -> Autotune.Tuner.benchmark
+
+(** A message about {!benchmark}, as {!Autotune.Tuner.Empty_space}'s,
+    restated in a request's terms: [label] for the canonical label, and
+    the user's name for the tensor of each op site ([op1(t0)]), through
+    the renaming. *)
+val restate : t -> label:string -> string -> string

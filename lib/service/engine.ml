@@ -105,8 +105,9 @@ let effective_domains t = Scheduler.domains t.sched
 
 (* One cold tune of a canonical program. [inner_parallel] plugs the domain
    scheduler into SURF's evaluation batches; it is off when the tune itself
-   already runs inside a worker domain (no nested parallelism). *)
-let tune_canonical t ~inner_parallel (canon : Canonical.t) =
+   already runs inside a worker domain (no nested parallelism). A program
+   without a search point is reported as request [label] wrote it. *)
+let tune_canonical t ~inner_parallel ~label (canon : Canonical.t) =
   let cfg =
     {
       Surf.Search.default_config with
@@ -124,11 +125,14 @@ let tune_canonical t ~inner_parallel (canon : Canonical.t) =
      request, deduplicated batch, or scheduler-parallel - is journaled
      under its canonical key *)
   let r =
-    Autotune.Tuner.tune
-      ~strategy:(Autotune.Tuner.Surf_search cfg)
-      ~reps:t.cfg.reps ~pool_per_variant:t.cfg.pool_per_variant ?batch_map
-      ~journal_key:canon.Canonical.key ~journal_seed:t.cfg.seed
-      ~rng:(Util.Rng.create t.cfg.seed) ~arch:t.cfg.arch (Canonical.benchmark canon)
+    try
+      Autotune.Tuner.tune
+        ~strategy:(Autotune.Tuner.Surf_search cfg)
+        ~reps:t.cfg.reps ~pool_per_variant:t.cfg.pool_per_variant ?batch_map
+        ~journal_key:canon.Canonical.key ~journal_seed:t.cfg.seed
+        ~rng:(Util.Rng.create t.cfg.seed) ~arch:t.cfg.arch (Canonical.benchmark canon)
+    with Autotune.Tuner.Empty_space msg ->
+      raise (Autotune.Tuner.Empty_space (Canonical.restate canon ~label msg))
   in
   (* static-gate counters: how many candidate points the verifier screened
      before measurement, and how many it kept out of the pool *)
@@ -171,23 +175,22 @@ let batch t (requests : request list) =
     phase t "phase.canonicalize" (fun () ->
         List.map (fun r -> (r, Canonical.of_dsl ~arch:t.cfg.arch r.src)) requests)
   in
-  (* one representative per canonical key, in first-appearance order *)
+  (* the first request of each canonical key, in request order *)
   let unique_keys =
     let seen = Hashtbl.create 16 in
-    List.filter_map
+    List.filter
       (fun ((_, canon) : request * Canonical.t) ->
-        if Hashtbl.mem seen canon.Canonical.key then None
-        else begin
-          Hashtbl.add seen canon.key ();
-          Some canon
-        end)
+        let first = not (Hashtbl.mem seen canon.Canonical.key) in
+        if first then Hashtbl.add seen canon.key ();
+        first)
       canons
   in
   (* probe the cache for every unique key *)
   let probed =
     phase t "phase.lookup" (fun () ->
         List.map
-          (fun (canon : Canonical.t) -> (canon, Tuning_cache.find t.cache canon.key))
+          (fun ((_, canon) as first : request * Canonical.t) ->
+            (first, Tuning_cache.find t.cache canon.key))
           unique_keys)
   in
   let hits = List.filter_map (fun (c, e) -> Option.map (fun e -> (c, e)) e) probed in
@@ -201,7 +204,7 @@ let batch t (requests : request list) =
   (* serve hits: restore is ~one measurement, done sequentially *)
   let hit_results =
     List.map
-      (fun ((canon : Canonical.t), ((entry : Tuning_cache.entry), source)) ->
+      (fun (((_, canon) : request * Canonical.t), ((entry : Tuning_cache.entry), source)) ->
         let result, wall =
           serve_timed "phase.restore" ~key:canon.key (fun () ->
               restore_hit t canon entry)
@@ -216,18 +219,18 @@ let batch t (requests : request list) =
     phase t "phase.tune" (fun () ->
         match cold with
         | [] -> []
-        | [ canon ] ->
+        | [ ((req, canon) : request * Canonical.t) ] ->
           let r, wall =
             serve_timed "service.tune" ~key:canon.key (fun () ->
-                tune_canonical t ~inner_parallel:true canon)
+                tune_canonical t ~inner_parallel:true ~label:req.label canon)
           in
           [ (canon.key, (Tuned, r, wall)) ]
         | _ ->
           Scheduler.map t.sched
-            (fun (canon : Canonical.t) ->
+            (fun ((req, canon) : request * Canonical.t) ->
               let r, wall =
                 serve_timed "service.tune" ~key:canon.key (fun () ->
-                    tune_canonical t ~inner_parallel:false canon)
+                    tune_canonical t ~inner_parallel:false ~label:req.label canon)
               in
               (canon.key, (Tuned, r, wall)))
             cold)

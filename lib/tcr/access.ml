@@ -29,24 +29,6 @@ let contiguous ~loop_order ref_indices =
   | [] | [ _ ] -> true
   | _ -> is_sorted (positions loop_order ref_indices)
 
-(* The stride (in elements) that one step of loop [index] induces on a
-   reference to a tensor with dims [ref_indices] and the given extents.
-   Returns 0 when the loop does not appear in the reference. *)
-let stride ~extents ~ref_indices index =
-  let rec go = function
-    | [] -> 0
-    | d :: rest ->
-      if d = index then
-        List.fold_left
-          (fun acc i ->
-            match List.assoc_opt i extents with
-            | Some e -> acc * e
-            | None -> invalid_arg (Printf.sprintf "Access.stride: no extent for %s" i))
-          1 rest
-      else go rest
-  in
-  go ref_indices
-
 (* Loop indices that access some factor (or the output) of [op] with unit
    stride: the candidates for coalesced ThreadX mapping. *)
 let unit_stride_indices (op : Ir.op) =
@@ -57,11 +39,3 @@ let unit_stride_indices (op : Ir.op) =
          | [] -> None
          | last :: _ -> Some last)
   |> List.sort_uniq compare
-
-(* Classify every tensor reference of [op] as contiguous or not under the
-   op's loop order; "most tensors are not all contiguous" (Section IV). *)
-let classify (op : Ir.op) =
-  let refs = (op.out, op.out_indices) :: op.factors in
-  List.map
-    (fun (name, indices) -> (name, contiguous ~loop_order:op.loop_order indices))
-    refs

@@ -10,14 +10,6 @@ val positions : string list -> string list -> int list
 
 val contiguous : loop_order:string list -> string list -> bool
 
-(** Elements skipped by one step of a loop in a reference; 0 when the loop
-    does not appear in it. *)
-val stride : extents:(string * int) list -> ref_indices:string list -> string -> int
-
 (** Loop indices accessing some reference of the statement with unit
     stride: the coalesced ThreadX candidates. *)
 val unit_stride_indices : Ir.op -> string list
-
-(** Contiguity of every reference (output first) under the op's loop
-    order. *)
-val classify : Ir.op -> (string * bool) list

@@ -88,7 +88,10 @@ let test_trace_streamed_output_no_reuse () =
 let test_trace_miss_bytes_close_to_footprint () =
   (* for a resident reference, miss bytes = compulsory = footprint *)
   let _, k = kernel_of "dims: i=32 j=32 k=32\nC[i j] = Sum([k], A[i k] * B[k j])" ~tx:"j" ~ty:None ~bx:"i" in
-  let analytic = Gpusim.Coalesce.footprint_per_block k [ "k"; "j" ] in
+  let a = Codegen.Kernel.access k in
+  let b = List.nth a.factors 1 in
+  Alcotest.(check (list string)) "B's dims" [ "k"; "j" ] b.dims;
+  let analytic = Gpusim.Coalesce.footprint_per_block k a b in
   let simulated = Gpusim.Simtrace.block_miss_bytes arch k ("B", [ "k"; "j" ]) in
   Alcotest.(check bool) "within a line-rounding factor" true
     (float_of_int simulated <= 1.25 *. float_of_int analytic
@@ -109,8 +112,11 @@ let test_trace_thrashing_when_oversized () =
 let test_trace_address_function () =
   let _, k = kernel_of "dims: i=8 j=8 k=8\nC[i j] = Sum([k], A[i k] * B[k j])" ~tx:"j" ~ty:None ~bx:"i" in
   (* B(k,j): addr = 8 * (k*8 + j) with bx-fixed i *)
-  check_int "b address" (8 * ((3 * 8) + 5))
-    (Gpusim.Simtrace.address k [ "k"; "j" ] ~tx:5 ~ty:0 ~serial_vals:[ ("k", 3) ])
+  let a = Codegen.Kernel.access k in
+  let vals = Array.make (Array.length a.slots) 0 in
+  vals.(Codegen.Kernel.slot a "j") <- 5;
+  vals.(Codegen.Kernel.slot a "k") <- 3;
+  check_int "b address" (8 * ((3 * 8) + 5)) (Gpusim.Simtrace.address (List.nth a.factors 1) vals)
 
 let suite =
   [

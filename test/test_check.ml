@@ -379,7 +379,7 @@ let test_kernel_findings_pinned () =
    malformed kernel drives it both ways, and never below 1. *)
 let test_kernel_index_range () =
   let k = mm_kernel () in
-  let range k i = Check.Kernel_check.index_range k i in
+  let range k i = Codegen.Kernel.range k i in
   check_int "mapped to tx" 32 (range k "j");
   check_int "mapped to bx" 32 (range k "i");
   check_int "serial loop" 32 (range k "k");

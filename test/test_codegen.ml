@@ -318,6 +318,198 @@ let test_exec_float_bits_pinned () =
       (Benchsuite.Nwchem.S1, 4, List.hd, "ceb4e5bf285d61a831402d582914c7b9");
     ]
 
+(* ---------------- Kernel consumers ---------------- *)
+
+(* Every tensor of [ir], random: kernels run alone, so temporaries are
+   inputs too. *)
+let random_env (ir : Tcr.Ir.t) =
+  let rng = Util.Rng.create 5 in
+  List.map
+    (fun (v : Tcr.Ir.var) -> (v.name, Tensor.Dense.random rng (Tcr.Ir.var_shape ir v.name)))
+    ir.vars
+
+(* The sweep every consumer of a kernel's addresses is pinned on: kernels,
+   each with a random environment when it is small enough to walk, and the
+   (benchmark, variant choice, one point per op) candidates to validate.
+   Every point of matmul at extents that leave epilogues and of eqn1 at
+   n = 4, sampled points of the three NWChem families at n = 4 and of the
+   Table II problems at paper size (never walked), and the naive OpenACC
+   kernel of a rank-1 program, whose tx and bx bind one index. *)
+let consumer_sweep () =
+  let rng = Util.Rng.create 26 in
+  let kernels = ref [] and candidates = ref [] in
+  let add ~walk (b : Autotune.Tuner.benchmark) pick =
+    List.iter
+      (fun (c : Autotune.Tuner.variant_choice) ->
+        let env = if walk then Some (random_env c.v_ir) else None in
+        List.iter
+          (fun (s : Tcr.Space.t) ->
+            let name =
+              Printf.sprintf "%s_v%s_GPU_%d" b.label
+                (String.concat "_" (List.map string_of_int c.ids))
+                (s.op_index + 1)
+            in
+            List.iter
+              (fun p -> kernels := (Codegen.Kernel.lower ~name c.v_ir s.op p, env) :: !kernels)
+              (if Tcr.Space.count s = 0 then [] else pick s))
+          c.spaces.op_spaces;
+        if walk then
+          candidates :=
+            (b, c, List.map (Tcr.Space.sample rng) c.spaces.op_spaces) :: !candidates)
+      (Autotune.Tuner.variant_choices b)
+  in
+  let every = Tcr.Space.enumerate in
+  let sample n s = List.init n (fun _ -> Tcr.Space.sample rng s) in
+  List.iter
+    (fun dims ->
+      add ~walk:true
+        (Autotune.Tuner.benchmark_of_dsl ~label:"mm"
+           (dims ^ "\nC[i j] = Sum([k], A[i k] * B[k j])"))
+        every)
+    [ "dims: i=5 j=6 k=7"; "dims: i=9 j=10 k=11" ];
+  add ~walk:true (Benchsuite.Suite.eqn1 ~n:4 ()) every;
+  List.iter
+    (fun f -> List.iter (fun b -> add ~walk:true b (sample 12)) (Benchsuite.Nwchem.benchmarks ~n:4 f))
+    Benchsuite.Nwchem.families;
+  List.iter (fun b -> add ~walk:false b (sample 8)) (Benchsuite.Suite.all_individual ());
+  List.rev !kernels, List.rev !candidates
+
+(* The naive OpenACC strategy on a rank-1 program: its one parallel loop
+   is both tx and bx. *)
+let naive_rank1 () =
+  let set =
+    match Octopi.Variants.of_string "dims: i=8 j=6\nC[i] = Sum([j], T[i j] * X[j])" with
+    | [ s ] -> s
+    | _ -> assert false
+  in
+  let ir = ir_of (List.hd set.variants) set in
+  (ir, Cpusim.Openacc.points ir Cpusim.Openacc.Naive)
+
+let float_bits data =
+  let b = Bytes.create (8 * Array.length data) in
+  Array.iteri (fun i x -> Bytes.set_int64_le b (8 * i) (Int64.bits_of_float x)) data;
+  Digest.to_hex (Digest.bytes b)
+
+(* The walker's float instance on [k] over a copy of [env]'s output: the
+   output's bits, or the exception's text. *)
+let walk_result env (k : Codegen.Kernel.t) =
+  let env =
+    List.map (fun (n, t) -> (n, if n = k.op.out then Tensor.Dense.copy t else t)) env
+  in
+  match Codegen.Exec.run_kernel k env with
+  | () -> float_bits (Tensor.Dense.data (List.assoc k.op.out env))
+  | exception e -> Printexc.to_string e
+
+(* The walker itself on [k], without run_kernel's shape check of the
+   caller's tensors (which a mutation of the layout fails first): a hash
+   of every output offset and run it visits, or the exception's text. *)
+let walk_trace env (k : Codegen.Kernel.t) =
+  let h = ref 0 in
+  let mix x = h := ((!h * 31) + x) land 0x3FFFFFFF in
+  match
+    Codegen.Exec.walk k
+      ~elements:(fun name -> Tensor.Dense.num_elements (List.assoc name env))
+      ~output:(fun off reduce ->
+        mix off;
+        reduce ())
+      ~run:(fun offs steps len ->
+        Array.iter mix offs;
+        Array.iter mix steps;
+        mix len)
+  with
+  | () -> string_of_int !h
+  | exception e -> Printexc.to_string e
+
+(* Five MD5s over the sweep, one per consumer: the CUDA text; the model's
+   times and traffic on the three GPUs with both coalescing counts of every
+   reference; the bounds proof's findings with lints on; the walker's
+   output bits or exception, and the walk's own trace, on each kernel and
+   each mutation of it; and the semantic verdicts of one point per
+   variant, with and without each mutation. A change that moves one on
+   purpose updates it and names the change in CHANGES.md. *)
+let test_kernel_consumers_pinned () =
+  let kernels, candidates = consumer_sweep () in
+  let rank1_ir, rank1_points = naive_rank1 () in
+  let naive = Codegen.Kernel.lower_program rank1_ir rank1_points in
+  let kernels =
+    kernels @ List.map (fun k -> (k, Some (random_env rank1_ir))) naive
+  in
+  let cuda = Buffer.create 4096 and model = Buffer.create 4096 in
+  let proof = Buffer.create 4096 and walk = Buffer.create 4096 in
+  let semantic = Buffer.create 4096 in
+  List.iter
+    (fun ((k : Codegen.Kernel.t), env) ->
+      if env <> None then Buffer.add_string cuda (Codegen.Cuda.emit_kernel k);
+      List.iter
+        (fun arch ->
+          let r = Gpusim.Perf.analyze_kernel arch k in
+          Printf.bprintf model "%s %h %h %h %h\n" k.name r.time_s r.t_mem r.dram_bytes
+            r.l2_bytes;
+          List.iter
+            (fun d -> Printf.bprintf proof "%s\n" (Check.Diag.render d))
+            (Check.Kernel_check.check arch k))
+        Gpusim.Arch.all;
+      let a = Codegen.Kernel.access k in
+      List.iter
+        (fun r ->
+          Printf.bprintf model "%h %h\n"
+            (Gpusim.Coalesce.exact_transactions_per_warp k a r)
+            (Gpusim.Coalesce.transactions_per_warp k a r))
+        (a.out :: a.factors);
+      Option.iter
+        (fun env ->
+          Printf.bprintf walk "%s %s %s\n" k.name (walk_result env k) (walk_trace env k);
+          List.iter
+            (fun m ->
+              match Check.Mutate.apply m k with
+              | k', true ->
+                Printf.bprintf walk "%s %s %s\n" (Check.Mutate.name m) (walk_result env k')
+                  (walk_trace env k')
+              | _, false -> ())
+            Check.Mutate.all)
+        env)
+    kernels;
+  Printf.bprintf model "openacc %h\n"
+    (Cpusim.Openacc.kernel_time Gpusim.Arch.gtx980 rank1_ir Cpusim.Openacc.Naive);
+  let validate ?mutate_kernel (b : Autotune.Tuner.benchmark) ids ir points =
+    let v =
+      Check.Semantic.validate ?mutate_kernel ~label:b.label b.statements ~variant_ids:ids ~ir
+        ~points
+    in
+    Printf.bprintf semantic "%s %b %s\n" b.label v.equivalent
+      (Option.value ~default:"-" v.failed_stage);
+    List.iter (fun (s, d) -> Printf.bprintf semantic "%s:%s\n" s d) v.stages;
+    List.iter (fun d -> Printf.bprintf semantic "%s\n" (Check.Diag.render d)) v.diags
+  in
+  let rank1 =
+    ( Autotune.Tuner.benchmark_of_dsl ~label:"rank1"
+        "dims: i=8 j=6\nC[i] = Sum([j], T[i j] * X[j])",
+      [ 0 ],
+      rank1_ir,
+      rank1_points )
+  in
+  List.iter
+    (fun (b, ids, ir, points) ->
+      validate b ids ir points;
+      List.iter
+        (fun m -> validate ~mutate_kernel:(fun k -> fst (Check.Mutate.apply m k)) b ids ir points)
+        Check.Mutate.all)
+    (List.map
+       (fun (b, (c : Autotune.Tuner.variant_choice), points) -> (b, c.ids, c.v_ir, points))
+       candidates
+    @ [ rank1 ]);
+  let md5 b = Digest.to_hex (Digest.string (Buffer.contents b)) in
+  Alcotest.(check (list string))
+    "cuda, model, proof, walk, semantic"
+    [
+      "5fe6e77df75bfde73b22be39e5d9ae35";
+      "b4cf6221a3b35a77c9dfdab05a8680a0";
+      "54cab09e6fcc33cd23be5789e997ff7c";
+      "299666ad3d5540ef54cf8825f3f8758e";
+      "9910839d67f5ee66c20fecd5f384dee1";
+    ]
+    [ md5 cuda; md5 model; md5 proof; md5 walk; md5 semantic ]
+
 let suite =
   [
     ("lower dimensions", `Quick, test_lower_dimensions);
@@ -340,4 +532,5 @@ let suite =
     ("c openmp", `Quick, test_c_openmp);
     ("openacc naive", `Quick, test_acc_naive);
     ("openacc optimized", `Quick, test_acc_optimized);
+    ("kernel consumers pinned", `Quick, test_kernel_consumers_pinned);
   ]

@@ -33,19 +33,19 @@ let test_arch_peaks () =
 let test_coalesce_unit_stride () =
   (* C(i,j) with tx = j: 32 consecutive doubles -> 2 x 128B transactions *)
   let _, k = kernel_for ~tx:"j" ~ty:None ~bx:"i" () in
-  let out = Gpusim.Coalesce.analyze_output k in
+  let out = Gpusim.Coalesce.analyze_output k (Codegen.Kernel.access k) in
   Alcotest.(check (float 0.01)) "2 transactions" 2.0 out.transactions_per_warp
 
 let test_coalesce_strided () =
   (* C(i,j) with tx = i: stride-32 accesses -> one transaction per lane *)
   let _, k = kernel_for ~tx:"i" ~ty:None ~bx:"j" () in
-  let out = Gpusim.Coalesce.analyze_output k in
+  let out = Gpusim.Coalesce.analyze_output k (Codegen.Kernel.access k) in
   Alcotest.(check (float 0.01)) "32 transactions" 32.0 out.transactions_per_warp
 
 let test_coalesce_broadcast () =
   (* B(k,j) with tx = i: address independent of the lane -> 1 transaction *)
   let _, k = kernel_for ~tx:"i" ~ty:None ~bx:"j" () in
-  let b = List.nth (Gpusim.Coalesce.analyze k) 1 in
+  let b = List.nth (Gpusim.Coalesce.analyze k (Codegen.Kernel.access k)) 1 in
   Alcotest.(check string) "b ref" "B" b.name;
   Alcotest.(check (float 0.01)) "broadcast" 1.0 b.transactions_per_warp
 
@@ -58,7 +58,7 @@ let test_coalesce_partial_rows () =
   let ir = Tcr.Ir.of_variant ~label:"mm" set.contraction (List.hd set.variants) in
   let point = { Tcr.Space.decomp = { tx = "j"; ty = None; bx = "i"; by = None }; unrolls = []; red_order = [] } in
   let k = Codegen.Kernel.lower ~name:"mm" ir (List.hd ir.ops) point in
-  let out = Gpusim.Coalesce.analyze_output k in
+  let out = Gpusim.Coalesce.analyze_output k (Codegen.Kernel.access k) in
   (* 12 doubles = 96B row: one or two segments per warp-load of 12 lanes *)
   Alcotest.(check bool) "small transaction count" true (out.transactions_per_warp <= 2.0)
 
@@ -66,15 +66,15 @@ let test_loads_per_thread_hoisting () =
   (* A(i,k) load depends on serial loop k only; C out ref has no serial
      deps; B(k,j) depends on k too *)
   let _, k = kernel_for ~tx:"j" ~ty:None ~bx:"i" () in
-  let refs = Gpusim.Coalesce.analyze k in
+  let refs = Gpusim.Coalesce.analyze k (Codegen.Kernel.access k) in
   let a = List.hd refs in
   check_int "A loaded per k iteration" 32 a.loads_per_thread;
-  let out = Gpusim.Coalesce.analyze_output k in
+  let out = Gpusim.Coalesce.analyze_output k (Codegen.Kernel.access k) in
   check_int "output accessed once" 1 out.loads_per_thread
 
 let test_footprint () =
   let _, k = kernel_for ~tx:"j" ~ty:None ~bx:"i" () in
-  let refs = Gpusim.Coalesce.analyze k in
+  let refs = Gpusim.Coalesce.analyze k (Codegen.Kernel.access k) in
   let a = List.hd refs in
   (* per block (fixed i): A(i, k) slice = 32 doubles *)
   check_int "A footprint" (32 * 8) a.footprint_per_block;

@@ -82,8 +82,13 @@ let lowered () =
 
 let test_kernel_helpers () =
   let k = lowered () in
-  Alcotest.(check (list string)) "mapped" [ "j"; "i" ] (Codegen.Kernel.mapped_indices k);
-  Alcotest.(check (list string)) "serial" [ "k" ] (Codegen.Kernel.serial_indices k);
+  (* the map's slots: the mapped indices under tx and bx, then the serial loop *)
+  Alcotest.(check (list (pair string string)))
+    "slots" [ ("j", "tx"); ("i", "bx"); ("k", "k") ]
+    (Array.to_list
+       (Array.map
+          (fun (s : Codegen.Kernel.slot) -> (s.index, s.var))
+          (Codegen.Kernel.access k).slots));
   check_int "serial iterations" 4 (Codegen.Kernel.serial_iterations k);
   check_int "threads per block" 4 (Codegen.Kernel.threads_per_block k);
   check_int "blocks" 4 (Codegen.Kernel.num_blocks k);

@@ -26,7 +26,8 @@ let qcheck_transactions_bounded =
       List.for_all
         (fun (r : Gpusim.Coalesce.ref_analysis) ->
           r.transactions_per_warp >= 1.0 && r.transactions_per_warp <= 32.0)
-        (Gpusim.Coalesce.analyze_output k :: Gpusim.Coalesce.analyze k))
+        (let a = Codegen.Kernel.access k in
+         Gpusim.Coalesce.analyze_output k a :: Gpusim.Coalesce.analyze k a))
 
 let qcheck_footprint_bounded =
   QCheck.Test.make ~name:"block footprint never exceeds the tensor" ~count:60
@@ -35,7 +36,7 @@ let qcheck_footprint_bounded =
       let _, k = random_kernel seed in
       List.for_all
         (fun (r : Gpusim.Coalesce.ref_analysis) -> r.footprint_per_block <= r.tensor_bytes)
-        (Gpusim.Coalesce.analyze k))
+        (Gpusim.Coalesce.analyze k (Codegen.Kernel.access k)))
 
 let qcheck_occupancy_valid =
   QCheck.Test.make ~name:"occupancy within limits" ~count:60

@@ -481,8 +481,9 @@ let shape_clashes =
 
 (* User errors - malformed input, a tensor used with two shapes, an
    unknown run id, a missing input, a program given beside --tcr or --net,
-   a generated network below its shape's minimum size - exit 1 with a
-   one-line "barracuda: " message, never as an uncaught exception. *)
+   a generated network below its shape's minimum size, a batch request
+   without a search point - exit 1 with a one-line "barracuda: " message,
+   never as an uncaught exception. *)
 let test_user_errors_exit_1 () =
   let q = Filename.quote in
   let empty = Filename.temp_file "barracuda" ".tc" in
@@ -536,14 +537,24 @@ let test_user_errors_exit_1 () =
       "net --gen line -n 1";
       "net --gen ring -n 2";
       "net --gen power -n 2";
+      "batch -e " ^ q rank1_src;
     ]
     @ List.concat_map
         (fun src ->
-          List.map (fun cmd -> cmd ^ " -e " ^ q src) [ "tune"; "check --semantic"; "space"; "c" ])
+          List.map
+            (fun cmd -> cmd ^ " -e " ^ q src)
+            [ "tune"; "check --semantic"; "space"; "c"; "batch" ])
         shape_clashes);
   (* a torn artifact names its torn line *)
   let _, text = run_cli ("slo " ^ q torn) in
   check_bool "torn line named" true (Astring_contains.contains text "line 2:");
+  (* the service reports the request's own names, not the canonical ones *)
+  let _, text = run_cli ("batch -e " ^ q (List.hd shape_clashes)) in
+  check_bool "batch names the clashing tensor" true
+    (Astring_contains.contains text "tensor A is used with shapes [3x7] and [7x5]");
+  let _, text = run_cli ("batch -e " ^ q rank1_src) in
+  check_bool "batch names the rank-1 op" true
+    (Astring_contains.contains text "expr1: no search point for op1(C)");
   List.iter Sys.remove
     [ empty; not_json; torn; negative_tick; bad_percentile; no_short_window; journal ]
 
@@ -732,19 +743,20 @@ let mm_point_kernel () =
    the error pass is empty. *)
 let test_access_summary_clean () =
   let k = mm_point_kernel () in
+  let a = Codegen.Kernel.access k in
   List.iter
-    (fun (name, dims) ->
-      let exact = Gpusim.Coalesce.exact_transactions_per_warp k dims in
-      let model = Gpusim.Coalesce.transactions_per_warp k dims in
+    (fun (r : Codegen.Kernel.reference) ->
+      let exact = Gpusim.Coalesce.exact_transactions_per_warp k a r in
+      let model = Gpusim.Coalesce.transactions_per_warp k a r in
       check_bool
-        (Printf.sprintf "%s: exact %.2f within [1, 32]" name exact)
+        (Printf.sprintf "%s: exact %.2f within [1, 32]" r.name exact)
         true
         (exact >= 1.0 && exact <= 32.0);
       check_bool
-        (Printf.sprintf "%s: model agrees with exact grid average" name)
+        (Printf.sprintf "%s: model agrees with exact grid average" r.name)
         true
         (Float.abs (model -. exact) <= Check.Access.model_divergence_threshold))
-    ((k.op.out, k.op.out_indices) :: k.op.factors);
+    (a.out :: a.factors);
   check_int "no errors" 0
     (List.length (Check.Kernel_check.check ~lints:false Gpusim.Arch.gtx980 k))
 

@@ -87,13 +87,6 @@ let test_contiguous () =
   Alcotest.(check bool) "out-of-order ref" false (Tcr.Access.contiguous ~loop_order:lo [ "n"; "i" ]);
   Alcotest.(check bool) "scalar ref" true (Tcr.Access.contiguous ~loop_order:lo [])
 
-let test_stride () =
-  let extents = [ ("i", 10); ("j", 20); ("k", 30) ] in
-  check_int "innermost" 1 (Tcr.Access.stride ~extents ~ref_indices:[ "i"; "j"; "k" ] "k");
-  check_int "middle" 30 (Tcr.Access.stride ~extents ~ref_indices:[ "i"; "j"; "k" ] "j");
-  check_int "outer" 600 (Tcr.Access.stride ~extents ~ref_indices:[ "i"; "j"; "k" ] "i");
-  check_int "absent" 0 (Tcr.Access.stride ~extents ~ref_indices:[ "i"; "j" ] "k")
-
 let test_positions_edges () =
   Alcotest.(check (list int)) "subset in order" [ 0; 2 ]
     (Tcr.Access.positions [ "i"; "j"; "k" ] [ "i"; "k" ]);
@@ -105,20 +98,6 @@ let test_positions_edges () =
     (Invalid_argument "Access.positions: x not in loop order") (fun () ->
       ignore (Tcr.Access.positions [ "i"; "j" ] [ "i"; "x" ]))
 
-let test_stride_edges () =
-  (* an index absent from the reference is stride 0 even if extents are
-     unknown: the loop never moves the pointer *)
-  check_int "absent index ignores extents" 0
-    (Tcr.Access.stride ~extents:[] ~ref_indices:[ "i"; "j" ] "k");
-  (* a zero extent inside the tail collapses the stride to 0 *)
-  check_int "zero-extent tail" 0
-    (Tcr.Access.stride ~extents:[ ("j", 20); ("k", 0) ] ~ref_indices:[ "i"; "j"; "k" ] "i");
-  (* trailing dimensions with no recorded extent make the stride
-     uncomputable: pinned as Invalid_argument, not a silent guess *)
-  Alcotest.check_raises "missing extent in tail"
-    (Invalid_argument "Access.stride: no extent for j") (fun () ->
-      ignore (Tcr.Access.stride ~extents:[ ("i", 10) ] ~ref_indices:[ "i"; "j" ] "i"))
-
 let test_unit_stride_indices () =
   let ir = paper_ir () in
   let op1 = List.hd ir.ops in
@@ -129,9 +108,10 @@ let test_unit_stride_indices () =
 let test_classify () =
   let ir = paper_ir () in
   let op1 = List.hd ir.ops in
-  let cls = Tcr.Access.classify op1 in
+  let contiguous (_, indices) = Tcr.Access.contiguous ~loop_order:op1.loop_order indices in
   (* not every tensor can be contiguous (Section IV) *)
-  Alcotest.(check bool) "some non-contiguous" true (List.exists (fun (_, c) -> not c) cls)
+  Alcotest.(check bool) "some non-contiguous" true
+    (List.exists (fun r -> not (contiguous r)) ((op1.out, op1.out_indices) :: op1.factors))
 
 (* ---------------- Decision ---------------- *)
 
@@ -244,9 +224,7 @@ let suite =
     ("ir parse errors", `Quick, test_ir_parse_errors);
     ("ir validate missing extent", `Quick, test_ir_validate_rejects_unknown_extent);
     ("access contiguous", `Quick, test_contiguous);
-    ("access stride", `Quick, test_stride);
     ("access positions edge cases", `Quick, test_positions_edges);
-    ("access stride edge cases", `Quick, test_stride_edges);
     ("access unit-stride indices", `Quick, test_unit_stride_indices);
     ("access classify", `Quick, test_classify);
     ("decision tx rule", `Quick, test_decision_tx_parallel_unit_stride);
