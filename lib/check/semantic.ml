@@ -32,16 +32,21 @@
    input the stage writes are formed, and an output among them is
    fingerprinted by one pass.
 
-   The kernel stage is evaluated through Codegen.Exec.walk - the
-   interpreter float execution runs too - with F_p arithmetic: grid/block
-   loops, every reduction point in the printed order, scalar replacement,
-   and addresses from the kernel's access map, formed from the KERNEL'S
-   OWN extents table so that corrupted strides surface as wrong values or
-   out-of-bounds accesses rather than being silently normalized away. Every kernel access is bounds-checked
-   against the true allocation; an out-of-bounds read is reported as the
-   stage's divergence. Its outputs are then fingerprinted by one pass. The
-   reference stages never touch the walker, so a bug in it still shows up
-   as a kernel-stage disagreement.
+   The kernel stage runs Codegen.Exec's loop plan - the plan float
+   execution runs too - with F_p arithmetic inline: grid/block loops,
+   every reduction point in the printed order, and addresses from the
+   kernel's access map, formed from the KERNEL'S OWN extents table so
+   that corrupted strides surface as wrong values or out-of-bounds
+   accesses rather than being silently normalized away. The plan proves
+   its whole iteration box against the true allocation before anything
+   runs; a box it cannot prove is reported as the stage's divergence,
+   naming the first out-of-bounds point. Each output element keeps a
+   private accumulator and is stored once, as the printed kernel does
+   with scalar replacement, so a statement that reads its own
+   accumulation target (a BAR017 race) reads what the kernel would. Its
+   outputs are then fingerprinted by one pass. The reference stages never
+   touch the plan, so a bug in it still shows up as a kernel-stage
+   disagreement.
 
    When a stage's fingerprints differ from its parent's and the DSL
    oracle's cost fits [gate_budget], both stages are evaluated again
@@ -64,17 +69,16 @@ let abort fmt = Printf.ksprintf (fun s -> raise (Abort s)) fmt
    [0, p), outputs start at 0), and for such entries [addp] and [mulp]
    equal (a + b) mod p and a * b mod p. Both form a value in [-p, p) and
    add p back through the sign mask of the 63-bit native int. A product
-   fits it ((p-1)^2 < 2^62), and since 2^31 = 1 (mod p) it folds once into
-   its high and low 31 bits, whose sum is below 2p. A product starts from
-   its first factor rather than from 1. *)
+   fits it ((p-1)^2 < 2^62), and since 2^31 = 1 (mod p) [fold] takes any
+   x below 2^62 to the sum of its high and low 31 bits, congruent to x
+   and below 2^32; a product's fold is below 2p. A product starts from its
+   first factor rather than from 1. *)
 let prime = 2147483647
 
 let[@inline] canonical s = s + (prime land (s asr 62))
 let[@inline] addp a b = canonical (a + b - prime)
-
-let[@inline] mulp a b =
-  let x = a * b in
-  canonical ((x lsr 31) + (x land prime) - prime)
+let[@inline] fold x = (x lsr 31) + (x land prime)
+let[@inline] mulp a b = canonical (fold (a * b) - prime)
 
 (* ------------------------------------------------------------------ *)
 (* Field tensors *)
@@ -530,41 +534,57 @@ let fingerprint_stage ~extents ~vectors inputs d =
     d.outputs
 
 (* ------------------------------------------------------------------ *)
-(* Stage 5 - kernel: the F_p instance of Codegen.Exec.walk, the kernel
-   interpreter float execution also runs. The walker reads the kernel's
-   access map, formed from its OWN extents table, and bounds-checks every
-   address, so stride corruption is observed rather than normalized away;
-   its layout errors (a missing extent or slot) abort the stage. *)
+(* Stage 5 - kernel: the F_p instance of Codegen.Exec's loop plan, the
+   plan float execution also runs. The plan reads the kernel's access map,
+   formed from its OWN extents table, and proves its box against the true
+   allocation before anything runs, so stride corruption is observed
+   rather than normalized away; its layout errors (a missing extent or
+   slot) abort the stage. Each output element keeps a private
+   accumulator - loaded from the output when scalar-replaced, else started
+   at 0 and added to the stored value at the end - that its runs add to in
+   point order, and is stored once: kernel semantics, not the reference
+   stages' per-point update, so a factor that reads the output sees only
+   the elements already stored. *)
+
+(* A binary run reduces once: each point adds its product's fold, below
+   2^32, so a run of at most [deferred_run] points sums below 2^62, and
+   two folds bring the sum to at most p + 1, which [canonical] takes into
+   [0, p). *)
+let deferred_run = 1 lsl 30
 
 let eval_kernel (env : env) (k : Codegen.Kernel.t) =
   let data name = (find env name).data in
   let out = data k.op.out in
   let factors = Array.of_list (List.map (fun (name, _) -> data name) k.op.factors) in
-  let acc = ref 0 in
-  let output off reduce =
-    if k.scalar_replaced then begin
-      acc := out.(off);
-      reduce ();
-      out.(off) <- !acc
-    end
-    else begin
-      acc := 0;
-      let saved = out.(off) in
-      reduce ();
-      out.(off) <- addp saved !acc
-    end
-  in
-  let run offs steps len =
-    let a = ref !acc in
-    for t = 0 to len - 1 do
-      a := addp !a (product factors offs steps t)
-    done;
-    acc := !a
-  in
   try
-    Codegen.Exec.walk k
-      ~elements:(fun name -> Array.length (data name))
-      ~output ~run
+    let p = Codegen.Exec.plan k ~elements:(fun name -> Array.length (data name)) in
+    let c = Codegen.Exec.start p in
+    let offs = c.offsets and steps = p.steps in
+    while c.level >= 0 do
+      let o = c.out in
+      let acc = ref (if k.scalar_replaced then out.(o) else 0) in
+      let element = ref true in
+      while !element do
+        (if Array.length factors = 2 && p.run <= deferred_run then begin
+           (* every NWChem kernel is binary *)
+           let a = factors.(0) and b = factors.(1) and sa = steps.(0) and sb = steps.(1) in
+           let ia = ref offs.(0) and ib = ref offs.(1) and sum = ref 0 in
+           for _ = 1 to p.run do
+             sum := !sum + fold (a.(!ia) * b.(!ib));
+             ia := !ia + sa;
+             ib := !ib + sb
+           done;
+           acc := addp !acc (canonical (fold (fold !sum) - prime))
+         end
+         else
+           for t = 0 to p.run - 1 do
+             acc := addp !acc (product factors offs steps t)
+           done);
+        Codegen.Exec.step p c;
+        element := c.level >= p.element_levels
+      done;
+      out.(o) <- (if k.scalar_replaced then !acc else addp out.(o) !acc)
+    done
   with Invalid_argument msg -> raise (Abort msg)
 
 let eval_kernels ~extents inputs (ir : Tcr.Ir.t) kernels =

@@ -12,15 +12,16 @@
     most d/p per round, and a false "different" is impossible. The
     reference stages never form an output that none of their ops reads:
     each op adds its share of the fingerprint directly. The kernel stage
-    is the prime-field instance of {!Codegen.Exec.walk}, the interpreter
+    is the prime-field instance of {!Codegen.Exec.plan}, the loop plan
     float execution runs too - grid/block loops, every reduction point in
-    the printed order, scalar replacement - with addresses from the
-    kernel's access map ({!Codegen.Kernel.access}), formed from its own
-    extents table and bounds-checked, so stride corruption surfaces
-    instead of being normalized away; its outputs are fingerprinted after
-    the walk. When fingerprints differ and {!cost} fits {!gate_budget}, the
-    two stages are evaluated element by element so that the diagnostic
-    names the first element that differs.
+    the printed order, a private accumulator per output element stored
+    once - with addresses from the kernel's access map
+    ({!Codegen.Kernel.access}), formed from its own extents table and
+    proven inside the allocation before the plan runs, so stride
+    corruption surfaces instead of being normalized away; its outputs are
+    fingerprinted after the walk. When fingerprints differ and {!cost}
+    fits {!gate_budget}, the two stages are evaluated element by element
+    so that the diagnostic names the first element that differs.
 
     Codes name the earliest stage that stopped agreeing with its parent:
     BAR060 variant vs dsl, BAR061 tcr vs variant, BAR062 recipe vs tcr,

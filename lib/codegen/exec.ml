@@ -1,12 +1,14 @@
-(* Interpreter for the kernel IR. [walk] is the one walk over a kernel's
-   iteration space (its contract is in exec.mli); its two instances are
-   [run_kernel] over floats, checked against the einsum oracle by the
-   test-suite, and the prime-field kernel stage of Check.Semantic, so the
-   validator proves the interpreter that Barracuda.run executes.
+(* Interpreter for the kernel IR. [plan] compiles a kernel's access map
+   (Kernel.access) once into a loop plan and proves it inside the caller's
+   allocation; its two instances run that plan with their arithmetic
+   inline (the contract is in exec.mli): [run_kernel] over floats, checked
+   against the einsum oracle by the test-suite, and the prime-field kernel
+   stage of Check.Semantic, so the validator proves the interpreter that
+   Barracuda.run executes.
 
-   Addresses come from the kernel's access map (Kernel.access), formed
-   from its OWN extents table, and are bounds-checked against the
-   caller's allocation, so corrupted strides surface as wrong values or
+   Addresses come from the kernel's access map, formed from its OWN
+   extents table, and the plan's box is proven against the caller's
+   allocation, so corrupted strides surface as wrong values or
    [Out_of_bounds] instead of being normalized away. *)
 
 type env = (string * Tensor.Dense.t) list
@@ -18,111 +20,165 @@ let find env name =
   | Some t -> t
   | None -> invalid_arg (Printf.sprintf "Exec: unbound tensor %s" name)
 
-(* Walk [k] over its access map. Each reference's stride at a slot is the
-   sum of its terms there. Offsets are running sums: a slot write moves
-   every reference's offset by its stride at that slot times the change in
-   the slot's value, so an offset always equals the dot product of strides
-   and slot values - also when two levels bind one slot (tx = bx), where
-   the last write wins. The innermost reduction level is one run of its
-   extent, and its slot is left at e-1 as the loop leaves it. *)
-let walk (k : Kernel.t) ~elements ~output ~run =
+type plan = {
+  extents : int array;
+  element_levels : int;
+  out_deltas : int array;
+  deltas : int array array;
+  run : int;
+  steps : int array;
+}
+
+type cursor = { index : int array; mutable level : int; mutable out : int; offsets : int array }
+
+let start p =
+  {
+    index = Array.make (Array.length p.extents) 0;
+    level = (if Array.for_all (fun e -> e > 0) p.extents then 0 else -1);
+    out = 0;
+    offsets = Array.make (Array.length p.steps) 0;
+  }
+
+(* The innermost level short of its last value advances, every level
+   inside it wraps to 0, and the offsets move by that level's deltas. *)
+let step p c =
+  let index = c.index and extents = p.extents in
+  let l = ref (Array.length extents - 1) in
+  while !l >= 0 && index.(!l) = extents.(!l) - 1 do
+    index.(!l) <- 0;
+    decr l
+  done;
+  let l = !l in
+  c.level <- l;
+  if l >= 0 then begin
+    index.(l) <- index.(l) + 1;
+    c.out <- c.out + p.out_deltas.(l);
+    let d = p.deltas.(l) and offs = c.offsets in
+    for f = 0 to Array.length offs - 1 do
+      offs.(f) <- offs.(f) + d.(f)
+    done
+  end
+
+let out_of_bounds (k : Kernel.t) name size off =
+  raise
+    (Out_of_bounds
+       (Printf.sprintf "kernel %s accesses %s at linear offset %d outside its %d elements" k.name
+          name off size))
+
+(* Levels are by, bx, ty and tx (a grid or block dimension that the
+   decomposition leaves unmapped binds no slot, -1), the parallel loops,
+   then the reduction loops; the innermost reduction loop is the run. A
+   level carries a reference's stride at its slot unless a level inside
+   it binds that slot too, so the offsets are those of slot writes where
+   the last write wins; only element levels carry the output's. The
+   deltas are odometer steps: a level's stride less the wrap of every
+   odometer level inside it from e-1 to 0. *)
+let plan (k : Kernel.t) ~elements =
   let a = Kernel.access k in
-  let nslots = Array.length a.slots in
-  let strides (r : Kernel.reference) =
-    let s = Array.make nslots 0 in
+  let slot = Kernel.slot a in
+  let parallel, reductions =
+    List.partition (fun (l : Kernel.loop) -> l.parallel) k.thread_loops
+  in
+  let loop (l : Kernel.loop) = (slot l.index, l.extent) in
+  let parallel = List.map loop parallel and reductions = List.map loop reductions in
+  let level i e = ((match i with Some i -> slot i | None -> -1), e) in
+  let d = k.decomp and bx_e, by_e = k.grid and tx_e, ty_e = k.block in
+  let levels =
+    Array.of_list
+      ([ level d.by by_e; level (Some d.bx) bx_e; level d.ty ty_e; level (Some d.tx) tx_e ]
+      @ parallel @ reductions)
+  in
+  let nlevels = Array.length levels and nred = List.length reductions in
+  let ne = nlevels - nred in
+  (* a reduction loop of extent 0 or less leaves every element without a
+     point: the odometer keeps the element levels and the run is empty *)
+  let no_points = List.exists (fun (_, e) -> e <= 0) reductions in
+  (* the odometer's levels: every level but the run's *)
+  let nodo = if no_points || nred = 0 then ne else nlevels - 1 in
+  let run = if no_points then 0 else if nred = 0 then 1 else snd levels.(nlevels - 1) in
+  let per_slot (r : Kernel.reference) =
+    let s = Array.make (Array.length a.slots) 0 in
     List.iter (fun (slot, stride) -> s.(slot) <- s.(slot) + stride) r.terms;
     s
   in
-  let out_strides = strides a.out and out_size = elements a.out.name in
-  let factors = Array.of_list a.factors in
-  let nf = Array.length factors in
-  let factor_strides = Array.map strides factors in
-  (* column [s]: each factor's stride at slot [s] *)
-  let factor_cols = Array.init nslots (fun s -> Array.map (fun st -> st.(s)) factor_strides) in
-  let vals = Array.make nslots 0 in
-  let out_off = ref 0 in
-  let offs = Array.make nf 0 in
-  let set s v =
-    let d = v - vals.(s) in
-    vals.(s) <- v;
-    out_off := !out_off + (out_strides.(s) * d);
-    let col = factor_cols.(s) in
-    for f = 0 to nf - 1 do
-      offs.(f) <- offs.(f) + (col.(f) * d)
-    done
+  let rec bound_inside s l upto = l < upto && (fst levels.(l) = s || bound_inside s (l + 1) upto) in
+  (* each level's stride, from per-slot strides [st], when the levels from
+     [upto] on move nothing *)
+  let carried upto st =
+    Array.init nlevels (fun l ->
+        let s = fst levels.(l) in
+        if l >= upto || s < 0 || bound_inside s (l + 1) upto then 0 else st.(s))
   in
-  let check name size off =
-    if off < 0 || off >= size then
-      raise
-        (Out_of_bounds
-           (Printf.sprintf "kernel %s accesses %s at linear offset %d outside its %d elements"
-              k.name name off size))
-  in
-  let sizes = Array.map (fun (r : Kernel.reference) -> elements r.name) factors in
-  (* Offsets are affine along a run, so its two ends bound it. When an end
-     is out of bounds, the in-bounds prefix runs and the first failing
-     point raises, naming its first failing factor, as a per-point check
-     would. *)
-  let checked_run steps len =
-    let last = len - 1 in
-    let ok = ref true in
-    for f = 0 to nf - 1 do
-      let first = offs.(f) and size = sizes.(f) in
-      let final = first + (last * steps.(f)) in
-      if first < 0 || first >= size || final < 0 || final >= size then ok := false
+  let delta st l =
+    let d = ref st.(l) in
+    for m = l + 1 to nodo - 1 do
+      d := !d - ((snd levels.(m) - 1) * st.(m))
     done;
-    if !ok then run offs steps len
-    else begin
-      let rec first_failing t f =
-        if f = nf then first_failing (t + 1) 0
-        else
-          let off = offs.(f) + (t * steps.(f)) in
-          if off >= 0 && off < sizes.(f) then first_failing t (f + 1) else (t, f, off)
-      in
-      let t, f, off = first_failing 0 0 in
-      if t > 0 then run offs steps t;
-      check factors.(f).name sizes.(f) off
-    end
+    !d
   in
-  let slot = Kernel.slot a in
-  let loops = List.map (fun (l : Kernel.loop) -> (slot l.index, l.extent)) in
-  let parallel_loops, reduction_loops =
-    List.partition (fun (l : Kernel.loop) -> l.parallel) k.thread_loops
+  let out_st = carried ne (per_slot a.out) in
+  let factors = Array.of_list a.factors in
+  let factor_st = Array.map (fun r -> carried nlevels (per_slot r)) factors in
+  let p =
+    {
+      extents = Array.init nodo (fun l -> snd levels.(l));
+      element_levels = ne;
+      out_deltas = Array.init nodo (delta out_st);
+      deltas = Array.init nodo (fun l -> Array.map (fun st -> delta st l) factor_st);
+      run;
+      steps = Array.map (fun st -> if no_points || nred = 0 then 0 else st.(nlevels - 1)) factor_st;
+    }
   in
-  let parallel_loops = loops parallel_loops and reduction_loops = loops reduction_loops in
-  let no_steps = Array.make nf 0 in
-  let rec reduce = function
-    | [] -> checked_run no_steps 1
-    | [ (s, e) ] ->
-      if e > 0 then begin
-        set s 0;
-        checked_run factor_cols.(s) e;
-        set s (e - 1)
-      end
-    | (s, e) :: rest ->
-      for i = 0 to e - 1 do
-        set s i;
-        reduce rest
+  let out_size = elements a.out.name in
+  let sizes = Array.map (fun (r : Kernel.reference) -> elements r.name) factors in
+  (* Prove the box: a reference's offset ranges from the sum of its
+     negative spans to the sum of its positive ones, each span a level's
+     stride times its extent less 1, and the box's corners are visited. A
+     walk that visits nothing, or an empty run, reads nothing. *)
+  let within size st =
+    let lo = ref 0 and hi = ref 0 in
+    Array.iteri
+      (fun l s ->
+        let span = s * (snd levels.(l) - 1) in
+        if span < 0 then lo := !lo + span else hi := !hi + span)
+      st;
+    !lo >= 0 && !hi < size
+  in
+  let proven =
+    (not (Array.for_all (fun e -> e > 0) p.extents))
+    || within out_size out_st
+       && (run = 0 || Array.for_all2 within sizes factor_st)
+  in
+  if not proven then begin
+    (* Name the first failing point in visit order - an element's output
+       before its runs, and at a point its first failing factor - as a
+       check at every point would. Offsets are affine along a run, so its
+       two ends bound it. *)
+    let c = start p in
+    let fails f off = off < 0 || off >= sizes.(f) in
+    let nf = Array.length factors in
+    let rec run_fails f =
+      f < nf
+      && (fails f c.offsets.(f) || fails f (c.offsets.(f) + ((run - 1) * p.steps.(f)))
+         || run_fails (f + 1))
+    in
+    while c.level >= 0 do
+      if c.out < 0 || c.out >= out_size then out_of_bounds k a.out.name out_size c.out;
+      let element = ref true in
+      while !element do
+        if run > 0 && run_fails 0 then
+          for t = 0 to run - 1 do
+            for f = 0 to nf - 1 do
+              let off = c.offsets.(f) + (t * p.steps.(f)) in
+              if fails f off then out_of_bounds k factors.(f).name sizes.(f) off
+            done
+          done;
+        step p c;
+        element := c.level >= ne
       done
-  in
-  let reductions () = reduce reduction_loops in
-  let rec parallel = function
-    | [] ->
-      check a.out.name out_size !out_off;
-      output !out_off reductions
-    | (s, e) :: rest ->
-      for i = 0 to e - 1 do
-        if s >= 0 then set s i;
-        parallel rest
-      done
-  in
-  (* by, bx, ty and tx, then the parallel loops; a grid or block dimension
-     that the decomposition leaves unmapped binds no slot (-1) *)
-  let level i e = ((match i with Some i -> slot i | None -> -1), e) in
-  let d = k.decomp and bx_e, by_e = k.grid and tx_e, ty_e = k.block in
-  parallel
-    ([ level d.by by_e; level (Some d.bx) bx_e; level d.ty ty_e; level (Some d.tx) tx_e ]
-    @ parallel_loops)
+    done
+  end;
+  p
 
 (* Run one kernel over its grid. Accumulates into the (pre-zeroed or
    previously accumulated) output tensor, as the generated CUDA does by
@@ -143,39 +199,32 @@ let run_kernel (k : Kernel.t) (env : env) =
   let out = data (k.op.out, k.op.out_indices) in
   let factors = Array.of_list (List.map data k.op.factors) in
   let nf = Array.length factors in
-  (* the scalar accumulator; a one-cell float array keeps it unboxed *)
-  let acc = [| 0.0 |] in
-  let output off reduce =
-    if k.scalar_replaced then begin
-      (* load once, accumulate in the register, store once *)
-      acc.(0) <- out.(off);
-      reduce ();
-      out.(off) <- acc.(0)
-    end
-    else begin
-      (* ablation form: read-modify-write the output every iteration *)
-      acc.(0) <- 0.0;
-      let saved = out.(off) in
-      reduce ();
-      out.(off) <- saved +. acc.(0)
-    end
-  in
-  (* one multiply-accumulate per point: each product starts from 1.0 and
-     takes the factors in order, and the points accumulate in order *)
-  let run offs steps len =
-    let a = ref acc.(0) in
-    for t = 0 to len - 1 do
-      let p = ref 1.0 in
-      for f = 0 to nf - 1 do
-        p := !p *. factors.(f).(offs.(f) + (t * steps.(f)))
+  let p = plan k ~elements:(fun name -> Tensor.Dense.num_elements (find env name)) in
+  let c = start p in
+  let offs = c.offsets and steps = p.steps in
+  while c.level >= 0 do
+    let o = c.out in
+    (* scalar replacement loads the output into the register once; the
+       ablation form accumulates from 0 and adds the stored value at the
+       end. Either way the element is stored once. *)
+    let acc = ref (if k.scalar_replaced then out.(o) else 0.0) in
+    let element = ref true in
+    while !element do
+      (* one multiply-accumulate per point: each product starts from 1.0
+         and takes the factors in order, and the points accumulate in
+         order *)
+      for t = 0 to p.run - 1 do
+        let prod = ref 1.0 in
+        for f = 0 to nf - 1 do
+          prod := !prod *. factors.(f).(offs.(f) + (t * steps.(f)))
+        done;
+        acc := !acc +. !prod
       done;
-      a := !a +. !p
+      step p c;
+      element := c.level >= p.element_levels
     done;
-    acc.(0) <- !a
-  in
-  walk k
-    ~elements:(fun name -> Tensor.Dense.num_elements (find env name))
-    ~output ~run
+    out.(o) <- (if k.scalar_replaced then !acc else out.(o) +. !acc)
+  done
 
 (* Allocate zeroed temporaries and outputs for a program. *)
 let allocate_produced (ir : Tcr.Ir.t) (inputs : env) : env =

@@ -43,7 +43,7 @@ val flops : t -> int
 
 (** {1 The access map}
 
-    The one definition of a kernel's addresses, read by {!Exec.walk},
+    The one definition of a kernel's addresses, read by {!Exec.plan},
     {!Cuda}, gpusim's coalescing and trace models and the bounds proof.
     Derived from the kernel's fields on every call, never stored. *)
 
@@ -65,9 +65,9 @@ type access = { slots : slot array; out : reference; factors : reference list }
 
 (** Raises [Invalid_argument] on an ill-formed kernel, output first, then
     each factor, a reference's extents before its bindings: ["kernel K has
-    no extent for index I"] or ["kernel K: index I has no slot"]. So the
-    walker raises on both; the bounds proof ({!bound}) reports a missing
-    extent as one BAR030 per dimension. *)
+    no extent for index I"] or ["kernel K: index I has no slot"]. So
+    {!Exec.plan} raises on both; the bounds proof ({!bound}) reports a
+    missing extent as one BAR030 per dimension. *)
 val access : t -> access
 
 (** The slot of an index; [Not_found] when no level binds it. *)

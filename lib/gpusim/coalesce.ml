@@ -39,17 +39,38 @@ let lane_strides k a (r : Codegen.Kernel.reference) =
   (stride_at tx r.terms, stride_at ty r.terms)
 
 (* Element offsets of the lanes of the warp starting at [lane_base] within
-   the block (the warp may be partial), relative to the warp's base address:
-   only the thread-mapped indices vary across lanes, so the offsets are
-   tx * s_tx + ty * s_ty with lanes x-fastest. *)
-let lane_deltas (k : Codegen.Kernel.t) (s_tx, s_ty) ~lane_base =
+   the block (the warp may be partial), relative to the warp's base address,
+   sorted into [deltas]; returns the lane count. Only the thread-mapped
+   indices vary across lanes, so the offsets are tx * s_tx + ty * s_ty with
+   lanes x-fastest - already sorted whenever s_ty covers a row of tx, so
+   the insertion sort is one pass. *)
+let lane_deltas (k : Codegen.Kernel.t) (s_tx, s_ty) ~lane_base deltas =
   let tx_e, _ = k.block in
   let tpb = Codegen.Kernel.threads_per_block k in
   let lanes = min 32 (tpb - lane_base) in
-  List.init lanes (fun l ->
-      let lane = lane_base + l in
-      let tx = lane mod tx_e and ty = lane / tx_e in
-      (tx * s_tx) + (ty * s_ty))
+  for l = 0 to lanes - 1 do
+    let lane = lane_base + l in
+    let tx = lane mod tx_e and ty = lane / tx_e in
+    let delta = (tx * s_tx) + (ty * s_ty) in
+    let j = ref (l - 1) in
+    while !j >= 0 && deltas.(!j) > delta do
+      deltas.(!j + 1) <- deltas.(!j);
+      decr j
+    done;
+    deltas.(!j + 1) <- delta
+  done;
+  lanes
+
+(* Distinct segments [(r + delta) / seg_elems] over the first [lanes]
+   sorted deltas: the map is monotone, so equal segments are adjacent. *)
+let segments deltas lanes r =
+  let count = ref 0 and last = ref 0 in
+  for l = 0 to lanes - 1 do
+    let s = (r + deltas.(l)) / seg_elems in
+    if l = 0 || s <> !last then incr count;
+    last := s
+  done;
+  !count
 
 (* Average transactions per warp-wide load across the block's warps, each
    warp with all serial/block indices fixed at zero (affine =>
@@ -57,13 +78,11 @@ let lane_deltas (k : Codegen.Kernel.t) (s_tx, s_ty) ~lane_base =
 let transactions_per_warp (k : Codegen.Kernel.t) a r =
   let nwarps = (Codegen.Kernel.threads_per_block k + 31) / 32 in
   let strides = lane_strides k a r in
+  let deltas = Array.make 32 0 in
   let total = ref 0 in
   for w = 0 to nwarps - 1 do
-    let segments = Hashtbl.create 8 in
-    List.iter
-      (fun delta -> Hashtbl.replace segments (delta / seg_elems) ())
-      (lane_deltas k strides ~lane_base:(w * 32));
-    total := !total + Hashtbl.length segments
+    let lanes = lane_deltas k strides ~lane_base:(w * 32) deltas in
+    total := !total + segments deltas lanes 0
   done;
   float_of_int !total /. float_of_int nwarps
 
@@ -109,15 +128,13 @@ let exact_transactions_per_warp (k : Codegen.Kernel.t) a r =
   let nwarps = (Codegen.Kernel.threads_per_block k + 31) / 32 in
   let dist = base_residue_dist k a r ~m:seg_elems in
   let strides = lane_strides k a r in
+  let deltas = Array.make 32 0 in
   let total = ref 0.0 in
   for w = 0 to nwarps - 1 do
-    let deltas = lane_deltas k strides ~lane_base:(w * 32) in
+    let lanes = lane_deltas k strides ~lane_base:(w * 32) deltas in
     for r = 0 to seg_elems - 1 do
-      if dist.(r) > 0.0 then begin
-        let segs = Hashtbl.create 8 in
-        List.iter (fun delta -> Hashtbl.replace segs ((r + delta) / seg_elems) ()) deltas;
-        total := !total +. (dist.(r) *. float_of_int (Hashtbl.length segs))
-      end
+      if dist.(r) > 0.0 then
+        total := !total +. (dist.(r) *. float_of_int (segments deltas lanes r))
     done
   done;
   !total /. float_of_int nwarps

@@ -16,14 +16,23 @@ exception Invalid of string
 
 let invalid fmt = Printf.ksprintf (fun s -> raise (Invalid s)) fmt
 
+(* Index lists are short string lists: String-specialised membership,
+   lookup and sorting instead of polymorphic compare. *)
+let mem i = List.exists (String.equal i)
+
+let rec assoc_opt i = function
+  | [] -> None
+  | (j, e) :: rest -> if String.equal i j then Some e else assoc_opt i rest
+
+let sort_uniq = List.sort_uniq String.compare
+
 let extent t name =
-  match List.assoc_opt name t.extents with
+  match assoc_opt name t.extents with
   | Some e -> e
   | None -> invalid "no extent for index %s" name
 
 let all_indices t =
-  List.sort_uniq compare
-    (t.output_indices @ List.concat_map (fun (f : Ast.tensor_ref) -> f.indices) t.factors)
+  sort_uniq (t.output_indices @ List.concat_map (fun (f : Ast.tensor_ref) -> f.indices) t.factors)
 
 (* Default extent used when the program omits a dims declaration; the paper's
    running example uses 10 for every index. *)
@@ -31,44 +40,44 @@ let default_extent = 10
 
 let of_stmt ~extents (stmt : Ast.stmt) =
   let { Ast.lhs; sum_indices = declared; factors; accumulate = _ } = stmt in
-  if factors = [] then invalid "statement for %s has no factors" lhs.name;
-  let distinct_out = List.sort_uniq compare lhs.indices in
+  if List.is_empty factors then invalid "statement for %s has no factors" lhs.name;
+  let distinct_out = sort_uniq lhs.indices in
   if List.length distinct_out <> List.length lhs.indices then
     invalid "output %s repeats an index" lhs.name;
   List.iter
     (fun (f : Ast.tensor_ref) ->
-      if List.length (List.sort_uniq compare f.indices) <> List.length f.indices then
+      if List.length (sort_uniq f.indices) <> List.length f.indices then
         invalid "factor %s repeats an index (diagonals are unsupported)" f.name)
     factors;
   let factor_indices =
-    List.sort_uniq compare (List.concat_map (fun (f : Ast.tensor_ref) -> f.indices) factors)
+    sort_uniq (List.concat_map (fun (f : Ast.tensor_ref) -> f.indices) factors)
   in
   List.iter
     (fun i ->
-      if not (List.mem i factor_indices) then
+      if not (mem i factor_indices) then
         invalid "output index %s of %s does not appear in any factor" i lhs.name)
     lhs.indices;
-  let inferred = List.filter (fun i -> not (List.mem i lhs.indices)) factor_indices in
+  let inferred = List.filter (fun i -> not (mem i lhs.indices)) factor_indices in
   (match declared with
   | [] -> ()
   | _ ->
-    let declared_sorted = List.sort_uniq compare declared in
+    let declared_sorted = sort_uniq declared in
     if List.length declared_sorted <> List.length declared then
       invalid "summation list of %s repeats an index" lhs.name;
     List.iter
       (fun i ->
-        if List.mem i lhs.indices then
+        if mem i lhs.indices then
           invalid "summation index %s also appears in the output of %s" i lhs.name;
-        if not (List.mem i factor_indices) then
+        if not (mem i factor_indices) then
           invalid "summation index %s of %s does not appear in any factor" i lhs.name)
       declared;
-    if declared_sorted <> inferred then
+    if not (List.equal String.equal declared_sorted inferred) then
       invalid "summation list of %s omits contracted index" lhs.name);
-  let used = List.sort_uniq compare (lhs.indices @ factor_indices) in
+  let used = sort_uniq (lhs.indices @ factor_indices) in
   let extents =
     List.map
       (fun i ->
-        match List.assoc_opt i extents with
+        match assoc_opt i extents with
         | Some e ->
           if e <= 0 then invalid "extent of %s must be positive" i;
           (i, e)

@@ -390,7 +390,7 @@ let float_bits data =
   Array.iteri (fun i x -> Bytes.set_int64_le b (8 * i) (Int64.bits_of_float x)) data;
   Digest.to_hex (Digest.bytes b)
 
-(* The walker's float instance on [k] over a copy of [env]'s output: the
+(* The plan's float instance on [k] over a copy of [env]'s output: the
    output's bits, or the exception's text. *)
 let walk_result env (k : Codegen.Kernel.t) =
   let env =
@@ -400,33 +400,41 @@ let walk_result env (k : Codegen.Kernel.t) =
   | () -> float_bits (Tensor.Dense.data (List.assoc k.op.out env))
   | exception e -> Printexc.to_string e
 
-(* The walker itself on [k], without run_kernel's shape check of the
+(* The plan itself on [k], without run_kernel's shape check of the
    caller's tensors (which a mutation of the layout fails first): a hash
-   of every output offset and run it visits, or the exception's text. *)
+   of every output offset and run it visits, in visit order, or the
+   exception's text. *)
 let walk_trace env (k : Codegen.Kernel.t) =
   let h = ref 0 in
   let mix x = h := ((!h * 31) + x) land 0x3FFFFFFF in
   match
-    Codegen.Exec.walk k
-      ~elements:(fun name -> Tensor.Dense.num_elements (List.assoc name env))
-      ~output:(fun off reduce ->
-        mix off;
-        reduce ())
-      ~run:(fun offs steps len ->
-        Array.iter mix offs;
-        Array.iter mix steps;
-        mix len)
+    Codegen.Exec.plan k ~elements:(fun name -> Tensor.Dense.num_elements (List.assoc name env))
   with
-  | () -> string_of_int !h
   | exception e -> Printexc.to_string e
+  | p ->
+    let c = Codegen.Exec.start p in
+    while c.level >= 0 do
+      mix c.out;
+      let element = ref true in
+      while !element do
+        if p.run > 0 then begin
+          Array.iter mix c.offsets;
+          Array.iter mix p.steps;
+          mix p.run
+        end;
+        Codegen.Exec.step p c;
+        element := c.level >= p.element_levels
+      done
+    done;
+    string_of_int !h
 
 (* Five MD5s over the sweep, one per consumer: the CUDA text; the model's
    times and traffic on the three GPUs with both coalescing counts of every
-   reference; the bounds proof's findings with lints on; the walker's
-   output bits or exception, and the walk's own trace, on each kernel and
-   each mutation of it; and the semantic verdicts of one point per
-   variant, with and without each mutation. A change that moves one on
-   purpose updates it and names the change in CHANGES.md. *)
+   reference; the bounds proof's findings with lints on; the float
+   instance's output bits or exception, and the loop plan's own trace, on
+   each kernel and each mutation of it; and the semantic verdicts of one
+   point per variant, with and without each mutation. A change that moves
+   one on purpose updates it and names the change in CHANGES.md. *)
 let test_kernel_consumers_pinned () =
   let kernels, candidates = consumer_sweep () in
   let rank1_ir, rank1_points = naive_rank1 () in

@@ -127,7 +127,7 @@ let test_rounds_must_be_positive () =
 
 (* An NWChem triples kernel's five stages agree, pinned: the reference
    stages fingerprint an output they never form, the kernel stage the one
-   its walk forms. *)
+   its loop plan forms. *)
 let test_nwchem_d1_stage_digests () =
   let b = Benchsuite.Nwchem.benchmark ~n:4 Benchsuite.Nwchem.D1 ~index:1 in
   let c = List.hd (Autotune.Tuner.variant_choices b) in
@@ -338,9 +338,9 @@ let test_mutation_swap_index () =
       (Astring_contains.contains d.message "on C[0]: 861637739 vs 1608435588")
   | ds -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds)
 
-(* The corrupted read fails inside a reduction run: the run's in-bounds
-   prefix runs, then its first failing point raises the message a check
-   at every point gives. *)
+(* The corrupted read fails inside a reduction run: the plan's box proof
+   fails before anything runs, and its message names the run's first
+   failing point, as a check at every point would. *)
 let test_mutation_corrupt_stride () =
   let applied, v = mutation_caught Check.Mutate.Corrupt_stride in
   check_bool "applied" true applied;
@@ -360,9 +360,9 @@ let test_mutation_drop_accumulation () =
   check_bool "caught" false v.Check.Semantic.equivalent;
   check_bool "BAR063" true (has_code "BAR063" v.diags)
 
-(* The walker's bounds check is shared: one block past the grid makes
-   float execution raise Exec.Out_of_bounds, and translation validation
-   report the same message as a kernel-stage BAR063. *)
+(* The plan's box proof is shared: one block past the grid makes float
+   execution raise Exec.Out_of_bounds, and translation validation report
+   the same message as a kernel-stage BAR063. *)
 let test_kernel_oob_shared () =
   let b, c, points = first_candidate matmul_src "mm" in
   let ir = c.Autotune.Tuner.v_ir in
@@ -393,6 +393,129 @@ let test_kernel_oob_shared () =
     Alcotest.(check string) "BAR063" "BAR063" d.code;
     check_bool "same message" true (contains d.message msg)
   | ds -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds)
+
+(* A statement that reads its own accumulation target is a BAR017 race.
+   The kernel keeps each element's sum in a private accumulator and stores
+   it once, so the second kernel's reads of C see only the elements
+   already stored, where the reference stages update C at every point:
+   the kernel stage disagrees. A kernel stage that updated the output per
+   point would agree with them and call the program equivalent. *)
+let race_src =
+  "dims: i=4 j=4 k=4\n\
+   C[i j] = Sum([k], A[i k] * B[k j])\n\
+   C[i j] += Sum([k], C[i k] * B[k j])"
+
+let test_kernel_stage_catches_race () =
+  let v = validate race_src "tc" in
+  Alcotest.(check (option string)) "failed at kernel" (Some "kernel") v.failed_stage;
+  Alcotest.(check (list string)) "one BAR063"
+    [
+      "[BAR063] error (semantic) tc: kernel stage disagrees with its parent on C[1]: \
+       1453419309 vs 500939965 (mod 2147483647, round 1 of 2)";
+    ]
+    (List.map Check.Diag.render v.diags)
+
+(* The loop plan's box proof at its edges, in both instances: float
+   execution (Exec.run_kernel) and the F_p kernel stage (each kernel
+   applied as a mutation of the first candidate's). *)
+let edge_src = "dims: i=5 j=6 k=7\nC[i j] = Sum([k], A[i k] * B[k j])"
+
+let test_box_proof_edges () =
+  let b, c, points = first_candidate edge_src "mm" in
+  let ir = c.Autotune.Tuner.v_ir in
+  Alcotest.(check (list string)) "first point" [ "tx=j ty=1 bx=i by=1 uk=1" ]
+    (List.map Tcr.Space.point_key points);
+  let k = List.hd (Codegen.Kernel.lower_program ir points) in
+  let rng = Util.Rng.create 3 in
+  let inputs =
+    List.map
+      (fun (v : Tcr.Ir.var) -> (v.name, Tensor.Dense.random rng (Tcr.Ir.var_shape ir v.name)))
+      (Tcr.Ir.inputs ir)
+  in
+  let reference = List.assoc "C" (Codegen.Exec.run_reference ir inputs) in
+  let run k =
+    let env = Codegen.Exec.allocate_produced ir inputs in
+    match Codegen.Exec.run_kernel k env with
+    | () -> Ok (List.assoc "C" env)
+    | exception Codegen.Exec.Out_of_bounds msg -> Error msg
+  in
+  let validate k =
+    Check.Semantic.validate ~mutate_kernel:(fun _ -> k) ~label:"mm" b.statements
+      ~variant_ids:c.Autotune.Tuner.ids ~ir ~points
+  in
+  let messages (v : Check.Semantic.verdict) =
+    List.map (fun (d : Check.Diag.t) -> (d.code, d.message)) v.diags
+  in
+  let d = k.decomp in
+  (* bx and tx trade indices: a kernel whose largest offset into every
+     factor is exactly its last element *)
+  let swapped =
+    {
+      k with
+      decomp = { d with tx = d.bx; bx = d.tx };
+      grid = (fst k.block, snd k.grid);
+      block = (fst k.grid, snd k.block);
+    }
+  in
+  let env = Codegen.Exec.allocate_produced ir inputs in
+  let p =
+    Codegen.Exec.plan swapped ~elements:(fun name ->
+        Tensor.Dense.num_elements (List.assoc name env))
+  in
+  let largest = Array.make (Array.length p.steps) 0 in
+  let cur = Codegen.Exec.start p in
+  while cur.level >= 0 do
+    Array.iteri
+      (fun f off -> largest.(f) <- max largest.(f) (off + ((p.run - 1) * p.steps.(f))))
+      cur.offsets;
+    Codegen.Exec.step p cur
+  done;
+  Alcotest.(check (list int)) "largest offsets: the last elements" [ 34; 41 ]
+    (Array.to_list largest);
+  (match run swapped with
+  | Ok got -> check_bool "matches the oracle" true (Tensor.Dense.approx_equal reference got)
+  | Error msg -> Alcotest.failf "raised %s" msg);
+  check_bool "the F_p stage agrees" true (validate swapped).equivalent;
+  (* one thread past j's extent: the largest offset into B (and into C) is
+     one past its last element, and the first point out of bounds in
+     visit order reads B *)
+  let past = { k with block = (fst k.block + 1, snd k.block) } in
+  check_bool "one past B" true
+    (Codegen.Kernel.bound past [ "k"; "j" ] = Codegen.Kernel.Past (42, 42));
+  let msg = "kernel mm_GPU_1 accesses B at linear offset 42 outside its 42 elements" in
+  Alcotest.(check (result reject string)) "float raises" (Error msg)
+    (Result.map ignore (run past));
+  let v = validate past in
+  Alcotest.(check (option string)) "F_p fails at kernel" (Some "kernel") v.failed_stage;
+  Alcotest.(check (list (pair string string))) "the same text as BAR063"
+    [ ("BAR063", "kernel stage: " ^ msg ^ " (round 1 of 2)") ]
+    (messages v);
+  (* tx = bx = j with the grid one block past j's extent: bx's slot write
+     never reaches an address, since tx, the inner binder, writes it last.
+     A proof over each slot's largest extent would reject the kernel. *)
+  let shared =
+    {
+      k with
+      decomp = { d with bx = d.tx; by = Some d.bx };
+      grid = (fst k.block + 1, fst k.grid);
+    }
+  in
+  check_bool "slot ranges overrun C" true
+    (Codegen.Kernel.bound shared [ "i"; "j" ] <> Codegen.Kernel.Within);
+  (match run shared with
+  | Ok got ->
+    check_bool "7 x the oracle" true
+      (Tensor.Dense.approx_equal (Tensor.Dense.scale 7.0 reference) got)
+  | Error msg -> Alcotest.failf "raised %s" msg);
+  let v = validate shared in
+  Alcotest.(check (option string)) "F_p runs, and disagrees" (Some "kernel") v.failed_stage;
+  Alcotest.(check (list (pair string string))) "a value, not an address"
+    [
+      ( "BAR063",
+        "kernel stage disagrees with its parent on C[0]: 1674187354 vs 981893243 (mod \
+         2147483647, round 1 of 2)" );
+    ]
+    (messages v)
 
 (* ---------------- programs without a search point ---------------- *)
 
@@ -932,6 +1055,10 @@ let suite =
     Alcotest.test_case "mutation: drop-accumulation" `Quick test_mutation_drop_accumulation;
     Alcotest.test_case "kernel stage: out-of-bounds shared with Exec" `Quick
       test_kernel_oob_shared;
+    Alcotest.test_case "kernel stage: catches the accumulation race" `Quick
+      test_kernel_stage_catches_race;
+    Alcotest.test_case "kernel stage: box proof edges in both instances" `Quick
+      test_box_proof_edges;
     Alcotest.test_case "mutation names roundtrip" `Quick test_mutation_names_roundtrip;
     Alcotest.test_case "rank-1: check --semantic reports BAR064" `Quick
       test_rank1_check_semantic;
