@@ -273,7 +273,8 @@ let run_drift () = table "drift" drift_table
 
 (* Translation validation: wall time of the semantic layer on fixed
    candidates - the cost of proving a tuned winner computes its
-   contraction. Every row asserts the candidate actually validates. *)
+   contraction, with the kernel stage walked as [check --semantic] walks
+   it. Every row asserts the candidate actually validates. *)
 let check_table () =
   let rounds = Check.Semantic.default_rounds in
   let row (b : Autotune.Tuner.benchmark) =
@@ -285,7 +286,7 @@ let check_table () =
     in
     let t0 = Unix.gettimeofday () in
     let v =
-      Check.Semantic.validate ~rounds ~label:b.label b.statements
+      Check.Semantic.validate ~rounds ~walk:true ~label:b.label b.statements
         ~variant_ids:c.Autotune.Tuner.ids ~ir:c.Autotune.Tuner.v_ir ~points
     in
     let wall = Unix.gettimeofday () -. t0 in
@@ -482,7 +483,7 @@ let check_fixture =
 let bench_check () =
   let b, c, points = Lazy.force check_fixture in
   let v =
-    Check.Semantic.validate ~rounds:1 ~label:b.label b.statements
+    Check.Semantic.validate ~rounds:1 ~walk:true ~label:b.label b.statements
       ~variant_ids:c.Autotune.Tuner.ids ~ir:c.Autotune.Tuner.v_ir ~points
   in
   assert v.Check.Semantic.equivalent

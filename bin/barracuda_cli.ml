@@ -744,7 +744,7 @@ let cmd_check =
               c.Autotune.Tuner.spaces.op_spaces
           in
           Some
-            (Check.Semantic.validate ~rounds ~seed:sz_seed ?mutate_kernel
+            (Check.Semantic.validate ~rounds ~seed:sz_seed ~walk:true ?mutate_kernel
                ~label:b.label b.statements ~variant_ids:c.Autotune.Tuner.ids
                ~ir:c.Autotune.Tuner.v_ir ~points)
         | ops ->
@@ -761,6 +761,7 @@ let cmd_check =
                     "no search point for %s, so no candidate can be validated"
                     (String.concat ", " ops);
                 ];
+              kernel_proven = false;
             })
       | _ -> None
     in

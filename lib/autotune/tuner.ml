@@ -291,9 +291,11 @@ let tune ?(strategy = Surf_search Surf.Search.default_config) ?(reps = 100)
         (String.concat "." (List.map string_of_int best.variant_ids)));
   (* Translation validation of the winner, after the search settled: runs
      with its own fixed seed and draws nothing from the tuner RNG, so it
-     cannot move a fixed-seed search. Skipped (None) above the budget on
-     Semantic.cost, which stands in for the kernel walk, the one full-size
-     evaluation validation still makes. *)
+     cannot move a fixed-seed search. Proof-first: a winner whose kernels
+     are proven from their access maps is not walked, and the span's
+     [kernel] attribute says which. Skipped (None) above the budget on
+     Semantic.cost, which bounds the reference stages and the element-wise
+     diagnostics. *)
   let semantic =
     if Check.Semantic.cost b.statements > Check.Semantic.gate_budget then begin
       Log.debug (fun m ->
@@ -308,7 +310,10 @@ let tune ?(strategy = Surf_search Surf.Search.default_config) ?(reps = 100)
               ~variant_ids:best.variant_ids ~ir:best.ir ~points:best.points
           in
           Obs.Trace.add_attrs span
-            [ ("equivalent", string_of_bool v.Check.Semantic.equivalent) ];
+            [
+              ("equivalent", string_of_bool v.Check.Semantic.equivalent);
+              ("kernel", if v.Check.Semantic.kernel_proven then "proven" else "walked");
+            ];
           if not v.Check.Semantic.equivalent then
             Log.err (fun m ->
                 m "%s: winner FAILED translation validation at the %s stage:\n%s"

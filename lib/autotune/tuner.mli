@@ -102,8 +102,9 @@ exception Empty_space of string
     {!Empty_space} instead.
 
     The semantic gate runs translation validation
-    ({!Check.Semantic.validate}) on the winner after the search settles,
-    with its own fixed seed - no draws from the tuner RNG. The verdict
+    ({!Check.Semantic.validate}, proof-first: a proven kernel is not
+    walked) on the winner after the search settles, with its own fixed
+    seed - no draws from the tuner RNG. The verdict
     lands in the result and (as [semantic_ok]) in the journal entry;
     validation is skipped when {!Check.Semantic.cost} exceeds
     {!Check.Semantic.gate_budget}.

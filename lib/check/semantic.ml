@@ -32,10 +32,21 @@
    input the stage writes are formed, and an output among them is
    fingerprinted by one pass.
 
-   The kernel stage runs Codegen.Exec's loop plan - the plan float
-   execution runs too - with F_p arithmetic inline: grid/block loops,
-   every reduction point in the printed order, and addresses from the
-   kernel's access map, formed from the KERNEL'S OWN extents table so
+   The kernel stage is proven first. From each kernel's access map and
+   the op it was lowered from, five facts ([proves]: same op, the IR's
+   extents, an exact cover of the op's indices, the row-major map, no
+   self-read) establish that the kernel computes exactly that op; then
+   every output element ends at its recipe value, so when every kernel
+   of the candidate is proven the stage's fingerprints are the recipe
+   stage's of the same round, and nothing is walked, allocated or
+   fingerprinted. This is the tuner gate's path. When a fact fails (a
+   mutated kernel, a statement that reads its own output, tx and bx on
+   one index, a hand-built kernel), or when the caller asks for the walk
+   ([check --semantic], [--diff], [--mutate], and the tests as the
+   cross-check), the stage walks: it runs Codegen.Exec's loop plan - the
+   plan float execution runs too - with F_p arithmetic inline: grid/block
+   loops, every reduction point in the printed order, and addresses from
+   the kernel's access map, formed from the KERNEL'S OWN extents table so
    that corrupted strides surface as wrong values or out-of-bounds
    accesses rather than being silently normalized away. The plan proves
    its whole iteration box against the true allocation before anything
@@ -534,17 +545,18 @@ let fingerprint_stage ~extents ~vectors inputs d =
     d.outputs
 
 (* ------------------------------------------------------------------ *)
-(* Stage 5 - kernel: the F_p instance of Codegen.Exec's loop plan, the
-   plan float execution also runs. The plan reads the kernel's access map,
-   formed from its OWN extents table, and proves its box against the true
-   allocation before anything runs, so stride corruption is observed
-   rather than normalized away; its layout errors (a missing extent or
-   slot) abort the stage. Each output element keeps a private
-   accumulator - loaded from the output when scalar-replaced, else started
-   at 0 and added to the stored value at the end - that its runs add to in
-   point order, and is stored once: kernel semantics, not the reference
-   stages' per-point update, so a factor that reads the output sees only
-   the elements already stored. *)
+(* Stage 5 - kernel: proven from the access map when it can be (below,
+   [proves]), walked otherwise. The walk is the F_p instance of
+   Codegen.Exec's loop plan, the plan float execution also runs. The plan
+   reads the kernel's access map, formed from its OWN extents table, and
+   proves its box against the true allocation before anything runs, so
+   stride corruption is observed rather than normalized away; its layout
+   errors (a missing extent or slot) abort the stage. Each output element
+   keeps a private accumulator - loaded from the output when
+   scalar-replaced, else started at 0 and added to the stored value at the
+   end - that its runs add to in point order, and is stored once: kernel
+   semantics, not the reference stages' per-point update, so a factor that
+   reads the output sees only the elements already stored. *)
 
 (* A binary run reduces once: each point adds its product's fold, below
    2^32, so a run of at most [deferred_run] points sums below 2^62, and
@@ -592,6 +604,96 @@ let eval_kernels ~extents inputs (ir : Tcr.Ir.t) kernels =
   List.iter (eval_kernel env) kernels;
   List.map (fun name -> (name, find env name)) (ir_outputs ir)
 
+(* The kernel stage's proof: kernel [k] computes exactly the recipe's op
+   [rop] over the IR's extents when five facts hold.
+   1. Same op: its output, output indices and factor references (names
+      and dims, in order) are the op's.
+   2. Same extents: its own extents table gives every index the op
+      references that index's IR extent, which is at least 1.
+   3. Exact cover: tx, bx, the optional ty and by, and each thread loop
+      bind pairwise distinct indices whose union is the op's index set,
+      and the recipe iterates that set once each. Each level runs over
+      its index's IR extent (an absent ty or by leaves its block or grid
+      dimension at 1). A level stays inside one output element (tx, ty,
+      bx, by and the parallel loops) exactly when its index is an output
+      index.
+   4. Row-major map: in [Kernel.access k], the map the plan, the printer,
+      gpusim and the bounds proof read, each reference's terms are (the
+      slot of dim d, the product of the IR extents of the dims after d),
+      and its element count is its tensor's allocation.
+   5. No self-read: no factor names the output, and the output is a
+      tensor the program produces, not an input.
+   Then the walk visits every point of the op once, reads each factor
+   where the recipe reads it, and only adds to the output. F_p addition
+   commutes, so each output element ends at its recipe value whatever the
+   order, and the stage's fingerprints are the recipe's. *)
+let same_ref (n, d) (n', d') = String.equal n n' && List.equal String.equal d d'
+
+let proves (ir : Tcr.Ir.t) (rop : ref_op) (k : Codegen.Kernel.t) =
+  let oname, odims = rop.out in
+  let ext i = List.assoc_opt i ir.extents in
+  let size dims = try Some (size_of (shape_of ir.extents dims)) with Abort _ -> None in
+  let declared name =
+    match List.filter (fun (v : Tcr.Ir.var) -> String.equal v.name name) ir.vars with
+    | [ v ] -> Some v
+    | _ -> None
+  in
+  let indices = List.sort_uniq String.compare (odims @ List.concat_map snd rop.factors) in
+  (* each level: its index, its extent, and whether it stays inside one
+     output element *)
+  let d = k.decomp and bx_e, by_e = k.grid and tx_e, ty_e = k.block in
+  let mapped i e = match i with Some i -> [ (i, e, true) ] | None -> [] in
+  let levels =
+    ((d.tx, tx_e, true) :: mapped d.ty ty_e)
+    @ ((d.bx, bx_e, true) :: mapped d.by by_e)
+    @ List.map (fun (l : Codegen.Kernel.loop) -> (l.index, l.extent, l.parallel)) k.thread_loops
+  in
+  let row_major (a : Codegen.Kernel.access) (r : Codegen.Kernel.reference) =
+    let rec terms dims ts =
+      match (dims, ts) with
+      | [], [] -> true
+      | dim :: inner, (s, stride) :: ts ->
+        s >= 0
+        && s < Array.length a.slots
+        && String.equal a.slots.(s).index dim
+        && size inner = Some stride
+        && terms inner ts
+      | _ -> false
+    in
+    terms r.dims r.terms
+    && match declared r.name with Some v -> size v.dims = Some r.elements | None -> false
+  in
+  (* 1. same op *)
+  same_ref (k.op.out, k.op.out_indices) rop.out
+  && List.equal same_ref k.op.factors rop.factors
+  (* 2. same extents *)
+  && List.for_all
+       (fun i ->
+         match ext i with Some e -> e > 0 && List.assoc_opt i k.extents = Some e | None -> false)
+       indices
+  (* 3. exact cover *)
+  && (Option.is_some d.ty || ty_e = 1)
+  && (Option.is_some d.by || by_e = 1)
+  && Tcr.Ir.is_permutation (List.map (fun (i, _, _) -> i) levels) indices
+  && List.for_all
+       (fun (i, e, element) -> ext i = Some e && element = Tcr.Ir.mem_index i odims)
+       levels
+  && Tcr.Ir.is_permutation rop.order indices
+  (* 4. row-major map *)
+  && (match Codegen.Kernel.access k with
+     | exception Invalid_argument _ -> false
+     | a -> row_major a a.out && List.for_all (row_major a) a.factors)
+  (* 5. no self-read *)
+  && (not (List.exists (fun (name, _) -> String.equal name oname) rop.factors))
+  && match declared oname with Some v -> v.role <> Tcr.Ir.Input | None -> false
+
+(* Every kernel proven against its op of the recipe stage. *)
+let prove_kernels (ir : Tcr.Ir.t) points kernels =
+  match describe_recipe ir points with
+  | exception (Abort _ | Invalid_argument _) -> false
+  | recipe ->
+    List.length recipe.ops = List.length kernels && List.for_all2 (proves ir) recipe.ops kernels
+
 (* ------------------------------------------------------------------ *)
 (* Verdict *)
 
@@ -601,6 +703,7 @@ type verdict = {
   rounds_run : int;
   stages : (string * string) list;  (* per-stage fingerprint digest, round 1 *)
   diags : Diag.t list;
+  kernel_proven : bool;  (* the kernel stage took the recipe's fingerprints *)
 }
 
 (* MD5 hex of a stage's fingerprints: [name:value] per output, joined by
@@ -650,13 +753,13 @@ let default_rounds = 2
 let default_seed = 0x5eed
 
 (* Points the naive einsum of the statements iterates: the saturating sum
-   over statements of the product of every driven extent. Validation no
-   longer runs that nest - the reference stages are fingerprinted - but it
-   still walks every kernel over its full output, so [cost] stands in for
-   the kernel walk, the one full-size evaluation left, until the gate is
-   priced by that walk itself. Tuner gates skip validation when it exceeds
-   [gate_budget] (e.g. the O(n^10) TCE example), and a mismatch above it
-   is reported by its fingerprints. *)
+   over statements of the product of every driven extent. No stage runs
+   that nest: the reference stages are fingerprinted, and on the tuner's
+   gate a proven kernel is not walked. [cost] bounds what is left there -
+   the reference stages, and the element-wise diagnostics after a
+   mismatch - and the walk of a kernel the proof rejects. Tuner gates skip
+   validation when it exceeds [gate_budget] (e.g. the O(n^10) TCE
+   example), and a mismatch above it is reported by its fingerprints. *)
 let cost (statements : Octopi.Contraction.t list) =
   List.fold_left
     (fun acc (c : Octopi.Contraction.t) ->
@@ -676,8 +779,11 @@ let gate_budget = 4_000_000
 (* Validate one tuned candidate's full lineage. [mutate_kernel] rewrites
    each lowered kernel before interpretation (the mutation self-test
    harness); [rounds] (at least one) Schwartz-Zippel rounds with fresh
-   random inputs and vectors each, all derived from [seed]. *)
-let validate ?(rounds = default_rounds) ?(seed = default_seed) ?mutate_kernel ~label
+   random inputs and vectors each, all derived from [seed]. The kernel
+   stage is proven first and walked only when a fact fails, unless [walk]
+   asks for the walk on every candidate. *)
+let validate ?(rounds = default_rounds) ?(seed = default_seed) ?(walk = false) ?mutate_kernel
+    ~label
     (statements : Octopi.Contraction.t list) ~variant_ids ~(ir : Tcr.Ir.t) ~points =
   if rounds < 1 then invalid_arg "Semantic.validate: rounds must be >= 1";
   let site = label in
@@ -692,6 +798,7 @@ let validate ?(rounds = default_rounds) ?(seed = default_seed) ?mutate_kernel ~l
       rounds_run = 0;
       stages = [];
       diags = [ abort_diag stage msg ];
+      kernel_proven = false;
     }
   in
   match
@@ -720,6 +827,7 @@ let validate ?(rounds = default_rounds) ?(seed = default_seed) ?mutate_kernel ~l
     (* the vectors' own stream, so the inputs are drawn as without them *)
     let vrng = Util.Rng.split (Util.Rng.create seed) in
     let elementwise = cost statements <= gate_budget in
+    let kernel_proven = (not walk) && prove_kernels ir points kernels in
     let stages = ref [] in
     let rec run round =
       if round >= rounds then
@@ -729,13 +837,15 @@ let validate ?(rounds = default_rounds) ?(seed = default_seed) ?mutate_kernel ~l
           rounds_run = rounds;
           stages = List.rev !stages;
           diags = [];
+          kernel_proven;
         }
       else begin
         let inputs = random_inputs rng extents inputs_spec in
         let vectors = vector_table vrng in
-        (* each stage: its fingerprints, and its outputs element by element *)
+        (* each stage: its fingerprints given its parent's, and its outputs
+           element by element *)
         let reference describe =
-          ( (fun () -> fingerprint_stage ~extents ~vectors inputs (describe ())),
+          ( (fun _ -> fingerprint_stage ~extents ~vectors inputs (describe ())),
             fun () -> evaluate ~extents inputs (describe ()) )
         in
         let kernel () = eval_kernels ~extents inputs ir kernels in
@@ -746,7 +856,9 @@ let validate ?(rounds = default_rounds) ?(seed = default_seed) ?mutate_kernel ~l
             ("tcr", reference (fun () -> describe_tcr ir));
             ("recipe", reference (fun () -> describe_recipe ir points));
             ( "kernel",
-              ( (fun () ->
+              ( (function
+                | Some recipe when kernel_proven -> recipe
+                | _ ->
                   List.map
                     (fun (name, t) ->
                       (name, fingerprint (vectors name (shape_of extents t.dims)) t.data))
@@ -774,7 +886,7 @@ let validate ?(rounds = default_rounds) ?(seed = default_seed) ?mutate_kernel ~l
            disagreement (or abort) names the earliest broken translation *)
         let step parent (stage, (fingerprints, outputs)) =
           match
-            let fps = fingerprints () in
+            let fps = fingerprints (Option.map fst parent) in
             if round = 0 then stages := (stage, digest fps) :: !stages;
             ( fps,
               Option.bind parent (fun (pfps, parent_outputs) ->
@@ -806,6 +918,7 @@ let validate ?(rounds = default_rounds) ?(seed = default_seed) ?mutate_kernel ~l
             rounds_run = round + 1;
             stages = List.rev !stages;
             diags = [ diag ];
+            kernel_proven;
           }
       end
     in

@@ -101,13 +101,13 @@ let fit ?params rng (x : float array array) (y : float array) =
   if Array.length x = 0 then invalid_arg "Tree.fit: empty training set";
   let dims = Array.length x.(0) in
   let p = match params with Some p -> p | None -> default_params ~dims in
-  let rec build idx depth =
+  (* [sse] is [sse_of idx y], computed once: at the root, or when the
+     parent scored the split that made this node *)
+  let rec build idx sse depth =
     let n = Array.length idx in
-    if n < p.min_samples || depth >= p.max_depth || sse_of idx y <= 1e-24 then
-      Leaf (mean_of idx y)
+    if n < p.min_samples || depth >= p.max_depth || sse <= 1e-24 then Leaf (mean_of idx y)
     else begin
       (* K randomized candidates; keep the best variance reduction *)
-      let parent_sse = sse_of idx y in
       let best = ref None in
       for _ = 1 to p.k_candidates do
         match draw_split rng x idx dims with
@@ -115,21 +115,24 @@ let fit ?params rng (x : float array array) (y : float array) =
         | Some (f, thr) ->
           let l, r = partition x idx f thr in
           if Array.length l > 0 && Array.length r > 0 then begin
-            let gain = parent_sse -. (sse_of l y +. sse_of r y) in
+            let sl = sse_of l y and sr = sse_of r y in
+            let gain = sse -. (sl +. sr) in
             match !best with
-            | Some (g, _, _, _, _) when g >= gain -> ()
-            | _ -> best := Some (gain, f, thr, l, r)
+            | Some (g, _, _, _, _, _, _) when g >= gain -> ()
+            | _ -> best := Some (gain, f, thr, l, sl, r, sr)
           end
       done;
       match !best with
       | None -> Leaf (mean_of idx y)
-      | Some (gain, f, thr, l, r) ->
-        Split
-          { feature = f; threshold = thr; gain;
-            left = build l (depth + 1); right = build r (depth + 1) }
+      | Some (gain, f, thr, l, sl, r, sr) ->
+        (* both children draw from [rng]: the right one is built first *)
+        let right = build r sr (depth + 1) in
+        let left = build l sl (depth + 1) in
+        Split { feature = f; threshold = thr; gain; left; right }
     end
   in
-  { root = build (Array.init (Array.length x) (fun i -> i)) 0 }
+  let root = Array.init (Array.length x) (fun i -> i) in
+  { root = build root (sse_of root y) 0 }
 
 let rec predict_node node (features : float array) =
   match node with

@@ -329,13 +329,18 @@ let random_env (ir : Tcr.Ir.t) =
     ir.vars
 
 (* The sweep every consumer of a kernel's addresses is pinned on: kernels,
-   each with a random environment when it is small enough to walk, and the
-   (benchmark, variant choice, one point per op) candidates to validate.
-   Every point of matmul at extents that leave epilogues and of eqn1 at
-   n = 4, sampled points of the three NWChem families at n = 4 and of the
-   Table II problems at paper size (never walked), and the naive OpenACC
-   kernel of a rank-1 program, whose tx and bx bind one index. *)
-let consumer_sweep () =
+   each with the program and point it was lowered from and a random
+   environment when it is small enough to walk, and the (benchmark,
+   variant choice, one point per op) candidates to validate. Every point
+   of matmul at extents that leave epilogues and of eqn1 at n = 4, sampled
+   points of the three NWChem families at n = 4 and of the Table II
+   problems at paper size (never walked), and the naive OpenACC kernel of
+   a rank-1 program, whose tx and bx bind one index. [extended] adds,
+   after those and so without moving their draws, every NWChem kernel at
+   n = 8, the size serve-cold tunes (labelled <kernel>_n8, never walked),
+   and the Table II problems at walkable sizes: the kernel proof's
+   corpus. *)
+let consumer_sweep ?(extended = false) () =
   let rng = Util.Rng.create 26 in
   let kernels = ref [] and candidates = ref [] in
   let add ~walk (b : Autotune.Tuner.benchmark) pick =
@@ -350,7 +355,8 @@ let consumer_sweep () =
                 (s.op_index + 1)
             in
             List.iter
-              (fun p -> kernels := (Codegen.Kernel.lower ~name c.v_ir s.op p, env) :: !kernels)
+              (fun p ->
+                kernels := (c.v_ir, p, Codegen.Kernel.lower ~name c.v_ir s.op p, env) :: !kernels)
               (if Tcr.Space.count s = 0 then [] else pick s))
           c.spaces.op_spaces;
         if walk then
@@ -372,6 +378,18 @@ let consumer_sweep () =
     (fun f -> List.iter (fun b -> add ~walk:true b (sample 12)) (Benchsuite.Nwchem.benchmarks ~n:4 f))
     Benchsuite.Nwchem.families;
   List.iter (fun b -> add ~walk:false b (sample 8)) (Benchsuite.Suite.all_individual ());
+  if extended then begin
+    List.iter
+      (fun f ->
+        List.iter
+          (fun (b : Autotune.Tuner.benchmark) ->
+            add ~walk:false { b with label = b.label ^ "_n8" } (sample 12))
+          (Benchsuite.Nwchem.benchmarks ~n:8 f))
+      Benchsuite.Nwchem.families;
+    List.iter
+      (fun b -> add ~walk:true b (sample 2))
+      (Benchsuite.Suite.all_individual ~n:3 ~p:3 ~elems:2 ())
+  end;
   List.rev !kernels, List.rev !candidates
 
 (* The naive OpenACC strategy on a rank-1 program: its one parallel loop
@@ -440,7 +458,8 @@ let test_kernel_consumers_pinned () =
   let rank1_ir, rank1_points = naive_rank1 () in
   let naive = Codegen.Kernel.lower_program rank1_ir rank1_points in
   let kernels =
-    kernels @ List.map (fun k -> (k, Some (random_env rank1_ir))) naive
+    List.map (fun (_, _, k, env) -> (k, env)) kernels
+    @ List.map (fun k -> (k, Some (random_env rank1_ir))) naive
   in
   let cuda = Buffer.create 4096 and model = Buffer.create 4096 in
   let proof = Buffer.create 4096 and walk = Buffer.create 4096 in
@@ -481,8 +500,8 @@ let test_kernel_consumers_pinned () =
     (Cpusim.Openacc.kernel_time Gpusim.Arch.gtx980 rank1_ir Cpusim.Openacc.Naive);
   let validate ?mutate_kernel (b : Autotune.Tuner.benchmark) ids ir points =
     let v =
-      Check.Semantic.validate ?mutate_kernel ~label:b.label b.statements ~variant_ids:ids ~ir
-        ~points
+      Check.Semantic.validate ~walk:true ?mutate_kernel ~label:b.label b.statements
+        ~variant_ids:ids ~ir ~points
     in
     Printf.bprintf semantic "%s %b %s\n" b.label v.equivalent
       (Option.value ~default:"-" v.failed_stage);

@@ -27,7 +27,7 @@ let first_candidate src label =
 
 let validate ?rounds ?mutate_kernel src label =
   let b, c, points = first_candidate src label in
-  Check.Semantic.validate ?rounds ?mutate_kernel ~label b.statements
+  Check.Semantic.validate ?rounds ~walk:true ?mutate_kernel ~label b.statements
     ~variant_ids:c.Autotune.Tuner.ids ~ir:c.Autotune.Tuner.v_ir ~points
 
 (* ---------------- translation validation ---------------- *)
@@ -77,8 +77,8 @@ let test_eqn1_all_variants () =
     (fun (c : Autotune.Tuner.variant_choice) ->
       let points = List.map (fun s -> Tcr.Space.sample rng s) c.spaces.op_spaces in
       let v =
-        Check.Semantic.validate ~rounds:1 ~label:"eqn1" b.statements ~variant_ids:c.ids
-          ~ir:c.v_ir ~points
+        Check.Semantic.validate ~rounds:1 ~walk:true ~label:"eqn1" b.statements
+          ~variant_ids:c.ids ~ir:c.v_ir ~points
       in
       if not v.equivalent then
         Alcotest.failf "variant %s not equivalent:\n%s"
@@ -111,7 +111,7 @@ let test_permuted_schedule_equivalent () =
   check_bool "found a permuted or unrolled point" true (total_score > 0);
   let c = Option.get c in
   let v =
-    Check.Semantic.validate ~rounds:1 ~label:"eqn1" b.statements ~variant_ids:c.ids
+    Check.Semantic.validate ~rounds:1 ~walk:true ~label:"eqn1" b.statements ~variant_ids:c.ids
       ~ir:c.v_ir ~points
   in
   check_bool "permuted+unrolled point equivalent" true v.equivalent
@@ -133,7 +133,8 @@ let test_nwchem_d1_stage_digests () =
   let c = List.hd (Autotune.Tuner.variant_choices b) in
   let points = List.map (fun s -> List.hd (Tcr.Space.enumerate s)) c.spaces.op_spaces in
   let v =
-    Check.Semantic.validate ~label:b.label b.statements ~variant_ids:c.ids ~ir:c.v_ir ~points
+    Check.Semantic.validate ~walk:true ~label:b.label b.statements ~variant_ids:c.ids
+      ~ir:c.v_ir ~points
   in
   check_bool "equivalent" true v.equivalent;
   stage_digests "five stages, pinned"
@@ -440,7 +441,7 @@ let test_box_proof_edges () =
     | exception Codegen.Exec.Out_of_bounds msg -> Error msg
   in
   let validate k =
-    Check.Semantic.validate ~mutate_kernel:(fun _ -> k) ~label:"mm" b.statements
+    Check.Semantic.validate ~walk:true ~mutate_kernel:(fun _ -> k) ~label:"mm" b.statements
       ~variant_ids:c.Autotune.Tuner.ids ~ir ~points
   in
   let messages (v : Check.Semantic.verdict) =
@@ -516,6 +517,119 @@ let test_box_proof_edges () =
          2147483647, round 1 of 2)" );
     ]
     (messages v)
+
+(* ---------------- the kernel stage's proof ---------------- *)
+
+(* One candidate validated proof-first (the tuner's gate) and walked
+   (check's path): the verdicts agree field for field, apart from how the
+   kernel stage ran. Returns the proof-first verdict. *)
+let proof_beside_walk ?rounds ?mutate_kernel (b : Autotune.Tuner.benchmark) ids ir points =
+  let run walk =
+    Check.Semantic.validate ?rounds ~walk ?mutate_kernel ~label:b.label b.statements
+      ~variant_ids:ids ~ir ~points
+  in
+  let proof = run false and walked = run true in
+  check_bool (b.label ^ ": check's path walks") false walked.kernel_proven;
+  check_bool (b.label ^ ": the walked verdict, field for field") true
+    ({ proof with kernel_proven = false } = walked);
+  proof
+
+(* The proof's corpus, built once: the kernels and candidates of "codegen:
+   kernel consumers pinned", with every NWChem kernel at n = 8 and the
+   Table II problems at walkable sizes. *)
+let proof_corpus = lazy (Test_codegen.consumer_sweep ~extended:true ())
+
+(* The kernel [Kernel.lower ~scalar_replace:false] gives: that argument
+   sets only this field. *)
+let no_scalar_replacement (k : Codegen.Kernel.t) = { k with scalar_replaced = false }
+
+(* Kernel [k] proven against [op] of [ir] under [point], as one op of its
+   program: a program's proof is each kernel's against its own op. *)
+let proven (ir : Tcr.Ir.t) point op k =
+  Check.Semantic.prove_kernels { ir with ops = [ op ] } [ point ] [ k ]
+
+(* Every kernel of the corpus, with and without scalar replacement, is
+   proven; every candidate gets the walked verdict proof-first, without
+   walking. The _n8 kernels guard the gate's saving: serve-cold tunes
+   kernels 1-4 of each NWChem family at n = 8. *)
+let test_proof_holds_beside_walk () =
+  let kernels, candidates = Lazy.force proof_corpus in
+  check_bool "corpus size" true (List.length kernels > 1000);
+  List.iter
+    (fun (ir, p, (k : Codegen.Kernel.t), _) ->
+      let key =
+        Printf.sprintf "%s at %s%s" k.name (Tcr.Space.point_key p)
+          (if Astring_contains.contains k.name "_n8_" then " (serve-cold guard)" else "")
+      in
+      List.iter
+        (fun k' -> check_bool key true (proven ir p k.op k'))
+        [ k; no_scalar_replacement k ])
+    kernels;
+  List.iter
+    (fun ((b : Autotune.Tuner.benchmark), (c : Autotune.Tuner.variant_choice), points) ->
+      List.iter
+        (fun mutate_kernel ->
+          let v = proof_beside_walk ?mutate_kernel ~rounds:1 b c.ids c.v_ir points in
+          check_bool (b.label ^ ": equivalent") true v.equivalent;
+          check_bool (b.label ^ ": proven") true v.kernel_proven)
+        [ None; Some no_scalar_replacement ])
+    candidates
+
+(* Every applied mutation of a corpus kernel breaks a fact; under the
+   mutation harness a candidate walks exactly when a mutation applied, and
+   its verdict (BAR063 text included) is the walked one. *)
+let test_proof_fails_on_mutations () =
+  let kernels, candidates = Lazy.force proof_corpus in
+  let applied = ref 0 in
+  List.iter
+    (fun (ir, p, (k : Codegen.Kernel.t), _) ->
+      List.iter
+        (fun m ->
+          match Check.Mutate.apply m k with
+          | k', true ->
+            incr applied;
+            check_bool (Check.Mutate.name m ^ " on " ^ k.name) false (proven ir p k.op k')
+          | _, false -> ())
+        Check.Mutate.all)
+    kernels;
+  check_bool "mutations applied" true (!applied > 1000);
+  List.iter
+    (fun ((b : Autotune.Tuner.benchmark), (c : Autotune.Tuner.variant_choice), points) ->
+      let kernels = Codegen.Kernel.lower_program c.v_ir points in
+      List.iter
+        (fun m ->
+          let v =
+            proof_beside_walk ~rounds:1
+              ~mutate_kernel:(fun k -> fst (Check.Mutate.apply m k))
+              b c.ids c.v_ir points
+          in
+          let changed = List.exists (fun k -> snd (Check.Mutate.apply m k)) kernels in
+          check_bool (b.label ^ ": walks exactly when mutated") changed (not v.kernel_proven))
+        Check.Mutate.all)
+    candidates
+
+(* The race program's second kernel reads its own output, and a kernel
+   whose tx and bx bind one index counts each point once per block: both
+   walk, with the walk's verdict. *)
+let test_proof_failures_fall_back () =
+  let b, c, points = first_candidate race_src "tc" in
+  let ir = c.Autotune.Tuner.v_ir in
+  let kernels = Codegen.Kernel.lower_program ir points in
+  check_bool "the first kernel alone is proven" true
+    (proven ir (List.hd points) (List.hd ir.ops) (List.hd kernels));
+  check_bool "the self-read is not" false (Check.Semantic.prove_kernels ir points kernels);
+  let v = proof_beside_walk b c.ids ir points in
+  Alcotest.(check (option string)) "race: failed at kernel" (Some "kernel") v.failed_stage;
+  let b, c, points = first_candidate matmul_src "mm" in
+  let shared (k : Codegen.Kernel.t) =
+    let d = k.decomp in
+    { k with decomp = { d with bx = d.tx; by = Some d.bx }; grid = (fst k.block, fst k.grid) }
+  in
+  let v = proof_beside_walk ~mutate_kernel:shared b c.ids c.v_ir points in
+  check_bool "tx = bx: walked" false v.kernel_proven;
+  Alcotest.(check (list string)) "tx = bx: a BAR063 value"
+    [ "BAR063" ]
+    (List.map (fun (d : Check.Diag.t) -> d.code) v.diags)
 
 (* ---------------- programs without a search point ---------------- *)
 
@@ -898,7 +1012,8 @@ let test_semantic_gate_proves_winner () =
   match (tune_eqn1 ()).semantic with
   | Some v ->
     check_bool "winner validated" true v.Check.Semantic.equivalent;
-    check_int "all five stages digested" 5 (List.length v.stages)
+    check_int "all five stages digested" 5 (List.length v.stages);
+    check_bool "its kernels proven, not walked" true v.kernel_proven
   | None -> Alcotest.fail "expected a verdict"
 
 (* Over the oracle budget the gate skips rather than stalls the tune. *)
@@ -991,6 +1106,16 @@ let harmless_swap (k : Codegen.Kernel.t) =
     | _ -> false)
   | None -> false
 
+(* The DSL of a random line network of three to five tensors, through
+   the greedy contraction tree. *)
+let random_network_src seed =
+  let rng = Util.Rng.create seed in
+  let n = 3 + Util.Rng.int rng 3 in
+  (* line networks only: a ring's rank-0 output has no indices to
+     decompose, so its schedule space is empty by construction *)
+  let net = Netopt.Gen.line ~extents:[ 2; 3; 4 ] ~n rng in
+  Netopt.Lower.to_dsl net (Netopt.Greedy.optimize net)
+
 (* End-to-end soundness sweep: random tensor networks lowered through the
    real pipeline (greedy tree -> DSL -> variants -> TCR -> recipe ->
    kernel) validate across all five stages with no diagnostics, and every
@@ -1000,13 +1125,7 @@ let qcheck_random_networks_validate =
   QCheck.Test.make ~name:"random networks validate end to end" ~count:15
     QCheck.(int_range 0 100000)
     (fun seed ->
-      let rng = Util.Rng.create seed in
-      let n = 3 + Util.Rng.int rng 3 in
-      (* line networks only: a ring's rank-0 output has no indices to
-         decompose, so its schedule space is empty by construction *)
-      let net = Netopt.Gen.line ~extents:[ 2; 3; 4 ] ~n rng in
-      let tree = Netopt.Greedy.optimize net in
-      let src = Netopt.Lower.to_dsl net tree in
+      let src = random_network_src seed in
       let v = validate ~rounds:1 src "net" in
       let caught m =
         let changed = ref false in
@@ -1022,6 +1141,27 @@ let qcheck_random_networks_validate =
            && List.map (fun (d : Check.Diag.t) -> d.code) v.diags = [ "BAR063" ]
       in
       v.Check.Semantic.equivalent && v.diags = [] && List.for_all caught Check.Mutate.all)
+
+(* The same random networks, proof-first beside the walk: every
+   unmutated candidate is proven, every mutated one walks, and the two
+   paths give one verdict. *)
+let qcheck_random_networks_proof =
+  QCheck.Test.make ~name:"random networks: the proof agrees with the walk" ~count:15
+    QCheck.(int_range 0 100000)
+    (fun seed ->
+      let b, c, points = first_candidate (random_network_src seed) "net" in
+      let kernels = Codegen.Kernel.lower_program c.v_ir points in
+      let agrees mutate =
+        let mutate_kernel = Option.map (fun m k -> fst (Check.Mutate.apply m k)) mutate in
+        let mutated =
+          match mutate with
+          | None -> false
+          | Some m -> List.exists (fun k -> snd (Check.Mutate.apply m k)) kernels
+        in
+        let v = proof_beside_walk ~rounds:1 ?mutate_kernel b c.ids c.v_ir points in
+        v.kernel_proven = not mutated
+      in
+      agrees None && List.for_all (fun m -> agrees (Some m)) Check.Mutate.all)
 
 let test_mutation_names_roundtrip () =
   List.iter
@@ -1059,6 +1199,11 @@ let suite =
       test_kernel_stage_catches_race;
     Alcotest.test_case "kernel stage: box proof edges in both instances" `Quick
       test_box_proof_edges;
+    Alcotest.test_case "kernel proof: holds beside the walk" `Quick test_proof_holds_beside_walk;
+    Alcotest.test_case "kernel proof: every applied mutation walks" `Quick
+      test_proof_fails_on_mutations;
+    Alcotest.test_case "kernel proof: a self-read or tx = bx walks" `Quick
+      test_proof_failures_fall_back;
     Alcotest.test_case "mutation names roundtrip" `Quick test_mutation_names_roundtrip;
     Alcotest.test_case "rank-1: check --semantic reports BAR064" `Quick
       test_rank1_check_semantic;
@@ -1076,4 +1221,5 @@ let suite =
       test_journal_semantic_ok;
     Alcotest.test_case "doctor: DR050 on a failed winner" `Quick test_doctor_dr050;
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ qcheck_random_networks_validate ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ qcheck_random_networks_validate; qcheck_random_networks_proof ]
