@@ -8,8 +8,8 @@
 
    Experiments (none = all, in the order below):
      claims space table2 table3 table4 figure3 surf-vs-brute ablation
-     modelcheck motivation sweep service netopt telemetry drift ledger
-     check bechamel
+     modelcheck motivation sweep seeds service netopt telemetry drift
+     ledger check bechamel
 
    Flags compose with any experiment selection; unknown --flags are an
    error, not a silently ignored subcommand:
@@ -44,7 +44,7 @@ let default_options =
 
 let experiment_names =
   [ "claims"; "space"; "table2"; "table3"; "table4"; "figure3"; "surf-vs-brute";
-    "ablation"; "modelcheck"; "motivation"; "sweep"; "service"; "netopt";
+    "ablation"; "modelcheck"; "motivation"; "sweep"; "seeds"; "service"; "netopt";
     "telemetry"; "drift"; "ledger"; "check"; "bechamel" ]
 
 let usage () =
@@ -157,6 +157,13 @@ let run_ablation () = table "ablation" Tables.ablation
 let run_modelcheck () = table "modelcheck" Tables.modelcheck
 let run_motivation () = table "motivation" Tables.motivation
 let run_sweep () = table "sweep" Tables.sweep
+
+let run_seeds () =
+  timed "seeds" (fun () ->
+      let t, digest = Tables.seeds () in
+      print_table t;
+      Printf.printf "winners digest %s\n" digest;
+      [])
 let run_service () = timed "service" (fun () -> Service_bench.run ())
 
 (* Contraction-order optimizer: greedy baseline vs TreeSA on fixed-seed
@@ -570,6 +577,7 @@ let runners =
     ("modelcheck", run_modelcheck);
     ("motivation", run_motivation);
     ("sweep", run_sweep);
+    ("seeds", run_seeds);
     ("service", run_service);
     ("netopt", run_netopt);
     ("telemetry", run_telemetry);

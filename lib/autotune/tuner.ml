@@ -84,27 +84,47 @@ let total_space choices =
       if acc > max_int - n then max_int else acc + n)
     0 choices
 
-(* Feature names are "op<i>_<name>", the prefix made once per op: every
-   pool candidate is described this way. *)
-let features_of (c : variant_choice) points =
-  ("variant", Surf.Feature.Cat (String.concat "." (List.map string_of_int c.ids)))
-  :: List.concat
-       (List.mapi
-          (fun i (space, point) ->
-            let prefix = "op" ^ string_of_int (i + 1) ^ "_" in
-            List.map
-              (fun (name, v) ->
-                let v' =
-                  match v with
-                  | Tcr.Space.Cat s -> Surf.Feature.Cat s
-                  | Tcr.Space.Num x -> Surf.Feature.Num x
-                in
-                (prefix ^ name, v'))
-              (Tcr.Space.features space point))
-          (List.combine c.spaces.op_spaces points))
+(* One feature entry: op [i]'s [name] is "op<i>_<name>", and op 0 names
+   the variant choice. *)
+let feature i name v =
+  ( (if i = 0 then name else "op" ^ string_of_int i ^ "_" ^ name),
+    match v with Tcr.Space.Cat s -> Surf.Feature.Cat s | Tcr.Space.Num x -> Surf.Feature.Num x )
 
-let candidate_of (c : variant_choice) points =
-  { variant_ids = c.ids; ir = c.v_ir; points; features = features_of c points }
+(* A candidate and its features, each entry made by [entry]. *)
+let make_candidate ~entry (c : variant_choice) points =
+  let features =
+    entry 0 "variant" (Tcr.Space.Cat (String.concat "." (List.map string_of_int c.ids)))
+    :: List.concat
+         (List.mapi
+            (fun i (space, point) ->
+              List.map (fun (name, v) -> entry (i + 1) name v) (Tcr.Space.features space point))
+            (List.combine c.spaces.op_spaces points))
+  in
+  { variant_ids = c.ids; ir = c.v_ir; points; features }
+
+let candidate_of = make_candidate ~entry:feature
+
+(* A feature entry's identity: its op, its name and its value, a number by
+   its bits, so that -0.0 and 0.0, or two NaNs, are never one entry. *)
+type feature_key = Cat_key of int * string * string | Num_key of int * string * int64
+
+(* [feature], sharing each distinct entry among the candidates made through
+   one [interned ()]. A pool holds each entry once, not once per
+   candidate. *)
+let interned () =
+  let table = Hashtbl.create 256 in
+  fun i name v ->
+    let key =
+      match v with
+      | Tcr.Space.Cat s -> Cat_key (i, name, s)
+      | Tcr.Space.Num x -> Num_key (i, name, Int64.bits_of_float x)
+    in
+    match Hashtbl.find_opt table key with
+    | Some f -> f
+    | None ->
+      let f = feature i name v in
+      Hashtbl.add table key f;
+      f
 
 (* Build the SURF pool: enumerate a variant's space when it is small,
    otherwise sample without replacement via rejection on the point key.
@@ -117,6 +137,7 @@ let build_pool ?(pool_per_variant = 600) ?prune ?gate rng choices =
     (match prune with None -> true | Some policy -> Tcr.Prune.point_ok policy space p)
     && match gate with None -> true | Some g -> g space p
   in
+  let candidate_of = make_candidate ~entry:(interned ()) in
   let pool = ref [] in
   List.iter
     (fun c ->

@@ -21,6 +21,7 @@ type t = {
   key : string;  (* hex digest: the cache identity *)
   rendered : string;  (* canonical DSL text (reparsable) *)
   program : Octopi.Ast.program;
+  statements : Octopi.Contraction.t list;  (* the front end's form of [program] *)
   renaming : renaming;
   arch_fingerprint : string;
 }
@@ -106,15 +107,23 @@ let canonicalize (p : Octopi.Ast.program) =
   ( { Octopi.Ast.extents; stmts },
     { indices = mapping imap iorder; tensors = mapping tmap torder } )
 
-(* The user's program passes the front end's checks first, so that a
-   malformed one is reported in its own names, not the canonical ones. *)
+(* The front end runs once, on the canonical program: the statements the
+   service tunes are built from it, and its rendering parses back to the
+   same statements. Only when it fails is the user's program checked too,
+   so that a malformed one is reported in its own names, not the canonical
+   ones. *)
 let of_program ~arch (p : Octopi.Ast.program) =
-  ignore (Octopi.Contraction.of_program p);
   let program, renaming = canonicalize p in
+  let statements =
+    try Octopi.Contraction.of_program program
+    with e ->
+      ignore (Octopi.Contraction.of_program p);
+      raise e
+  in
   let rendered = Octopi.Ast.to_string program in
   let arch_fingerprint = arch_fingerprint arch in
   let key = Digest.to_hex (Digest.string (arch_fingerprint ^ "\x00" ^ rendered)) in
-  { key; rendered; program; renaming; arch_fingerprint }
+  { key; rendered; program; statements; renaming; arch_fingerprint }
 
 let of_dsl ~arch src = of_program ~arch (Octopi.Parse.program src)
 
@@ -123,7 +132,7 @@ let short t = String.sub t.key 0 12
 (* The benchmark the service actually tunes: label derived from the key so
    cached artifacts and live tunes agree by construction. *)
 let label t = "svc-" ^ short t
-let benchmark t = Autotune.Tuner.benchmark_of_dsl ~label:(label t) t.rendered
+let benchmark t = { Autotune.Tuner.label = label t; statements = t.statements }
 
 (* A message about the canonical program, restated for a request: its
    label for the canonical one, and in each op site, [op1(t0)], the

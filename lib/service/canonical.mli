@@ -13,6 +13,8 @@ type t = {
   key : string;  (** hex digest: the cache identity *)
   rendered : string;  (** canonical DSL text (reparsable) *)
   program : Octopi.Ast.program;
+  statements : Octopi.Contraction.t list;
+      (** the front end's form of [program], which {!benchmark} tunes *)
   renaming : renaming;
   arch_fingerprint : string;
 }

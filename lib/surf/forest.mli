@@ -2,7 +2,7 @@
     "randomized trees" model of Section V). Prediction is the ensemble
     mean. *)
 
-type t = { trees : Tree.t array }
+type t
 
 type params = {
   n_trees : int;
@@ -14,6 +14,13 @@ val default_params : params
 
 val fit : ?params:params -> Util.Rng.t -> float array array -> float array -> t
 val predict : t -> float array -> float
+
+(** [predict_below t x ~cutoff] is [predict t x], unless an exact lower
+    bound on that reaches [cutoff] before every tree is summed: then it is
+    the bound, at least [cutoff] and at most [predict t x]. So a value
+    below [cutoff] is always the prediction. When some leaf is not finite
+    there is no bound, and every tree is summed. *)
+val predict_below : t -> float array -> cutoff:float -> float
 
 (** Ensemble standard deviation: a crude uncertainty proxy. *)
 val predict_std : t -> float array -> float

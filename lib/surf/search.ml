@@ -6,7 +6,12 @@
    1. sample and evaluate an initial batch,
    2. fit the forest surrogate on (features, objective) pairs,
    3. repeatedly evaluate the [batch_size] unevaluated pool positions the
-      model predicts best, refit, until [max_evals]. *)
+      model predicts best, refit, until [max_evals].
+
+   Each position is encoded once, at the first refit, and kept sparse.
+   Each refit ranks only the [batch_size + rivals] positions that can
+   still win: once that many are held, a position's trees are summed only
+   until an exact lower bound on its prediction rules it out. *)
 
 type 'a evaluation = { config : 'a; objective : float }
 
@@ -98,32 +103,46 @@ let sparse_rows ~encode pool =
   in
   (!width, rows)
 
-(* The [k] unevaluated positions with the lowest scores, ordered by (score,
-   position) under float [compare]: exactly the first [k] of a stable sort
-   of the unevaluated positions in pool order, ties and NaN included. One
-   pass, keeping the best so far in a small sorted buffer. *)
-let k_best k scores evaluated =
-  if k <= 0 then []
-  else begin
-    let kept = Array.make k 0 and m = ref 0 in
-    Array.iteri
-      (fun p s ->
-        if
-          (not evaluated.(p))
-          && (!m < k || Float.compare s scores.(kept.(k - 1)) < 0)
-        then begin
-          (* a later position goes after every kept entry it ties *)
-          let i = ref (min !m (k - 1)) in
-          while !i > 0 && Float.compare scores.(kept.(!i - 1)) s > 0 do
-            kept.(!i) <- kept.(!i - 1);
-            decr i
-          done;
-          kept.(!i) <- p;
-          if !m < k then incr m
-        end)
-      scores;
-    List.init !m (fun i -> kept.(i))
-  end
+(* A sparse row scattered over a zeroed dense row, and cleared again. *)
+let scatter x { cols; vals } =
+  for j = 0 to Array.length cols - 1 do
+    x.(cols.(j)) <- vals.(j)
+  done
+
+let clear x { cols; _ } = Array.iter (fun c -> x.(c) <- 0.0) cols
+
+(* The [k] unevaluated positions the model predicts lowest, as (position,
+   prediction) in order of (prediction, position) under [Float.compare]:
+   exactly the first [k] of a stable sort of every unevaluated prediction,
+   ties and NaN included. One pass over the pool keeps the best so far in a
+   small sorted buffer, scattering each row into [scratch]. Once the buffer
+   holds [k], a position is summed only while it can still beat the last
+   one held ({!Forest.predict_below}); a position that ties the last goes
+   after it, so a bound that reaches the last rules the position out. *)
+let rank model ~k ~evaluated ~rows ~scratch =
+  let pos = Array.make k 0 and score = Array.make k 0.0 and m = ref 0 in
+  for p = 0 to Array.length rows - 1 do
+    if not evaluated.(p) then begin
+      scatter scratch rows.(p);
+      let s =
+        if !m < k then Forest.predict model scratch
+        else Forest.predict_below model scratch ~cutoff:score.(k - 1)
+      in
+      clear scratch rows.(p);
+      if !m < k || Float.compare s score.(k - 1) < 0 then begin
+        let i = ref (min !m (k - 1)) in
+        while !i > 0 && Float.compare score.(!i - 1) s > 0 do
+          pos.(!i) <- pos.(!i - 1);
+          score.(!i) <- score.(!i - 1);
+          decr i
+        done;
+        pos.(!i) <- p;
+        score.(!i) <- s;
+        if !m < k then incr m
+      end
+    end
+  done;
+  List.init !m (fun i -> (pos.(i), score.(i)))
 
 (* SURF, Algorithm 2, over pool positions. [encode] maps a configuration to
    its binarized feature vector; the search calls it once per position, at
@@ -223,29 +242,23 @@ let surf ?(config = default_config) ?eval_batch rng ~pool ~encode ~eval =
           "surf.encode"
           (fun _ -> sparse_rows ~encode pool)
       in
-      let scatter x p =
-        let { cols; vals } = rows.(p) in
-        for j = 0 to Array.length cols - 1 do
-          x.(cols.(j)) <- vals.(j)
-        done
-      in
       let dense p =
         let x = Array.make width 0.0 in
-        scatter x p;
+        scatter x rows.(p);
         x
       in
-      (* Prediction scatters a row into one scratch dense row, reads it,
-         and clears it again. *)
       let scratch = Array.make width 0.0 in
-      let with_row p f =
-        scatter scratch p;
-        let v = f scratch in
-        Array.iter (fun c -> scratch.(c) <- 0.0) rows.(p).cols;
+      let std model p =
+        scatter scratch rows.(p);
+        let v = Forest.predict_std model scratch in
+        clear scratch rows.(p);
         v
       in
-      (* the latest model's prediction at every unevaluated position *)
-      let preds = Array.make pool_size 0.0 in
-      let final_model = ref None in
+      (* Each refit ranks the [bs + rivals] best unevaluated positions: the
+         batch is the first [bs] of them, and the final refit's rivals are
+         the first [rivals] its batch left unevaluated. *)
+      let k = bs + max 0 config.rivals in
+      let final = ref None in
       let residuals = ref [] in
       while !evaluations < nmax do
         Obs.Trace.with_span ~cat:"surf" "surf.iteration" (fun span ->
@@ -258,45 +271,40 @@ let surf ?(config = default_config) ?eval_batch rng ~pool ~encode ~eval =
                 "surf.fit"
                 (fun _ -> Forest.fit ~params:config.forest (Util.Rng.split rng) x y)
             in
-            final_model := Some model;
-            Obs.Trace.with_span ~cat:"surf"
-              ~attrs:(fun () ->
-                [ ("points", string_of_int (pool_size - !evaluations)) ])
-              "surf.predict"
-              (fun _ ->
-                let predict = Forest.predict model in
-                for p = 0 to pool_size - 1 do
-                  if not evaluated.(p) then preds.(p) <- with_row p predict
-                done);
-            let batch = k_best bs preds evaluated in
-            let predicted = List.map (fun p -> preds.(p)) batch in
-            let objectives = evaluate batch in
-            let k = List.length objectives in
-            let batch = List.filteri (fun i _ -> i < k) batch in
+            let ranked =
+              Obs.Trace.with_span ~cat:"surf"
+                ~attrs:(fun () ->
+                  [ ("points", string_of_int (pool_size - !evaluations)) ])
+                "surf.predict"
+                (fun _ -> rank model ~k ~evaluated ~rows ~scratch)
+            in
+            final := Some (model, ranked);
+            let batch = List.filteri (fun i _ -> i < bs) ranked in
+            let objectives = evaluate (List.map fst batch) in
+            let n = List.length objectives in
+            let evaluated_batch = List.filteri (fun i _ -> i < n) batch in
             List.iter2
-              (fun p o -> residuals := (pool.(p), preds.(p), o) :: !residuals)
-              batch objectives;
+              (fun (p, pred) o -> residuals := (pool.(p), pred, o) :: !residuals)
+              evaluated_batch objectives;
             let pred_std =
-              match batch with
+              match evaluated_batch with
               | [] -> None
               | _ ->
-                Some
-                  (Util.Stats.mean
-                     (List.map (fun p -> with_row p (Forest.predict_std model)) batch))
+                Some (Util.Stats.mean (List.map (fun (p, _) -> std model p) evaluated_batch))
             in
-            log_iteration ~predicted ?pred_std span objectives)
+            log_iteration ~predicted:(List.map snd batch) ?pred_std span objectives)
       done;
       Option.map
-        (fun model ->
+        (fun (model, ranked) ->
           let rivals =
-            List.map
-              (fun p -> (pool.(p), preds.(p), with_row p (Forest.predict_std model)))
-              (k_best config.rivals preds evaluated)
+            List.filter (fun (p, _) -> not evaluated.(p)) ranked
+            |> List.filteri (fun i _ -> i < config.rivals)
+            |> List.map (fun (p, pred) -> (pool.(p), pred, std model p))
           in
           { importance = Forest.importance model ~dims:width;
             residuals = List.rev !residuals;
             rivals })
-        !final_model
+        !final
     end
   in
   let result = make_result ~iterations:(List.rev !iterations) ?explain ~pool_size !history in

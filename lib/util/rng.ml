@@ -4,26 +4,36 @@
    sampling, tree randomization, simulated measurement noise) draws from an
    explicit [t] so that whole-pipeline runs are reproducible bit-for-bit. *)
 
-type t = { mutable state : int64 }
+(* The splitmix64 state, 8 bytes read and written with unboxed 64-bit
+   primitives: a draw computes in registers and boxes no [int64], where a
+   mutable [int64] field would box a fresh state on every call. *)
+type t = Bytes.t
 
-let create seed = { state = Int64.of_int seed }
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let copy t = { state = t.state }
+let[@inline] of_state s =
+  let t = Bytes.create 8 in
+  set_state t 0 s;
+  t
+
+let create seed = of_state (Int64.of_int seed)
+
+let copy = Bytes.copy
 
 let golden = 0x9E3779B97F4A7C15L
 
-(* Core splitmix64 step: returns 64 pseudo-random bits. *)
-let next_int64 t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+(* Core splitmix64 step, inlined into each draw so that its 64 bits never
+   leave registers. *)
+let[@inline] next_int64 t =
+  let z = Int64.add (get_state t 0) golden in
+  set_state t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 (* Derive an independent stream; used to give each subsystem its own RNG. *)
-let split t =
-  let seed = next_int64 t in
-  { state = Int64.mul seed 0x2545F4914F6CDD1DL }
+let split t = of_state (Int64.mul (next_int64 t) 0x2545F4914F6CDD1DL)
 
 let bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
 
@@ -31,7 +41,7 @@ let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   bits t mod bound
 
-let float t bound =
+let[@inline] float t bound =
   let mask53 = Int64.shift_right_logical (next_int64 t) 11 in
   Int64.to_float mask53 /. 9007199254740992.0 *. bound
 

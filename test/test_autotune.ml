@@ -157,6 +157,34 @@ let test_pool_pinned name b expect () =
   Alcotest.(check string) (name ^ " pool digest") expect
     (digest (Array.to_list (Array.map candidate_key pool)))
 
+(* The pool shares its feature entries among candidates; the search must
+   see exactly what unshared entries give: the same schema, and every
+   encoded row bit for bit. *)
+let test_pool_interning_invisible () =
+  let choices = Autotune.Tuner.variant_choices (Benchsuite.Suite.eqn1 ~n:10 ()) in
+  let pool = Autotune.Tuner.build_pool ~pool_per_variant:600 (Util.Rng.create 42) choices in
+  let unshared =
+    Array.map
+      (fun (c : Autotune.Tuner.candidate) ->
+        let choice =
+          List.find (fun (v : Autotune.Tuner.variant_choice) -> v.ids = c.variant_ids) choices
+        in
+        (Autotune.Tuner.candidate_of choice c.points).features)
+      pool
+  in
+  let features = Array.map (fun (c : Autotune.Tuner.candidate) -> c.features) pool in
+  let schema = Surf.Feature.make_schema (Array.to_list features) in
+  Alcotest.(check (array string)) "schema"
+    (Array.map Surf.Feature.column_name schema.columns)
+    (Array.map Surf.Feature.column_name
+       (Surf.Feature.make_schema (Array.to_list unshared)).columns);
+  let bits row = Array.map Int64.bits_of_float (Surf.Feature.encode schema row) in
+  Array.iteri
+    (fun i f ->
+      if bits f <> bits unshared.(i) then Alcotest.failf "candidate %d encodes differently" i)
+    features;
+  Alcotest.(check bool) "entries shared" true (List.hd features.(0) == List.hd features.(1))
+
 let test_tune_search_order_pinned () =
   let b =
     Autotune.Tuner.benchmark_of_dsl ~label:"pin"
@@ -215,4 +243,5 @@ let suite =
       `Quick,
       test_pool_pinned "tce_ex" (Benchsuite.Suite.tce_ex ~n:16 ()) "d67a3728d9576f6e069b4e08194d6e92" );
     ("tune search order pinned", `Quick, test_tune_search_order_pinned);
+    ("pool interning invisible", `Quick, test_pool_interning_invisible);
   ]

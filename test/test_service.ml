@@ -50,6 +50,28 @@ let test_canonical_benchmark_roundtrip () =
   check_str "fixpoint" c.key c'.key;
   check_int "one statement" 1 (List.length (Service.Canonical.benchmark c).statements)
 
+(* The service tunes the canonical program's statements as the front end
+   builds them from its AST; its rendering must parse back to exactly those
+   statements, the form a re-parse would give. *)
+let reparses_to_statements (c : Service.Canonical.t) =
+  c.statements = Octopi.Contraction.of_program (Octopi.Parse.program c.rendered)
+
+let test_canonical_statements_reparse () =
+  let nwchem =
+    List.concat_map
+      (fun f -> List.init 9 (fun i -> Benchsuite.Nwchem.dsl f ~index:(i + 1) ~n:8))
+      Benchsuite.Nwchem.families
+  in
+  let table2 =
+    List.map
+      (fun (b : Autotune.Tuner.benchmark) -> Autotune.Provenance.dsl_of_statements b.statements)
+      (Benchsuite.Suite.all_individual ())
+  in
+  List.iter
+    (fun src ->
+      check_bool src true (reparses_to_statements (Service.Canonical.of_dsl ~arch src)))
+    (nwchem @ table2)
+
 (* QCheck: random contraction programs are key-invariant under injective
    renamings plus dims/Sum-list reordering, and key-sensitive to extents. *)
 
@@ -140,9 +162,9 @@ let qcheck_canonical_key_invariant =
               relabeled.stmts;
         }
       in
-      let k = (Service.Canonical.of_program ~arch p).key in
-      let k' = (Service.Canonical.of_program ~arch relabeled).key in
-      k = k')
+      let c = Service.Canonical.of_program ~arch p in
+      let c' = Service.Canonical.of_program ~arch relabeled in
+      c.key = c'.key && reparses_to_statements c && reparses_to_statements c')
 
 let qcheck_canonical_key_extent_sensitive =
   QCheck.Test.make ~name:"canonical key sensitive to extents" ~count:100
@@ -466,6 +488,7 @@ let suite =
     ("canonical: Sum order invariant", `Quick, test_canonical_sum_order_invariant);
     ("canonical: structure sensitive", `Quick, test_canonical_structure_sensitivity);
     ("canonical: fixpoint", `Quick, test_canonical_benchmark_roundtrip);
+    ("canonical: statements reparse", `Quick, test_canonical_statements_reparse);
     QCheck_alcotest.to_alcotest qcheck_canonical_key_invariant;
     QCheck_alcotest.to_alcotest qcheck_canonical_key_extent_sensitive;
     ("scheduler: matches sequential map", `Quick, test_scheduler_matches_sequential);

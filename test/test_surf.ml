@@ -301,6 +301,269 @@ let test_forest_fit_pinned () =
   Alcotest.(check string) "importance" "22c0183d63e6db20dbdb316f73e15175"
     (bits (Surf.Forest.importance f ~dims:2))
 
+(* ---------------- The in-place fit and the bounded ranking ---------------- *)
+
+(* The allocating fit the in-place one replaced, squaring by
+   multiplication: the oracle of "fit equals a reference". It draws from
+   the generator in the same order (per node, [k_candidates] slots of up to
+   8 attempts; the right child built before the left). *)
+module Reference_tree = struct
+  type node =
+    | Leaf of float
+    | Split of { feature : int; threshold : float; gain : float; left : node; right : node }
+
+  let mean_of idx y =
+    let s = ref 0.0 in
+    Array.iter (fun i -> s := !s +. y.(i)) idx;
+    !s /. float_of_int (Array.length idx)
+
+  let sse_of idx y =
+    let m = mean_of idx y in
+    let s = ref 0.0 in
+    Array.iter (fun i -> s := !s +. ((y.(i) -. m) *. (y.(i) -. m))) idx;
+    !s
+
+  let draw_split rng (x : float array array) idx dims =
+    let rec attempt t =
+      if t = 0 then None
+      else begin
+        let f = Util.Rng.int rng dims in
+        let lo = ref infinity and hi = ref neg_infinity in
+        Array.iter
+          (fun i ->
+            let v = x.(i).(f) in
+            if not (!lo <= v) then lo := v;
+            if not (!hi >= v) then hi := v)
+          idx;
+        if !hi > !lo then Some (f, Util.Rng.float_range rng !lo !hi) else attempt (t - 1)
+      end
+    in
+    attempt 8
+
+  let partition (x : float array array) idx f thr =
+    ( List.filter (fun i -> x.(i).(f) <= thr) (Array.to_list idx) |> Array.of_list,
+      List.filter (fun i -> x.(i).(f) > thr) (Array.to_list idx) |> Array.of_list )
+
+  let fit (p : Surf.Tree.params) rng (x : float array array) y =
+    let dims = Array.length x.(0) in
+    let rec build idx sse depth =
+      if Array.length idx < p.min_samples || depth >= p.max_depth || sse <= 1e-24 then
+        Leaf (mean_of idx y)
+      else begin
+        let best = ref None in
+        for _ = 1 to p.k_candidates do
+          match draw_split rng x idx dims with
+          | None -> ()
+          | Some (f, thr) ->
+            let l, r = partition x idx f thr in
+            if Array.length l > 0 && Array.length r > 0 then begin
+              let sl = sse_of l y and sr = sse_of r y in
+              let gain = sse -. (sl +. sr) in
+              match !best with
+              | Some (g, _, _, _, _, _, _) when g >= gain -> ()
+              | _ -> best := Some (gain, f, thr, l, sl, r, sr)
+            end
+        done;
+        match !best with
+        | None -> Leaf (mean_of idx y)
+        | Some (gain, feature, threshold, l, sl, r, sr) ->
+          let right = build r sr (depth + 1) in
+          let left = build l sl (depth + 1) in
+          Split { feature; threshold; gain; left; right }
+      end
+    in
+    let root = Array.init (Array.length x) Fun.id in
+    build root (sse_of root y) 0
+
+  (* the flat tree holds exactly this node tree, bit for bit *)
+  let rec equal (t : Surf.Tree.t) n = function
+    | Leaf v -> t.feature.(n) < 0 && Int64.equal (Int64.bits_of_float t.value.(n)) (Int64.bits_of_float v)
+    | Split s ->
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      t.feature.(n) = s.feature && same t.threshold.(n) s.threshold && same t.gain.(n) s.gain
+      && equal t t.left.(n) s.left && equal t t.right.(n) s.right
+
+  let rec size = function Leaf _ -> 1 | Split s -> 1 + size s.left + size s.right
+end
+
+(* A random training set: 1-120 rows of 1-40 columns, each column 0/1 or a
+   small integer, with NaN, -0.0 and +0.0 entries and duplicated rows; the
+   targets random, small integers, constant, or constant plus a spread near
+   the leaf test's 1e-24. *)
+let random_training_set rng =
+  let rows = 1 + Util.Rng.int rng 120 and dims = 1 + Util.Rng.int rng 40 in
+  let entry kind =
+    match Util.Rng.int rng 12 with
+    | 0 -> Float.nan
+    | 1 -> -0.0
+    | 2 -> 0.0
+    | _ -> float_of_int (Util.Rng.int rng (if kind then 2 else 5))
+  in
+  let kinds = Array.init dims (fun _ -> Util.Rng.int rng 2 = 0) in
+  let x = Array.make rows [||] in
+  for i = 0 to rows - 1 do
+    x.(i) <-
+      (if i > 0 && Util.Rng.int rng 4 = 0 then Array.copy x.(Util.Rng.int rng i)
+       else Array.map entry kinds)
+  done;
+  let c = Util.Rng.float_range rng (-5.0) 5.0 in
+  let y =
+    match Util.Rng.int rng 4 with
+    | 0 -> Array.init rows (fun _ -> Util.Rng.float_range rng (-3.0) 3.0)
+    | 1 -> Array.init rows (fun _ -> float_of_int (Util.Rng.int rng 3))
+    | 2 -> Array.make rows c
+    | _ -> Array.init rows (fun _ -> c +. Util.Rng.float_range rng (-1e-12) 1e-12)
+  in
+  (x, y)
+
+let qcheck_fit_equals_reference =
+  QCheck.Test.make ~name:"fit equals a reference" ~count:300 QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Util.Rng.create seed in
+      let x, y = random_training_set rng in
+      let dims = Array.length x.(0) in
+      let params =
+        if Util.Rng.int rng 2 = 0 then
+          { Surf.Tree.k_candidates = max 1 (int_of_float (sqrt (float_of_int dims)));
+            min_samples = 2; max_depth = 24 }
+        else
+          { Surf.Tree.k_candidates = 1 + Util.Rng.int rng 6;
+            min_samples = 1 + Util.Rng.int rng 4;
+            max_depth = 1 + Util.Rng.int rng 24 }
+      in
+      let a = Util.Rng.create (seed + 1) and b = Util.Rng.create (seed + 1) in
+      let t = Surf.Tree.fit ~params a x y in
+      let r = Reference_tree.fit params b x y in
+      Reference_tree.equal t 0 r
+      && Array.length t.feature = Reference_tree.size r
+      && Util.Rng.bits a = Util.Rng.bits b)
+
+(* d = -0x1.48193ff80d9e8p-3 squares to ...54dp-6 under glibc's [pow] and
+   to ...54ep-6 by multiplication: two rows whose residuals are d and -d
+   pin the multiplication into the split's gain. *)
+let test_fit_squares_by_multiplication () =
+  let d = -0x1.48193ff80d9e8p-3 in
+  let t = Surf.Tree.fit (Util.Rng.create 1) [| [| 0.0 |]; [| 1.0 |] |] [| d; -.d |] in
+  Alcotest.(check (array int)) "one split over two leaves" [| 0; -1; -1 |] t.feature;
+  Alcotest.(check string) "gain" "0x1.a480b6693154ep-5" (Printf.sprintf "%h" t.gain.(0))
+
+(* SURF as it ranked before the bounded ranking: every unevaluated
+   position predicted by the whole forest and stably sorted; the batch is
+   the head of that order and the rivals the head of the final model's
+   order after its batch. Returns the evaluated positions, the residuals'
+   predictions and the rivals. *)
+let reference_surf (cfg : Surf.Search.config) rng ~pool ~encode ~eval =
+  let n = Array.length pool in
+  let nmax = min cfg.max_evals n in
+  let bs = max 1 (min cfg.batch_size nmax) in
+  let evaluated = Array.make n false and history = ref [] in
+  let evaluate batch =
+    List.filteri (fun i _ -> i < nmax - List.length !history) batch
+    |> List.iter (fun p ->
+           evaluated.(p) <- true;
+           history := (p, eval pool.(p)) :: !history)
+  in
+  evaluate (Array.to_list (Util.Rng.sample_without_replacement rng bs (Array.init n Fun.id)));
+  let rows = Array.map encode pool in
+  let residuals = ref [] and final = ref None in
+  while List.length !history < nmax do
+    let hist = List.rev !history in
+    let x = Array.of_list (List.map (fun (p, _) -> rows.(p)) hist) in
+    let y = Array.of_list (List.map snd hist) in
+    let model = Surf.Forest.fit ~params:cfg.forest (Util.Rng.split rng) x y in
+    let order () =
+      List.filter (fun p -> not evaluated.(p)) (List.init n Fun.id)
+      |> List.map (fun p -> (p, Surf.Forest.predict model rows.(p)))
+      |> List.stable_sort (fun (_, a) (_, b) -> Float.compare a b)
+    in
+    let batch = List.filteri (fun i _ -> i < bs) (order ()) in
+    let before = List.length !history in
+    evaluate (List.map fst batch);
+    let k = List.length !history - before in
+    residuals := !residuals @ List.map snd (List.filteri (fun i _ -> i < k) batch);
+    final := Some (model, order)
+  done;
+  let rivals =
+    match !final with
+    | None -> []
+    | Some (model, order) ->
+      List.filteri (fun i _ -> i < cfg.rivals) (order ())
+      |> List.map (fun (p, pred) -> (p, pred, Surf.Forest.predict_std model rows.(p)))
+  in
+  (List.rev_map fst !history, !residuals, rivals)
+
+(* A random search problem: pool rows of small integers and 0/1 entries
+   (duplicated positions tie), objectives that tie, and now and then an
+   infinite or NaN objective, which makes leaves that are not finite;
+   budgets that leave a clamped last batch, and batch plus rivals at
+   least the pool. *)
+let qcheck_ranking_equals_stable_sort =
+  QCheck.Test.make ~name:"ranking equals a stable sort" ~count:150 QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Util.Rng.create seed in
+      let n = 1 + Util.Rng.int rng 150 and dims = 1 + Util.Rng.int rng 6 in
+      let rows =
+        Array.init n (fun _ ->
+            Array.init dims (fun j -> float_of_int (Util.Rng.int rng (if j mod 2 = 0 then 2 else 4))))
+      in
+      Array.iteri
+        (fun i _ -> if i > 0 && Util.Rng.int rng 5 = 0 then rows.(i) <- rows.(Util.Rng.int rng i))
+        rows;
+      let special = Util.Rng.int rng 4 in
+      let objective =
+        Array.init n (fun _ ->
+            match Util.Rng.int rng 40 with
+            | 0 when special = 1 -> infinity
+            | 1 when special = 2 -> Float.nan
+            | (0 | 1) when special = 3 -> if Util.Rng.int rng 2 = 0 then infinity else neg_infinity
+            | _ ->
+              if Util.Rng.int rng 2 = 0 then float_of_int (Util.Rng.int rng 4)
+              else Util.Rng.float rng 10.0)
+      in
+      let cfg =
+        {
+          Surf.Search.batch_size = 1 + Util.Rng.int rng 12;
+          max_evals = 1 + Util.Rng.int rng 60;
+          rivals = Util.Rng.int rng 12;
+          forest = { Surf.Forest.default_params with n_trees = 1 + Util.Rng.int rng 24 };
+        }
+      in
+      let pool = Array.init n Fun.id in
+      let encode p = rows.(p) and eval p = objective.(p) in
+      let r = Surf.Search.surf ~config:cfg (Util.Rng.create seed) ~pool ~encode ~eval in
+      let history, residuals, rivals =
+        reference_surf cfg (Util.Rng.create seed) ~pool ~encode ~eval
+      in
+      let bits = List.map Int64.bits_of_float in
+      let got_residuals, got_rivals =
+        match r.explain with
+        | None -> ([], [])
+        | Some ex ->
+          ( List.map (fun (_, pred, _) -> pred) ex.residuals,
+            List.map (fun (p, pred, std) -> (p, Int64.bits_of_float pred, Int64.bits_of_float std)) ex.rivals )
+      in
+      history_of r = history
+      && bits got_residuals = bits residuals
+      && got_rivals
+         = List.map (fun (p, pred, std) -> (p, Int64.bits_of_float pred, Int64.bits_of_float std)) rivals)
+
+(* [predict_below] is the prediction, or a bound at least the cutoff and at
+   most the prediction. *)
+let qcheck_predict_below_bounds =
+  QCheck.Test.make ~name:"predict_below is the prediction or a bound" ~count:100
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Util.Rng.create seed in
+      let x, y = random_training_set rng in
+      let f = Surf.Forest.fit (Util.Rng.split rng) x y in
+      Array.for_all
+        (fun row ->
+          let p = Surf.Forest.predict f row in
+          let cutoff = p +. Util.Rng.float_range rng (-1.0) 1.0 in
+          let v = Surf.Forest.predict_below f row ~cutoff in
+          Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float p) || (cutoff <= v && v <= p))
+        x)
+
 let test_surf_ties_pick_lowest_positions () =
   (* after the random batch every prediction ties, so each model-guided
      batch (and the rival list) is the lowest unevaluated positions *)
@@ -393,6 +656,10 @@ let suite =
     ("surf categorical problem", `Quick, test_surf_categorical_problem);
     ("surf trajectory pinned", `Quick, test_surf_trajectory_pinned);
     ("forest fit pinned", `Quick, test_forest_fit_pinned);
+    QCheck_alcotest.to_alcotest qcheck_fit_equals_reference;
+    ("fit squares by multiplication", `Quick, test_fit_squares_by_multiplication);
+    QCheck_alcotest.to_alcotest qcheck_ranking_equals_stable_sort;
+    QCheck_alcotest.to_alcotest qcheck_predict_below_bounds;
     ("surf ties pick lowest positions", `Quick, test_surf_ties_pick_lowest_positions);
     ("surf encodes each position once", `Quick, test_surf_encodes_each_position_once);
     ("surf rejects unequal widths", `Quick, test_surf_rejects_unequal_widths);

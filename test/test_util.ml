@@ -47,6 +47,29 @@ let test_rng_copy () =
   let dup = Util.Rng.copy rng in
   check_int "copy continues identically" (Util.Rng.bits rng) (Util.Rng.bits dup)
 
+(* The first draws of each kind for a few seeds, pinned bit for bit: a
+   change to how the generator holds its state must not move a stream. *)
+let test_rng_draws_pinned () =
+  let draws seed =
+    let rng = Util.Rng.create seed in
+    let i = Util.Rng.int rng 1000 in
+    let f = Util.Rng.float rng 1.0 in
+    let b = Util.Rng.bits rng in
+    let s = Util.Rng.bits (Util.Rng.split rng) in
+    let r = Util.Rng.float_range rng (-2.0) 3.0 in
+    Printf.sprintf "%d %h %d %d %h %d" i f b s r (Util.Rng.int rng 7)
+  in
+  List.iter
+    (fun (seed, want) -> Alcotest.(check string) (Printf.sprintf "seed %d" seed) want (draws seed))
+    [
+      (0, "883 0x1.b9e279aa86e58p-2 121904254867886419 2310090788919152419 -0x1.77e050ec67b5dp+0 0");
+      (1, "616 0x1.7dd71b42cb1ddp-1 4477959822570722647 4455081438962844497 0x1.c54541e0a844p-3 4");
+      (42, "853 0x1.477f199d93378p-3 1284820937115690964 3301249778848113454 -0x1.cf52463d4a976p+0 4");
+      (-7, "188 0x1.ea1fd36af3c64p-2 4182806082467217796 2663771078201054118 0x1.a8bad676d32acp-1 3");
+      ( max_int,
+        "417 0x1.01018cc4a4ca8p-4 4450840035883500872 3172632114020118083 0x1.9ea6ebc1ecf14p+0 2" );
+    ]
+
 let test_gaussian_moments () =
   let rng = Util.Rng.create 5 in
   let n = 20000 in
@@ -308,6 +331,7 @@ let suite =
     ("rng float range", `Quick, test_rng_float_range);
     ("rng split independent", `Quick, test_rng_split_independent);
     ("rng copy", `Quick, test_rng_copy);
+    ("rng draws pinned", `Quick, test_rng_draws_pinned);
     ("gaussian moments", `Quick, test_gaussian_moments);
     ("shuffle is permutation", `Quick, test_shuffle_is_permutation);
     ("sample without replacement", `Quick, test_sample_without_replacement);
