@@ -63,6 +63,7 @@ let float_where bound ok =
   Arg.conv ~docv:"X" (parse, Format.pp_print_float)
 
 let unit_interval = float_where "in [0, 1]" (fun x -> x >= 0. && x <= 1.)
+let finite_nonneg = float_where "finite and >= 0" (fun x -> Float.is_finite x && x >= 0.)
 
 let arch_arg =
   let parse s =
@@ -119,8 +120,7 @@ let profile_out_arg =
         ~doc:
           "Profile every kernel evaluation through the roofline model and write \
            the report (time buckets per bound, top kernels by DRAM traffic, \
-           occupancy histogram, roofline vs simulated measurement (gpusim noise) \
-           divergence) to FILE.")
+           occupancy histogram) to FILE.")
 
 (* Run [f] with the kernel profiler on when [out] is set, writing the
    roofline report afterwards. Profiling draws no RNG state, so results
@@ -1094,7 +1094,7 @@ let cmd_explain =
 let cmd_replay =
   let tolerance_arg =
     Arg.(
-      value & opt float 0.05
+      value & opt finite_nonneg 0.05
       & info [ "tolerance" ] ~docv:"R"
           ~doc:"Allowed |measured-time ratio - 1| before declaring drift.")
   in
@@ -1182,8 +1182,7 @@ let loadgen_config_term =
   let p99_budget =
     Arg.(
       value
-      & opt (float_where "finite and >= 0" (fun x -> Float.is_finite x && x >= 0.))
-          Obs.Slo.default_spec.latency_budget_s
+      & opt finite_nonneg Obs.Slo.default_spec.latency_budget_s
       & info [ "p99-budget" ] ~docv:"SECONDS"
           ~doc:"p99 latency budget of the SLO, in seconds (default 0.005).")
   in
@@ -1561,6 +1560,8 @@ let () =
         | Octopi.Einsum_notation.Error msg
         | Netopt.Network.Parse_error msg
         | Tcr.Read.Error msg
+        | Tcr.Orio.Parse_error msg
+        | Autotune.Store.Error msg
         | Autotune.Tuner.Empty_space msg ) ->
       prerr_endline ("barracuda: " ^ msg);
       exit 1

@@ -66,7 +66,6 @@ let profile_report (arch : Gpusim.Arch.t) ?variant_ids (ir : Tcr.Ir.t)
           t_issue = kr.t_issue;
           t_mem = kr.t_mem;
           t_launch = kr.t_launch;
-          model_s = Gpusim.Perf.model_time kr;
           measured_s = kr.time_s;
           dram_bytes = kr.dram_bytes;
           l2_bytes = kr.l2_bytes;

@@ -74,10 +74,6 @@ let replay ?prune ?(time_tolerance = 0.05) ~arch (recorded : Obs.Journal.entry) 
            (List.length es))
   end
 
-(* Where the lineages first diverge, for the drift report. The logic lives
-   in Obs.Journal (next to the lineage type) so Obs.Doctor can share it. *)
-let first_divergence = Obs.Journal.first_divergence
-
 let render v =
   let b = Buffer.create 256 in
   Buffer.add_string b
@@ -98,7 +94,9 @@ let render v =
        (Printf.sprintf "    replayed %s (%s)\n"
           (Obs.Journal.short v.replayed.winner.lineage.kernel_hash)
           v.replayed.winner.label);
-     match first_divergence v.recorded.winner.lineage v.replayed.winner.lineage with
+     match
+       Obs.Journal.first_divergence v.recorded.winner.lineage v.replayed.winner.lineage
+     with
      | Some stage ->
        Buffer.add_string b
          (Printf.sprintf "    lineage diverges at the %s stage\n" stage)

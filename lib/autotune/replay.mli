@@ -27,8 +27,4 @@ val replay :
   Obs.Journal.entry ->
   (verdict, string) result
 
-(** The first lineage stage where two chains diverge, if any. *)
-val first_divergence :
-  Obs.Journal.lineage -> Obs.Journal.lineage -> string option
-
 val render : verdict -> string

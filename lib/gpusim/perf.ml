@@ -41,7 +41,7 @@ let l2_bw_multiplier = 3.0
 (* The noise-free analytic time of a report: launch overhead plus the
    binding roofline term. [analyze_kernel] sets [time_s] to exactly this;
    [Gpu.measure_kernel] then perturbs [time_s] only, so the difference is
-   the modeled codegen/run-to-run noise (the profiler's divergence). *)
+   the modeled codegen/run-to-run noise. *)
 let model_time r = r.t_launch +. max r.t_dp (max r.t_issue r.t_mem)
 
 (* Warps an SM must interleave to hide most latency. *)

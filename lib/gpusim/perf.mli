@@ -36,7 +36,7 @@ type kernel_report = {
 (** Noise-free analytic time of a report: [t_launch + max(t_dp, t_issue,
     t_mem)]. Equals [time_s] for a report from {!analyze_kernel}; differs
     from the same kernel's report in {!Gpu.measure}'s result exactly by
-    the modeled codegen noise, which is what the profiler's divergence measures. *)
+    the modeled codegen noise. *)
 val model_time : kernel_report -> float
 
 val analyze_kernel : Arch.t -> Codegen.Kernel.t -> kernel_report

@@ -1,7 +1,7 @@
 (* Cross-artifact root-cause correlator. Pure over its inputs: every
    finding and score is a deterministic function of the journal entries,
    bench artifact and replay summary handed in, so the same artifacts
-   produce a bit-identical report (the CI smoke relies on this). *)
+   produce a bit-identical report (test/journal.t pins it). *)
 
 let spf = Printf.sprintf
 

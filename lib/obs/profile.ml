@@ -2,11 +2,7 @@
    accumulates one sample per kernel launch the autotuner evaluates
    (Autotune.Evaluator feeds it), plus pure aggregations over the samples:
    per-variant time buckets by roofline bound, top-N kernels by DRAM
-   traffic, occupancy histograms and, per architecture, the divergence of
-   the roofline from gpusim's simulated measurement. Both numbers are
-   modeled: the measurement is the same roofline plus gpusim's +-3%
-   structural-hash noise, so the divergence shows that noise, not a
-   measured error.
+   traffic and occupancy histograms.
 
    Obs cannot see Gpusim's types (codegen sits between them), so the
    sample is a flat mirror of the fields of Gpusim.Perf.kernel_report the
@@ -27,7 +23,6 @@ type sample = {
   t_issue : float;
   t_mem : float;
   t_launch : float;
-  model_s : float;  (* noise-free roofline time *)
   measured_s : float;  (* simulated measurement (model + codegen noise) *)
   dram_bytes : float;
   l2_bytes : float;
@@ -137,30 +132,6 @@ let occupancy_histogram ss =
   List.init 10 (fun i ->
       (Printf.sprintf "%.1f-%.1f" (0.1 *. float_of_int i) (0.1 *. float_of_int (i + 1)), counts.(i)))
 
-(* Roofline vs simulated measurement divergence, per architecture: the
-   relative error |measured/model - 1| over every sample on that arch. *)
-type divergence = { n : int; mean_rel : float; max_rel : float }
-
-let divergence_by_arch ss =
-  let archs = List.sort_uniq compare (List.map (fun s -> s.arch) ss) in
-  List.map
-    (fun a ->
-      let rels =
-        List.filter_map
-          (fun s ->
-            if s.arch = a && s.model_s > 0.0 then
-              Some (abs_float ((s.measured_s /. s.model_s) -. 1.0))
-            else None)
-          ss
-      in
-      ( a,
-        {
-          n = List.length rels;
-          mean_rel = Util.Stats.mean rels;
-          max_rel = (match rels with [] -> nan | _ -> Util.Stats.max_list rels);
-        } ))
-    archs
-
 (* ---------------- report ---------------- *)
 
 let render ss =
@@ -199,13 +170,6 @@ let render ss =
       (fun (label, count) ->
         if count > 0 then
           line "  %s %6d %s" label count (String.make (min 60 count) '#'))
-      (occupancy_histogram ss);
-    line "";
-    line "Roofline vs simulated measurement (gpusim noise) divergence per arch:";
-    List.iter
-      (fun (a, d) ->
-        line "  %-12s n=%-6d mean |rel| %.3f%%  max |rel| %.3f%%" a d.n
-          (100.0 *. d.mean_rel) (100.0 *. d.max_rel))
-      (divergence_by_arch ss)
+      (occupancy_histogram ss)
   end;
   Buffer.contents buf

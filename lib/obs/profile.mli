@@ -19,7 +19,6 @@ type sample = {
   t_issue : float;
   t_mem : float;
   t_launch : float;
-  model_s : float;  (** noise-free roofline time *)
   measured_s : float;  (** simulated measurement (model + codegen noise) *)
   dram_bytes : float;
   l2_bytes : float;
@@ -64,13 +63,6 @@ val top_dram : n:int -> sample list -> kernel_traffic list
 (** Ten 0.1-wide occupancy bins over [0, 1] with counts. *)
 val occupancy_histogram : sample list -> (string * int) list
 
-type divergence = { n : int; mean_rel : float; max_rel : float }
-
-(** Relative |measured/model - 1| statistics per architecture - how far
-    the simulated measurement (including codegen noise) strays from the
-    noise-free roofline prediction. *)
-val divergence_by_arch : sample list -> (string * divergence) list
-
 (** Human-readable report: per-variant bound buckets, the top ten kernels
-    by DRAM traffic, occupancy histogram, divergence per arch. *)
+    by DRAM traffic and the occupancy histogram. *)
 val render : sample list -> string

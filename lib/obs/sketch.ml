@@ -63,7 +63,14 @@ let copy t =
 
 let count t = t.count
 let total t = t.total
-let mean t = if t.count = 0 then nan else t.mean
+(* Once an infinite value arrives, Welford's update computes inf - inf
+   and its mean is a NaN whose sign depends on the hardware; the total
+   then is no longer finite, and its quotient is the mean Util.Stats.mean
+   gives (inf for infinite latencies). *)
+let mean t =
+  if t.count = 0 then nan
+  else if Float.is_finite t.total then t.mean
+  else t.total /. float_of_int t.count
 let std t = if t.count = 0 then nan else sqrt (t.m2 /. float_of_int t.count)
 let min_value t = if t.count = 0 then nan else t.vmin
 let max_value t = if t.count = 0 then nan else t.vmax

@@ -43,7 +43,8 @@ val count : t -> int
 (** Sum of all added values. *)
 val total : t -> float
 
-(** Welford running mean; [nan] on an empty sketch, like
+(** Welford running mean; [nan] on an empty sketch and [total / count]
+    once the total is not finite (inf when a value is inf), like
     {!Util.Stats.mean}. *)
 val mean : t -> float
 

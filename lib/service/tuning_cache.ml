@@ -38,10 +38,7 @@ type t = {
 }
 
 let create ?dir ?(capacity = 128) () =
-  (match dir with
-  | Some d when not (Sys.file_exists d) -> Unix.mkdir d 0o755
-  | Some d when not (Sys.is_directory d) -> err "cache path %s is not a directory" d
-  | _ -> ());
+  Option.iter Util.Fs.mkdir_p dir;
   {
     dir;
     capacity = max 1 capacity;

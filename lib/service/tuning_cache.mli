@@ -22,8 +22,9 @@ type source = Memory | Disk
 type t
 
 (** [create ?dir ?capacity ()]: memory-only when [dir] is absent; the
-    directory is created if missing. [capacity] bounds the LRU front
-    (default 128), not the disk. *)
+    directory and its missing parents are created ({!Util.Fs.mkdir_p}, so a
+    path under a regular file raises [Sys_error]). [capacity] bounds the
+    LRU front (default 128), not the disk. *)
 val create : ?dir:string -> ?capacity:int -> unit -> t
 
 (** Snapshot of the counters. *)

@@ -1,8 +1,6 @@
 (* Small combinatorics helpers shared by OCTOPI enumeration and the TCR
    search-space construction. *)
 
-let rec factorial n = if n <= 1 then 1 else n * factorial (n - 1)
-
 let rec remove_one x = function
   | [] -> []
   | y :: rest -> if y = x then rest else y :: remove_one x rest
@@ -17,50 +15,9 @@ let rec permutations = function
         List.map (fun perm -> x :: perm) (permutations rest))
       (List.sort_uniq compare lst)
 
-(* Permutations that keep duplicates distinct by position. *)
-let permutations_indexed lst =
-  let arr = Array.of_list lst in
-  let n = Array.length arr in
-  let rec go chosen remaining =
-    if remaining = [] then [ List.rev_map (fun i -> arr.(i)) chosen ]
-    else
-      List.concat_map (fun i -> go (i :: chosen) (List.filter (( <> ) i) remaining)) remaining
-  in
-  go [] (List.init n (fun i -> i))
-
 (* Cartesian product of a list of domains. *)
 let rec cartesian = function
   | [] -> [ [] ]
   | domain :: rest ->
     let tails = cartesian rest in
     List.concat_map (fun x -> List.map (fun tl -> x :: tl) tails) domain
-
-(* All subsets of size [k]. *)
-let rec choose k lst =
-  if k = 0 then [ [] ]
-  else
-    match lst with
-    | [] -> []
-    | x :: rest -> List.map (fun c -> x :: c) (choose (k - 1) rest) @ choose k rest
-
-(* All non-empty subsets. *)
-let subsets lst =
-  let rec go = function
-    | [] -> [ [] ]
-    | x :: rest ->
-      let tails = go rest in
-      tails @ List.map (fun s -> x :: s) tails
-  in
-  List.filter (fun s -> s <> []) (go lst)
-
-(* Unordered pairs (i, j) with i < j, by position. *)
-let pairs lst =
-  let arr = Array.of_list lst in
-  let n = Array.length arr in
-  let acc = ref [] in
-  for i = n - 1 downto 0 do
-    for j = n - 1 downto i + 1 do
-      acc := (arr.(i), arr.(j)) :: !acc
-    done
-  done;
-  !acc

@@ -3,25 +3,9 @@
     result, so callers keep inputs small (the paper's workloads have at most
     four factors and seven loop indices). *)
 
-(** [factorial n] for [n >= 0] (1 for non-positive input). *)
-val factorial : int -> int
-
 (** All permutations of a list; duplicates in the input are collapsed. *)
 val permutations : 'a list -> 'a list list
-
-(** Permutations that keep duplicate elements distinct by position, so the
-    result always has n! entries. *)
-val permutations_indexed : 'a list -> 'a list list
 
 (** Cartesian product of a list of domains, in row-major order. An empty
     domain yields an empty product. *)
 val cartesian : 'a list list -> 'a list list
-
-(** [choose k l]: all size-[k] subsets of [l], preserving element order. *)
-val choose : int -> 'a list -> 'a list list
-
-(** All non-empty subsets. *)
-val subsets : 'a list -> 'a list list
-
-(** Unordered pairs [(x, y)] with [x] before [y] in the input. *)
-val pairs : 'a list -> ('a * 'a) list

@@ -3,7 +3,7 @@
 let rec mkdir_p path =
   if path = "" || path = "." || path = "/" || Sys.file_exists path then begin
     if Sys.file_exists path && not (Sys.is_directory path) then
-      invalid_arg (Printf.sprintf "Fs.mkdir_p: %s exists and is not a directory" path)
+      raise (Sys_error (path ^ ": Not a directory"))
   end
   else begin
     mkdir_p (Filename.dirname path);

@@ -1,8 +1,8 @@
 (** Small filesystem helpers shared by the bench harness and the CLI. *)
 
 (** Create [path] and any missing parents, like [mkdir -p]. Existing
-    directories are fine; raises [Invalid_argument] if a component exists
-    and is not a directory. *)
+    directories are fine; raises [Sys_error] if a component exists and is
+    not a directory, as opening a file under it would. *)
 val mkdir_p : string -> unit
 
 (** Write [contents] to [path], creating parent directories as needed. *)

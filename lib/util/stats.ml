@@ -47,19 +47,6 @@ let percentile p xs =
     if lo = hi then arr.(lo)
     else arr.(lo) +. ((rank -. float_of_int lo) *. (arr.(hi) -. arr.(lo)))
 
-(* Index of the minimizing element. *)
-let argmin f = function
-  | [] -> invalid_arg "Stats.argmin: empty"
-  | x :: xs ->
-    let _, best_i, _ =
-      List.fold_left
-        (fun (i, best_i, best_v) y ->
-          let v = f y in
-          if v < best_v then (i + 1, i, v) else (i + 1, best_i, best_v))
-        (1, 0, f x) xs
-    in
-    best_i
-
 (* ------------------------------------------------------------------ *)
 (* Two-sample comparison for the benchmark regression gate: Mann-Whitney U
    over the raw samples (rank statistics are robust to the heavy right

@@ -22,9 +22,6 @@ val median : float list -> float
     list; raises [Invalid_argument] when [p] is outside [0, 100]. *)
 val percentile : float -> float list -> float
 
-(** [argmin f l]: index of the element minimizing [f]. Raises on empty. *)
-val argmin : ('a -> float) -> 'a list -> int
-
 (** Standard normal CDF (Abramowitz-Stegun erf approximation, absolute
     error ~1.5e-7). *)
 val normal_cdf : float -> float

@@ -664,9 +664,8 @@ let test_first_divergence () =
     (Obs.Journal.first_divergence lin
        { lin with Obs.Journal.dsl_hash = "x" }
     = Some "dsl");
-  (* the replay module re-exports the same comparison *)
-  check_bool "replay delegates" true
-    (Autotune.Replay.first_divergence lin
+  check_bool "variant stage" true
+    (Obs.Journal.first_divergence lin
        { lin with Obs.Journal.variant_hash = "x" }
     = Some "variant")
 

@@ -166,11 +166,11 @@ let test_gate_no_baseline () =
 (* ---------------- Profile ---------------- *)
 
 let mk_sample ?(arch = "GTX 980") ?(variant = "v0") ?(kernel = "k1") ?(bound = "dp")
-    ?(measured = 1e-4) ?(model = 1e-4) ?(dram = 1e6) ?(occ = 0.5) () =
+    ?(measured = 1e-4) ?(dram = 1e6) ?(occ = 0.5) () =
   {
     Obs.Profile.arch; variant; kernel; bound;
     t_dp = 1e-4; t_issue = 1e-5; t_mem = 1e-5; t_launch = 5e-6;
-    model_s = model; measured_s = measured;
+    measured_s = measured;
     dram_bytes = dram; l2_bytes = 2e6; occupancy = occ;
   }
 
@@ -227,26 +227,12 @@ let test_profile_occupancy_histogram () =
   check_int "mid bin" 2 (List.assoc "0.5-0.6" h);
   check_int "occ 1.0 clamps into the top bin" 1 (List.assoc "0.9-1.0" h)
 
-let test_profile_divergence () =
-  let ss =
-    [ mk_sample ~model:1.0 ~measured:1.02 (); mk_sample ~model:1.0 ~measured:0.96 ();
-      mk_sample ~arch:"Tesla K20" ~model:2.0 ~measured:2.0 () ]
-  in
-  let d = Obs.Profile.divergence_by_arch ss in
-  let g = List.assoc "GTX 980" d in
-  check_int "gtx n" 2 g.Obs.Profile.n;
-  Alcotest.(check (float 1e-9)) "mean rel" 0.03 g.Obs.Profile.mean_rel;
-  Alcotest.(check (float 1e-9)) "max rel" 0.04 g.Obs.Profile.max_rel;
-  let k = List.assoc "Tesla K20" d in
-  Alcotest.(check (float 1e-9)) "exact model" 0.0 k.Obs.Profile.mean_rel
-
 let test_profile_render () =
   let ss = [ mk_sample (); mk_sample ~bound:"memory" () ] in
   let report = Obs.Profile.render ss in
   check_bool "header" true (contains_sub report "2 kernel evaluations");
   check_bool "buckets" true (contains_sub report "Per-variant time by roofline bound");
-  check_bool "dram table" true (contains_sub report "DRAM traffic");
-  check_bool "divergence" true (contains_sub report "divergence")
+  check_bool "dram table" true (contains_sub report "DRAM traffic")
 
 (* The profiler must not perturb the search: a fixed-seed tune gives
    bit-identical results with profiling on and off (recording draws no
@@ -269,9 +255,11 @@ let test_profile_tune_bit_identical () =
       check_str "arch stamped" "GTX 980" s.arch;
       check_bool "bound valid" true (List.mem s.bound Obs.Profile.bounds);
       check_bool "measured positive" true (s.measured_s > 0.0);
-      (* Gpu noise is within 3% of the noise-free roofline time *)
+      (* Gpu noise is within 3% of the noise-free roofline time, which
+         the sample's own terms give (Gpusim.Perf.model_time). *)
+      let model = s.t_launch +. Float.max s.t_dp (Float.max s.t_issue s.t_mem) in
       check_bool "model close to measured" true
-        (abs_float ((s.measured_s /. s.model_s) -. 1.0) <= 0.03))
+        (abs_float ((s.measured_s /. model) -. 1.0) <= 0.03))
     samples
 
 (* A sample names its candidate's variant choice as the journal does
@@ -315,7 +303,6 @@ let suite =
     ("profile buckets", `Quick, test_profile_buckets);
     ("profile top dram", `Quick, test_profile_top_dram);
     ("profile occupancy histogram", `Quick, test_profile_occupancy_histogram);
-    ("profile divergence", `Quick, test_profile_divergence);
     ("profile render", `Quick, test_profile_render);
     ("profile does not perturb tuning", `Quick, test_profile_tune_bit_identical);
     ("profile names each variant choice", `Quick, test_profile_names_variants);

@@ -637,337 +637,12 @@ let test_proof_failures_fall_back () =
    output indices), so its schedule space is empty. *)
 let rank1_src = "dims: i=8 j=6\nC[i] = Sum([j], T[i j] * X[j])"
 
-(* The CLI binary, built beside the test-suite (see test/dune): its exit
-   code and its standard output and error together. *)
-let run_cli args =
-  let cli =
-    List.fold_left Filename.concat
-      (Filename.dirname Sys.executable_name)
-      [ Filename.parent_dir_name; "bin"; "barracuda_cli.exe" ]
-  in
-  let out = Filename.temp_file "barracuda" ".out" in
-  let code =
-    Sys.command (Printf.sprintf "%s %s > %s 2>&1" (Filename.quote cli) args (Filename.quote out))
-  in
-  let text = In_channel.with_open_bin out In_channel.input_all in
-  Sys.remove out;
-  (code, text)
-
-let test_rank1_check_semantic () =
-  let code, text = run_cli ("check --semantic -e " ^ Filename.quote rank1_src) in
-  check_int "exit 1" 1 code;
-  check_bool "one BAR064 naming op1(C)" true
-    (Astring_contains.contains text
-       "[BAR064] error (semantic) tc: no search point for op1(C), so no candidate can be \
-        validated");
-  check_bool "nothing proven" true
-    (Astring_contains.contains text "translation validation: nothing proven");
-  check_bool "no internal error" false (Astring_contains.contains text "internal error")
-
 let test_rank1_tune () =
   let b = Autotune.Tuner.benchmark_of_dsl ~label:"rank1" rank1_src in
   Alcotest.check_raises "fails before building a pool"
     (Autotune.Tuner.Empty_space "rank1: no search point for op1(C), so there is nothing to tune")
     (fun () ->
-      ignore (Autotune.Tuner.tune ~rng:(Util.Rng.create 1) ~arch:Gpusim.Arch.gtx980 b));
-  List.iter
-    (fun cmd ->
-      let code, text = run_cli (cmd ^ " -e " ^ Filename.quote rank1_src) in
-      check_int (cmd ^ ": exit 1") 1 code;
-      check_bool (cmd ^ ": names op1(C)") true
-        (Astring_contains.contains text "no search point for op1(C)");
-      check_bool (cmd ^ ": no gate warning") false
-        (Astring_contains.contains text "static gate rejected");
-      check_bool (cmd ^ ": no internal error") false
-        (Astring_contains.contains text "internal error"))
-    [ "tune"; "cuda" ]
-
-(* A replay artifact of one request: [header] adjusts a valid header,
-   and [record] is the request line as written. *)
-let artifact ?(header = Fun.id) record =
-  let h =
-    {
-      Obs.Replay.requests = 1;
-      seed = 0;
-      batch = 1;
-      error_rate = 0.0;
-      degrade = 1.0;
-      degrade_at = 0;
-      monitor = false;
-      width = 10;
-      buckets = 2;
-      slo = Obs.Slo.default_spec;
-      classes = [| { label = "mm"; dsl = matmul_src; key = "k"; run_id = None; weight = 1 } |];
-    }
-  in
-  let path = Filename.temp_file "barracuda" ".jsonl" in
-  Out_channel.with_open_bin path (fun oc ->
-      output_string oc (Obs.Replay.header_line (header h));
-      output_string oc record);
-  path
-
-(* A tensor used with two shapes: within one statement, and as one
-   statement's output read by the next. *)
-let shape_clashes =
-  [
-    "dims: i=3 j=5 k=7\nC[i j] = Sum([k], A[i k] * A[k j])";
-    "dims: i=3 j=5 k=7 l=2\n\
-     D[i j] = Sum([k l], A[i k] * B[k l] * E[l j])\n\
-     F[i j] = Sum([k], D[i k] * G[k j])";
-  ]
-
-(* User errors - malformed input, a tensor used with two shapes, an
-   unknown run id, a missing input, a program given beside --tcr or --net,
-   a generated network below its shape's minimum size, a batch request
-   without a search point - exit 1 with a one-line "barracuda: " message,
-   never as an uncaught exception. *)
-let test_user_errors_exit_1 () =
-  let q = Filename.quote in
-  let empty = Filename.temp_file "barracuda" ".tc" in
-  let not_json = Filename.temp_file "barracuda" ".json" in
-  Out_channel.with_open_bin not_json (fun oc -> output_string oc "not json\n");
-  let record tick =
-    Printf.sprintf
-      "{\"tick\":%d,\"class\":0,\"served\":\"tuned\",\"ok\":true,\"mult\":1,\"costs\":[]}\n"
-      tick
-  in
-  let torn = artifact "{\"tick\":0,\"cla" in
-  let negative_tick = artifact (record (-1)) in
-  let bad_spec slo = artifact ~header:(fun h -> { h with slo = slo h.slo }) (record 0) in
-  let bad_percentile = bad_spec (fun s -> { s with latency_p = 150.0 }) in
-  let no_short_window = bad_spec (fun s -> { s with short_epochs = 0 }) in
-  let journal = Filename.temp_file "barracuda" ".jsonl" in
-  List.iter
-    (fun args ->
-      let code, text = run_cli args in
-      check_int (args ^ ": exit 1") 1 code;
-      check_bool (args ^ ": barracuda: message") true
-        (String.starts_with ~prefix:"barracuda: " text);
-      check_bool (args ^ ": no internal error") false
-        (Astring_contains.contains text "internal error"))
-    ([
-      "tune " ^ q empty;
-      "space " ^ q empty;
-      "c " ^ q empty;
-      "check --semantic " ^ q empty;
-      "tune -e " ^ q "C[i_j]=oops";
-      "slo " ^ q not_json;
-      "ledger " ^ q not_json;
-      "whatif " ^ q not_json;
-      "doctor --load " ^ q not_json;
-      "slo " ^ q torn;
-      "ledger " ^ q torn;
-      "whatif " ^ q torn;
-      "doctor --load " ^ q torn;
-      "slo " ^ q negative_tick;
-      "slo " ^ q bad_percentile;
-      "slo " ^ q no_short_window;
-      "explain --journal " ^ q journal ^ " nosuchrun";
-      "replay --journal " ^ q journal ^ " nosuchrun";
-      "tcr --variant 99 -e " ^ q matmul_src;
-      "tcr --variant=-1 -e " ^ q matmul_src;
-      "annotations --variant=-1 -e " ^ q matmul_src;
-      "tune";
-      "net --einsum " ^ q "ab,,->";
-      "check --tcr " ^ q empty ^ " -e " ^ q matmul_src;
-      "check --net " ^ q not_json ^ " " ^ q empty;
-      "net --gen line -n 1";
-      "net --gen ring -n 2";
-      "net --gen power -n 2";
-      "batch -e " ^ q rank1_src;
-    ]
-    @ List.concat_map
-        (fun src ->
-          List.map
-            (fun cmd -> cmd ^ " -e " ^ q src)
-            [ "tune"; "check --semantic"; "space"; "c"; "batch" ])
-        shape_clashes);
-  (* a torn artifact names its torn line *)
-  let _, text = run_cli ("slo " ^ q torn) in
-  check_bool "torn line named" true (Astring_contains.contains text "line 2:");
-  (* the service reports the request's own names, not the canonical ones *)
-  let _, text = run_cli ("batch -e " ^ q (List.hd shape_clashes)) in
-  check_bool "batch names the clashing tensor" true
-    (Astring_contains.contains text "tensor A is used with shapes [3x7] and [7x5]");
-  let _, text = run_cli ("batch -e " ^ q rank1_src) in
-  check_bool "batch names the rank-1 op" true
-    (Astring_contains.contains text "expr1: no search point for op1(C)");
-  List.iter Sys.remove
-    [ empty; not_json; torn; negative_tick; bad_percentile; no_short_window; journal ]
-
-(* A numeric flag below its bound is a usage error (exit 124) that names
-   the bound, never an uncaught exception. The loadgen cases fail while
-   parsing, before the (empty) journal is read. *)
-let test_numeric_flags_bounded () =
-  let q = Filename.quote in
-  let mm = " -e " ^ q matmul_src in
-  let journal = Filename.temp_file "barracuda" ".jsonl" in
-  let loadgen = "loadgen --journal " ^ q journal in
-  List.iter
-    (fun (args, flag, value, least) ->
-      let code, text = run_cli (Printf.sprintf "%s --%s=%d" args flag value) in
-      check_int (args ^ ": exit 124") 124 code;
-      check_bool (args ^ ": names the bound") true
-        (Astring_contains.contains text
-           (Printf.sprintf "'--%s': %d is below the minimum of %d" flag value least));
-      check_bool (args ^ ": no internal error") false
-        (Astring_contains.contains text "internal error"))
-    (List.map
-       (fun cmd -> (cmd ^ mm, "evals", 0, 1))
-       [ "tune"; "cuda"; "c"; "driver"; "inspect"; "annotations --recipe"; "report"; "batch" ]
-    @ [
-        ("net --tune --einsum " ^ q "ab,bc->ac", "evals", 0, 1);
-        ("check --semantic" ^ mm, "rounds", 0, 1);
-        ("driver" ^ mm, "reps", 0, 1);
-        (loadgen, "reps", 0, 1);
-        (loadgen, "requests", 0, 1);
-        (loadgen, "batch", 0, 1);
-        (loadgen, "window-width", 0, 1);
-        (loadgen, "window-buckets", 0, 1);
-        (loadgen, "frames", -1, 0);
-      ]);
-  (* a float flag outside its range: the message may wrap, so compare
-     whitespace-normalised text *)
-  let words text =
-    String.split_on_char '\n' text
-    |> List.concat_map (String.split_on_char ' ')
-    |> List.filter (( <> ) "")
-    |> String.concat " "
-  in
-  List.iter
-    (fun (args, flag, value, bound) ->
-      let code, text = run_cli (Printf.sprintf "%s --%s=%s" args flag value) in
-      check_int (args ^ " --" ^ flag ^ "=" ^ value ^ ": exit 124") 124 code;
-      check_bool (flag ^ "=" ^ value ^ ": names the bound") true
-        (Astring_contains.contains (words text)
-           (Printf.sprintf "%s is not %s" value bound));
-      check_bool (flag ^ "=" ^ value ^ ": no internal error") false
-        (Astring_contains.contains text "internal error"))
-    [
-      (loadgen, "degrade", "nan", "> 0");
-      (loadgen, "degrade", "-1", "> 0");
-      (loadgen, "p99-budget", "nan", "finite and >= 0");
-      (loadgen, "p99-budget", "inf", "finite and >= 0");
-      (loadgen, "error-rate", "-1", "in [0, 1]");
-      (loadgen, "error-objective", "1.5", "in [0, 1]");
-      ("whatif", "factors", "0", "finite and > 0");
-      ("whatif", "factors", "nan", "finite and > 0");
-      ("whatif", "factors", "-1", "finite and > 0");
-      ("whatif", "factors", "inf", "finite and > 0");
-    ];
-  Sys.remove journal
-
-(* The commands of the usage screen: the lines between "commands:" and
-   the blank line after them. *)
-let usage_commands text =
-  let rec after_header = function
-    | [] -> []
-    | "commands:" :: rest -> rest
-    | _ :: rest -> after_header rest
-  in
-  let rec until_blank = function
-    | [] | "" :: _ -> []
-    | line :: rest -> List.hd (String.split_on_char ' ' (String.trim line)) :: until_blank rest
-  in
-  until_blank (after_header (String.split_on_char '\n' text))
-
-(* Each job has one command: the roofline profile is tune --profile-out,
-   the pipeline trace is report --trace-out, and the live dashboard is
-   loadgen --frames. trace, profile and dash are unknown commands. *)
-let test_cli_one_command_per_job () =
-  let q = Filename.quote in
-  let mm = " -e " ^ q matmul_src ^ " --evals 8" in
-  let tmp ext = Filename.temp_file "barracuda" ext in
-  let profile = tmp ".txt" and trace = tmp ".json" and journal = tmp ".jsonl" in
-  let read path = In_channel.with_open_bin path In_channel.input_all in
-  let code, _ = run_cli ("tune" ^ mm ^ " --profile-out " ^ q profile) in
-  check_int "tune --profile-out: exit 0" 0 code;
-  let report = read profile in
-  check_bool "profile: roofline bound" true (Astring_contains.contains report "roofline bound");
-  check_bool "profile: divergence" true (Astring_contains.contains report "divergence");
-  let code, text = run_cli ("report" ^ mm ^ " --trace-out " ^ q trace) in
-  check_int "report --trace-out: exit 0" 0 code;
-  check_bool "report still printed" true (Astring_contains.contains text "convergence:");
-  let events = Obs.Json.arr "traceEvents" (Obs.Json.parse_exn (read trace)) in
-  let count ph cat =
-    List.length
-      (List.filter
-         (fun e ->
-           Option.bind (Obs.Json.member "ph" e) Obs.Json.get_str = Some ph
-           && Option.bind (Obs.Json.member "cat" e) Obs.Json.get_str = Some cat)
-         events)
-  in
-  List.iter
-    (fun cat ->
-      let b = count "B" cat in
-      check_bool ("trace: " ^ cat ^ " spans") true (b > 0);
-      check_int ("trace: " ^ cat ^ " B/E balanced") b (count "E" cat))
-    [ "octopi"; "tcr"; "codegen"; "surf"; "service" ];
-  let code, _ = run_cli ("tune" ^ mm ^ " --journal " ^ q journal) in
-  check_int "journaled tune: exit 0" 0 code;
-  let code, text =
-    run_cli ("loadgen --journal " ^ q journal ^ " --requests 400 --frames 2")
-  in
-  check_int "loadgen --frames: exit 0" 0 code;
-  check_int "two frames" 2 (Astring_contains.count text "--- tick ");
-  check_bool "final report" true (Astring_contains.contains text "replayed 400 requests");
-  List.iter
-    (fun cmd ->
-      let code, text = run_cli cmd in
-      check_int (cmd ^ ": exit 2") 2 code;
-      check_bool (cmd ^ ": unknown") true
-        (Astring_contains.contains text (Printf.sprintf "unknown command %S" cmd));
-      let listed = usage_commands text in
-      check_int (cmd ^ ": usage lists 23 commands") 23 (List.length listed);
-      check_bool (cmd ^ ": not listed") false (List.mem cmd listed))
-    [ "trace"; "profile"; "dash" ];
-  List.iter Sys.remove [ profile; trace; journal ]
-
-(* One loadgen replay records one artifact, and every replay reader takes
-   it: slo, ledger (with its Prometheus exposition), whatif and doctor
-   --load. An infinitely degraded replay pages, live and read back. *)
-let test_cli_replay_readers () =
-  let q = Filename.quote in
-  let tmp ext = Filename.temp_file "barracuda" ext in
-  let journal = tmp ".jsonl" and load = tmp ".jsonl" and prom = tmp ".prom" in
-  let inf_load = tmp ".jsonl" in
-  let read path = In_channel.with_open_bin path In_channel.input_all in
-  let code, _ =
-    run_cli ("tune -e " ^ q matmul_src ^ " --evals 8 --journal " ^ q journal)
-  in
-  check_int "journaled tune: exit 0" 0 code;
-  let code, _ =
-    run_cli ("loadgen --journal " ^ q journal ^ " --requests 400 --out " ^ q load)
-  in
-  check_int "loadgen --out: exit 0" 0 code;
-  let code, text = run_cli ("slo " ^ q load) in
-  check_int "slo: exit 0" 0 code;
-  check_bool "slo: verdict" true (Astring_contains.contains text "SLO serving @ tick 399");
-  let code, text = run_cli ("ledger " ^ q load ^ " --prom-out " ^ q prom) in
-  check_int "ledger --prom-out: exit 0" 0 code;
-  check_bool "ledger: report" true (Astring_contains.contains text "ledger: 400 requests");
-  let exposition = read prom in
-  check_bool "prom: request counter" true
-    (Astring_contains.contains exposition "barracuda_ledger_requests_total 400");
-  check_bool "prom: a phase histogram" true
-    (Astring_contains.contains exposition "# TYPE barracuda_phase_cold_measure_seconds histogram");
-  let code, text = run_cli ("whatif " ^ q load ^ " --expect-top measure") in
-  check_int "whatif: exit 0" 0 code;
-  check_bool "whatif: ranking" true
-    (Astring_contains.contains text "what-if over 400 recorded requests");
-  let code, text = run_cli ("doctor --journal " ^ q journal ^ " --load " ^ q load) in
-  check_int "doctor --load: exit 0" 0 code;
-  check_bool "doctor: ledger findings" true (Astring_contains.contains text "DR040");
-  let code, text =
-    run_cli
-      ("loadgen --journal " ^ q journal ^ " --requests 100 --degrade=inf --out "
-     ^ q inf_load)
-  in
-  check_int "degrade=inf: exit 1" 1 code;
-  check_bool "degrade=inf: p99 pages" true (Astring_contains.contains text "[PAGE] p99 page");
-  let code, _ = run_cli ("slo " ^ q inf_load) in
-  check_int "degrade=inf read back: slo exit 1" 1 code;
-  List.iter Sys.remove [ journal; load; prom; inf_load ]
+      ignore (Autotune.Tuner.tune ~rng:(Util.Rng.create 1) ~arch:Gpusim.Arch.gtx980 b))
 
 (* ---------------- symbolic access analysis ---------------- *)
 
@@ -1205,14 +880,7 @@ let suite =
     Alcotest.test_case "kernel proof: a self-read or tx = bx walks" `Quick
       test_proof_failures_fall_back;
     Alcotest.test_case "mutation names roundtrip" `Quick test_mutation_names_roundtrip;
-    Alcotest.test_case "rank-1: check --semantic reports BAR064" `Quick
-      test_rank1_check_semantic;
     Alcotest.test_case "rank-1: tune fails with a typed error" `Quick test_rank1_tune;
-    Alcotest.test_case "cli: user errors exit 1" `Quick test_user_errors_exit_1;
-    Alcotest.test_case "cli: numeric flags are bounded" `Quick test_numeric_flags_bounded;
-    Alcotest.test_case "cli: one command per job" `Quick test_cli_one_command_per_job;
-    Alcotest.test_case "cli: every replay reader takes the artifact" `Quick
-      test_cli_replay_readers;
     Alcotest.test_case "access: clean summary" `Quick test_access_summary_clean;
     Alcotest.test_case "gate: fixed-seed tune proves its winner" `Quick
       test_semantic_gate_proves_winner;

@@ -35,6 +35,16 @@ let test_sketch_basic () =
   Alcotest.(check (float 1e-9)) "p0 = min" 1.0 (Obs.Sketch.quantile s 0.0);
   Alcotest.(check (float 1e-9)) "p100 = max" 5.0 (Obs.Sketch.quantile s 100.0)
 
+(* An infinite latency (a --degrade=inf replay) makes Welford's update
+   compute inf - inf; the mean is still Util.Stats.mean's inf, alone and
+   after a merge, never a NaN. *)
+let test_sketch_infinite_mean () =
+  let s = Obs.Sketch.create () in
+  List.iter (Obs.Sketch.add s) [ infinity; infinity; 1.0 ];
+  Alcotest.(check (float 0.0)) "mean" infinity (Obs.Sketch.mean s);
+  Alcotest.(check (float 0.0)) "stats mean" infinity (Util.Stats.mean [ infinity; infinity; 1.0 ]);
+  Alcotest.(check (float 0.0)) "merged" infinity (Obs.Sketch.mean (Obs.Sketch.merge s s))
+
 let test_sketch_zero_and_negative () =
   let s = Obs.Sketch.create () in
   List.iter (Obs.Sketch.add s) [ 0.0; -3.0; 1e-15; 2.0 ];
@@ -611,6 +621,8 @@ let suite =
   [
     Alcotest.test_case "sketch: empty" `Quick test_sketch_empty;
     Alcotest.test_case "sketch: basic quantiles" `Quick test_sketch_basic;
+    Alcotest.test_case "sketch: infinite values have an infinite mean" `Quick
+      test_sketch_infinite_mean;
     Alcotest.test_case "sketch: zero and negative values" `Quick
       test_sketch_zero_and_negative;
     Alcotest.test_case "sketch: bucket cap collapses low buckets" `Quick
