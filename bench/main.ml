@@ -361,14 +361,14 @@ let run_ledger () =
       print_string (Obs.Replay.render_whatif (Obs.Replay.whatif header records));
       print_newline ();
       List.filter_map
-        (fun (cls, phase, (st : Obs.Ledger.stat)) ->
+        (fun (cls, phase, (st : Obs.Sketch.summary)) ->
           if cls = Obs.Ledger.Cold then
             Some
               ( "phase:" ^ Obs.Ledger.phase_name phase,
                 {
-                  Obs.Bench_log.q50 = st.st_p50_s;
-                  q90 = st.st_p90_s;
-                  q99 = st.st_p99_s;
+                  Obs.Bench_log.q50 = st.p50;
+                  q90 = st.p90;
+                  q99 = st.p99;
                 } )
           else None)
         rep.lr_cells)

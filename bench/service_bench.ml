@@ -68,8 +68,8 @@ let cold_sequential reqs =
    second buckets, so p50/p99 of request.wall summarize the mix. *)
 let quantiles_of svc =
   List.map
-    (fun ((name, s) : string * Service.Metrics.timer_summary) ->
-      (name, { Obs.Bench_log.q50 = s.median_s; q90 = s.p90_s; q99 = s.p99_s }))
+    (fun ((name, s) : string * Obs.Sketch.summary) ->
+      (name, { Obs.Bench_log.q50 = s.p50; q90 = s.p90; q99 = s.p99 }))
     (Service.Metrics.summaries (Service.Engine.metrics svc))
 
 let table () =

@@ -112,6 +112,12 @@ let variant_choice src vid =
     failwith
       (Printf.sprintf "variant %d out of range (0..%d)" vid (List.length choices - 1))
 
+(* Create the parent directory of every output path a command was given,
+   before its job runs: a missing parent is created, and a path under a
+   regular file fails at once instead of after the job has printed. *)
+let prepare_outputs paths =
+  List.iter (Option.iter (fun path -> Util.Fs.mkdir_p (Filename.dirname path))) paths
+
 let profile_out_arg =
   Arg.(
     value
@@ -275,6 +281,7 @@ let cmd_tune =
       & info [ "save" ] ~docv:"FILE" ~doc:"Save the tuning artifact to FILE.")
   in
   let run src arch seed evals prune save profile_out journal_out =
+    prepare_outputs [ save; profile_out; journal_out ];
     let result =
       with_journal journal_out (fun () ->
           with_profile profile_out (fun () -> tune_common src arch seed evals prune))
@@ -342,6 +349,7 @@ let cmd_cuda =
           ~doc:"Re-emit from a saved tuning artifact instead of searching.")
   in
   let run src arch seed evals prune from out =
+    prepare_outputs [ out ];
     let cuda =
       match from with
       | Some path ->
@@ -479,6 +487,7 @@ let cmd_batch =
   in
   let run files exprs arch seed evals domains cache_dir want_stats trace_out
       profile_out journal_out =
+    prepare_outputs [ trace_out; profile_out; journal_out ];
     let requests =
       List.map
         (fun path ->
@@ -528,6 +537,7 @@ let cmd_report =
           ~doc:"Also write the Prometheus text exposition to FILE.")
   in
   let run src arch seed evals trace_out prom_out =
+    prepare_outputs [ trace_out; prom_out ];
     let svc = Service.Engine.create ~config:(service_config arch seed evals 1 None) () in
     let response = with_trace trace_out (fun () -> Service.Engine.tune_dsl svc src) in
     Printf.printf "%s on %s: %.2f GFlops after %d evaluations (pool %d of %d)\n\n"
@@ -926,6 +936,7 @@ let cmd_net =
   in
   let run file einsum gen n gen_seed seed sa_iters tc_w sc_w rw_w sc_target
       json emit_dsl do_tune arch evals journal_out =
+    prepare_outputs [ journal_out ];
     let net =
       match (file, einsum, gen) with
       | Some path, None, None -> Netopt.Network.of_file path
@@ -1276,6 +1287,7 @@ let cmd_loadgen =
              replay (default 0).")
   in
   let run journal cfg frames out =
+    prepare_outputs [ out ];
     let entries = load_journal journal in
     let mix = Service.Loadgen.mix_of_journal entries in
     if mix = [] then
@@ -1390,6 +1402,7 @@ let cmd_ledger =
              histograms.")
   in
   let run path json prom_out =
+    prepare_outputs [ prom_out ];
     let s = read_replay Obs.Replay.summarize path in
     let report = Obs.Ledger.report s.ledger in
     if json then
@@ -1441,6 +1454,7 @@ let cmd_whatif =
              across runs of the same replay artifact).")
   in
   let run path factors expect_top json out =
+    prepare_outputs [ out ];
     let header, records = read_replay Obs.Replay.load path in
     let ranking = Obs.Replay.whatif ~factors header records in
     if json then

@@ -1,13 +1,11 @@
-(* Empirical evaluation of one code variant on the simulated device, with
-   memoization, plus the model of what one evaluation *costs* the search
+(* Empirical evaluation of one code variant on the simulated device, plus
+   the model of what one evaluation *costs* the search
    (Section V quotes ~4 s per variant: nvcc compilation dominates, then 100
    timed repetitions on the board). *)
 
 type t = {
   arch : Gpusim.Arch.t;
   reps : int;                  (* timed repetitions per evaluation *)
-  cache : (string, Gpusim.Gpu.report) Hashtbl.t;
-  mutable evaluations : int;   (* cache misses = real evaluations *)
   mutable search_seconds : float;  (* modeled empirical search cost *)
 }
 
@@ -19,25 +17,15 @@ let harness_seconds = 0.3
    search time. *)
 let eval_timeout_s = 20.0
 
-let create ?(reps = 100) arch =
-  { arch; reps; cache = Hashtbl.create 256; evaluations = 0; search_seconds = 0.0 }
+let create ?(reps = 100) arch = { arch; reps; search_seconds = 0.0 }
 
-let key (ir : Tcr.Ir.t) points =
-  ir.label ^ "|" ^ String.concat "|" (List.map Tcr.Space.point_key points)
-
-(* Merge a freshly computed report into the memo table and charge the
-   modeled search cost of one real evaluation. *)
-let record t (ir : Tcr.Ir.t) points report =
-  let k = key ir points in
-  if not (Hashtbl.mem t.cache k) then begin
-    Hashtbl.add t.cache k report;
-    t.evaluations <- t.evaluations + 1;
-    t.search_seconds <-
-      t.search_seconds
-      +. (compile_seconds_per_kernel *. float_of_int (List.length ir.ops))
-      +. harness_seconds
-      +. min eval_timeout_s (Gpusim.Gpu.time_with_reps report ~reps:t.reps)
-  end
+(* Charge the modeled search cost of one evaluation. *)
+let charge t (ir : Tcr.Ir.t) report =
+  t.search_seconds <-
+    t.search_seconds
+    +. (compile_seconds_per_kernel *. float_of_int (List.length ir.ops))
+    +. harness_seconds
+    +. min eval_timeout_s (Gpusim.Gpu.time_with_reps report ~reps:t.reps)
 
 (* Feed every kernel report of one evaluation to the roofline profiler.
    Obs.Profile cannot name Gpusim's types (codegen sits between the two
@@ -73,7 +61,7 @@ let profile_report (arch : Gpusim.Arch.t) ?variant_ids (ir : Tcr.Ir.t)
         })
     report.Gpusim.Gpu.kernels
 
-(* One real (uncached) measurement, wrapped in a span so traces show every
+(* One measurement, wrapped in a span so traces show every
    empirical evaluation - wherever it ran, including worker domains. *)
 let traced_measure arch ?variant_ids (ir : Tcr.Ir.t) points =
   Obs.Trace.with_span ~cat:"autotune"
@@ -86,50 +74,26 @@ let traced_measure arch ?variant_ids (ir : Tcr.Ir.t) points =
   if Obs.Profile.enabled () then profile_report arch ?variant_ids ir report;
   report
 
-let measure ?variant_ids t (ir : Tcr.Ir.t) points =
-  match Hashtbl.find_opt t.cache (key ir points) with
-  | Some report -> report
-  | None ->
-    let report = traced_measure t.arch ?variant_ids ir points in
-    record t ir points report;
-    report
+let measure ?variant_ids t ir points =
+  let report = traced_measure t.arch ?variant_ids ir points in
+  charge t ir report;
+  report
 
-(* Batch measurement with a pluggable executor. Cached entries are served
-   from the memo table; the rest become pure thunks (Gpusim.Gpu.measure
-   touches no shared state) handed to [map] - e.g. a multi-domain
-   scheduler - and merged back in input order, so accounting and results
-   are bit-identical to the sequential path. *)
+(* Batch measurement with a pluggable executor: every item becomes a pure
+   thunk (Gpusim.Gpu.measure touches no shared state) handed to [map] -
+   e.g. a multi-domain scheduler - and charged in input order, so
+   accounting and results are bit-identical to the sequential path. *)
 let measure_batch t ~map items =
-  let slots =
-    List.map
-      (fun (variant_ids, ir, points) ->
-        (variant_ids, ir, points, Hashtbl.find_opt t.cache (key ir points)))
-      items
+  let reports =
+    map
+      (List.map
+         (fun (variant_ids, ir, points) () -> traced_measure t.arch ~variant_ids ir points)
+         items)
   in
-  let thunks =
-    List.filter_map
-      (function
-        | variant_ids, ir, points, None ->
-          Some (fun () -> traced_measure t.arch ~variant_ids ir points)
-        | _ -> None)
-      slots
-  in
-  let computed = ref (map thunks) in
-  List.map
-    (fun (_, ir, points, cached) ->
-      match cached with
-      | Some report -> report
-      | None ->
-        let report =
-          match !computed with
-          | r :: rest ->
-            computed := rest;
-            r
-          | [] -> invalid_arg "Evaluator.measure_batch: executor dropped results"
-        in
-        record t ir points report;
-        report)
-    slots
+  if List.compare_lengths reports items <> 0 then
+    invalid_arg "Evaluator.measure_batch: executor must return one result per item";
+  List.iter2 (fun (_, ir, _) report -> charge t ir report) items reports;
+  reports
 
 (* The search objective: simulated kernel time of one evaluation (transfers
    are variant-independent, so they do not influence the choice). *)

@@ -229,6 +229,14 @@ let tune ?(strategy = Surf_search Surf.Search.default_config) ?(reps = 100)
     end;
     not bad
   in
+  let gate_stats () =
+    {
+      Check.Verify.checked = !gate_checked;
+      rejected = !gate_rejected;
+      by_code =
+        Hashtbl.fold (fun c n acc -> (c, n) :: acc) gate_codes [] |> List.sort compare;
+    }
+  in
   let pool =
     Obs.Trace.with_span ~cat:"autotune"
       ~attrs:(fun () -> [ ("per_variant", string_of_int pool_per_variant) ])
@@ -243,28 +251,21 @@ let tune ?(strategy = Surf_search Surf.Search.default_config) ?(reps = 100)
             build_pool ~pool_per_variant ~gate rng choices
           else pool
         in
-        (* the decision algorithm only proposes legal points, so an empty
-           gated pool means every candidate is broken - surface whatever the
-           full space yields rather than dying with nothing to search *)
-        let pool =
-          if Array.length pool = 0 && !gate_rejected > 0 then begin
-            Log.warn (fun m ->
-                m "%s: static gate rejected all %d candidate points; tuning ungated"
-                  b.label !gate_checked);
-            build_pool ~pool_per_variant rng choices
-          end
-          else pool
-        in
+        (* an empty gated pool means every candidate is illegal on this
+           device (say, a grid past its limit): no winner can be served *)
+        if Array.length pool = 0 && !gate_rejected > 0 then
+          raise
+            (Empty_space
+               (Printf.sprintf
+                  "%s: the static gate rejected all %d candidate points (%s), so there is \
+                   nothing to tune"
+                  b.label !gate_checked
+                  (String.concat ", "
+                     (List.map
+                        (fun (c, n) -> Printf.sprintf "%s x%d" c n)
+                        (gate_stats ()).by_code))));
         Obs.Trace.add_attrs span [ ("pool", string_of_int (Array.length pool)) ];
         pool)
-  in
-  let gate_stats () =
-    {
-      Check.Verify.checked = !gate_checked;
-      rejected = !gate_rejected;
-      by_code =
-        Hashtbl.fold (fun c n acc -> (c, n) :: acc) gate_codes [] |> List.sort compare;
-    }
   in
   Log.info (fun m ->
       m "%s on %s: %d variants, %d-candidate pool (full space %d)" b.label arch.Gpusim.Arch.name
@@ -297,9 +298,11 @@ let tune ?(strategy = Surf_search Surf.Search.default_config) ?(reps = 100)
       Surf.Search.surf ~config:cfg ?eval_batch rng ~pool ~encode ~eval
   in
   let best = search_result.best.config in
+  (* gpusim is deterministic: the winner's re-measure reproduces the
+     search's report, and charges no search time *)
   let best_report =
     Obs.Trace.with_span ~cat:"autotune" "tune.measure_best" (fun _ ->
-        Evaluator.measure evaluator best.ir best.points)
+        Gpusim.Gpu.measure arch best.ir best.points)
   in
   Obs.Trace.add_attrs tune_span
     [

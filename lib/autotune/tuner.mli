@@ -80,10 +80,13 @@ type strategy = Surf_search of Surf.Search.config | Random_search | Exhaustive
     ["op1(C)"], each named once in first-seen order. *)
 val empty_ops : variant_choice list -> string list
 
-(** Raised by {!tune} before any pool is built when no variant choice has
-    a search point: each has an op whose schedule space is empty, as a
-    rank-1 output's is (tx and bx need two distinct output indices). The
-    message names each such op, as ["op1(C)"]. *)
+(** Raised by {!tune} when there is nothing to tune. Before any pool is
+    built, when no variant choice has a search point: each has an op whose
+    schedule space is empty, as a rank-1 output's is (tx and bx need two
+    distinct output indices); the message names each such op, as
+    ["op1(C)"]. After the pool is built, when the static gate rejected
+    every candidate point; the message counts each rejecting code, as
+    ["BAR033 x4"]. *)
 exception Empty_space of string
 
 (** [batch_map], when given, executes the pure measurement thunks of each
@@ -96,10 +99,10 @@ exception Empty_space of string
     illegal recipes are never lowered or measured. The decision algorithm
     only proposes legal points, so on its own spaces the gate rejects
     nothing and draws nothing from [rng]; points from artifacts or
-    hand-written recipes are where it bites. If the gate rejects every
-    candidate, tuning falls back to the ungated pool (with a warning)
-    rather than failing. A program without any search point raises
-    {!Empty_space} instead.
+    hand-written recipes are where it bites, and so do device limits: a
+    grid wider than the device allows fails every point. If the gate
+    rejects every candidate, or the program has no search point at all,
+    {!tune} raises {!Empty_space}.
 
     The semantic gate runs translation validation
     ({!Check.Semantic.validate}, proof-first: a proven kernel is not

@@ -293,14 +293,14 @@ let check_ledger_bench ledger bench =
         b.experiments
     in
     List.filter_map
-      (fun (cls, p, (s : Ledger.stat)) ->
+      (fun (cls, p, (s : Sketch.summary)) ->
         if cls <> Ledger.Cold then None
         else
           match
             List.assoc_opt (spf "phase:%s" (Ledger.phase_name p)) baseline
           with
           | Some (q : Bench_log.quantiles)
-            when q.q99 > 0. && s.Ledger.st_p99_s > 2. *. q.q99 ->
+            when q.q99 > 0. && s.p99 > 2. *. q.q99 ->
             Some
               {
                 code = "DR042";
@@ -310,15 +310,15 @@ let check_ledger_bench ledger bench =
                 suspects =
                   [
                     ( "phase-regression",
-                      Float.min 1.0 (s.Ledger.st_p99_s /. (4. *. q.q99)) );
+                      Float.min 1.0 (s.p99 /. (4. *. q.q99)) );
                   ];
                 detail =
                   spf
                     "cold %s p99 %.3g s is %.1fx the ledger bench baseline \
                      %.3g s: this phase regressed since the artifact was \
                      committed"
-                    (Ledger.phase_name p) s.Ledger.st_p99_s
-                    (s.Ledger.st_p99_s /. q.q99) q.q99;
+                    (Ledger.phase_name p) s.p99
+                    (s.p99 /. q.q99) q.q99;
               }
           | _ -> None)
       r.Ledger.lr_cells

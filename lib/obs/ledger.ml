@@ -150,36 +150,13 @@ let reconcile t =
 
 (* ---------------- report ---------------- *)
 
-type stat = {
-  st_n : int;
-  st_total_s : float;
-  st_mean_s : float;
-  st_std_s : float;
-  st_p50_s : float;
-  st_p90_s : float;
-  st_p99_s : float;
-  st_max_s : float;
-}
-
-let stat_of_cell c =
-  {
-    st_n = Sketch.count c;
-    st_total_s = Sketch.total c;
-    st_mean_s = Sketch.mean c;
-    st_std_s = Sketch.std c;
-    st_p50_s = Sketch.quantile c 50.0;
-    st_p90_s = Sketch.quantile c 90.0;
-    st_p99_s = Sketch.quantile c 99.0;
-    st_max_s = Sketch.max_value c;
-  }
-
 type report = {
   lr_requests : int;
   lr_errors : int;
   lr_slot_width : int;
-  lr_overall : stat;
-  lr_classes : (serve_class * stat) list;
-  lr_cells : (serve_class * phase * stat) list;
+  lr_overall : Sketch.summary;
+  lr_classes : (serve_class * Sketch.summary) list;
+  lr_cells : (serve_class * phase * Sketch.summary) list;
   lr_phase_share : (phase * float) list;
   lr_exemplars : exemplar list;
   lr_worst : exemplar option;
@@ -189,7 +166,7 @@ let report t =
   let classes =
     List.filter_map
       (fun cls ->
-        Option.map (fun c -> (cls, stat_of_cell c)) (Hashtbl.find_opt t.e2e cls))
+        Option.map (fun c -> (cls, Sketch.summary c)) (Hashtbl.find_opt t.e2e cls))
       all_classes
   in
   let cells =
@@ -198,20 +175,20 @@ let report t =
         List.filter_map
           (fun p ->
             Option.map
-              (fun c -> (cls, p, stat_of_cell c))
+              (fun c -> (cls, p, Sketch.summary c))
               (Hashtbl.find_opt t.cells (cls, p)))
           all_phases)
       all_classes
   in
   let grand =
-    List.fold_left (fun acc (_, _, s) -> acc +. s.st_total_s) 0.0 cells
+    List.fold_left (fun acc (_, _, (s : Sketch.summary)) -> acc +. s.total) 0.0 cells
   in
   let share =
     List.filter_map
       (fun p ->
         let total =
           List.fold_left
-            (fun acc (_, q, s) -> if q = p then acc +. s.st_total_s else acc)
+            (fun acc (_, q, (s : Sketch.summary)) -> if q = p then acc +. s.total else acc)
             0.0 cells
         in
         if
@@ -232,7 +209,7 @@ let report t =
     lr_requests = t.requests;
     lr_errors = t.errors;
     lr_slot_width = t.slot_width;
-    lr_overall = stat_of_cell t.overall;
+    lr_overall = Sketch.summary t.overall;
     lr_classes = classes;
     lr_cells = cells;
     lr_phase_share = share;
@@ -245,17 +222,17 @@ let dominant r =
 
 (* ---------------- JSON ---------------- *)
 
-let stat_json s =
+let stat_json (s : Sketch.summary) =
   Json.Obj
     [
-      ("n", Json.of_int s.st_n);
-      ("total_s", Json.Num s.st_total_s);
-      ("mean_s", Json.Num s.st_mean_s);
-      ("std_s", Json.Num s.st_std_s);
-      ("p50_s", Json.Num s.st_p50_s);
-      ("p90_s", Json.Num s.st_p90_s);
-      ("p99_s", Json.Num s.st_p99_s);
-      ("max_s", Json.Num s.st_max_s);
+      ("n", Json.of_int s.count);
+      ("total_s", Json.Num s.total);
+      ("mean_s", Json.Num s.mean);
+      ("std_s", Json.Num s.std);
+      ("p50_s", Json.Num s.p50);
+      ("p90_s", Json.Num s.p90);
+      ("p99_s", Json.Num s.p99);
+      ("max_s", Json.Num s.max);
     ]
 
 let exemplar_json e =
@@ -326,10 +303,10 @@ let render r =
   Buffer.add_string b
     (spf "  %-10s %8s %10s %10s %10s %10s\n" "class" "n" "mean ms" "p50 ms"
        "p99 ms" "max ms");
-  let class_line name (s : stat) =
+  let class_line name (s : Sketch.summary) =
     Buffer.add_string b
-      (spf "  %-10s %8d %10s %10s %10s %10s\n" name s.st_n (ms s.st_mean_s)
-         (ms s.st_p50_s) (ms s.st_p99_s) (ms s.st_max_s))
+      (spf "  %-10s %8d %10s %10s %10s %10s\n" name s.count (ms s.mean)
+         (ms s.p50) (ms s.p99) (ms s.max))
   in
   class_line "all" r.lr_overall;
   List.iter (fun (c, s) -> class_line (class_name c) s) r.lr_classes;
@@ -340,7 +317,7 @@ let render r =
     match
       List.find_opt (fun (c, q, _) -> c = cls && q = p) r.lr_cells
     with
-    | Some (_, _, s) -> ms s.st_p99_s
+    | Some (_, _, s) -> ms s.Sketch.p99
     | None -> "-"
   in
   List.iter

@@ -84,19 +84,6 @@ val observe :
     within floating-point tolerance. Classes never observed are omitted. *)
 val reconcile : t -> (serve_class * int * float * float) list
 
-(** Summary of one cell's sketch (a (class, phase) pair, or a class's
-    end-to-end latency). *)
-type stat = {
-  st_n : int;
-  st_total_s : float;
-  st_mean_s : float;
-  st_std_s : float;  (** population std ({!Sketch.std}) *)
-  st_p50_s : float;
-  st_p90_s : float;
-  st_p99_s : float;
-  st_max_s : float;
-}
-
 (** Worst request of one exemplar slot (or of the whole run). *)
 type exemplar = {
   ex_slot : int;  (** slot epoch = tick / slot_width; -1 for overall *)
@@ -113,9 +100,9 @@ type report = {
   lr_requests : int;
   lr_errors : int;
   lr_slot_width : int;
-  lr_overall : stat;  (** end-to-end latency, all classes *)
-  lr_classes : (serve_class * stat) list;  (** end-to-end per class *)
-  lr_cells : (serve_class * phase * stat) list;  (** per-phase costs *)
+  lr_overall : Sketch.summary;  (** end-to-end latency, all classes *)
+  lr_classes : (serve_class * Sketch.summary) list;  (** end-to-end per class *)
+  lr_cells : (serve_class * phase * Sketch.summary) list;  (** per-phase costs *)
   lr_phase_share : (phase * float) list;
       (** phase's share of summed modeled time, all classes, descending *)
   lr_exemplars : exemplar list;  (** live slots in epoch order *)

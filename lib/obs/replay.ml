@@ -353,8 +353,8 @@ type ranking = {
 let outcome ?scale h records =
   let s = fold ?scale h records in
   let all = (Ledger.report s.ledger).Ledger.lr_overall in
-  ( all.Ledger.st_p50_s,
-    all.Ledger.st_p99_s,
+  ( all.Sketch.p50,
+    all.Sketch.p99,
     match s.verdict.Slo.alerts with
     | [] -> "ok"
     | a :: _ -> Slo.severity_name a.Slo.severity )

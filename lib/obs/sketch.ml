@@ -180,3 +180,28 @@ let buckets t =
     List.map (fun (i, c) -> (exp (float_of_int i *. t.log_gamma), c)) (sorted_indices t)
   in
   if t.zero > 0 then (t.floor, t.zero) :: positive else positive
+
+type summary = {
+  count : int;
+  total : float;
+  mean : float;
+  std : float;
+  min : float;
+  max : float;
+  p50 : float;
+  p90 : float;
+  p99 : float;
+}
+
+let summary t =
+  {
+    count = count t;
+    total = total t;
+    mean = mean t;
+    std = std t;
+    min = min_value t;
+    max = max_value t;
+    p50 = quantile t 50.0;
+    p90 = quantile t 90.0;
+    p99 = quantile t 99.0;
+  }

@@ -76,3 +76,22 @@ val quantile : t -> float -> float
     zero bucket (bound: the floor) first. Cumulating the counts yields a
     Prometheus-style histogram exposition (see {!Export}). *)
 val buckets : t -> (float * int) list
+
+(** The nine numbers every reader of a sketch reports: the service
+    metrics' timers, the ledger's cells, the what-if ranking, the doctor
+    and bench. Each field is the accessor of the same name ([min] and
+    [max] are {!min_value} and {!max_value}; [p50], [p90] and [p99] are
+    {!quantile} at 50, 90 and 99), so a summary holds their bits. *)
+type summary = {
+  count : int;
+  total : float;
+  mean : float;
+  std : float;
+  min : float;
+  max : float;
+  p50 : float;
+  p90 : float;
+  p99 : float;
+}
+
+val summary : t -> summary

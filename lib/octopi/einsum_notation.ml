@@ -73,24 +73,3 @@ let parse ?(output = "O") ?(names = default_factor_names) ?(extents = []) spec =
 
 (* Render back to the DSL text of Figure 2(a). *)
 let to_dsl ?output ?names ?extents spec = Ast.to_string (parse ?output ?names ?extents spec)
-
-(* One-call evaluation with the reference oracle: tensors are positional. *)
-let contract ?output ?names spec (tensors : Tensor.Dense.t list) =
-  let program = parse ?output ?names spec in
-  match (Contraction.of_program program, program.stmts) with
-  | [ c ], [ stmt ] ->
-    if List.length tensors <> List.length stmt.factors then
-      err "einsum %S expects %d tensors, got %d" spec (List.length stmt.factors)
-        (List.length tensors);
-    (* extents come from the tensors themselves via the einsum oracle *)
-    let operands =
-      List.map2
-        (fun (f : Ast.tensor_ref) t -> Tensor.Einsum.operand t f.indices)
-        stmt.factors tensors
-    in
-    Tensor.Einsum.contract ~output_indices:c.output_indices operands
-  | cs, stmts ->
-    err
-      "einsum %S produced %d contractions from %d statements; a parsed spec \
-       always holds exactly one of each"
-      spec (List.length cs) (List.length stmts)

@@ -17,8 +17,3 @@ val parse :
 (** The equivalent Figure 2(a) DSL text. *)
 val to_dsl :
   ?output:string -> ?names:string list -> ?extents:(string * int) list -> string -> string
-
-(** Evaluate with the reference oracle; tensors are positional and their
-    shapes fix the extents. *)
-val contract :
-  ?output:string -> ?names:string list -> string -> Tensor.Dense.t list -> Tensor.Dense.t

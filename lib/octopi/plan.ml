@@ -221,10 +221,6 @@ let evaluate plan env =
   | Some v -> v
   | None -> invalid_arg "Plan.evaluate: plan produced no output"
 
-(* Plans sorted by flops, cheapest first; ties keep enumeration order. *)
-let sorted_by_flops plans =
-  List.stable_sort (fun a b -> compare (flops a) (flops b)) plans
-
 let describe plan =
   lower plan
   |> List.map (fun op ->

@@ -49,8 +49,5 @@ val temporaries : plan -> (string * string list) list
     reduction preserves semantics). *)
 val evaluate : plan -> (string * Tensor.Dense.t) list -> Tensor.Dense.t
 
-(** Sorted cheapest-first (stable). *)
-val sorted_by_flops : plan list -> plan list
-
 (** One-line rendering of {!lower}, for logs and the CLI. *)
 val describe : plan -> string

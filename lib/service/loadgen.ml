@@ -54,7 +54,6 @@ let default_config =
 
 type result = {
   summary : Obs.Replay.summary;
-  metrics : Metrics.t;
   wall_s : float;
 }
 
@@ -192,7 +191,6 @@ let run ?on_frame ?frame_every ?out ?(run_ids = []) cfg classes =
   done;
   {
     summary = Obs.Replay.finish fold;
-    metrics = Engine.metrics svc;
     wall_s = Unix.gettimeofday () -. t0;
   }
 

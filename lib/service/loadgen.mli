@@ -37,10 +37,9 @@
     impacts exactly.
 
     Memory is bounded: window state is O(buckets) sketches, the ledger is
-    O(classes x phases) sketch cells plus a fixed exemplar ring, and the
-    engine metrics retain at most {!Metrics.raw_sample_cap} raw samples
-    per timer, so replaying 10^4-10^6 requests does not grow storage with
-    the request count. The replay keeps no per-request list: with [out],
+    O(classes x phases) sketch cells plus a fixed exemplar ring, and each
+    engine metrics timer is one sketch, so replaying 10^4-10^6 requests
+    does not grow storage with the request count. The replay keeps no per-request list: with [out],
     each record is written as soon as it is made. *)
 
 type mix = { mix_label : string; mix_dsl : string; weight : int }
@@ -77,7 +76,6 @@ val default_config : config
 
 type result = {
   summary : Obs.Replay.summary;  (** the fold of the replayed stream *)
-  metrics : Metrics.t;  (** the engine's metrics registry *)
   wall_s : float;  (** real wall time of the replay (not in the artifact) *)
 }
 

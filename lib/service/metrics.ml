@@ -2,32 +2,20 @@
    latency-histogram rendering. Domain-safe behind one mutex (updates are
    tiny; contention is irrelevant next to a tuning evaluation).
 
-   Timers are streaming: each observation updates an Obs.Sketch (quantile
-   buckets plus count, total, min/max and Welford moments) and a
-   decade-bucket histogram, and is retained raw only up to
-   [raw_sample_cap] samples (a ring of the most recent). Summaries are
-   therefore exact - computed from the raw samples through Util.Stats -
-   while a timer has seen at most [raw_sample_cap] observations, and
-   switch to the sketch's moments and quantiles (relative error
-   [sketch_alpha]) beyond it. Memory per timer is O(raw_sample_cap +
-   sketch buckets), never O(observations). *)
+   A timer is one Obs.Sketch: quantile buckets plus count, total, min/max
+   and Welford moments. Summaries, the decade histogram and the Prometheus
+   exposition all read it, so a timer's memory is O(sketch buckets),
+   never O(observations). *)
 
-let raw_sample_cap = 1024
 let sketch_alpha = 0.01
 
 (* Fixed decade buckets: service latencies span microseconds (cache hits)
    to tens of seconds (cold tunes). *)
 let bucket_bounds = [ 1e-4; 1e-3; 1e-2; 0.1; 1.0; 10.0 ]
 
-type timer = {
-  ring : float array;  (* the raw_sample_cap most recent samples *)
-  sketch : Obs.Sketch.t;  (* every observation ever *)
-  decades : int array;  (* one streaming counter per decade bucket *)
-}
-
 type t = {
   counters : (string, int ref) Hashtbl.t;
-  timers : (string, timer) Hashtbl.t;
+  timers : (string, Obs.Sketch.t) Hashtbl.t;
   lock : Mutex.t;
 }
 
@@ -44,39 +32,17 @@ let incr ?(by = 1) t name =
       | Some r -> r := !r + by
       | None -> Hashtbl.add t.counters name (ref by))
 
-let new_timer () =
-  {
-    ring = Array.make raw_sample_cap 0.0;
-    sketch = Obs.Sketch.create ~alpha:sketch_alpha ();
-    decades = Array.make (List.length bucket_bounds + 1) 0;
-  }
-
-(* total observations ever *)
-let count tm = Obs.Sketch.count tm.sketch
-
-(* Decade bucket of one sample: [lo, hi) semantics with an unbounded last
-   bucket, matching the rendered histogram labels. *)
-let decade_index seconds =
-  let rec go i = function
-    | hi :: rest -> if seconds < hi then i else go (i + 1) rest
-    | [] -> i
-  in
-  go 0 bucket_bounds
-
 let observe t name seconds =
   locked t (fun () ->
-      let tm =
+      let sk =
         match Hashtbl.find_opt t.timers name with
-        | Some tm -> tm
+        | Some sk -> sk
         | None ->
-          let tm = new_timer () in
-          Hashtbl.add t.timers name tm;
-          tm
+          let sk = Obs.Sketch.create ~alpha:sketch_alpha () in
+          Hashtbl.add t.timers name sk;
+          sk
       in
-      tm.ring.(count tm mod raw_sample_cap) <- seconds;
-      Obs.Sketch.add tm.sketch seconds;
-      let d = tm.decades in
-      d.(decade_index seconds) <- d.(decade_index seconds) + 1)
+      Obs.Sketch.add sk seconds)
 
 let counter t name =
   locked t (fun () ->
@@ -87,67 +53,14 @@ let counters t =
       Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counters []
       |> List.sort compare)
 
-(* Retained raw samples, oldest first: everything while n <= cap, the most
-   recent cap afterwards. *)
-let retained tm =
-  let n = count tm in
-  if n <= raw_sample_cap then Array.to_list (Array.sub tm.ring 0 n)
-  else begin
-    let head = n mod raw_sample_cap in
-    Array.to_list (Array.sub tm.ring head (raw_sample_cap - head))
-    @ Array.to_list (Array.sub tm.ring 0 head)
-  end
-
-let observations t name =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.timers name with Some tm -> retained tm | None -> [])
-
-type timer_summary = {
-  count : int;
-  total_s : float;
-  mean_s : float;
-  median_s : float;
-  p90_s : float;
-  p99_s : float;
-  min_s : float;
-  max_s : float;
-  stddev_s : float;
-}
-
-let summarize_timer tm =
-  let sk = tm.sketch in
-  let n = count tm in
-  if n = 0 then
-    { count = 0; total_s = 0.0; mean_s = nan; median_s = nan; p90_s = nan;
-      p99_s = nan; min_s = nan; max_s = nan; stddev_s = 0.0 }
-  else
-    let exact = n <= raw_sample_cap in
-    (* exact small-n path: identical to summarizing the full history;
-       beyond the cap, the sketch's moments and quantiles *)
-    let samples = if exact then retained tm else [] in
-    let pick stats sketch = if exact then stats samples else sketch in
-    {
-      count = n;
-      total_s = Obs.Sketch.total sk;
-      mean_s = pick Util.Stats.mean (Obs.Sketch.mean sk);
-      median_s = pick Util.Stats.median (Obs.Sketch.quantile sk 50.0);
-      p90_s = pick (Util.Stats.percentile 90.0) (Obs.Sketch.quantile sk 90.0);
-      p99_s = pick (Util.Stats.percentile 99.0) (Obs.Sketch.quantile sk 99.0);
-      min_s = Obs.Sketch.min_value sk;
-      max_s = Obs.Sketch.max_value sk;
-      stddev_s = pick Util.Stats.stddev (Obs.Sketch.std sk);
-    }
-
 let summaries t =
   locked t (fun () ->
-      Hashtbl.fold (fun name tm acc -> (name, summarize_timer tm) :: acc) t.timers []
+      Hashtbl.fold (fun name sk acc -> (name, Obs.Sketch.summary sk) :: acc) t.timers []
       |> List.sort compare)
 
 let sketches t =
   locked t (fun () ->
-      Hashtbl.fold
-        (fun name tm acc -> (name, Obs.Sketch.copy tm.sketch) :: acc)
-        t.timers []
+      Hashtbl.fold (fun name sk acc -> (name, Obs.Sketch.copy sk) :: acc) t.timers []
       |> List.sort compare)
 
 (* Prometheus text exposition: counters plus native histograms sourced
@@ -176,14 +89,29 @@ let bucket_labels =
   in
   go edges
 
-let histogram t name =
-  let counts =
-    locked t (fun () ->
-        match Hashtbl.find_opt t.timers name with
-        | Some tm -> Array.to_list tm.decades
-        | None -> List.map (fun _ -> 0) bucket_labels)
+(* Decade of a value: [lo, hi) semantics with an unbounded last decade,
+   matching the rendered labels. *)
+let decade_index seconds =
+  let rec go i = function
+    | hi :: rest -> if seconds < hi then i else go (i + 1) rest
+    | [] -> i
   in
-  List.combine bucket_labels counts
+  go 0 bucket_bounds
+
+(* The sketch's buckets folded into the decades, each by its upper
+   bound. *)
+let histogram t name =
+  let decades = Array.make (List.length bucket_labels) 0 in
+  locked t (fun () ->
+      Option.iter
+        (fun sk ->
+          List.iter
+            (fun (upper, n) ->
+              let d = decade_index upper in
+              decades.(d) <- decades.(d) + n)
+            (Obs.Sketch.buckets sk))
+        (Hashtbl.find_opt t.timers name));
+  List.combine bucket_labels (Array.to_list decades)
 
 let render t =
   let b = Buffer.create 512 in
@@ -196,11 +124,11 @@ let render t =
   if ts <> [] then begin
     Buffer.add_string b "timers:\n";
     List.iter
-      (fun (name, s) ->
+      (fun (name, (s : Obs.Sketch.summary)) ->
         Buffer.add_string b
           (Printf.sprintf
              "  %-28s n=%-4d total %8.3fs  mean %8.4fs  median %8.4fs  p90 %8.4fs  p99 %8.4fs  max %8.4fs\n"
-             name s.count s.total_s s.mean_s s.median_s s.p90_s s.p99_s s.max_s);
+             name s.count s.total s.mean s.p50 s.p90 s.p99 s.max);
         let hist =
           histogram t name
           |> List.filter (fun (_, n) -> n > 0)

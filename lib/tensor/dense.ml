@@ -15,12 +15,6 @@ let init shape f =
   Shape.iter shape (fun idx -> t.data.(Shape.linearize shape idx) <- f idx);
   t
 
-let of_array shape data =
-  Shape.validate shape;
-  if Array.length data <> Shape.num_elements shape then
-    invalid_arg "Dense.of_array: size mismatch";
-  { shape; data = Array.copy data }
-
 let copy t = { shape = t.shape; data = Array.copy t.data }
 
 let shape t = t.shape
@@ -29,8 +23,6 @@ let num_elements t = Array.length t.data
 
 let get t idx = t.data.(Shape.linearize t.shape idx)
 let set t idx v = t.data.(Shape.linearize t.shape idx) <- v
-
-let fill t v = Array.fill t.data 0 (Array.length t.data) v
 
 let map f t = { t with data = Array.map f t.data }
 
@@ -75,13 +67,3 @@ let approx_equal ?(tol = 1e-9) a b =
 
 let random rng shape =
   init shape (fun _ -> Util.Rng.float_range rng (-1.0) 1.0)
-
-let to_string ?(max_elems = 16) t =
-  let n = min max_elems (Array.length t.data) in
-  let body =
-    Array.to_list (Array.sub t.data 0 n)
-    |> List.map (Printf.sprintf "%.4g")
-    |> String.concat "; "
-  in
-  let suffix = if Array.length t.data > n then "; ..." else "" in
-  Printf.sprintf "%s[%s%s]" (Shape.to_string t.shape) body suffix

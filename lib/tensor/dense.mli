@@ -9,10 +9,6 @@ val create : Shape.t -> t
 (** [init shape f] fills each element from its multi-index. *)
 val init : Shape.t -> (int array -> float) -> t
 
-(** Copy a flat row-major array into a fresh tensor. Raises on size
-    mismatch. *)
-val of_array : Shape.t -> float array -> t
-
 val copy : t -> t
 val shape : t -> Shape.t
 
@@ -22,8 +18,6 @@ val data : t -> float array
 val num_elements : t -> int
 val get : t -> int array -> float
 val set : t -> int array -> float -> unit
-val fill : t -> float -> unit
-val map : (float -> float) -> t -> t
 val scale : float -> t -> t
 
 (** Elementwise operations; raise on shape mismatch. *)
@@ -41,5 +35,3 @@ val approx_equal : ?tol:float -> t -> t -> bool
 
 (** Uniform values in [[-1, 1)]. *)
 val random : Util.Rng.t -> Shape.t -> t
-
-val to_string : ?max_elems:int -> t -> string

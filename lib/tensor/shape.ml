@@ -7,7 +7,6 @@
 type t = int array
 
 let of_list = Array.of_list
-let to_list = Array.to_list
 
 let rank (s : t) = Array.length s
 
@@ -70,6 +69,3 @@ let iter (s : t) f =
     in
     bump (n - 1)
   done
-
-let to_string (s : t) =
-  "(" ^ String.concat "," (List.map string_of_int (to_list s)) ^ ")"

@@ -29,5 +29,3 @@ val delinearize : t -> int -> int array
 (** Iterate all multi-indices in row-major order. The callback receives a
     buffer that is reused between calls; copy it to keep it. *)
 val iter : t -> (int array -> unit) -> unit
-
-val to_string : t -> string

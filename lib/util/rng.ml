@@ -19,8 +19,6 @@ let[@inline] of_state s =
 
 let create seed = of_state (Int64.of_int seed)
 
-let copy = Bytes.copy
-
 let golden = 0x9E3779B97F4A7C15L
 
 (* Core splitmix64 step, inlined into each draw so that its 64 bits never

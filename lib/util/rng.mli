@@ -9,9 +9,6 @@ type t
 (** [create seed] builds a generator from an integer seed. *)
 val create : int -> t
 
-(** [copy t] is an independent generator with the same current state. *)
-val copy : t -> t
-
 (** [split t] derives a statistically independent stream, advancing [t]. *)
 val split : t -> t
 

@@ -13,9 +13,6 @@ val min_list : float list -> float
 
 val max_list : float list -> float
 
-(** Median; [nan] on the empty list. *)
-val median : float list -> float
-
 (** [percentile p xs]: the [p]-th percentile (0 <= p <= 100) with linear
     interpolation between order statistics; [percentile 0.0] is the
     minimum, [50.0] the median, [100.0] the maximum. [nan] on the empty

@@ -56,18 +56,6 @@ let test_merge_extent_conflict () =
 
 (* ---------------- Evaluator ---------------- *)
 
-let test_evaluator_memoizes () =
-  let b = small_eqn1 () in
-  let choices = Autotune.Tuner.variant_choices b in
-  let c = List.hd choices in
-  let points = List.map (fun s -> List.hd (Tcr.Space.enumerate s)) c.spaces.op_spaces in
-  let e = Autotune.Evaluator.create arch in
-  let t1 = Autotune.Evaluator.objective e c.v_ir points in
-  let n1 = e.evaluations in
-  let t2 = Autotune.Evaluator.objective e c.v_ir points in
-  Alcotest.(check (float 0.0)) "same objective" t1 t2;
-  check_int "no second evaluation" n1 e.evaluations
-
 let test_evaluator_search_cost_grows () =
   let b = small_eqn1 () in
   let c = List.hd (Autotune.Tuner.variant_choices b) in
@@ -106,6 +94,16 @@ let test_tune_deterministic () =
   let r1 = tune_small () in
   let r2 = tune_small () in
   Alcotest.(check (float 0.0)) "same result" r1.gflops r2.gflops
+
+(* The modeled search cost of a fixed-seed tune, pinned bit for bit: it
+   charges each evaluation of the search once, and the winner's
+   re-measure not at all. *)
+let test_tune_search_seconds_pinned () =
+  let r = tune_small () in
+  Alcotest.(check string) "search seconds" "0x1.68688fd166d79p+6"
+    (Printf.sprintf "%h" r.search_seconds);
+  Alcotest.(check string) "winner kernel time" "0x1.226274281934p-16"
+    (Printf.sprintf "%h" r.best_report.kernel_time_s)
 
 let test_tune_emit_cuda () =
   let r = tune_small () in
@@ -225,11 +223,11 @@ let suite =
     ("merge lg3t", `Quick, test_merge_lg3t);
     ("merge renames temps", `Quick, test_merge_temp_renaming);
     ("merge extent conflict", `Quick, test_merge_extent_conflict);
-    ("evaluator memoizes", `Quick, test_evaluator_memoizes);
     ("evaluator accounts search cost", `Quick, test_evaluator_search_cost_grows);
     ("tune end to end", `Quick, test_tune_end_to_end);
     ("tuned program is correct", `Slow, test_tune_result_valid);
     ("tune deterministic", `Quick, test_tune_deterministic);
+    ("tune search seconds pinned", `Quick, test_tune_search_seconds_pinned);
     ("tune emits cuda", `Quick, test_tune_emit_cuda);
     ("exhaustive lower-bounds surf", `Slow, test_tune_exhaustive_at_least_as_good);
     ("convergence curve length", `Quick, test_tune_convergence_matches_evals);

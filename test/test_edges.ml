@@ -5,23 +5,6 @@ let contains = Astring_contains.contains
 
 (* ---------------- tensor odds and ends ---------------- *)
 
-let test_dense_fill_map () =
-  let t = Tensor.Dense.create (Tensor.Shape.of_list [ 2; 2 ]) in
-  Tensor.Dense.fill t 3.0;
-  Alcotest.(check (float 0.0)) "filled" 3.0 (Tensor.Dense.get t [| 1; 1 |]);
-  let doubled = Tensor.Dense.map (fun x -> 2.0 *. x) t in
-  Alcotest.(check (float 0.0)) "mapped" 6.0 (Tensor.Dense.get doubled [| 0; 0 |]);
-  Alcotest.(check (float 0.0)) "original intact" 3.0 (Tensor.Dense.get t [| 0; 0 |])
-
-let test_dense_to_string_truncates () =
-  let t = Tensor.Dense.create (Tensor.Shape.of_list [ 100 ]) in
-  let s = Tensor.Dense.to_string ~max_elems:4 t in
-  Alcotest.(check bool) "ellipsis" true (contains s "...")
-
-let test_shape_to_string () =
-  Alcotest.(check string) "format" "(2,3)"
-    (Tensor.Shape.to_string (Tensor.Shape.of_list [ 2; 3 ]))
-
 let test_rank0_tensor () =
   (* scalars arise from full reductions *)
   let t = Tensor.Dense.create (Tensor.Shape.of_list []) in
@@ -113,9 +96,6 @@ let test_driver_reps () =
 
 let suite =
   [
-    ("dense fill/map", `Quick, test_dense_fill_map);
-    ("dense to_string truncates", `Quick, test_dense_to_string_truncates);
-    ("shape to_string", `Quick, test_shape_to_string);
     ("rank-0 tensor", `Quick, test_rank0_tensor);
     ("allocate produced", `Quick, test_allocate_produced);
     ("s1: no reduction orders", `Quick, test_s1_no_red_orders);

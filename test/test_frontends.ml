@@ -37,17 +37,6 @@ let test_einsum_to_dsl_roundtrip () =
   Alcotest.(check (list (pair string int))) "extents kept"
     [ ("i", 3); ("j", 4); ("k", 5) ] p.extents
 
-let test_einsum_contract_matches_oracle () =
-  let rng = Util.Rng.create 4 in
-  let a = Tensor.Dense.random rng (Tensor.Shape.of_list [ 3; 5 ]) in
-  let b = Tensor.Dense.random rng (Tensor.Shape.of_list [ 5; 4 ]) in
-  let c = Octopi.Einsum_notation.contract "ik,kj->ij" [ a; b ] in
-  let want =
-    Tensor.Einsum.contract ~output_indices:[ "i"; "j" ]
-      [ Tensor.Einsum.operand a [ "i"; "k" ]; Tensor.Einsum.operand b [ "k"; "j" ] ]
-  in
-  Alcotest.(check bool) "matches" true (Tensor.Dense.approx_equal want c)
-
 let expect_einsum_error spec =
   Alcotest.(check bool) ("rejects " ^ spec) true
     (try
@@ -59,17 +48,6 @@ let test_einsum_errors () =
   expect_einsum_error "ik,kj";  (* implicit mode unsupported *)
   expect_einsum_error "iK,kj->ij";  (* uppercase index *)
   expect_einsum_error "ik,,kj->ij" (* empty factor *)
-
-let test_einsum_wrong_arity () =
-  let rng = Util.Rng.create 4 in
-  let a = Tensor.Dense.random rng (Tensor.Shape.of_list [ 3; 3 ]) in
-  Alcotest.(check bool) "arity mismatch" true
-    (try
-       ignore (Octopi.Einsum_notation.contract "ik,kj->ij" [ a ]);
-       false
-     with Octopi.Einsum_notation.Error _ -> true)
-
-(* ---------------- Store ---------------- *)
 
 let tuned_lg3 =
   lazy
@@ -165,9 +143,7 @@ let suite =
     ("einsum parse matmul", `Quick, test_einsum_parse_matmul);
     ("einsum eqn1", `Quick, test_einsum_eqn1);
     ("einsum to_dsl roundtrip", `Quick, test_einsum_to_dsl_roundtrip);
-    ("einsum contract matches oracle", `Quick, test_einsum_contract_matches_oracle);
     ("einsum errors", `Quick, test_einsum_errors);
-    ("einsum wrong arity", `Quick, test_einsum_wrong_arity);
     ("store roundtrip", `Quick, test_store_roundtrip);
     ("store restores identical cuda", `Quick, test_store_restored_cuda_identical);
     ("store label mismatch", `Quick, test_store_label_mismatch);

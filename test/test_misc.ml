@@ -171,17 +171,6 @@ let test_openacc_degenerate_detection () =
   let d = { Tcr.Space.tx = "i"; ty = None; bx = "i"; by = None } in
   Alcotest.(check bool) "tx = bx flagged" true (Cpusim.Openacc.degenerate d)
 
-(* ---------------- evaluator key ---------------- *)
-
-let test_evaluator_key_distinguishes_points () =
-  let ir = mm_ir () in
-  let s = Tcr.Space.make ir 0 in
-  match Tcr.Space.enumerate s with
-  | p1 :: p2 :: _ ->
-    Alcotest.(check bool) "distinct keys" true
-      (Autotune.Evaluator.key ir [ p1 ] <> Autotune.Evaluator.key ir [ p2 ])
-  | _ -> Alcotest.fail "expected at least two points"
-
 (* ---------------- nwchem dsl text ---------------- *)
 
 let test_nwchem_dsl_text () =
@@ -245,7 +234,6 @@ let suite =
     ("haswell cached slice", `Quick, test_haswell_cached_slice_no_reread);
     ("openacc overheads ordered", `Quick, test_openacc_overheads_ordered);
     ("openacc degenerate detection", `Quick, test_openacc_degenerate_detection);
-    ("evaluator key distinguishes points", `Quick, test_evaluator_key_distinguishes_points);
     ("nwchem dsl text", `Quick, test_nwchem_dsl_text);
     ("nwchem all parse", `Quick, test_nwchem_all_parse);
     ("golden sequential c", `Quick, test_golden_sequential_c);

@@ -163,18 +163,15 @@ let test_unary_reduction () =
   (* an index occurring in a single term is summed out eagerly *)
   match Octopi.Variants.of_string "Y[i] = Sum([j k], A[i j] * B[k])" with
   | [ v ] ->
-    let best = List.hd (Octopi.Plan.sorted_by_flops (List.map (fun (x : Octopi.Variants.variant) -> x.plan) v.variants)) in
+    let cheapest =
+      List.fold_left
+        (fun acc (x : Octopi.Variants.variant) -> min acc (Octopi.Plan.flops x.plan))
+        max_int v.variants
+    in
     (* reduce B over k (cost 10) then contract (cost 200) + reduce A or
        equivalent: either way well under the naive 2000 *)
-    Alcotest.(check bool) "reduction exploited" true (Octopi.Plan.flops best <= 320)
+    Alcotest.(check bool) "reduction exploited" true (cheapest <= 320)
   | _ -> Alcotest.fail "expected one statement"
-
-let test_flops_ordering_stable () =
-  let v = eqn1_variants () in
-  let sorted = Octopi.Plan.sorted_by_flops (List.map (fun (x : Octopi.Variants.variant) -> x.plan) v.variants) in
-  let fl = List.map Octopi.Plan.flops sorted in
-  Alcotest.(check bool) "non-decreasing" true
-    (List.for_all2 ( <= ) (List.filteri (fun i _ -> i < 14) fl) (List.tl fl))
 
 let test_plan_inputs () =
   let v = eqn1_variants () in
@@ -272,7 +269,6 @@ let suite =
     ("lowering structure", `Quick, test_lower_structure);
     ("paper's variant enumerated", `Quick, test_paper_variant_present);
     ("eager unary reduction", `Quick, test_unary_reduction);
-    ("flop sort stable and monotone", `Quick, test_flops_ordering_stable);
     ("plan inputs preserved", `Quick, test_plan_inputs);
     ("fusion pairs on paper variant", `Quick, test_fusion_pairs);
     ("fusion requires dataflow", `Quick, test_fusion_requires_producer_consumer);

@@ -644,6 +644,21 @@ let test_rank1_tune () =
     (fun () ->
       ignore (Autotune.Tuner.tune ~rng:(Util.Rng.create 1) ~arch:Gpusim.Arch.gtx980 b))
 
+(* Every point of a 70000-wide output needs a grid past the C2050's x
+   limit of 65535 (BAR033), so the static gate empties the pool, and the
+   tuner serves no winner. *)
+let test_gate_rejects_all () =
+  let b =
+    Autotune.Tuner.benchmark_of_dsl ~label:"wide"
+      "dims: i=70000 j=16 k=4\nC[i j] = Sum([k], A[i k] * B[k j])"
+  in
+  Alcotest.check_raises "raises after the gate"
+    (Autotune.Tuner.Empty_space
+       "wide: the static gate rejected all 4 candidate points (BAR033 x4), so there is \
+        nothing to tune")
+    (fun () ->
+      ignore (Autotune.Tuner.tune ~rng:(Util.Rng.create 1) ~arch:Gpusim.Arch.c2050 b))
+
 (* ---------------- symbolic access analysis ---------------- *)
 
 let mm_point_kernel () =
@@ -881,6 +896,8 @@ let suite =
       test_proof_failures_fall_back;
     Alcotest.test_case "mutation names roundtrip" `Quick test_mutation_names_roundtrip;
     Alcotest.test_case "rank-1: tune fails with a typed error" `Quick test_rank1_tune;
+    Alcotest.test_case "gate rejects all: tune fails with a typed error" `Quick
+      test_gate_rejects_all;
     Alcotest.test_case "access: clean summary" `Quick test_access_summary_clean;
     Alcotest.test_case "gate: fixed-seed tune proves its winner" `Quick
       test_semantic_gate_proves_winner;

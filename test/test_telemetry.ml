@@ -338,67 +338,46 @@ let test_slo_infinite_p99 () =
 
 (* ---------------- metrics (bounded registry) ---------------- *)
 
-let test_metrics_exact_below_cap () =
-  let m = Service.Metrics.create () in
-  let xs = List.init 500 (fun i -> float_of_int (i + 1) *. 1e-4) in
-  List.iter (Service.Metrics.observe m "t") xs;
-  let s = List.assoc "t" (Service.Metrics.summaries m) in
-  check_int "count" 500 s.count;
-  Alcotest.(check (float 1e-12)) "median exact" (Util.Stats.median xs) s.median_s;
-  Alcotest.(check (float 1e-12)) "p99 exact"
-    (Util.Stats.percentile 99.0 xs)
-    s.p99_s;
-  check_int "all samples retained" 500
-    (List.length (Service.Metrics.observations m "t"))
-
-let test_metrics_bounded_beyond_cap () =
-  let m = Service.Metrics.create () in
-  let n = 3000 in
-  let xs = List.init n (fun i -> float_of_int (i + 1) *. 1e-4) in
-  List.iter (Service.Metrics.observe m "t") xs;
-  let cap = Service.Metrics.raw_sample_cap in
-  let retained = Service.Metrics.observations m "t" in
-  check_int "raw samples capped" cap (List.length retained);
-  (* oldest-first ring: the retained window is the most recent cap *)
-  Alcotest.(check (float 1e-12)) "oldest retained"
-    (float_of_int (n - cap + 1) *. 1e-4)
-    (List.hd retained);
-  Alcotest.(check (float 1e-12)) "newest retained" (float_of_int n *. 1e-4)
-    (List.nth retained (cap - 1));
-  let s = List.assoc "t" (Service.Metrics.summaries m) in
-  check_int "count streams past the cap" n s.count;
-  (* streaming moments stay exact; quantiles fall back to the sketch and
-     stay inside its relative-error bound *)
-  Alcotest.(check (float 1e-9)) "mean exact" (Util.Stats.mean xs) s.mean_s;
-  Alcotest.(check (float 1e-12)) "min exact" 1e-4 s.min_s;
-  Alcotest.(check (float 1e-12)) "max exact" (float_of_int n *. 1e-4) s.max_s;
-  let exact = Util.Stats.percentile 99.0 xs in
-  check_bool "p99 within sketch bound" true
-    (abs_float (s.p99_s -. exact) /. exact <= 2.0 *. Service.Metrics.sketch_alpha);
-  let exact_sd = Util.Stats.stddev xs in
-  check_bool "stddev from streaming moments" true
-    (abs_float (s.stddev_s -. exact_sd) /. exact_sd < 1e-6)
+let test_metrics_summary_is_sketch () =
+  (* a timer is one sketch at every count: its summary holds, bit for bit,
+     the summary of a sketch fed the same samples *)
+  let bits (s : Obs.Sketch.summary) =
+    s.count
+    :: List.map
+         (fun v -> Int64.to_int (Int64.bits_of_float v))
+         [ s.total; s.mean; s.std; s.min; s.max; s.p50; s.p90; s.p99 ]
+  in
+  List.iter
+    (fun n ->
+      let m = Service.Metrics.create () in
+      let xs = List.init n (fun i -> float_of_int ((i * 7919 mod n) + 1) *. 1e-4) in
+      List.iter (Service.Metrics.observe m "t") xs;
+      Alcotest.(check (list int))
+        (Printf.sprintf "%d samples" n)
+        (bits (Obs.Sketch.summary (sketch_of xs)))
+        (bits (List.assoc "t" (Service.Metrics.summaries m))))
+    [ 1; 500; 3000 ]
 
 let test_metrics_stddev_cancellation () =
-  (* past the raw-sample cap the stddev comes from streaming moments;
-     with mean 1 and true stddev 5e-10, a sum-of-squares formula cancels
-     catastrophically (~3e-8) where Welford's update stays exact *)
+  (* the stddev comes from streaming moments: with mean 1 and true
+     stddev 5e-10, a sum-of-squares formula cancels catastrophically
+     (~3e-8) where Welford's update stays exact *)
   let m = Service.Metrics.create () in
   for i = 1 to 2000 do
     Service.Metrics.observe m "t" (if i mod 2 = 0 then 1.0 +. 1e-9 else 1.0)
   done;
   let s = List.assoc "t" (Service.Metrics.summaries m) in
   check_bool
-    (Printf.sprintf "stddev %.3g within 1e-6 of 5e-10" s.stddev_s)
+    (Printf.sprintf "stddev %.3g within 1e-6 of 5e-10" s.std)
     true
-    (abs_float (s.stddev_s -. 5e-10) /. 5e-10 <= 1e-6)
+    (abs_float (s.std -. 5e-10) /. 5e-10 <= 1e-6)
 
 let test_metrics_histogram_streams () =
   let m = Service.Metrics.create () in
   for _ = 1 to 2000 do
     Service.Metrics.observe m "t" 5e-4
   done;
-  (* decade counters never cap, unlike the raw ring *)
+  (* the decades count every observation, however many *)
   check_int "all observations bucketed" 2000
     (List.assoc "100us-1ms" (Service.Metrics.histogram m "t"))
 
@@ -533,16 +512,9 @@ let test_loadgen_result_shape () =
   (* the two cold tunes hit the engine; the rest are hits or dedups *)
   check_bool "cold tunes happened" true (List.mem_assoc "tuned" r.served);
   check_bool "healthy defaults meet the SLO" true (Obs.Slo.ok r.verdict);
-  (* bounded memory: the window is O(buckets) sketches and the engine's
-     timers retain at most the raw-sample cap *)
+  (* bounded memory: the window is O(buckets) sketches *)
   let snap = Obs.Window.snapshot r.window ~now:r.ticks in
-  check_bool "sketch stays small" true (Obs.Sketch.bucket_count snap.sketch < 512);
-  List.iter
-    (fun (name, _) ->
-      check_bool "timer storage capped" true
-        (List.length (Service.Metrics.observations res.metrics name)
-        <= Service.Metrics.raw_sample_cap))
-    (Service.Metrics.summaries res.metrics)
+  check_bool "sketch stays small" true (Obs.Sketch.bucket_count snap.sketch < 512)
 
 let test_loadgen_violation_pages () =
   let cfg =
@@ -647,10 +619,8 @@ let suite =
     Alcotest.test_case "slo: error-budget page" `Quick test_slo_error_page;
     Alcotest.test_case "slo: worst alert first" `Quick test_slo_alert_order;
     Alcotest.test_case "slo: infinite p99 pages" `Quick test_slo_infinite_p99;
-    Alcotest.test_case "metrics: exact below the cap" `Quick
-      test_metrics_exact_below_cap;
-    Alcotest.test_case "metrics: bounded beyond the cap" `Quick
-      test_metrics_bounded_beyond_cap;
+    Alcotest.test_case "metrics: summary is its sketch's" `Quick
+      test_metrics_summary_is_sketch;
     Alcotest.test_case "metrics: decade histogram streams" `Quick
       test_metrics_histogram_streams;
     Alcotest.test_case "metrics: streaming stddev survives cancellation" `Quick

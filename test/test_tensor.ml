@@ -68,7 +68,8 @@ let test_dense_arith () =
   check_float "sub" 2.0 (Tensor.Dense.get d [| 2 |]);
   check_float "dot" 6.0 (Tensor.Dense.dot a b);
   check_float "norm2" (sqrt 5.0) (Tensor.Dense.norm2 a);
-  check_float "scale" 4.0 (Tensor.Dense.get (Tensor.Dense.scale 2.0 a) [| 2 |])
+  check_float "scale" 4.0 (Tensor.Dense.get (Tensor.Dense.scale 2.0 a) [| 2 |]);
+  check_float "scale leaves its input" 2.0 (Tensor.Dense.get a [| 2 |])
 
 let test_dense_shape_mismatch () =
   let a = Tensor.Dense.create (shape [ 2 ]) and b = Tensor.Dense.create (shape [ 3 ]) in
@@ -87,12 +88,6 @@ let test_dense_copy_independent () =
   let b = Tensor.Dense.copy a in
   Tensor.Dense.set b [| 0 |] 9.0;
   check_float "original untouched" 0.0 (Tensor.Dense.get a [| 0 |])
-
-let test_dense_of_array () =
-  let t = Tensor.Dense.of_array (shape [ 2; 2 ]) [| 1.0; 2.0; 3.0; 4.0 |] in
-  check_float "row major" 3.0 (Tensor.Dense.get t [| 1; 0 |]);
-  Alcotest.check_raises "size mismatch" (Invalid_argument "Dense.of_array: size mismatch")
-    (fun () -> ignore (Tensor.Dense.of_array (shape [ 2 ]) [| 1.0 |]))
 
 (* ---------------- Einsum ---------------- *)
 
@@ -255,7 +250,6 @@ let suite =
     ("dense shape mismatch", `Quick, test_dense_shape_mismatch);
     ("dense approx equal", `Quick, test_dense_approx_equal);
     ("dense copy independent", `Quick, test_dense_copy_independent);
-    ("dense of_array", `Quick, test_dense_of_array);
     ("einsum inner product", `Quick, test_einsum_inner_product);
     ("einsum matvec", `Quick, test_einsum_matvec);
     ("einsum matmul", `Quick, test_einsum_matmul);
